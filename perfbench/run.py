@@ -1,6 +1,6 @@
 """cslme benchmark: one workload, one seed, a closed loop with one client.
 
-    python3 perfbench/run.py --workload sleepstudy --seed 0 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload sleepstudy --seed 0 --seconds 40 --trace 0
 
 Run from the repository root; the package is imported from ``src/``. The
 loop repeats the workload's cycle of steps until ``--seconds`` have passed,
@@ -21,10 +21,13 @@ type; so does a step whose output check fails, a replication that records
 an error and a contour grid with a NaN cell. The run never aborts on one.
 
 Times are reported in reference seconds. On a shared host the speed of
-identical work drifts by 10-30 % between runs minutes apart, so between
-steps the loop times a fixed NumPy kernel that runs no package code, and
-every time (rate) is multiplied (divided) by the kernel's reference duration
-over its median duration in the run. Set-up time is reported as measured.
+identical work drifts by 10-30 % within a run and between runs, on every
+time scale from a second to minutes. So a timer interrupts the loop every
+PROBE_EVERY_S and times a fixed NumPy kernel that runs no package code
+(``Probe``). The probes' own time is taken out of every timestamp, and each
+step is converted to reference seconds with the mean probe time over that
+step: a long fit is corrected by the probes that ran during it. Set-up
+time is converted with kernel samples taken right after set-up.
 """
 
 import time
@@ -33,12 +36,14 @@ T_START = time.perf_counter()
 
 import argparse  # noqa: E402
 from dataclasses import dataclass, field  # noqa: E402
+from array import array  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import os  # noqa: E402
 from pathlib import Path  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
+import signal  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -52,11 +57,13 @@ import numpy as np  # noqa: E402
 
 ROOT = Path.cwd()
 HERE = Path(__file__).resolve().parent
-SETUP_REPEATS = 3     # this process plus two fresh interpreters
+SETUP_REPEATS = 5     # this process plus four fresh interpreters
 OVERHEAD_MIN_S = 3.0  # the overhead comparison covers at least this much step time
-KERNEL_ITERS = 4000   # about 40 ms of reference kernel
-KERNEL_EVERY_S = 0.8  # about 5 % of the loop; single samples vary by 25 %
-REFERENCE_KERNEL_S = 0.042  # median reference_kernel() on the baseline host, idle
+KERNEL_ITERS = 250    # about 2 ms of reference kernel per probe
+PROBE_EVERY_S = 0.1   # about 2 % of the loop
+PROBE_WINDOW = 10     # fewest probes a step's speed is averaged over
+SETUP_PROBES = 20     # kernel samples that convert one set-up time
+REFERENCE_KERNEL_S = 0.002  # a fixed scale: about the mean probe on the baseline host
 
 END_TO_END = {
     "setup_s": "s", "peak_rss_mb": "MB", "ok_share": "share",
@@ -126,7 +133,7 @@ def parse_args(argv):
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--setup-only", action="store_true",
-                    help="time imports and set-up, print the seconds, exit")
+                    help="time imports and set-up, print the reference seconds, exit")
     return ap.parse_args(argv)
 
 
@@ -143,11 +150,16 @@ def import_benchmark():
     return tracer, workloads
 
 
-def set_up(workloads, args):
+def set_up(workloads, args) -> tuple:
+    """The workload, ready, and the seconds since the interpreter started,
+    in reference seconds: converted with SETUP_PROBES kernel samples taken
+    right after."""
     workload = workloads.WORKLOADS[args.workload]()
     workload.setup(args.seed)
     workload.warm_up()
-    return workload
+    seconds = time.perf_counter() - T_START
+    kernel = statistics.fmean(reference_kernel() for _ in range(SETUP_PROBES))
+    return workload, seconds * REFERENCE_KERNEL_S / kernel
 
 
 def setup_seconds(args, first: float) -> float:
@@ -174,48 +186,99 @@ def reference_kernel() -> float:
     return time.perf_counter() - t0
 
 
+class Probe:
+    """Machine speed, sampled throughout the timed loop.
+
+    While entered, SIGALRM fires every PROBE_EVERY_S and its handler runs
+    the reference kernel once. Python runs the handler in the main thread
+    between bytecodes, so a probe lands inside whatever step is running.
+    After ``__exit__``, ``net`` removes the probes' time from timestamps
+    and ``speed`` gives reference seconds per second over an interval.
+    """
+
+    def __init__(self):
+        self.starts, self.ends = [], []
+
+    def _probe(self, signum, frame):
+        t0 = time.perf_counter()
+        reference_kernel()
+        self.starts.append(t0)
+        self.ends.append(time.perf_counter())
+
+    def __enter__(self):
+        self._previous = signal.signal(signal.SIGALRM, self._probe)
+        signal.setitimer(signal.ITIMER_REAL, PROBE_EVERY_S, PROBE_EVERY_S)
+        return self
+
+    def __exit__(self, *exc):
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, self._previous)
+        ends = np.asarray(self.ends)
+        self.kernel = ends - np.asarray(self.starts)
+        self._ends = ends
+        self._paused = np.concatenate([[0.0], np.cumsum(self.kernel)])
+        self.at = ends - self._paused[1:]  # each probe's net timestamp
+        return False
+
+    def net(self, t):
+        """Timestamps with the time of every probe that ended before them removed."""
+        t = np.asarray(t, dtype=float)
+        return t - self._paused[np.searchsorted(self._ends, t, side="right")]
+
+    def speed(self, start, end) -> np.ndarray:
+        """Reference seconds per second over each net interval [start, end]:
+        the reference duration over the mean probe time inside it, widened
+        around its middle to at least PROBE_WINDOW probes.
+        """
+        n = self.kernel.size
+        width = min(PROBE_WINDOW, n)
+        i0 = np.searchsorted(self.at, start)
+        i1 = np.searchsorted(self.at, end)
+        narrow = i1 - i0 < width
+        lo = np.clip((i0 + i1) // 2 - width // 2, 0, n - width)
+        i0, i1 = np.where(narrow, lo, i0), np.where(narrow, lo + width, i1)
+        return REFERENCE_KERNEL_S * (i1 - i0) / (self._paused[i1] - self._paused[i0])
+
+    def overall(self) -> float:
+        """Reference seconds per second over the whole loop."""
+        return REFERENCE_KERNEL_S / float(self.kernel.mean())
+
+
 @dataclass
 class Loop:
-    log: list = field(default_factory=list)      # (cycle, kind, output, error type)
-    cycles: list = field(default_factory=list)   # (seconds, every step ok)
-    kernel: list = field(default_factory=list)   # reference_kernel() samples
-    busy_s: float = 0.0                          # time inside steps
-
-    def speed(self) -> float:
-        """Reference-machine seconds per measured second (below 1 when slow)."""
-        return REFERENCE_KERNEL_S / statistics.median(self.kernel)
+    log: list = field(default_factory=list)    # (cycle, kind, output, error type)
+    steps: list = field(default_factory=list)  # (cycle, start, end), net timestamps
+    cycles: int = 0
 
 
-def run_loop(workload, spans, seconds, cycles=None) -> Loop:
+def run_loop(workload, spans, seconds) -> tuple:
     """Run whole cycles until `seconds` pass and the workload's min_cycles
-    are done, or until exactly `cycles` are done. Between steps, time the
-    reference kernel once per KERNEL_EVERY_S of step time; its own time is
-    not counted.
+    are done, with the speed probe running. Returns the loop's log and its
+    probe; step and span timestamps are made net of probe time.
     """
     clock = time.perf_counter
-    loop = Loop(kernel=[reference_kernel()])
-    deadline = clock() + seconds
-    cycle = 0
-    while True:
-        cycle_s, ok = 0.0, True
-        for kind, call in workload.steps(cycle):
-            spans.op += 1
-            t0 = clock()
-            try:
-                loop.log.append((cycle, kind, call(), None))
-            except Exception as exc:  # a failed operation never aborts the run
-                loop.log.append((cycle, kind, None, type(exc).__name__))
-                ok = False
-            cycle_s += clock() - t0
-            # after a long step, catch up on the samples it spanned
-            while len(loop.kernel) <= (loop.busy_s + cycle_s) / KERNEL_EVERY_S:
-                loop.kernel.append(reference_kernel())
-        loop.cycles.append((cycle_s, ok))
-        loop.busy_s += cycle_s
-        cycle += 1
-        if cycle == cycles or (cycles is None and cycle >= workload.min_cycles
-                               and clock() >= deadline):
-            return loop
+    loop, raw = Loop(), []
+    with Probe() as probe:
+        deadline = clock() + seconds
+        while True:
+            for kind, call in workload.steps(loop.cycles):
+                spans.op += 1
+                t0 = clock()
+                try:
+                    loop.log.append((loop.cycles, kind, call(), None))
+                except Exception as exc:  # a failed operation never aborts the run
+                    loop.log.append((loop.cycles, kind, None, type(exc).__name__))
+                raw.append((loop.cycles, t0, clock()))
+            loop.cycles += 1
+            if loop.cycles >= workload.min_cycles and clock() >= deadline:
+                break
+    if probe.kernel.size == 0:
+        raise RuntimeError("the speed probe never ran")
+    cycle, start, end = (np.array(c) for c in zip(*raw))
+    loop.steps = list(zip(cycle, probe.net(start), probe.net(end)))
+    spans.start = array("d", probe.net(np.asarray(spans.start)))
+    spans.end = array("d", probe.net(np.asarray(spans.end)))
+    return loop, probe
 
 
 def check_outputs(workload, log):
@@ -234,15 +297,15 @@ def check_outputs(workload, log):
     return failures, wrong_all
 
 
-def end_to_end(tracing, spans, loop, ok_share) -> dict:
-    """Timings in reference seconds: measured seconds times loop.speed().
+def end_to_end(tracing, spans, loop, probe, ok_share) -> dict:
+    """Timings in reference seconds: each step's or call's net duration times
+    the probe speed over it.
 
     A replication is one cycle. Its latency counts only cycles in which no
     step raised; the rate counts cycles discounted by the failed share.
     """
-    speed = loop.speed()
     a = spans.arrays()
-    dur = a["end"] - a["start"]
+    dur = (a["end"] - a["start"]) * probe.speed(a["start"], a["end"])
     ok = (a["error"] < 0) & (a["op"] >= 0)  # timed loop only, completed calls
 
     def select(name, tag=None):
@@ -252,18 +315,22 @@ def end_to_end(tracing, spans, loop, ok_share) -> dict:
         return mask
 
     def p50(mask):
-        return speed * float(np.median(dur[mask])) if mask.any() else math.nan
+        return float(np.median(dur[mask])) if mask.any() else math.nan
 
-    def rate(mask):  # items per second of time inside the calls
-        return float(a["v1"][mask].sum() / dur[mask].sum()) / speed if mask.any() else math.nan
+    def rate(mask):  # items per reference second inside the calls
+        return float(a["v1"][mask].sum() / dur[mask].sum()) if mask.any() else math.nan
 
-    good = [speed * d for d, fine in loop.cycles if fine]
+    cycle, start, end = (np.array(c) for c in zip(*loop.steps))
+    step_s = np.bincount(cycle, (end - start) * probe.speed(start, end))
+    failed = np.zeros(loop.cycles, dtype=bool)
+    failed[[c for c, _, _, error in loop.log if error is not None]] = True
+    good = list(step_s[~failed])
     return {
         "fit_pls_p50_s": p50(select("estimate.fit", "PLS")),
         "fit_prls_p50_s": p50(select("estimate.fit", "PRLS")),
         "fit_ml_p50_s": p50(select("baseline.fit_unconstrained", "ML")),
         "fit_reml_p50_s": p50(select("baseline.fit_unconstrained", "REML")),
-        "reps_per_s": ok_share * len(loop.cycles) / (speed * loop.busy_s),
+        "reps_per_s": ok_share * loop.cycles / float(step_s.sum()),
         "rep_p50_s": statistics.median(good) if good else math.nan,
         "rep_p90_s": (statistics.quantiles(good, n=10, method="inclusive")[-1]
                       if len(good) > 1 else good[0] if good else math.nan),
@@ -298,12 +365,13 @@ def tracing_overhead(tracing, workload) -> tuple:
     return seconds[True], seconds[False]
 
 
-def per_layer(tracing, spans, workload, loop, args) -> dict:
+def per_layer(tracing, spans, workload, probe, args) -> dict:
     """Per-layer metrics of the traced run, plus the tracing overhead.
 
-    Times are in reference seconds, as in end_to_end.
+    Times are in reference seconds, converted with the probe speed over the
+    whole loop.
     """
-    speed = loop.speed()
+    speed = probe.overall()
     table = tracing.layer_table(spans)
     print(f"{'layer (measured seconds)':36s} {'calls':>9s} {'total_s':>10s} {'self_s':>10s}")
     for name, row in table.items():
@@ -388,20 +456,18 @@ def main(argv=None) -> int:
         sys.exit(f"perfbench: unknown workload {args.workload!r}; "
                  f"choose from {sorted(workloads.WORKLOADS)}")
     if args.setup_only:
-        set_up(workloads, args)
-        print(time.perf_counter() - T_START)
+        print(set_up(workloads, args)[1])
         return 0
 
     # installed before set-up, so a traced run also sees ingest and data generation
     spans = tracing.Tracer(tracing.ALL_TARGETS if args.trace else tracing.ENTRY_POINTS)
     spans.install()
-    workload = set_up(workloads, args)
-    first_setup = time.perf_counter() - T_START
+    workload, first_setup = set_up(workloads, args)
     if not args.trace:
         setup_s = setup_seconds(args, first_setup)
 
     t0 = time.perf_counter()
-    loop = run_loop(workload, spans, args.seconds)
+    loop, probe = run_loop(workload, spans, args.seconds)
     elapsed = time.perf_counter() - t0
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     spans.uninstall()
@@ -409,10 +475,9 @@ def main(argv=None) -> int:
     failures, wrong = check_outputs(workload, loop.log)
     attempted, failed = len(loop.log), sum(failures.values())
     print(f"workload {args.workload}  seed {args.seed}  trace {args.trace}  "
-          f"cycles {len(loop.cycles)}  steps {attempted}  loop {elapsed:.3f} s  "
-          f"in steps {loop.busy_s:.3f} s")
-    print(f"machine speed {loop.speed():.4f} reference seconds per second "
-          f"(median of {len(loop.kernel)} reference kernel samples)")
+          f"cycles {loop.cycles}  steps {attempted}  loop {elapsed:.3f} s")
+    print(f"machine speed {probe.overall():.4f} reference seconds per second "
+          f"(mean of {probe.kernel.size} probes, {probe.kernel.sum():.3f} s)")
     print("environment " + json.dumps(environment()))
     for name, count in sorted(failures.items()):
         print(f"failed {name}: {count} of {attempted}")
@@ -420,11 +485,11 @@ def main(argv=None) -> int:
         print(f"wrong output: {msg}")
 
     if args.trace:
-        metrics = per_layer(tracing, spans, workload, loop, args)
+        metrics = per_layer(tracing, spans, workload, probe, args)
     else:
         ok_share = (attempted - failed) / attempted
         values = {"setup_s": setup_s, "peak_rss_mb": peak_rss_mb,
-                  "ok_share": ok_share, **end_to_end(tracing, spans, loop, ok_share)}
+                  "ok_share": ok_share, **end_to_end(tracing, spans, loop, probe, ok_share)}
         metrics = {k: {"value": values[k], "unit": u} for k, u in END_TO_END.items()}
     for name, m in metrics.items():
         print(f"{name:48s} {m['value']:>16.6g} {m['unit']}")

@@ -1,4 +1,4 @@
-"""The three benchmark workloads.
+"""The two benchmark workloads.
 
 Each workload builds its inputs from the benchmark seed in ``setup``, then
 yields one cycle of timed steps at a time. A step is ``(kind, call)``;
@@ -12,10 +12,11 @@ All package calls go through module attributes (``estimate.fit``, not a
 name imported once), so the tracer's wrappers see them.
 
 Every end-to-end metric is reported on every workload. Besides the steps
-that define a workload, each cycle therefore carries small companion steps
-on the workload's own data (a short contour grid, deviations at a few
-points, fits on a group subset, ML among the replication's methods), sized
-to stay a small share of the cycle.
+that define a workload, each cycle therefore carries companion steps on
+the workload's own data (a contour grid, deviations at many points, ML
+among the replication's methods). Each companion is one step per cycle:
+a step of a second or more is converted to reference seconds more
+steadily than many short ones.
 """
 
 from dataclasses import replace
@@ -23,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from cslme import baseline, cli, datasets, estimate, ranef, sim
-from cslme.model import Dataset, GroupData, ModelSpec, Parameters
+from cslme.model import ModelSpec, Parameters
 
 import oracles
 
@@ -68,6 +69,11 @@ class Sleepstudy:
     why = ("the paper's application and the cslme fit path: g = 18, 2x2 blocks, so "
            "per-evaluation overhead in model and finite differences in optim dominate")
     min_cycles = 3  # each fit metric is a median of one fit per cycle
+    jitters = 127       # jittered points around each fitted point per ranef step
+    grid = 24           # contour grid is grid x grid cells
+    oracle_cells = 3    # contour cells checked against the dense objective
+    oracle_points = 8   # ranef points per step checked against lsq_linear ...
+    oracle_groups = 4   # ... on this many groups each
 
     def setup(self, seed: int):
         self.seed = seed
@@ -76,6 +82,18 @@ class Sleepstudy:
                                  random_effect_columns=("intercept", "Days"))
         self.data, self.spec = cli.ingest(datasets.sleepstudy_path(), schema)
         self.uspec = ModelSpec(alpha=self.spec.alpha, constrained=False)
+        # Every fit runs at start seed 0, the default of FitConfig and of
+        # `cslme fit`, and the one criterion 5 fixes, so every cycle repeats
+        # the same fits. The PLS fit's evaluation count varies 1.8x between
+        # start seeds (2940-5293 over seeds 0-7), and at start seeds 2 and 9
+        # it stops on the flat ridge in the slope scale (objective 0.007
+        # above seed 0's) with a Days effect outside criterion 5's 3 % band;
+        # test_perfbench.py keeps that defect in view.
+        self.fits = (("fit_pls", _fit(self.data, self.spec, "PLS", 5, 0)),
+                     ("fit_prls", _fit(self.data, self.spec, "PRLS", 5, 0)),
+                     ("fit_ml", _unconstrained(self.data, self.uspec, "ML", 0)),
+                     ("fit_reml", _unconstrained(self.data, self.uspec, "REML", 0)))
+        self.rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
 
     def warm_up(self):
         fixed = Parameters(beta=np.array(REML_BETA), varsigma=np.array([25.0, 6.0]),
@@ -85,39 +103,32 @@ class Sleepstudy:
         ranef.solve_all(self.data, fixed, self.spec)
 
     def steps(self, cycle: int):
-        # Start seed = cycle index, the same in every run: the PLS fit's
-        # evaluation count varies 1.8x between start seeds (2940-5293 over
-        # seeds 0-7), and with start seeds drawn from the benchmark seed the
-        # run-to-run spread of the fit medians reached 0.31. Seeds 0-2 include
-        # criterion 5's seed 0 and seed 2, whose PLS fit misses the band.
-        seed = cycle
-        fits = (("fit_pls", _fit(self.data, self.spec, "PLS", 5, seed)),
-                ("fit_prls", _fit(self.data, self.spec, "PRLS", 5, seed)),
-                ("fit_ml", _unconstrained(self.data, self.uspec, "ML", seed)),
-                ("fit_reml", _unconstrained(self.data, self.uspec, "REML", seed)))
-        for kind, call in fits:
-            done = {}
-
-            def run(call=call, done=done):
-                done["fit"] = call()
-                return done["fit"]
+        fitted = []
+        for kind, call in self.fits:
+            def run(call=call):
+                fit = call()
+                fitted.append(_as_params(fit))
+                return fit
 
             yield kind, run
-            if "fit" not in done:
-                continue
-            # companions after every fit, so their samples spread over the run:
-            # deviations around the fitted point, the PRLS surface through it
-            point = _as_params(done["fit"])
-            points = [point] + [self._jitter(point, cycle, i) for i in range(11)]
-            yield "ranef", lambda points=points: [
-                (p, ranef.solve_all(self.data, p, self.spec)) for p in points]
-            b1, s1 = float(point.beta[1]), float(point.varsigma[1])
-            yield "contour", _contour("PRLS", ("beta1", "varsigma1"),
-                                      ((0.5 * b1, 1.5 * b1, 6), (0.5 * s1, 1.5 * s1 + 1.0, 6)),
-                                      point, self.data, self.spec)
+        if not fitted:
+            return
+        # once per cycle: deviations at every fitted point and at points
+        # jittered around it, and the PRLS surface through the first one
+        rng = np.random.default_rng(np.random.SeedSequence([self.seed, cycle]))
+        points = [p for point in fitted
+                  for p in [point] + [self._jitter(point, rng) for _ in range(self.jitters)]]
+        yield "ranef", lambda: [(p, ranef.solve_all(self.data, p, self.spec)) for p in points]
+        point = fitted[0]
+        b1, s1 = float(point.beta[1]), float(point.varsigma[1])
+        contour = _contour("PRLS", ("beta1", "varsigma1"),
+                           ((0.5 * b1, 1.5 * b1, self.grid),
+                            (0.5 * s1, 1.5 * s1 + 1.0, self.grid)),
+                           point, self.data, self.spec)
+        yield "contour", lambda: (point, contour())
 
-    def _jitter(self, point, cycle, i) -> Parameters:
-        rng = np.random.default_rng(np.random.SeedSequence([self.seed, cycle, i]))
+    @staticmethod
+    def _jitter(point, rng) -> Parameters:
         k = point.varsigma.size
         return Parameters(beta=point.beta * np.exp(rng.normal(0.0, 0.1, point.beta.size)),
                           varsigma=(point.varsigma + 1.0) * np.exp(rng.normal(0.0, 0.3, k)),
@@ -127,10 +138,9 @@ class Sleepstudy:
         """Returns (failures, wrong outputs) for one step's output.
 
         A fixed effect outside its criterion-5 band is a failure, not a wrong
-        output: criterion 5 fixes the start seed at 0, and at other start seeds
-        the multi-start fit can stop on the flat ridge in the slope scale with
-        a worse objective (start seeds 2 and 9 give a Days effect 3.4-3.7 %
-        below the reference).
+        output: it is a reproduction tolerance that holds at criterion 5's
+        start seed, not an exact property of every fit. Contour cells and
+        deviations are checked against oracles that use no package code.
         """
         failures, wrong = [], []
         if kind in ("fit_pls", "fit_prls"):
@@ -152,12 +162,40 @@ class Sleepstudy:
         if kind == "fit_reml" and not abs(out.theta.sigma - REML_SIGMA) <= 0.02 * REML_SIGMA:
             failures.append(f"criterion-5 band: REML sigma {out.theta.sigma} not within 2%")
         if kind == "ranef":
-            for p, re in out:
-                if not _bounded(re.gamma, p.beta, self.spec.alpha):
-                    wrong.append("ranef: |gamma| exceeds |beta|")
+            wrong += self._check_ranef(out)
         if kind == "contour":
-            failures += _check_contour(out)
+            point, grid = out
+            failures += _check_contour(grid)
+            wrong += self._check_contour_cells(point, grid)
         return failures, wrong
+
+    def _check_ranef(self, out) -> list:
+        """|gamma| <= |beta| everywhere; sampled groups match bounded least squares."""
+        wrong, cols = [], list(self.spec.alpha)
+        for p, re in out:
+            if not _bounded(re.gamma, p.beta, self.spec.alpha):
+                wrong.append("ranef: |gamma| exceeds |beta|")
+        for i in self.rng.choice(len(out), self.oracle_points, replace=False):
+            p, re = out[i]
+            for ell in self.rng.choice(self.data.g, self.oracle_groups, replace=False):
+                gd = self.data.groups[ell]
+                ref = oracles.group_deviation(gd.X[:, cols], gd.y - gd.X @ p.beta,
+                                              p.sigma, p.varsigma, np.abs(p.beta[cols]))
+                if not np.all(np.abs(re.gamma[ell] - ref) <= 1e-6):
+                    wrong.append(f"ranef group {ell}: {re.gamma[ell]} vs lsq {ref}")
+        return wrong
+
+    def _check_contour_cells(self, point, grid) -> list:
+        """Sampled cells match the dense n x n PRLS objective to 1e-8 relative."""
+        wrong, col = [], self.spec.alpha.index(1)
+        for i in self.rng.choice(len(grid), self.oracle_cells, replace=False):
+            v1, v2, value = grid[i]
+            beta, varsigma = point.beta.copy(), point.varsigma.copy()
+            beta[1], varsigma[col] = v1, v2
+            ref = oracles.dense_prls(self.data, self.spec.alpha, beta, varsigma, point.sigma)
+            if not abs(value - ref) <= 1e-8 * abs(ref):
+                wrong.append(f"contour cell {i}: {value!r} vs dense {ref!r}")
+        return wrong
 
 
 class McIntercept:
@@ -166,6 +204,7 @@ class McIntercept:
            "replication, so nothing is shared and data generation and PIT run")
     methods = ("PLS", "PRLS", "ML", "REML", "PIT")
     min_cycles = 2
+    pool = 200  # distinct replications; a 40-s run makes about 140
 
     def setup(self, seed: int):
         self.seed = seed
@@ -176,14 +215,21 @@ class McIntercept:
         self.data, _ = sim.gen_response(design, self.scenario.truth, self.spec,
                                         np.random.SeedSequence([seed, 2]))
         self.contour = _contour("PRLS", ("beta0", "varsigma0"),
-                                ((0.02, 0.2, 4), (0.02, 0.2, 4)),
+                                ((0.02, 0.2, 10), (0.02, 0.2, 10)),
                                 self.scenario.truth, self.data, self.spec)
 
     def warm_up(self):
         self.contour()
 
     def steps(self, cycle: int):
-        sc = replace(self.scenario, replications=1, seed=1000 * self.seed + cycle)
+        # Replication i has scenario seed i mod `pool` in every run, so every
+        # run times the same sequence of data sets and its p90 does not
+        # depend on which rare slow replications a seed happens to draw.
+        # Scenario seeds 0-239 all complete; with seeds drawn from the
+        # benchmark seed, about one replication in 150 raised out of
+        # run_scenario (OverflowError from math.exp in estimate.fit's
+        # objective at scenario seed 1011; test_perfbench.py keeps it in view).
+        sc = replace(self.scenario, replications=1, seed=cycle % self.pool)
         yield "rep", lambda: sim.run_scenario(sc, methods=self.methods, pit_q=2)
         yield "contour", self.contour
 
@@ -201,98 +247,4 @@ class McIntercept:
         return failures, wrong
 
 
-class ManyGroups:
-    name = "many-groups"
-    why = ("g = 200 ragged groups of 2-14 rows with k = 3: the per-group loops in "
-           "model and ranef dominate; contour and ranef never call the optimizer")
-    truth = Parameters(beta=np.array([0.63, 0.51, 1.02]), varsigma=np.full(3, 0.54),
-                       sigma=1.0)
-    min_cycles = 2  # a cycle takes about 20 s
-    n_groups = 200
-    subset = 20        # groups in the companion PRLS/ML/REML fits
-    points = 12        # parameter points per ranef step
-    oracle_cells = 3
-    oracle_groups = 4  # per parameter point
-    # One fixed draw of the data, and fixed start seeds for the fits on it.
-    # The 1-start PLS fit's evaluation count differs up to 2.5x between draws
-    # (draws 0-4 took 4.7-12.4 s: on some the slope scale walks its flat
-    # ridge), far beyond any bound, so the benchmark seed drives only the
-    # ranef points and the oracle samples. Draw 0 is one that walks the ridge.
-    data_seed = 0
-
-    def setup(self, seed: int):
-        self.seed = seed
-        rng = np.random.default_rng(np.random.SeedSequence([self.data_seed, 1]))
-        sizes = rng.integers(2, 15, size=self.n_groups)
-        groups = tuple(
-            GroupData(group_id=ell + 1, y=None,
-                      X=np.column_stack([np.ones(m), rng.gamma(2.0, 1.0, size=(m, 2))]))
-            for ell, m in enumerate(sizes))
-        self.spec = ModelSpec(alpha=(0, 1, 2))
-        self.uspec = ModelSpec(alpha=(0, 1, 2), constrained=False)
-        self.data, _ = sim.gen_response(Dataset(groups), self.truth, self.spec,
-                                        np.random.SeedSequence([self.data_seed, 2]))
-        self.small = Dataset(self.data.groups[:self.subset])
-        t = self.truth
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
-        self.ranef_points = [
-            Parameters(beta=t.beta * np.exp(rng.normal(0.0, 0.2, 3)),
-                       varsigma=t.varsigma * np.exp(rng.normal(0.0, 0.3, 3)),
-                       sigma=t.sigma * float(np.exp(rng.normal(0.0, 0.1))))
-            for _ in range(self.points)]
-        self.contour = _contour("PRLS", ("beta1", "varsigma1"),
-                                ((0.3, 0.8, 12), (0.3, 0.8, 12)), t, self.data, self.spec)
-        self.rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
-
-    def warm_up(self):
-        _contour("PRLS", ("beta1", "varsigma1"), ((0.3, 0.8, 2), (0.3, 0.8, 2)),
-                 self.truth, self.data, self.spec)()
-        ranef.solve_all(self.data, self.truth, self.spec)
-
-    def steps(self, cycle: int):
-        seed = self.data_seed + 1000 * cycle
-        yield "contour", self.contour
-        yield "ranef", lambda: [(p, ranef.solve_all(self.data, p, self.spec))
-                                for p in self.ranef_points]
-        yield "fit_pls", _fit(self.data, self.spec, "PLS", 1, seed)
-        yield "fit_prls", _fit(self.small, self.spec, "PRLS", 1, seed)
-        yield "fit_ml", _unconstrained(self.small, self.uspec, "ML", seed)
-        yield "fit_reml", _unconstrained(self.small, self.uspec, "REML", seed)
-
-    def check(self, kind, out) -> tuple[list, list]:
-        wrong = []
-        if kind == "contour":
-            t = self.truth
-            for i in self.rng.choice(len(out), self.oracle_cells, replace=False):
-                v1, v2, value = out[i]
-                beta = t.beta.copy()
-                beta[1] = v1
-                varsigma = t.varsigma.copy()
-                varsigma[1] = v2
-                ref = oracles.dense_prls(self.data, self.spec.alpha, beta, varsigma, t.sigma)
-                if not abs(value - ref) <= 1e-8 * abs(ref):
-                    wrong.append(f"contour cell {i}: {value!r} vs dense {ref!r}")
-            return _check_contour(out), wrong
-        if kind == "ranef":
-            cols = list(self.spec.alpha)
-            for p, re in out:
-                if not _bounded(re.gamma, p.beta, self.spec.alpha):
-                    wrong.append("ranef: |gamma| exceeds |beta|")
-                for ell in self.rng.choice(self.data.g, self.oracle_groups, replace=False):
-                    gd = self.data.groups[ell]
-                    ref = oracles.group_deviation(gd.X[:, cols], gd.y - gd.X @ p.beta,
-                                                  p.sigma, p.varsigma, np.abs(p.beta[cols]))
-                    if not np.all(np.abs(re.gamma[ell] - ref) <= 1e-6):
-                        wrong.append(f"ranef group {ell}: {re.gamma[ell]} vs lsq {ref}")
-            return [], wrong
-        if kind in ("fit_pls", "fit_prls"):
-            if not _bounded(out.gamma.gamma, out.params.beta, self.spec.alpha):
-                wrong.append(f"{kind}: |gamma| exceeds beta")
-            if not np.all(out.params.beta >= 0.0):
-                wrong.append(f"{kind}: negative fixed effect")
-        elif not np.all(np.isfinite(out.beta)):
-            wrong.append(f"{kind}: non-finite fixed effects")
-        return [], wrong
-
-
-WORKLOADS = {w.name: w for w in (Sleepstudy, McIntercept, ManyGroups)}
+WORKLOADS = {w.name: w for w in (Sleepstudy, McIntercept)}
