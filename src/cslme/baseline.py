@@ -20,7 +20,15 @@ import math
 
 import numpy as np
 
-from .model import BlockDesign, Dataset, ModelSpec, Parameters, RandomEffects
+from .model import (
+    BlockDesign,
+    Dataset,
+    ModelSpec,
+    Parameters,
+    RandomEffects,
+    SingularDesignError,
+    as_design,
+)
 from .optim import ConvergenceError, minimize_box
 from .sdtn import SdtnParams, sdtn_ppf, std_normal_cdf
 
@@ -49,10 +57,6 @@ _GH_TABLE = {
         ]),
     ),
 }
-
-
-class SingularDesignError(ValueError):
-    """X^T V^{-1} X is rank deficient."""
 
 
 class QuadratureUnderflowError(RuntimeError):
@@ -95,12 +99,6 @@ class BaselineFit:
     trace: np.ndarray | None = None
 
 
-def _design(dataset, spec) -> BlockDesign:
-    if isinstance(dataset, BlockDesign):
-        return dataset
-    return BlockDesign(dataset, spec)
-
-
 def _solve_at(theta: Theta, design: BlockDesign):
     return design.solve(theta.varsigma ** 2, theta.sigma)
 
@@ -122,14 +120,14 @@ def _logdet_from_chol(L) -> float:
 
 def profile_beta(theta: Theta, dataset, spec: ModelSpec) -> np.ndarray:
     """Generalized-least-squares fixed effects at theta."""
-    design = _design(dataset, spec)
+    design = as_design(dataset, spec)
     sol = _solve_at(theta, design)
     return _chol_solve(_chol(sol.xt_vinv_x()), sol.xt_vinv_y())
 
 
 def profile_loglik(theta: Theta, dataset, spec: ModelSpec) -> float:
     """Profile Gaussian log-likelihood at theta, fixed effects profiled out."""
-    design = _design(dataset, spec)
+    design = as_design(dataset, spec)
     sol = _solve_at(theta, design)
     L = _chol(sol.xt_vinv_x())
     beta = _chol_solve(L, sol.xt_vinv_y())
@@ -138,7 +136,7 @@ def profile_loglik(theta: Theta, dataset, spec: ModelSpec) -> float:
 
 def reml_loglik(theta: Theta, dataset, spec: ModelSpec) -> float:
     """Restricted log-likelihood: profile value minus half logdet(X^T V^{-1} X)."""
-    design = _design(dataset, spec)
+    design = as_design(dataset, spec)
     sol = _solve_at(theta, design)
     L = _chol(sol.xt_vinv_x())
     beta = _chol_solve(L, sol.xt_vinv_y())
@@ -147,11 +145,9 @@ def reml_loglik(theta: Theta, dataset, spec: ModelSpec) -> float:
 
 def gamma_closed_form(theta: Theta, dataset, spec: ModelSpec, beta: np.ndarray) -> RandomEffects:
     """Shrinkage estimate gamma_l = G Z_l^T V_l^{-1} (y_l - X_l beta) per group."""
-    design = _design(dataset, spec)
+    design = as_design(dataset, spec)
     sol = _solve_at(theta, design)
-    d = theta.varsigma ** 2
-    rows = [d * zr for zr in sol.zt_vinv_resid(beta)]
-    return RandomEffects(np.vstack(rows) if rows else np.zeros((0, spec.k)))
+    return RandomEffects(theta.varsigma ** 2 * sol.zt_vinv_resid(beta))
 
 
 def joint_system_solve(theta_hat: Theta, dataset, spec: ModelSpec):
@@ -193,8 +189,7 @@ def _baseline_starts(design: BlockDesign, seed: int):
     The jitter is multiplicative on the natural-scale components
     (varsigma, sigma); sigma is packed as log(sigma) afterwards.
     """
-    y = np.concatenate(design.ys)
-    X = np.vstack(design.Xs)
+    y, X = design.y, design.X
     beta_ols, *_ = np.linalg.lstsq(X, y, rcond=None)
     resid_sd = float(np.std(y - X @ beta_ols))
     resid_sd = max(resid_sd, 1e-8 * max(1.0, float(np.std(y))))
@@ -217,12 +212,11 @@ def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML"
     criterion = criterion.upper()
     if criterion not in ("ML", "REML"):
         raise ValueError(f"criterion must be ML or REML, got {criterion!r}")
-    design = _design(dataset, spec)
+    design = as_design(dataset, spec)
     if design.k < 1:
         raise ValueError("at least one random-effect column is required")
     loglik = profile_loglik if criterion == "ML" else reml_loglik
-    y = np.concatenate(design.ys)
-    log_sigma_floor = math.log(max(1e-6 * float(np.std(y)), 1e-12))
+    log_sigma_floor = math.log(max(1e-6 * float(np.std(design.y)), 1e-12))
 
     def objective(x):
         theta = Theta(np.abs(x[:-1]), math.exp(x[-1]))
@@ -235,7 +229,8 @@ def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML"
         try:
             res = minimize_box(objective, x0, bounds,
                                tol_obj=1e-11, tol_grad=1e-8, max_iter=max_iter)
-        except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        except (np.linalg.LinAlgError, FloatingPointError, OverflowError,
+                SingularDesignError) as exc:
             failures.append((idx, repr(exc)))
             continue
         if best is None or res.fun < best[1].fun:
@@ -331,14 +326,13 @@ def fit_pit(dataset: Dataset, spec: ModelSpec, q: int = 2,
     on large groups; both behaviors are part of what this baseline is
     meant to exhibit. Callers needing a better basin can supply `initial`.
     """
-    design = _design(dataset, spec)
+    design = as_design(dataset, spec)
     if design.k != 1:
         raise ValueError(
             f"the quadrature baseline supports exactly one random-effect "
             f"column, got k={design.k}"
         )
-    y = np.concatenate(design.ys)
-    X = np.vstack(design.Xs)
+    y, X = design.y, design.X
     log_sigma_floor = math.log(max(1e-6 * float(np.std(y)), 1e-12))
     if initial is None:
         beta0, *_ = np.linalg.lstsq(X, y, rcond=None)

@@ -24,6 +24,8 @@ from .model import (
     ModelSpec,
     Parameters,
     RandomEffects,
+    SingularDesignError,
+    as_design,
     re_variances,
 )
 from .optim import BoxResult, ConvergenceError, minimize_box
@@ -37,10 +39,6 @@ METHODS = ("PLS", "PRLS")
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
     """A block failed Cholesky factorization even after one jitter retry."""
-
-
-class SingularDesignError(ValueError):
-    """X^T V^{-1} X is rank deficient."""
 
 
 @dataclass(frozen=True)
@@ -77,6 +75,7 @@ class FitResult:
     method: str = "PLS"
     n_iter: int = 0
     start_objectives: list = field(default_factory=list)
+    failed_starts: list = field(default_factory=list)
 
 
 def logdet_psd(blocks) -> float:
@@ -102,12 +101,6 @@ def logdet_psd(blocks) -> float:
     return total
 
 
-def _design(dataset, spec) -> BlockDesign:
-    if isinstance(dataset, BlockDesign):
-        return dataset
-    return BlockDesign(dataset, spec)
-
-
 def _objective_core(design: BlockDesign, spec: ModelSpec, beta, varsigma, sigma,
                     restricted: bool) -> float:
     d = re_variances(beta, varsigma, spec.alpha)
@@ -123,21 +116,21 @@ def _objective_core(design: BlockDesign, spec: ModelSpec, beta, varsigma, sigma,
 
 def pls_objective(params: Parameters, dataset, spec: ModelSpec) -> float:
     """(y - X beta)^T V^{-1} (y - X beta) + ln|V| at the given parameters."""
-    design = _design(dataset, spec)
+    design = as_design(dataset, spec)
     return _objective_core(design, spec, params.beta, params.varsigma, params.sigma,
                            restricted=False)
 
 
 def prls_objective(params: Parameters, dataset, spec: ModelSpec) -> float:
     """PLS objective plus the restricted-likelihood term ln|X^T V^{-1} X|."""
-    design = _design(dataset, spec)
+    design = as_design(dataset, spec)
     return _objective_core(design, spec, params.beta, params.varsigma, params.sigma,
                            restricted=True)
 
 
 def approx_loglik(params: Parameters, dataset, spec: ModelSpec) -> float:
     """Normal-approximation log-likelihood -(n/2) ln 2pi - (PLS value)/2."""
-    design = _design(dataset, spec)
+    design = as_design(dataset, spec)
     pls = _objective_core(design, spec, params.beta, params.varsigma, params.sigma,
                           restricted=False)
     return -0.5 * design.n * LOG_2PI - 0.5 * pls
@@ -160,8 +153,7 @@ def default_starts(design: BlockDesign, spec: ModelSpec, config: FitConfig) -> l
     residual sd. Remaining starts apply multiplicative log-normal jitter
     (sd 0.5) to every component, seeded from config.seed.
     """
-    y = np.concatenate(design.ys)
-    X = np.vstack(design.Xs)
+    y, X = design.y, design.X
     beta_ols, *_ = np.linalg.lstsq(X, y, rcond=None)
     sd_y = float(np.std(y))
     resid_sd = max(float(np.std(y - X @ beta_ols)), 1e-8 * max(sd_y, 1.0))
@@ -181,8 +173,7 @@ def default_starts(design: BlockDesign, spec: ModelSpec, config: FitConfig) -> l
 
 
 def _bounds_for(design: BlockDesign, spec: ModelSpec) -> list:
-    y = np.concatenate(design.ys)
-    log_sigma_floor = math.log(max(1e-6 * float(np.std(y)), 1e-12))
+    log_sigma_floor = math.log(max(1e-6 * float(np.std(design.y)), 1e-12))
     beta_bounds = []
     for j in range(design.p):
         if spec.constrained and j not in spec.unconstrained_columns:
@@ -201,7 +192,7 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
     """
     if config is None:
         config = FitConfig()
-    design = _design(dataset, spec)
+    design = as_design(dataset, spec)
     if spec.k < 1:
         raise ValueError("at least one random-effect column is required")
     p, k = design.p, spec.k
@@ -218,7 +209,8 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
         try:
             res = minimize_box(objective, x0, bounds, tol_obj=config.tol_obj,
                                tol_grad=config.tol_grad, max_iter=config.max_iter)
-        except (np.linalg.LinAlgError, FloatingPointError, SingularDesignError) as exc:
+        except (np.linalg.LinAlgError, FloatingPointError, OverflowError,
+                SingularDesignError) as exc:
             failures.append((idx, repr(exc)))
             continue
         results.append((idx, res))
@@ -254,4 +246,5 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
         method=config.method,
         n_iter=best.n_iter,
         start_objectives=[(idx, res.fun, res.converged) for idx, res in results],
+        failed_starts=failures,
     )

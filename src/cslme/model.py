@@ -7,12 +7,17 @@ deviations; the per-group random-effect design is Z_l = X_l[:, alpha].
 
 The marginal covariance of the stacked response is V = Z Lambda Z^T +
 sigma^2 I with Lambda diagonal, so V is block diagonal by group. All
-determinant/solve work is done per block through a small capacitance
-matrix (Woodbury / Sylvester), never on the full n x n matrix; the dense
-`marginal_cov` exists as a test surface and for small problems.
+determinant/solve work goes through the g small k x k capacitance matrices
+(Woodbury / Sylvester), never the full n x n matrix. BlockDesign forms the
+per-group cross-products once, in O(n (p + k)^2); each (d, sigma)
+evaluation is then one batched factorization of the capacitance matrices
+and batched contractions, O(g k^3 + g k p), plus one O(n p) mat-vec for a
+residual. The dense `marginal_cov` exists as a test surface and for small
+problems.
 """
 
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
@@ -21,6 +26,10 @@ from .sdtn import variance_factor
 
 class DimensionMismatchError(ValueError):
     """Shapes of responses/designs disagree across or within groups."""
+
+
+class SingularDesignError(ValueError):
+    """X^T V^{-1} X, or a joint normal-equation system, is rank deficient."""
 
 
 @dataclass(frozen=True)
@@ -123,9 +132,12 @@ class ModelSpec:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Parameters:
-    """Estimation target: fixed effects, SDTN scales, residual scale."""
+    """Estimation target: fixed effects, SDTN scales, residual scale.
+
+    Slotted, like RandomEffects: sweeps and simulations keep one per point.
+    """
 
     beta: np.ndarray
     varsigma: np.ndarray
@@ -140,7 +152,7 @@ class Parameters:
             raise ValueError("varsigma entries must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RandomEffects:
     """Per-group deviations: row l holds gamma^l (g x k)."""
 
@@ -225,11 +237,19 @@ def marginal_cov(params: Parameters, spec: ModelSpec, Z: np.ndarray) -> np.ndarr
 
 
 class BlockDesign:
-    """Per-group views and cross-products for block-diagonal V operations.
+    """Stacked data and per-group cross-products for block-diagonal V work.
 
-    Precomputes Z_l^T Z_l once; every (d, sigma) evaluation then costs
-    O(n (p + k) + g k^3) through the k x k capacitance matrix
-    M_l = I + diag(sqrt(d)) Z_l^T Z_l diag(sqrt(d)) / sigma^2.
+    Set-up forms, once per dataset, the stacked X and y, the totals X^T X
+    and X^T y and the per-group cross-products Z_l^T Z_l (g, k, k),
+    Z_l^T X_l (g, k, p) and Z_l^T y_l (g, k): O(n (p + k)^2). Each
+    (d, sigma) evaluation then factorizes the g capacitance matrices
+    M_l = I + S Z_l^T Z_l S / sigma^2, S = diag(sqrt(d)), in one batched
+    call and works from the cross-products alone: O(g k^3 + g k p), plus
+    one O(n p) mat-vec for a residual quadratic form.
+
+    `solve` keeps its last factorization and returns it again when
+    (d, sigma) is bit-equal, as it is for finite-difference probes on
+    fixed effects that carry no random deviation.
     """
 
     def __init__(self, dataset: Dataset, spec: ModelSpec):
@@ -237,27 +257,58 @@ class BlockDesign:
         self.spec = spec
         self.p = dataset.p
         self.k = spec.k
-        self.n = dataset.n
         self.group_ids = dataset.group_ids
         cols = list(spec.alpha)
+        # per-group views, for the per-group quadrature of the PIT baseline
         self.ys = [gd.y for gd in dataset.groups]
         self.Xs = [gd.X for gd in dataset.groups]
         self.Zs = [gd.X[:, cols] for gd in dataset.groups]
-        self.ZtZs = [Zl.T @ Zl for Zl in self.Zs]
-        self.sizes = np.array([gd.n for gd in dataset.groups])
+        self.X = np.vstack(self.Xs)
+        self.n = self.X.shape[0]
+        Z = self.X[:, cols]
+        starts = np.cumsum([0] + [gd.n for gd in dataset.groups[:-1]])
+
+        def per_group(rows):
+            return np.add.reduceat(rows, starts, axis=0)
+
+        self.ZtZ = per_group(Z[:, :, None] * Z[:, None, :])
+        self.ZtX = per_group(Z[:, :, None] * self.X[:, None, :])
+        self.XtX = self.X.T @ self.X
+        if any(y is None for y in self.ys):
+            self.y = self.Zty = self.Xty = None
+        else:
+            self.y = np.concatenate(self.ys)
+            self.Zty = per_group(Z * self.y[:, None])
+            self.Xty = self.X.T @ self.y
+        self.eye = np.eye(self.k)
+        self._last = None
 
     @property
     def g(self) -> int:
         return len(self.Xs)
 
     def solve(self, re_var: np.ndarray, sigma: float) -> "BlockSolve":
-        return BlockSolve(self, np.asarray(re_var, dtype=float), float(sigma))
+        d = np.array(re_var, dtype=float)
+        sigma = float(sigma)
+        key = (d.shape, d.tobytes(), sigma)
+        if self._last is None or self._last[0] != key:
+            self._last = (key, BlockSolve(self, d, sigma))
+        return self._last[1]
+
+
+def as_design(dataset, spec: ModelSpec) -> BlockDesign:
+    """The BlockDesign of `dataset`, which may already be one."""
+    if isinstance(dataset, BlockDesign):
+        return dataset
+    return BlockDesign(dataset, spec)
 
 
 class BlockSolve:
     """Factorized state of V = Z diag(d) Z^T + sigma^2 I for fixed (d, sigma).
 
-    k = 1 keeps the capacitance scalar and skips linear algebra entirely.
+    With M_l = L_l L_l^T and B_l = L_l^{-1} S, the Woodbury identity gives
+    V_l^{-1} = (I - Z_l B_l^T B_l Z_l^T / sigma^2) / sigma^2, so every
+    product below is a batched contraction of the design's cross-products.
     """
 
     def __init__(self, design: BlockDesign, d: np.ndarray, sigma: float):
@@ -265,7 +316,7 @@ class BlockSolve:
             raise DimensionMismatchError(
                 f"expected {design.k} random-effect variances, got {d.shape}"
             )
-        if np.any(d < 0):
+        if any(v < 0.0 for v in d.tolist()):
             raise ValueError("random-effect variances must be nonnegative")
         if not sigma > 0:
             raise ValueError(f"sigma must be positive, got {sigma}")
@@ -273,69 +324,38 @@ class BlockSolve:
         self.d = d
         self.sigma = sigma
         self.sigma2 = sigma * sigma
-        self.s = np.sqrt(d)
-        logdet = design.n * np.log(self.sigma2)
-        if design.k == 1:
-            d0 = float(d[0])
-            self._m_scalars = [1.0 + d0 * float(ZtZ[0, 0]) / self.sigma2
-                               for ZtZ in design.ZtZs]
-            self._chols = None
-            logdet += float(np.sum(np.log(self._m_scalars)))
-        else:
-            eye = np.eye(design.k)
-            self._chols = []
-            for ZtZ in design.ZtZs:
-                M = eye + (self.s[:, None] * ZtZ * self.s[None, :]) / self.sigma2
-                L = np.linalg.cholesky(M)
-                self._chols.append(L)
-                logdet += 2.0 * float(np.sum(np.log(np.diag(L))))
-        self.logdet_v = logdet
+        s = np.sqrt(d)
+        L = np.linalg.cholesky(design.eye + design.ZtZ * (s[:, None] * s / self.sigma2))
+        self.logdet_v = (design.n * math.log(self.sigma2)
+                         + 2.0 * float(np.log(L.diagonal(0, 1, 2)).sum()))
+        self._B = np.linalg.inv(L) * s
 
-    def _capacitance_solve(self, ell: int, rhs: np.ndarray) -> np.ndarray:
-        if self._chols is None:
-            return rhs / self._m_scalars[ell]
-        L = self._chols[ell]
-        t = np.linalg.solve(L, rhs)
-        return np.linalg.solve(L.T, t)
+    def _BZtX(self) -> np.ndarray:
+        """B_l Z_l^T X_l stacked over groups, (g k, p)."""
+        return (self._B @ self.design.ZtX).reshape(-1, self.design.p)
+
+    def _Ztr(self, beta: np.ndarray) -> np.ndarray:
+        des = self.design
+        return des.Zty - des.ZtX @ beta
 
     def quad_form_resid(self, beta: np.ndarray) -> float:
-        """(y - X beta)^T V^{-1} (y - X beta), computed per block."""
+        """(y - X beta)^T V^{-1} (y - X beta); r^T r from the stacked residual."""
         des = self.design
-        total = 0.0
-        for ell in range(des.g):
-            r = des.ys[ell] - des.Xs[ell] @ beta
-            zr = self.s * (des.Zs[ell].T @ r)
-            total += (r @ r - zr @ self._capacitance_solve(ell, zr) / self.sigma2) / self.sigma2
-        return float(total)
+        r = des.y - des.X @ beta
+        u = (self._B @ self._Ztr(beta)[:, :, None]).ravel()
+        return float(r @ r - u @ u / self.sigma2) / self.sigma2
 
     def xt_vinv_x(self) -> np.ndarray:
-        des = self.design
-        F = np.zeros((des.p, des.p))
-        for ell in range(des.g):
-            ZtX = self.s[:, None] * (des.Zs[ell].T @ des.Xs[ell])
-            XtX = des.Xs[ell].T @ des.Xs[ell]
-            F += (XtX - ZtX.T @ self._capacitance_solve(ell, ZtX) / self.sigma2) / self.sigma2
-        return F
+        T = self._BZtX()
+        return (self.design.XtX - T.T @ T / self.sigma2) / self.sigma2
 
     def xt_vinv_y(self) -> np.ndarray:
-        des = self.design
-        h = np.zeros(des.p)
-        for ell in range(des.g):
-            ZtX = self.s[:, None] * (des.Zs[ell].T @ des.Xs[ell])
-            Zty = self.s * (des.Zs[ell].T @ des.ys[ell])
-            Xty = des.Xs[ell].T @ des.ys[ell]
-            h += (Xty - ZtX.T @ self._capacitance_solve(ell, Zty) / self.sigma2) / self.sigma2
-        return h
+        u = (self._B @ self.design.Zty[:, :, None]).reshape(-1)
+        return (self.design.Xty - self._BZtX().T @ u / self.sigma2) / self.sigma2
 
-    def zt_vinv_resid(self, beta: np.ndarray) -> list:
-        """Per-group Z_l^T V_l^{-1} (y_l - X_l beta), a list of k-vectors."""
+    def zt_vinv_resid(self, beta: np.ndarray) -> np.ndarray:
+        """Z_l^T V_l^{-1} (y_l - X_l beta) for every group, as rows of a (g, k) array."""
         des = self.design
-        out = []
-        for ell in range(des.g):
-            r = des.ys[ell] - des.Xs[ell] @ beta
-            Ztr = des.Zs[ell].T @ r
-            adj = self.design.ZtZs[ell] @ (
-                self.s * self._capacitance_solve(ell, self.s * Ztr)
-            ) / self.sigma2
-            out.append((Ztr - adj) / self.sigma2)
-        return out
+        z = self._Ztr(beta)[:, :, None]
+        w = np.swapaxes(self._B, 1, 2) @ (self._B @ z)
+        return (z - des.ZtZ @ w / self.sigma2)[:, :, 0] / self.sigma2

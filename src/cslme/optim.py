@@ -27,15 +27,23 @@ def gradient_step(x: np.ndarray) -> np.ndarray:
 
 
 def central_diff_grad(fun, x: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
-    """Central-difference gradient with the shared step rule."""
-    x = np.asarray(x, dtype=float)
+    """Central-difference gradient with the shared step rule.
+
+    `fun` is called on one probe array that is changed in place between
+    calls, so it must not keep a reference to its argument.
+    """
+    x = np.array(x, dtype=float)  # a private copy, moved one coordinate at a time
     if h is None:
         h = gradient_step(x)
-    grad = np.zeros_like(x)
+    grad = np.empty_like(x)
     for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h[i]
-        grad[i] = (fun(x + e) - fun(x - e)) / (2.0 * h[i])
+        xi = x[i]
+        x[i] = xi + h[i]
+        f_plus = fun(x)
+        x[i] = xi - h[i]
+        f_minus = fun(x)
+        x[i] = xi
+        grad[i] = (f_plus - f_minus) / (2.0 * h[i])
     return grad
 
 
@@ -64,8 +72,8 @@ def minimize_box(fun, x0, bounds, tol_obj=1e-9, tol_grad=1e-6, max_iter=500) -> 
 
     trace = [float(fun(x0))]
 
-    def track(xk):
-        trace.append(float(fun(xk)))
+    def track(intermediate_result):
+        trace.append(float(intermediate_result.fun))
 
     res = minimize(
         fun,

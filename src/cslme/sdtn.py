@@ -200,7 +200,8 @@ def variance_factor(rho: float) -> float:
     if rho < SMALL_RHO:
         r2 = rho * rho
         return r2 / 3.0 - 2.0 * r2 * r2 / 45.0
-    return 1.0 - 2.0 * rho * float(std_normal_pdf(rho)) / _central_mass(rho)
+    # scalar math: the fitting loop calls this once per random column per evaluation
+    return 1.0 - 2.0 * rho * math.exp(-0.5 * rho * rho) / (_SQRT_2PI * math.erf(rho / _SQRT_2))
 
 
 def sdtn_variance(p: SdtnParams) -> float:

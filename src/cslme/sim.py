@@ -19,7 +19,15 @@ import numpy as np
 from .baseline import QuadratureUnderflowError, fit_pit, fit_unconstrained
 from .estimate import FitConfig, fit, objective_for
 from .metrics import r_squared, rmse
-from .model import Dataset, GroupData, ModelSpec, Parameters, RandomEffects
+from .model import (
+    BlockDesign,
+    Dataset,
+    GroupData,
+    ModelSpec,
+    Parameters,
+    RandomEffects,
+    SingularDesignError,
+)
 from .optim import ConvergenceError, minimize_box
 from .sdtn import SdtnParams, sdtn_ppf, variance_factor
 
@@ -220,7 +228,7 @@ def _replication(scenario: Scenario, methods, rep: int, pit_q: int, n_starts: in
                 "r2_marginal": r2m,
                 "r2_conditional": r2c,
             }
-        except (QuadratureUnderflowError, ConvergenceError,
+        except (QuadratureUnderflowError, ConvergenceError, SingularDesignError,
                 np.linalg.LinAlgError) as exc:
             out[method] = {"error": f"{type(exc).__name__}: {exc}"}
     return rep, out
@@ -283,8 +291,9 @@ def run_scenario(scenario: Scenario, methods=("PLS", "PRLS", "REML"),
                  pit_q: int = 2, n_starts: int = 5) -> ScenarioResult:
     """Fit each method on each replication and aggregate.
 
-    Per-replication failures (quadrature underflow, non-convergence) are
-    recorded and excluded from the aggregates, with counts reported.
+    Per-replication failures (quadrature underflow, non-convergence, a
+    singular design) are recorded and excluded from the aggregates, with
+    counts reported.
     """
     methods = tuple(m.upper() for m in methods)
     if not methods:
@@ -361,6 +370,7 @@ def contour_grid(request: ContourRequest, dataset: Dataset, spec: ModelSpec) -> 
     first varied parameter.
     """
     objective = objective_for(request.objective)
+    design = BlockDesign(dataset, spec)
     (lo1, hi1, s1), (lo2, hi2, s2) = request.ranges
     grid1 = np.linspace(lo1, hi1, int(s1))
     grid2 = np.linspace(lo2, hi2, int(s2))
@@ -370,7 +380,7 @@ def contour_grid(request: ContourRequest, dataset: Dataset, spec: ModelSpec) -> 
             try:
                 point = set_parameter(request.fixed, spec, request.vary[0], float(v1))
                 point = set_parameter(point, spec, request.vary[1], float(v2))
-                val = objective(point, dataset, spec)
+                val = objective(point, design, spec)
             except (ValueError, np.linalg.LinAlgError):
                 val = np.nan
             rows.append((float(v1), float(v2), float(val)))
@@ -387,6 +397,7 @@ def minimize_labels(dataset: Dataset, spec: ModelSpec, fixed: Parameters,
     it they are free. Returns (values dict, objective value).
     """
     objective = objective_for(method)
+    design = BlockDesign(dataset, spec)
     labels = list(labels)
 
     def params_at(x):
@@ -397,7 +408,7 @@ def minimize_labels(dataset: Dataset, spec: ModelSpec, fixed: Parameters,
         return point
 
     def fun(x):
-        return objective(params_at(x), dataset, spec)
+        return objective(params_at(x), design, spec)
 
     if x0 is None:
         x0 = []

@@ -26,6 +26,7 @@ from cslme.model import (
     Parameters,
     assemble,
 )
+from cslme.optim import ConvergenceError
 from cslme.sdtn import SdtnParams, sdtn_pdf
 from cslme.sim import Scenario, gen_design, gen_response
 
@@ -162,6 +163,17 @@ class TestFitUnconstrained:
         ols, *_ = np.linalg.lstsq(X, y, rcond=None)
         assert res.theta.varsigma[0] < 0.15
         np.testing.assert_allclose(res.beta, ols, atol=0.05)
+
+    def test_duplicated_column_fails_every_start(self, rng):
+        data = make_dataset(rng, g=4, p=2)
+        dup = Dataset(tuple(GroupData(gd.group_id, gd.y, gd.X[:, [0, 1, 1]])
+                            for gd in data.groups))
+        spec = ModelSpec(alpha=(0,), constrained=False)
+        for criterion in ("ML", "REML"):
+            with pytest.raises(ConvergenceError) as info:
+                fit_unconstrained(dup, spec, criterion)
+            assert len(info.value.diagnostics) == 3
+            assert all("SingularDesignError" in msg for _, msg in info.value.diagnostics)
 
     def test_balanced_oneway_matches_anova_reml(self, rng):
         data = balanced_oneway(rng)

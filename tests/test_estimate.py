@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, random_params
+from cslme import estimate
 from cslme.estimate import (
     FitConfig,
     NotPositiveDefiniteError,
@@ -159,6 +160,23 @@ class TestFit:
         np.testing.assert_array_equal(a.gamma.gamma, b.gamma.gamma)
         assert a.objective == b.objective
         assert a.start_index == b.start_index
+
+    def test_overflowing_start_is_listed_as_failed(self, rng, monkeypatch):
+        data = make_dataset(rng, g=3, p=2)
+        spec = ModelSpec(alpha=(0,))
+        natural_starts = estimate.default_starts
+
+        def with_overflowing_start(design, spec, config):
+            starts = natural_starts(design, spec, config)
+            bad = starts[0].copy()
+            bad[-1] = 800.0  # log sigma: exp(800) overflows a double
+            return starts + [bad]
+
+        monkeypatch.setattr(estimate, "default_starts", with_overflowing_start)
+        res = fit(data, spec, FitConfig(n_starts=1))
+        assert [idx for idx, _ in res.failed_starts] == [1]
+        assert res.failed_starts[0][1].startswith("OverflowError")
+        assert [idx for idx, *_ in res.start_objectives] == [0]
 
     def test_zero_variance_truth_recovers_gls(self, rng):
         truth = Parameters(beta=np.array([1.0, 0.8, 1.2]),

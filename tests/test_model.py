@@ -1,3 +1,5 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 from scipy import integrate
@@ -157,6 +159,21 @@ class TestMarginalCov:
         assert per_block == pytest.approx(full, abs=1e-8)
 
 
+@st.composite
+def core_cases(draw):
+    """Ragged groups (one-row groups included), k in {1, 2, 3}, zero variances."""
+    k = draw(st.integers(1, 3))
+    p = draw(st.integers(k, 4))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    zero = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    data = make_dataset(rng, g=len(sizes), sizes=sizes, p=p)
+    spec = ModelSpec(alpha=tuple(sorted(rng.choice(p, size=k, replace=False))))
+    params = random_params(rng, p, spec.alpha)
+    varsigma = np.where(zero, 0.0, params.varsigma)
+    return data, spec, Parameters(beta=params.beta, varsigma=varsigma, sigma=params.sigma)
+
+
 class TestBlockSolveAgainstDense:
     def _dense(self, data, spec, params):
         _, Z, y, _ = assemble(data, spec)
@@ -189,15 +206,42 @@ class TestBlockSolveAgainstDense:
             np.testing.assert_allclose(
                 np.concatenate(ztr), dense_ztr, rtol=1e-8, atol=1e-10)
 
-    def test_k1_scalar_path_matches_dense(self, rng):
-        data = make_dataset(rng, g=3, p=3)
-        spec = ModelSpec(alpha=(0,))
-        params = random_params(rng, 3, spec.alpha)
-        X = np.vstack([gd.X for gd in data.groups])
-        Z, y, V, Vinv = self._dense(data, spec, params)
-        design = BlockDesign(data, spec)
-        sol = design.solve(sdtn_variances(params, spec), params.sigma)
+    @settings(max_examples=80, deadline=None)
+    @given(case=core_cases())
+    def test_batched_core_matches_dense(self, case):
+        data, spec, params = case
+        X, Z, y, _ = assemble(data, spec)
+        V = marginal_cov(params, spec, Z)
+        Vinv = np.linalg.inv(V)
+        sol = BlockDesign(data, spec).solve(sdtn_variances(params, spec), params.sigma)
+        r = y - X @ params.beta
+
+        def close(actual, dense):
+            scale = np.abs(dense).max()
+            np.testing.assert_allclose(actual, dense, rtol=1e-8, atol=1e-10 * scale)
+
         assert sol.logdet_v == pytest.approx(np.linalg.slogdet(V)[1], abs=1e-9)
-        np.testing.assert_allclose(sol.xt_vinv_x(), X.T @ Vinv @ X, rtol=1e-8)
-        assert sol.quad_form_resid(params.beta) == pytest.approx(
-            (y - X @ params.beta) @ Vinv @ (y - X @ params.beta), rel=1e-9)
+        assert sol.quad_form_resid(params.beta) == pytest.approx(r @ Vinv @ r, rel=1e-9)
+        close(sol.xt_vinv_x(), X.T @ Vinv @ X)
+        close(sol.xt_vinv_y(), X.T @ Vinv @ y)
+        close(sol.zt_vinv_resid(params.beta).reshape(-1), Z.T @ Vinv @ r)
+
+    def test_repeated_point_gives_a_fresh_designs_values(self, rng):
+        data = make_dataset(rng, g=4, p=3)
+        spec = ModelSpec(alpha=(0, 2))
+        beta = rng.normal(size=3)
+        design = BlockDesign(data, spec)
+        first = (np.array([0.4, 1.3]), 0.9)
+        points = [first, (np.array([0.0, 2.1]), 1.7), (first[0].copy(), first[1])]
+        for d, sigma in points:
+            sol = design.solve(d, sigma)
+            fresh = BlockDesign(data, spec).solve(d, sigma)
+            assert sol.logdet_v == fresh.logdet_v
+            assert sol.quad_form_resid(beta) == fresh.quad_form_resid(beta)
+            np.testing.assert_array_equal(sol.xt_vinv_x(), fresh.xt_vinv_x())
+            np.testing.assert_array_equal(sol.xt_vinv_y(), fresh.xt_vinv_y())
+            np.testing.assert_array_equal(sol.zt_vinv_resid(beta), fresh.zt_vinv_resid(beta))
+        again = design.solve(first[0].copy(), first[1])
+        assert again is design.solve(*first)
+        # one ulp of sigma away is a new point
+        assert design.solve(first[0], np.nextafter(first[1], 2.0)) is not again

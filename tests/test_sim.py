@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cslme.model import ModelSpec, Parameters
+from cslme import sim
+from cslme.model import Dataset, GroupData, ModelSpec, Parameters
 from cslme.sdtn import variance_factor
 from cslme.sim import (
     ContourRequest,
@@ -169,6 +170,21 @@ class TestRunScenario:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             run_scenario(scenario(), methods=("BOGUS",))
+
+    def test_singular_design_recorded_not_raised(self, monkeypatch):
+        monkeypatch.delenv("CSLME_THREADS", raising=False)
+        natural_design = sim.gen_design
+
+        def duplicated_column(scenario, seed=None):
+            design = natural_design(scenario, seed)
+            return Dataset(tuple(GroupData(gd.group_id, None, gd.X[:, [0, 1, 1]])
+                                 for gd in design.groups))
+
+        monkeypatch.setattr(sim, "gen_design", duplicated_column)
+        res = run_scenario(scenario(n=60, replications=2, seed=4), methods=("ML", "REML"))
+        for m in ("ML", "REML"):
+            assert res.summary(m) == {"method": m, "n_ok": 0, "n_failed": 2}
+            assert all(msg.startswith("ConvergenceError") for _, msg in res.failures[m])
 
     def test_failures_reported(self):
         # PIT on large per-group sizes fails with the underflow diagnostic
