@@ -7,13 +7,10 @@ import argparse
 
 import numpy as np
 
-from cslme.baseline import fit_unconstrained
 from cslme.cli import InputSchema, ingest
 from cslme.datasets import sleepstudy_path
-from cslme.estimate import FitConfig, fit
 from cslme.metrics import r_squared
-from cslme.model import ModelSpec, Parameters
-from cslme.sim import sdtn_sd
+from cslme.sim import fit_method, sdtn_sd
 
 
 def main():
@@ -27,16 +24,12 @@ def main():
                          random_effect_columns=("intercept", "Days"))
     data, spec = ingest(sleepstudy_path(), schema)
 
-    fits = {}
-    reml = fit_unconstrained(data, ModelSpec(alpha=spec.alpha, constrained=False),
-                             "REML", seed=args.seed)
-    fits["REML"] = (reml.beta, reml.theta.varsigma, reml.theta.sigma,
-                    reml.gamma.gamma, True)
-    for method in ("PLS", "PRLS"):
-        res = fit(data, spec, FitConfig(method=method, n_starts=args.starts,
-                                        seed=args.seed))
-        fits[method] = (res.params.beta, res.params.varsigma, res.params.sigma,
-                        res.gamma.gamma, False)
+    fits, r2 = {}, {}
+    for method in ("REML", "PLS", "PRLS"):
+        res = fit_method(method, data, spec, seed=args.seed, n_starts=args.starts)
+        p = res.params
+        fits[method] = (p.beta, p.varsigma, p.sigma, res.gamma.gamma, method == "REML")
+        r2[method] = r_squared(p, data, spec)
 
     print(f"{'':24s}" + "".join(f"{m:>12s}" for m in fits))
     rows = [
@@ -51,11 +44,7 @@ def main():
     for name, get in rows:
         print(f"{name:24s}" + "".join(f"{get(*fits[m]):12.3f}" for m in fits))
     for name, which in (("Marginal R2", 0), ("Conditional R2", 1)):
-        vals = []
-        for m, (b, v, s, g, nr) in fits.items():
-            params = Parameters(beta=b, varsigma=v, sigma=s)
-            vals.append(r_squared(params, data, spec)[which])
-        print(f"{name:24s}" + "".join(f"{v:12.3f}" for v in vals))
+        print(f"{name:24s}" + "".join(f"{r2[m][which]:12.3f}" for m in fits))
 
     print("\nOverall effects (fixed + deviation) per subject:")
     print(f"{'subject':>8s}" + "".join(

@@ -31,7 +31,7 @@ from .estimate import (
     pls_objective,
     prls_objective,
 )
-from .metrics import MetricReport, r_squared, rmse
+from .metrics import r_squared, rmse
 from .model import (
     Dataset,
     GroupData,
@@ -71,7 +71,6 @@ __all__ = [
     "FitResult",
     "GroupData",
     "GroupQp",
-    "MetricReport",
     "ModelSpec",
     "Parameters",
     "QuadratureUnderflowError",

@@ -29,7 +29,8 @@ from .model import (
     SingularDesignError,
     as_design,
 )
-from .optim import ConvergenceError, minimize_box
+from .estimate import multistart
+from .optim import minimize_box
 from .sdtn import SdtnParams, sdtn_ppf, std_normal_cdf
 
 LOG_DOUBLE_MIN = math.log(np.finfo(float).tiny)
@@ -97,6 +98,11 @@ class BaselineFit:
     converged: bool = True
     n_iter: int = 0
     trace: np.ndarray | None = None
+
+    @property
+    def params(self) -> Parameters:
+        return Parameters(beta=self.beta, varsigma=self.theta.varsigma,
+                          sigma=self.theta.sigma)
 
 
 def _solve_at(theta: Theta, design: BlockDesign):
@@ -206,8 +212,8 @@ def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML"
     """Maximize the ML or REML criterion over theta, then recover beta, gamma.
 
     The search runs over (varsigma, log sigma) with varsigma kept
-    nonnegative by projection; a small deterministic multi-start guards
-    against poor initial points.
+    nonnegative by projection; a small deterministic multi-start, run by
+    `estimate.multistart`, guards against poor initial points.
     """
     criterion = criterion.upper()
     if criterion not in ("ML", "REML"):
@@ -216,30 +222,14 @@ def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML"
     if design.k < 1:
         raise ValueError("at least one random-effect column is required")
     loglik = profile_loglik if criterion == "ML" else reml_loglik
-    log_sigma_floor = math.log(max(1e-6 * float(np.std(design.y)), 1e-12))
 
     def objective(x):
         theta = Theta(np.abs(x[:-1]), math.exp(x[-1]))
         return -loglik(theta, design, spec)
 
-    bounds = [(0.0, None)] * design.k + [(log_sigma_floor, None)]
-    best = None
-    failures = []
-    for idx, x0 in enumerate(_baseline_starts(design, seed)):
-        try:
-            res = minimize_box(objective, x0, bounds,
-                               tol_obj=1e-11, tol_grad=1e-8, max_iter=max_iter)
-        except (np.linalg.LinAlgError, FloatingPointError, OverflowError,
-                SingularDesignError) as exc:
-            failures.append((idx, repr(exc)))
-            continue
-        if best is None or res.fun < best[1].fun:
-            best = (idx, res)
-    if best is None:
-        raise ConvergenceError(
-            f"all {criterion} starts failed", diagnostics=failures
-        )
-    _, res = best
+    bounds = [(0.0, None)] * design.k + [(design.log_sigma_floor, None)]
+    _, res, _, _ = multistart(objective, _baseline_starts(design, seed), bounds,
+                              tol_obj=1e-11, tol_grad=1e-8, max_iter=max_iter)
     theta = Theta(res.x[:-1], math.exp(res.x[-1]))
     beta = profile_beta(theta, design, spec)
     gamma = gamma_closed_form(theta, design, spec, beta)
@@ -333,7 +323,6 @@ def fit_pit(dataset: Dataset, spec: ModelSpec, q: int = 2,
             f"column, got k={design.k}"
         )
     y, X = design.y, design.X
-    log_sigma_floor = math.log(max(1e-6 * float(np.std(y)), 1e-12))
     if initial is None:
         beta0, *_ = np.linalg.lstsq(X, y, rcond=None)
         beta0 = np.maximum(beta0, 0.0)
@@ -344,7 +333,7 @@ def fit_pit(dataset: Dataset, spec: ModelSpec, q: int = 2,
         x0 = np.concatenate([initial.beta, initial.varsigma,
                              [math.log(initial.sigma)]])
 
-    bounds = [(0.0, None)] * design.p + [(0.0, None), (log_sigma_floor, None)]
+    bounds = [(0.0, None)] * design.p + [(0.0, None), (design.log_sigma_floor, None)]
     # the first evaluation and the returned solution must carry real mass;
     # transient probes may dip into the underflow region and back out
     pit_objective(x0, design, spec, q, strict=True)

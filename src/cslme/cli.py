@@ -18,30 +18,31 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .baseline import QuadratureUnderflowError, fit_pit, fit_unconstrained
-from .estimate import FitConfig, fit
+from .baseline import QuadratureUnderflowError
 from .metrics import r_squared
 from .model import Dataset, GroupData, ModelSpec, Parameters
 from .optim import ConvergenceError
 from .ranef import solve_all
 from .sim import (
+    ALL_METHODS,
     ContourRequest,
     Scenario,
     builtin_scenarios,
     contour_grid,
+    fit_method,
     gen_design,
     gen_response,
+    parameter_labels,
     run_scenario,
     sdtn_sd,
 )
-
-METHOD_CHOICES = ("PLS", "PRLS", "ML", "REML", "PIT")
 
 
 class SchemaError(ValueError):
@@ -133,11 +134,16 @@ def _ingest(path, schema: InputSchema):
                 if not cell:
                     raise SchemaError(f"{path}: row {row_no}: missing value in {col!r}")
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise SchemaError(
                         f"{path}: row {row_no}: non-numeric cell {cell!r} in {col!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise SchemaError(
+                        f"{path}: row {row_no}: non-finite value {cell!r} in {col!r}"
+                    )
+                values.append(value)
             if gid not in rows_by_group:
                 order.append(gid)
                 rows_by_group[gid] = []
@@ -243,7 +249,7 @@ def _fit_document(method, schema, spec, dataset, params, gamma, diagnostics,
         [float(params.beta[col] + gamma.gamma[ell, i]) for i, col in enumerate(alpha)]
         for ell in range(dataset.g)
     ]
-    normal_re = method in ("ML", "REML")
+    normal_re = method in ("ML", "REML")  # unconstrained, normal deviations
     s_gamma = [
         float(abs(params.varsigma[i])) if normal_re
         else sdtn_sd(float(params.beta[col]), float(params.varsigma[i]))
@@ -258,7 +264,7 @@ def _fit_document(method, schema, spec, dataset, params, gamma, diagnostics,
             "alpha": alpha,
             "random_effect_columns": [cols[i] for i in alpha],
             "intercept": spec.intercept,
-            "constrained": spec.constrained,
+            "constrained": spec.constrained and not normal_re,
             "n_groups": dataset.g,
             "n_rows": dataset.n,
         },
@@ -378,50 +384,30 @@ def cmd_fit(args) -> int:
 
 
 def _run_fit_method(args, method, schema, dataset, spec, run_config) -> int:
-    converged = True
+    res = fit_method(method, dataset, spec, seed=args.seed, n_starts=args.starts,
+                     pit_q=args.pit_q)
+    diagnostics = {"converged": res.converged, "n_iter": res.n_iter}
     if method in ("PLS", "PRLS"):
-        config = FitConfig(method=method, n_starts=args.starts, seed=args.seed)
-        res = fit(dataset, spec, config)
-        params, gamma = res.params, res.gamma
         objective, loglik = res.objective, None
-        converged = res.converged
-        diagnostics = {
-            "converged": res.converged,
-            "n_iter": res.n_iter,
-            "start_index": res.start_index,
-            "start_objectives": [
+        diagnostics.update(
+            start_index=res.start_index,
+            start_objectives=[
                 {"start": i, "objective": f, "converged": c}
                 for i, f, c in res.start_objectives
             ],
-            "objective_trace": [float(v) for v in res.objective_trace],
-        }
-    elif method in ("ML", "REML"):
-        spec = ModelSpec(alpha=spec.alpha, intercept=spec.intercept, constrained=False)
-        res = fit_unconstrained(dataset, spec, criterion=method, seed=args.seed)
-        params = Parameters(beta=res.beta, varsigma=res.theta.varsigma,
-                            sigma=res.theta.sigma)
-        gamma = res.gamma
-        objective, loglik = None, res.loglik
-        converged = res.converged
-        diagnostics = {"converged": res.converged, "n_iter": res.n_iter}
-    elif method == "PIT":
-        res = fit_pit(dataset, spec, q=args.pit_q)
-        params = Parameters(beta=res.beta, varsigma=res.theta.varsigma,
-                            sigma=res.theta.sigma)
-        gamma = res.gamma
-        objective, loglik = None, res.loglik
-        converged = res.converged
-        diagnostics = {"converged": res.converged, "n_iter": res.n_iter,
-                       "quadrature_order": args.pit_q}
+            objective_trace=[float(v) for v in res.objective_trace],
+        )
     else:
-        raise SchemaError(f"unknown method {args.method!r}")
+        objective, loglik = None, res.loglik
+        if method == "PIT":
+            diagnostics["quadrature_order"] = args.pit_q
 
-    doc = _fit_document(method, schema, spec, dataset, params, gamma, diagnostics,
-                        objective, loglik, args.seed, run_config)
+    doc = _fit_document(method, schema, spec, dataset, res.params, res.gamma,
+                        diagnostics, objective, loglik, args.seed, run_config)
     _write_document(doc, args.out, args.format)
     if args.out not in (None, "-"):
         _print_fit_summary(doc)
-    return 0 if converged else 2
+    return 0 if res.converged else 2
 
 
 def _print_fit_summary(doc):
@@ -509,8 +495,7 @@ def cmd_contour(args) -> int:
         raise SchemaError(
             f"fixed beta has {fixed.beta.size} entries, model has p={dataset.p}"
         )
-    labels = [f"beta{j}" for j in range(dataset.p)]
-    labels += [f"varsigma{c}" for c in spec.alpha] + ["sigma"]
+    labels = parameter_labels(spec, dataset.p)
     for v in vary:
         if v not in labels:
             raise SchemaError(f"unknown parameter {v!r}; valid labels: {labels}")
@@ -605,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("data")
     _add_schema_args(p_fit)
     p_fit.add_argument("--method", default="PLS",
-                       choices=[*METHOD_CHOICES, *[m.lower() for m in METHOD_CHOICES]])
+                       choices=[*ALL_METHODS, *[m.lower() for m in ALL_METHODS]])
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--starts", type=int, default=5)
     p_fit.add_argument("--pit-q", type=int, default=2, choices=(2, 4))

@@ -10,7 +10,8 @@ truncation-deflated random-effect variances. The penalized restricted
 least squares (PRLS) variant adds ln|X^T V^{-1} X|. Both are minimized by
 a projected limited-memory quasi-Newton method with central-difference
 gradients and a small deterministic multi-start; the lowest-objective
-start wins, ties broken by start index.
+start wins, ties broken by start index. `multistart` runs that loop, for
+the ML/REML baselines too.
 """
 
 from dataclasses import dataclass, field
@@ -35,6 +36,10 @@ from . import ranef as _ranef
 LOG_2PI = math.log(2.0 * math.pi)
 
 METHODS = ("PLS", "PRLS")
+
+# errors that end one start of a multi-start fit without ending the fit
+FAILED_START = (np.linalg.LinAlgError, FloatingPointError, OverflowError,
+                SingularDesignError)
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -173,14 +178,41 @@ def default_starts(design: BlockDesign, spec: ModelSpec, config: FitConfig) -> l
 
 
 def _bounds_for(design: BlockDesign, spec: ModelSpec) -> list:
-    log_sigma_floor = math.log(max(1e-6 * float(np.std(design.y)), 1e-12))
     beta_bounds = []
     for j in range(design.p):
         if spec.constrained and j not in spec.unconstrained_columns:
             beta_bounds.append((0.0, None))
         else:
             beta_bounds.append((None, None))
-    return beta_bounds + [(0.0, None)] * spec.k + [(log_sigma_floor, None)]
+    return beta_bounds + [(0.0, None)] * spec.k + [(design.log_sigma_floor, None)]
+
+
+def multistart(fun, starts, bounds, tol_obj, tol_grad, max_iter):
+    """Run `minimize_box` from every start and keep the lowest objective.
+
+    A start that raises one of FAILED_START is recorded as (index, repr)
+    and skipped. A later start wins only if its objective is lower by more
+    than tol_obj, so near-ties go to the earlier start. Returns (winning
+    index, its BoxResult, [(index, BoxResult)] of every finished start,
+    failures); raises ConvergenceError listing every start if none finishes.
+    """
+    results: list[tuple[int, BoxResult]] = []
+    failures = []
+    for idx, x0 in enumerate(starts):
+        try:
+            res = minimize_box(fun, x0, bounds, tol_obj=tol_obj, tol_grad=tol_grad,
+                               max_iter=max_iter)
+        except FAILED_START as exc:
+            failures.append((idx, repr(exc)))
+            continue
+        results.append((idx, res))
+    if not results:
+        raise ConvergenceError(f"all {len(failures)} starts failed", diagnostics=failures)
+    best_idx, best = results[0]
+    for idx, res in results[1:]:
+        if res.fun < best.fun - tol_obj:
+            best_idx, best = idx, res
+    return best_idx, best, results, failures
 
 
 def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> FitResult:
@@ -202,27 +234,9 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
         return _objective_core(design, spec, x[:p], x[p:p + k], math.exp(x[-1]),
                                restricted)
 
-    bounds = _bounds_for(design, spec)
-    results: list[tuple[int, BoxResult]] = []
-    failures = []
-    for idx, x0 in enumerate(default_starts(design, spec, config)):
-        try:
-            res = minimize_box(objective, x0, bounds, tol_obj=config.tol_obj,
-                               tol_grad=config.tol_grad, max_iter=config.max_iter)
-        except (np.linalg.LinAlgError, FloatingPointError, OverflowError,
-                SingularDesignError) as exc:
-            failures.append((idx, repr(exc)))
-            continue
-        results.append((idx, res))
-    if not results:
-        raise ConvergenceError(
-            f"all {config.n_starts} starts failed", diagnostics=failures
-        )
-
-    best_idx, best = results[0]
-    for idx, res in results[1:]:
-        if res.fun < best.fun - config.tol_obj:
-            best_idx, best = idx, res
+    best_idx, best, results, failures = multistart(
+        objective, default_starts(design, spec, config), _bounds_for(design, spec),
+        config.tol_obj, config.tol_grad, config.max_iter)
     x = best.x
     varsigma = x[p:p + k].copy()
     # a zero coefficient pins its deviation at 0, leaving the scale

@@ -9,20 +9,11 @@ raw scales varsigma_i^2 as printed in the defining formulas; an alternate
 sensitivity analysis (not part of the reference definition).
 """
 
-from dataclasses import dataclass, field
 import math
 
 import numpy as np
 
 from .model import Dataset, ModelSpec, Parameters, sdtn_variances
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    rmse: float
-    r2_marginal: float
-    r2_conditional: float
-    parameter_subset: tuple = field(default_factory=tuple)
 
 
 def rmse(estimates, truth, subset=None) -> float:

@@ -32,9 +32,19 @@ class SingularDesignError(ValueError):
     """X^T V^{-1} X, or a joint normal-equation system, is rank deficient."""
 
 
+def _require_finite(group_id, name: str, a: np.ndarray):
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        row, *col = bad[0]
+        where = f"row {row}" + (f", column {col[0]}" if col else "") + " (0-based)"
+        raise ValueError(
+            f"group {group_id}: non-finite {name} value {a[tuple(bad[0])]} at {where}"
+        )
+
+
 @dataclass(frozen=True)
 class GroupData:
-    """One group's response and fixed-effect design (n_l rows)."""
+    """One group's response and fixed-effect design (n_l rows), all finite."""
 
     group_id: object
     y: np.ndarray | None
@@ -46,6 +56,7 @@ class GroupData:
             raise DimensionMismatchError(
                 f"group {self.group_id}: design must be a nonempty 2-d array"
             )
+        _require_finite(self.group_id, "design", X)
         object.__setattr__(self, "X", X)
         if self.y is not None:
             y = np.asarray(self.y, dtype=float)
@@ -54,6 +65,7 @@ class GroupData:
                     f"group {self.group_id}: y has length {y.shape}, design has "
                     f"{X.shape[0]} rows"
                 )
+            _require_finite(self.group_id, "response", y)
             object.__setattr__(self, "y", y)
 
     @property
@@ -286,6 +298,11 @@ class BlockDesign:
     @property
     def g(self) -> int:
         return len(self.Xs)
+
+    @property
+    def log_sigma_floor(self) -> float:
+        """Lower bound on log sigma shared by every fit: log max(1e-6 sd(y), 1e-12)."""
+        return math.log(max(1e-6 * float(np.std(self.y)), 1e-12))
 
     def solve(self, re_var: np.ndarray, sigma: float) -> "BlockSolve":
         d = np.array(re_var, dtype=float)

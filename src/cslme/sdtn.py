@@ -88,13 +88,6 @@ def std_normal_cdf(x):
     return out if out.ndim else float(out)
 
 
-def std_normal_ppf(q):
-    """Standard normal quantile function."""
-    q = np.asarray(q, dtype=float)
-    out = ndtri(q)
-    return out if out.ndim else float(out)
-
-
 def _central_mass(rho: float) -> float:
     """P(|N(0,1)| <= rho) = 2*Phi(rho) - 1, computed as erf(rho/sqrt(2)).
 

@@ -46,15 +46,12 @@ class Scenario:
     replications: int = 200
     seed: int = 0
     intercept: bool = True
-    gamma_convention: str = "shape-scale"
 
     def __post_init__(self):
         if self.n < self.g or self.g < 2:
             raise ValueError("need n >= g and at least two groups")
         if self.replications < 1:
             raise ValueError("replications must be positive")
-        if self.gamma_convention not in ("shape-scale", "shape-rate"):
-            raise ValueError(f"unknown gamma convention {self.gamma_convention!r}")
         object.__setattr__(self, "alpha", tuple(int(i) for i in self.alpha))
         if self.truth.beta.shape != (self.p,):
             raise ValueError("truth.beta length must equal p")
@@ -172,34 +169,23 @@ def table_values(beta, varsigma, sigma, gamma, spec: ModelSpec, g: int,
     return out
 
 
-def _fit_method(method: str, data: Dataset, scenario: Scenario, rep_seed: int,
-                pit_q: int, n_starts: int):
+def fit_method(method: str, dataset: Dataset, spec: ModelSpec, seed: int = 0,
+               n_starts: int = 5, pit_q: int = 2):
+    """Fit `dataset` with one of ALL_METHODS; the result has `.params` and `.gamma`.
+
+    PLS/PRLS fit under `spec` as given and ML/REML with constrained=False.
+    `seed` picks the multi-start jitter of PLS/PRLS/ML/REML, `n_starts`
+    the PLS/PRLS start count and `pit_q` the PIT quadrature order.
+    """
     method = method.upper()
     if method in ("PLS", "PRLS"):
-        spec = scenario.model_spec(constrained=True)
-        config = FitConfig(method=method, n_starts=n_starts, seed=rep_seed)
-        res = fit(data, spec, config)
-        est = table_values(res.params.beta, res.params.varsigma, res.params.sigma,
-                           res.gamma.gamma, spec, scenario.g)
-        return est, res.r2_marginal, res.r2_conditional
-    spec = scenario.model_spec(constrained=False)
+        return fit(dataset, spec, FitConfig(method=method, n_starts=n_starts, seed=seed))
     if method in ("ML", "REML"):
-        res = fit_unconstrained(data, spec, criterion=method, seed=rep_seed)
-        est = table_values(res.beta, res.theta.varsigma, res.theta.sigma,
-                           res.gamma.gamma, spec, scenario.g, normal_re=True)
-        params = Parameters(beta=res.beta, varsigma=res.theta.varsigma,
-                            sigma=res.theta.sigma)
-        r2m, r2c = r_squared(params, data, spec)
-        return est, r2m, r2c
+        return fit_unconstrained(dataset, replace(spec, constrained=False),
+                                 criterion=method, seed=seed)
     if method == "PIT":
-        res = fit_pit(data, spec, q=pit_q)
-        est = table_values(res.beta, res.theta.varsigma, res.theta.sigma,
-                           res.gamma.gamma, spec, scenario.g)
-        params = Parameters(beta=res.beta, varsigma=res.theta.varsigma,
-                            sigma=res.theta.sigma)
-        r2m, r2c = r_squared(params, data, spec)
-        return est, r2m, r2c
-    raise ValueError(f"unknown method {method!r}")
+        return fit_pit(dataset, spec, q=pit_q)
+    raise ValueError(f"unknown method {method!r}; choose from {ALL_METHODS}")
 
 
 def _replication(scenario: Scenario, methods, rep: int, pit_q: int, n_starts: int):
@@ -218,8 +204,12 @@ def _replication(scenario: Scenario, methods, rep: int, pit_q: int, n_starts: in
     out = {}
     for method in methods:
         try:
-            est, r2m, r2c = _fit_method(method, data, scenario, rep_seed,
-                                        pit_q, n_starts)
+            res = fit_method(method, data, spec, seed=rep_seed, n_starts=n_starts,
+                             pit_q=pit_q)
+            est = table_values(res.params.beta, res.params.varsigma, res.params.sigma,
+                               res.gamma.gamma, spec, scenario.g,
+                               normal_re=method in ("ML", "REML"))
+            r2m, r2c = r_squared(res.params, data, spec)
             out[method] = {
                 "estimates": est,
                 "truth": truth_vals,

@@ -45,6 +45,19 @@ class TestIngest:
         with pytest.raises(SchemaError, match="row 3.*'x'"):
             ingest(path, schema)
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity"])
+    def test_non_finite_cell_located(self, tmp_path, cell):
+        path = write_csv(tmp_path / "bad.csv", f"y,x,g\n1,2,a\n3,4,b\n{cell},5,b\n")
+        schema = InputSchema("g", "y", ("x",))
+        with pytest.raises(SchemaError, match=f"row 4: non-finite value '{cell}' in 'y'"):
+            ingest(path, schema)
+
+    def test_inf_feature_located(self, tmp_path):
+        path = write_csv(tmp_path / "bad.csv", "y,x,g\n1,2,a\n3,inf,b\n")
+        schema = InputSchema("g", "y", ("x",))
+        with pytest.raises(SchemaError, match="row 3: non-finite value 'inf' in 'x'"):
+            ingest(path, schema)
+
     def test_unknown_column(self, tmp_path):
         path = write_csv(tmp_path / "bad.csv", "y,x,g\n1,2,a\n")
         schema = InputSchema("g", "y", ("nope",))
@@ -121,6 +134,37 @@ class TestFitCommand:
         path = write_csv(tmp_path / "bad.csv", "Reaction,Days,Subject\n1,x,a\n")
         code = main(["fit", path, *SLEEP_SCHEMA_ARGS])
         assert code == 1
+
+    def test_nan_reaction_exit_code(self, tmp_path, capsys):
+        rows = sleepstudy_path().read_text().splitlines()
+        header = rows[0].split(",")
+        cells = rows[5].split(",")
+        cells[header.index("Reaction")] = "NaN"
+        rows[5] = ",".join(cells)
+        path = write_csv(tmp_path / "nan.csv", "\n".join(rows) + "\n")
+        code = main(["fit", path, *SLEEP_SCHEMA_ARGS])
+        assert code == 1
+        assert "row 6: non-finite value 'NaN' in 'Reaction'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, keys", [
+        ("PLS", ["converged", "n_iter", "start_index", "start_objectives",
+                 "objective_trace"]),
+        ("PRLS", ["converged", "n_iter", "start_index", "start_objectives",
+                  "objective_trace"]),
+        ("ML", ["converged", "n_iter"]),
+        ("REML", ["converged", "n_iter"]),
+        ("PIT", ["converged", "n_iter", "quadrature_order"]),
+    ])
+    def test_diagnostics_keys_per_method(self, tmp_path, method, keys):
+        out = tmp_path / "fit.json"
+        raneff = "intercept" if method == "PIT" else "intercept,Days"
+        args = [*SLEEP_SCHEMA_ARGS[:-1], raneff]
+        code = main(["fit", str(sleepstudy_path()), *args, "--method", method,
+                     "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert list(doc["diagnostics"]) == keys
+        assert doc["spec"]["constrained"] is (method not in ("ML", "REML"))
 
 
 class TestRanefRoundTrip:

@@ -6,11 +6,13 @@ import pytest
 from conftest import make_dataset, random_params
 from cslme import estimate
 from cslme.estimate import (
+    FAILED_START,
     FitConfig,
     NotPositiveDefiniteError,
     approx_loglik,
     fit,
     logdet_psd,
+    multistart,
     pls_objective,
     prls_objective,
 )
@@ -22,7 +24,7 @@ from cslme.model import (
     assemble,
     marginal_cov,
 )
-from cslme.optim import central_diff_grad, gradient_step
+from cslme.optim import ConvergenceError, central_diff_grad, gradient_step
 from cslme.ranef import joint_objective
 from cslme.sim import Scenario, gen_design, gen_response
 
@@ -233,6 +235,41 @@ class TestFit:
         assert np.all(free.params.beta > 0)
         assert constrained.objective == pytest.approx(
             free.objective, abs=1e-6 * (1 + abs(free.objective)))
+
+
+def two_basins(offset):
+    """Minimum 0 at x = 1 and minimum `offset` at x = -1."""
+    return lambda x: min((x[0] - 1.0) ** 2, (x[0] + 1.0) ** 2 + offset)
+
+
+class TestMultistart:
+    # start 0 descends to x = 1, start 1 to x = -1
+    STARTS = [np.array([2.0]), np.array([-2.0])]
+    BOUNDS = [(None, None)]
+
+    def run(self, fun):
+        return multistart(fun, self.STARTS, self.BOUNDS, tol_obj=1e-6, tol_grad=1e-10,
+                          max_iter=200)
+
+    def test_near_tie_goes_to_earlier_start(self):
+        idx, best, results, failures = self.run(two_basins(-0.5e-6))
+        assert idx == 0 and best.x[0] == pytest.approx(1.0, abs=1e-4)
+        assert [i for i, _ in results] == [0, 1] and failures == []
+        assert results[1][1].fun < best.fun  # lower, but within tol_obj
+
+    def test_lower_by_more_than_tol_obj_wins(self):
+        idx, best, _, _ = self.run(two_basins(-1e-5))
+        assert idx == 1 and best.x[0] == pytest.approx(-1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("error", FAILED_START)
+    def test_every_start_failing_lists_each(self, error):
+        def fun(x):
+            raise error("no value here")
+
+        with pytest.raises(ConvergenceError, match="all 2 starts failed") as info:
+            self.run(fun)
+        assert [i for i, _ in info.value.diagnostics] == [0, 1]
+        assert all(msg.startswith(error.__name__) for _, msg in info.value.diagnostics)
 
 
 class TestGradient:

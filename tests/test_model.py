@@ -31,6 +31,17 @@ class TestTypes:
         with pytest.raises(DimensionMismatchError):
             Dataset((g1, g2))
 
+    def test_nan_response_names_group_and_row(self):
+        with pytest.raises(ValueError, match="group a: non-finite response value nan at row 1"):
+            GroupData("a", np.array([0.5, np.nan, 1.0]), np.ones((3, 2)))
+
+    def test_inf_feature_names_group_row_and_column(self):
+        X = np.ones((3, 2))
+        X[2, 1] = -np.inf
+        with pytest.raises(ValueError, match="group b: non-finite design value -inf "
+                                             r"at row 2, column 1"):
+            GroupData("b", np.zeros(3), X)
+
     def test_alpha_must_increase(self):
         with pytest.raises(ValueError):
             ModelSpec(alpha=(2, 1))

@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from dataclasses import replace
+
 from cslme import sim
+from cslme.baseline import fit_pit, fit_unconstrained
 from cslme.model import Dataset, GroupData, ModelSpec, Parameters
 from cslme.sdtn import variance_factor
 from cslme.sim import (
+    ALL_METHODS,
     ContourRequest,
     Scenario,
     builtin_scenarios,
     contour_grid,
+    fit_method,
     gen_design,
     gen_response,
     group_sizes,
@@ -22,7 +27,7 @@ from cslme.sim import (
     table_labels,
     table_values,
 )
-from cslme.estimate import pls_objective
+from cslme.estimate import FitConfig, fit, pls_objective
 
 
 def scenario(n=300, seed=1, replications=1, beta=(0.072, 1.0, 1.0), vs=(0.058,)):
@@ -195,6 +200,34 @@ class TestRunScenario:
         res = run_scenario(sc, methods=("PIT",))
         assert res.summary("PIT")["n_failed"] == 1
         assert "Underflow" in res.failures["PIT"][0][1]
+
+
+class TestFitMethod:
+    @staticmethod
+    def direct(method, data, spec):
+        if method in ("PLS", "PRLS"):
+            return fit(data, spec, FitConfig(method=method, n_starts=3, seed=7))
+        if method in ("ML", "REML"):
+            return fit_unconstrained(data, replace(spec, constrained=False), method,
+                                     seed=7)
+        return fit_pit(data, spec, q=4)
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_same_fit_as_the_direct_call(self, method):
+        sc = scenario(n=60, seed=3)
+        spec = sc.model_spec()
+        data, _ = gen_response(gen_design(sc), sc.truth, spec, seed=2)
+        got = fit_method(method.lower(), data, spec, seed=7, n_starts=3, pit_q=4)
+        want = self.direct(method, data, spec)
+        for name in ("beta", "varsigma", "sigma"):
+            assert np.array_equal(getattr(got.params, name), getattr(want.params, name))
+        assert np.array_equal(got.gamma.gamma, want.gamma.gamma)
+
+    def test_unknown_method_rejected(self):
+        sc = scenario(n=60, seed=3)
+        data, _ = gen_response(gen_design(sc), sc.truth, sc.model_spec(), seed=2)
+        with pytest.raises(ValueError, match="BOGUS"):
+            fit_method("BOGUS", data, sc.model_spec())
 
 
 class TestContour:
