@@ -4,7 +4,11 @@ ML and REML profile the fixed effects out of a Gaussian marginal
 likelihood and maximize over the variance components theta = (varsigma,
 sigma); the fixed effects and per-group deviations are then recovered in
 closed form (generalized least squares and the usual shrinkage formula,
-equivalently the Henderson-style joint linear system).
+equivalently the Henderson-style joint linear system). The search gets
+the criterion and its exact gradient in theta from one factorization of
+V: by the envelope theorem the fixed effects stay at their GLS value, so
+the partials are those of the PLS objective at beta_hat
+(`BlockSolve.pls_partials`), halved, with d = varsigma^2.
 
 The probability-integral-transform (PIT) baseline instead approximates the
 marginal likelihood of each group by Gauss-Hermite quadrature over a
@@ -30,7 +34,7 @@ from .model import (
     as_design,
 )
 from .estimate import multistart
-from .optim import minimize_box
+from .optim import TOL_GRAD, TOL_OBJ, minimize_box, with_central_diff
 from .sdtn import SdtnParams, sdtn_ppf, std_normal_cdf
 
 LOG_DOUBLE_MIN = math.log(np.finfo(float).tiny)
@@ -98,6 +102,7 @@ class BaselineFit:
     converged: bool = True
     n_iter: int = 0
     trace: np.ndarray | None = None
+    n_eval: int = 0  # (f, grad) calls, summed over the starts that finished
 
     @property
     def params(self) -> Parameters:
@@ -124,28 +129,46 @@ def _logdet_from_chol(L) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
+def _gls(theta: Theta, design: BlockDesign):
+    """(BlockSolve, X^T V^{-1} X, its Cholesky factor, GLS fixed effects) at theta."""
+    sol = _solve_at(theta, design)
+    F = sol.xt_vinv_x()
+    L = _chol(F)
+    return sol, F, L, _chol_solve(L, sol.xt_vinv_y())
+
+
+def criterion_and_gradient(x: np.ndarray, design: BlockDesign, criterion: str):
+    """The minimized ML or REML criterion at x = (varsigma, log sigma) and
+    its exact gradient; the value is bit-equal to -profile_loglik
+    (-reml_loglik) at theta = (|varsigma|, exp(log sigma)).
+    """
+    restricted = criterion == "REML"
+    sol, F, L, beta = _gls(Theta(np.abs(x[:-1]), math.exp(x[-1])), design)
+    q = sol.quad_form_resid(beta)
+    value = sol.logdet_v + q
+    if restricted:
+        value += _logdet_from_chol(L)
+    dd, _ = sol.pls_partials(beta, F if restricted else None)
+    grad = np.empty(x.size)
+    grad[:-1] = dd * x[:-1]  # d_i = x_i^2, halved
+    grad[-1] = design.n - q - design.p * restricted - float(sol.d @ dd)
+    return 0.5 * value, grad
+
+
 def profile_beta(theta: Theta, dataset, spec: ModelSpec) -> np.ndarray:
     """Generalized-least-squares fixed effects at theta."""
-    design = as_design(dataset, spec)
-    sol = _solve_at(theta, design)
-    return _chol_solve(_chol(sol.xt_vinv_x()), sol.xt_vinv_y())
+    return _gls(theta, as_design(dataset, spec))[3]
 
 
 def profile_loglik(theta: Theta, dataset, spec: ModelSpec) -> float:
     """Profile Gaussian log-likelihood at theta, fixed effects profiled out."""
-    design = as_design(dataset, spec)
-    sol = _solve_at(theta, design)
-    L = _chol(sol.xt_vinv_x())
-    beta = _chol_solve(L, sol.xt_vinv_y())
+    sol, _, _, beta = _gls(theta, as_design(dataset, spec))
     return -0.5 * (sol.logdet_v + sol.quad_form_resid(beta))
 
 
 def reml_loglik(theta: Theta, dataset, spec: ModelSpec) -> float:
     """Restricted log-likelihood: profile value minus half logdet(X^T V^{-1} X)."""
-    design = as_design(dataset, spec)
-    sol = _solve_at(theta, design)
-    L = _chol(sol.xt_vinv_x())
-    beta = _chol_solve(L, sol.xt_vinv_y())
+    sol, _, L, beta = _gls(theta, as_design(dataset, spec))
     return -0.5 * (sol.logdet_v + sol.quad_form_resid(beta) + _logdet_from_chol(L))
 
 
@@ -224,12 +247,11 @@ def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML"
     loglik = profile_loglik if criterion == "ML" else reml_loglik
 
     def objective(x):
-        theta = Theta(np.abs(x[:-1]), math.exp(x[-1]))
-        return -loglik(theta, design, spec)
+        return criterion_and_gradient(x, design, criterion)
 
     bounds = [(0.0, None)] * design.k + [(design.log_sigma_floor, None)]
-    _, res, _, _ = multistart(objective, _baseline_starts(design, seed), bounds,
-                              tol_obj=1e-11, tol_grad=1e-8, max_iter=max_iter)
+    _, res, results, _ = multistart(objective, _baseline_starts(design, seed), bounds,
+                                    tol_obj=TOL_OBJ, tol_grad=TOL_GRAD, max_iter=max_iter)
     theta = Theta(res.x[:-1], math.exp(res.x[-1]))
     beta = profile_beta(theta, design, spec)
     gamma = gamma_closed_form(theta, design, spec, beta)
@@ -242,6 +264,7 @@ def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML"
         converged=res.converged,
         n_iter=res.n_iter,
         trace=res.trace,
+        n_eval=sum(r.nfev for _, r in results),
     )
 
 
@@ -337,7 +360,8 @@ def fit_pit(dataset: Dataset, spec: ModelSpec, q: int = 2,
     # the first evaluation and the returned solution must carry real mass;
     # transient probes may dip into the underflow region and back out
     pit_objective(x0, design, spec, q, strict=True)
-    res = minimize_box(lambda x: pit_objective(x, design, spec, q, strict=False),
+    res = minimize_box(with_central_diff(lambda x: pit_objective(x, design, spec, q,
+                                                                 strict=False)),
                        x0, bounds, tol_obj=1e-10, tol_grad=1e-7, max_iter=max_iter)
     pit_objective(res.x, design, spec, q, strict=True)
     beta = res.x[:design.p]
@@ -359,4 +383,5 @@ def fit_pit(dataset: Dataset, spec: ModelSpec, q: int = 2,
         converged=res.converged,
         n_iter=res.n_iter,
         trace=res.trace,
+        n_eval=res.nfev,
     )

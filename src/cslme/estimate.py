@@ -8,10 +8,21 @@ penalized least squares (PLS) objective keeps them explicit:
 minimized over beta >= 0, varsigma >= 0, with Lambda carrying the
 truncation-deflated random-effect variances. The penalized restricted
 least squares (PRLS) variant adds ln|X^T V^{-1} X|. Both are minimized by
-a projected limited-memory quasi-Newton method with central-difference
-gradients and a small deterministic multi-start; the lowest-objective
-start wins, ties broken by start index. `multistart` runs that loop, for
-the ML/REML baselines too.
+a projected limited-memory quasi-Newton method and a small deterministic
+multi-start; the lowest-objective start wins, ties broken by start index.
+`multistart` runs that loop, for the ML/REML baselines too.
+
+Each optimizer call returns the objective and its exact gradient in
+(beta, varsigma, log sigma) from one factorization of V
+(`objective_and_gradient`): the partials in the random-effect variances
+d and in beta come from `BlockSolve.pls_partials`, the chain through d_i
+= varsigma_i^2 vf(|beta_{alpha_i}| / varsigma_i) from
+`re_variance_partials`, and the log-sigma partial from the homogeneity of
+V of degree 1 in (d, sigma^2):
+
+    df/dlog sigma = 2 (n - q - p [PRLS] - sum_i d_i df/dd_i),
+
+with q the quadratic form.
 """
 
 from dataclasses import dataclass, field
@@ -27,9 +38,10 @@ from .model import (
     RandomEffects,
     SingularDesignError,
     as_design,
+    re_variance_partials,
     re_variances,
 )
-from .optim import BoxResult, ConvergenceError, minimize_box
+from .optim import TOL_GRAD, TOL_OBJ, BoxResult, ConvergenceError, minimize_box
 from . import metrics as _metrics
 from . import ranef as _ranef
 
@@ -53,8 +65,8 @@ class FitConfig:
     method: str = "PLS"
     n_starts: int = 5
     max_iter: int = 500
-    tol_obj: float = 1e-9
-    tol_grad: float = 1e-6
+    tol_obj: float = TOL_OBJ
+    tol_grad: float = TOL_GRAD
     seed: int = 0
 
     def __post_init__(self):
@@ -79,6 +91,7 @@ class FitResult:
     r2_conditional: float
     method: str = "PLS"
     n_iter: int = 0
+    n_eval: int = 0  # (f, grad) calls, summed over the starts that finished
     start_objectives: list = field(default_factory=list)
     failed_starts: list = field(default_factory=list)
 
@@ -106,17 +119,47 @@ def logdet_psd(blocks) -> float:
     return total
 
 
+def _logdet_restricted(F: np.ndarray) -> float:
+    try:
+        return logdet_psd([F])
+    except NotPositiveDefiniteError as exc:
+        raise SingularDesignError("X^T V^{-1} X is singular") from exc
+
+
 def _objective_core(design: BlockDesign, spec: ModelSpec, beta, varsigma, sigma,
                     restricted: bool) -> float:
     d = re_variances(beta, varsigma, spec.alpha)
     sol = design.solve(d, sigma)
     value = sol.quad_form_resid(beta) + sol.logdet_v
     if restricted:
-        try:
-            value += logdet_psd([sol.xt_vinv_x()])
-        except NotPositiveDefiniteError as exc:
-            raise SingularDesignError("X^T V^{-1} X is singular") from exc
+        value += _logdet_restricted(sol.xt_vinv_x())
     return value
+
+
+def objective_and_gradient(design: BlockDesign, spec: ModelSpec, x: np.ndarray,
+                           restricted: bool):
+    """PLS (or PRLS) value and exact gradient at x = (beta, varsigma, log sigma).
+
+    The value is bit-equal to the value-only objective at the same point;
+    both come from one `design.solve`.
+    """
+    p, k = design.p, spec.k
+    beta, varsigma = x[:p], x[p:p + k]
+    d, d_beta, d_varsigma = re_variance_partials(beta, varsigma, spec.alpha)
+    sol = design.solve(d, math.exp(x[-1]))
+    q = sol.quad_form_resid(beta)
+    value = q + sol.logdet_v
+    F = None
+    if restricted:
+        F = sol.xt_vinv_x()
+        value += _logdet_restricted(F)
+    dd, xvr = sol.pls_partials(beta, F)
+    grad = np.empty(p + k + 1)
+    grad[:p] = -2.0 * xvr
+    grad[list(spec.alpha)] += dd * d_beta
+    grad[p:p + k] = dd * d_varsigma
+    grad[-1] = 2.0 * (design.n - q - p * restricted - float(d @ dd))
+    return value, grad
 
 
 def pls_objective(params: Parameters, dataset, spec: ModelSpec) -> float:
@@ -188,7 +231,8 @@ def _bounds_for(design: BlockDesign, spec: ModelSpec) -> list:
 
 
 def multistart(fun, starts, bounds, tol_obj, tol_grad, max_iter):
-    """Run `minimize_box` from every start and keep the lowest objective.
+    """Run `minimize_box` on `fun(x) -> (f, grad)` from every start and
+    keep the lowest objective.
 
     A start that raises one of FAILED_START is recorded as (index, repr)
     and skipped. A later start wins only if its objective is lower by more
@@ -231,8 +275,7 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
     restricted = config.method == "PRLS"
 
     def objective(x):
-        return _objective_core(design, spec, x[:p], x[p:p + k], math.exp(x[-1]),
-                               restricted)
+        return objective_and_gradient(design, spec, x, restricted)
 
     best_idx, best, results, failures = multistart(
         objective, default_starts(design, spec, config), _bounds_for(design, spec),
@@ -259,6 +302,7 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
         r2_conditional=r2c,
         method=config.method,
         n_iter=best.n_iter,
+        n_eval=sum(res.nfev for _, res in results),
         start_objectives=[(idx, res.fun, res.converged) for idx, res in results],
         failed_starts=failures,
     )

@@ -12,7 +12,8 @@ determinant/solve work goes through the g small k x k capacitance matrices
 per-group cross-products once, in O(n (p + k)^2); each (d, sigma)
 evaluation is then one batched factorization of the capacitance matrices
 and batched contractions, O(g k^3 + g k p), plus one O(n p) mat-vec for a
-residual. The dense `marginal_cov` exists as a test surface and for small
+residual; the partial derivatives an exact gradient needs
+(`BlockSolve.pls_partials`) add O(g k^2 (k + p) + g k p^2 + p^3). The dense `marginal_cov` exists as a test surface and for small
 problems.
 """
 
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from .sdtn import variance_factor
+from .sdtn import variance_factor, variance_factor_slope
 
 
 class DimensionMismatchError(ValueError):
@@ -225,6 +226,37 @@ def re_variances(beta: np.ndarray, varsigma: np.ndarray, alpha) -> np.ndarray:
     return out
 
 
+def re_variance_partials(beta: np.ndarray, varsigma: np.ndarray, alpha):
+    """`re_variances` with its partial derivatives, for exact gradients.
+
+    Returns (d, dd_dbeta, dd_dvarsigma), each of length k: d is bit-equal
+    to re_variances, entry i of the others is the derivative of d_i in
+    beta_{alpha_i} and in varsigma_i. With rho = |beta_{alpha_i}| /
+    |varsigma_i| and vf' = variance_factor_slope, they are sign(beta) *
+    |varsigma| vf'(rho) and sign(varsigma) * (2 |varsigma| vf(rho) -
+    |beta| vf'(rho)). Where the scale or the coefficient is zero, d_i is
+    identically zero along that boundary and flat to first order across
+    it, so both partials are zero.
+    """
+    alpha = tuple(alpha)
+    if len(alpha) != len(varsigma):
+        raise DimensionMismatchError(
+            f"varsigma has {len(varsigma)} entries, alpha has {len(alpha)}"
+        )
+    d, d_beta, d_varsigma = np.zeros((3, len(alpha)))
+    for i, col in enumerate(alpha):
+        s_signed, b_signed = float(varsigma[i]), float(beta[col])
+        s, b = abs(s_signed), abs(b_signed)
+        if s == 0.0 or b == 0.0:
+            continue
+        vf = variance_factor(b / s)
+        slope = variance_factor_slope(b / s)
+        d[i] = s * s * vf
+        d_beta[i] = math.copysign(s * slope, b_signed)
+        d_varsigma[i] = math.copysign(2.0 * s * vf - b * slope, s_signed)
+    return d, d_beta, d_varsigma
+
+
 def sdtn_variances(params: Parameters, spec: ModelSpec) -> np.ndarray:
     """Per-column SDTN random-effect variances (the diagonal of Delta)."""
     return re_variances(params.beta, params.varsigma, spec.alpha)
@@ -260,8 +292,9 @@ class BlockDesign:
     one O(n p) mat-vec for a residual quadratic form.
 
     `solve` keeps its last factorization and returns it again when
-    (d, sigma) is bit-equal, as it is for finite-difference probes on
-    fixed effects that carry no random deviation.
+    (d, sigma) is bit-equal, as it is for the central-difference probes
+    of a labeled-parameter search (`sim.minimize_labels`) on fixed effects
+    that carry no random deviation.
     """
 
     def __init__(self, dataset: Dataset, spec: ModelSpec):
@@ -287,11 +320,14 @@ class BlockDesign:
         self.ZtX = per_group(Z[:, :, None] * self.X[:, None, :])
         self.XtX = self.X.T @ self.X
         if any(y is None for y in self.ys):
-            self.y = self.Zty = self.Xty = None
+            self.y = self.Zty = self.Xty = self.ZtA = self.XtA = None
         else:
             self.y = np.concatenate(self.ys)
             self.Zty = per_group(Z * self.y[:, None])
             self.Xty = self.X.T @ self.y
+            # the same, side by side, for the gradient: Z_l^T [Z_l X_l y_l], X^T [X y]
+            self.ZtA = np.concatenate([self.ZtZ, self.ZtX, self.Zty[:, :, None]], axis=2)
+            self.XtA = np.column_stack([self.XtX, self.Xty])
         self.eye = np.eye(self.k)
         self._last = None
 
@@ -369,6 +405,33 @@ class BlockSolve:
     def xt_vinv_y(self) -> np.ndarray:
         u = (self._B @ self.design.Zty[:, :, None]).reshape(-1)
         return (self.design.Xty - self._BZtX().T @ u / self.sigma2) / self.sigma2
+
+    def pls_partials(self, beta: np.ndarray, F: np.ndarray | None = None):
+        """Partial derivatives of r^T V^{-1} r + ln|V|, r = y - X beta.
+
+        Returns (dd, xvr). dd[i], the derivative in d_i at fixed beta and
+        sigma, is sum_l [(Z_l^T V_l^{-1} Z_l)_ii - u_li^2] with u_l =
+        Z_l^T V_l^{-1} r_l; xvr = X^T V^{-1} r, so the derivative in beta at
+        fixed V is -2 xvr. Given F = X^T V^{-1} X, dd also carries the
+        derivative of ln|F|, -sum_l (W_l F^{-1} W_l^T)_ii with W_l =
+        Z_l^T V_l^{-1} X_l. Everything is read off Z_l^T V_l^{-1} [Z_l X_l y_l]
+        and X^T V^{-1} [X y], one batched product each, with u_l and xvr
+        formed as (.. y) - (.. X) beta: O(g k^2 (k + p) + g k p^2 + p^3).
+        """
+        des = self.design
+        k, p, s2 = des.k, des.p, self.sigma2
+        Q = self._B @ des.ZtA                                # B_l Z_l^T [Z_l X_l y_l]
+        R = (des.ZtA - np.swapaxes(Q[:, :, :k], 1, 2) @ Q / s2) / s2  # Z_l^T V_l^{-1} [...]
+        W = R[:, :, k:k + p]
+        u = R[:, :, -1] - W @ beta
+        dd = (R.diagonal(0, 1, 2) - u * u).sum(axis=0)
+        T = Q[:, :, k:].reshape(-1, p + 1)
+        M = (des.XtA - T[:, :p].T @ T / s2) / s2             # X^T V^{-1} [X y]
+        xvr = M[:, -1] - M[:, :p] @ beta
+        if F is not None:
+            Wt = np.swapaxes(W, 0, 1)                        # (k, g, p)
+            dd -= (np.swapaxes(Wt, 1, 2) @ Wt * np.linalg.inv(F)).sum(axis=(1, 2))
+        return dd, xvr
 
     def zt_vinv_resid(self, beta: np.ndarray) -> np.ndarray:
         """Z_l^T V_l^{-1} (y_l - X_l beta) for every group, as rows of a (g, k) array."""

@@ -1,16 +1,23 @@
 """Box-constrained quasi-Newton driver shared by all fitting routines.
 
 Thin wrapper around scipy's L-BFGS-B (projected-gradient limited-memory
-quasi-Newton) that supplies our own central-difference gradient and records
-the objective at every accepted iterate. One global step rule is used
-everywhere so fits, identities and gradient checks all see the same
-derivative operator.
+quasi-Newton) that takes the objective and its gradient from one call,
+`fun(x) -> (f, grad)`, and records the objective at every accepted
+iterate. PLS, PRLS, ML and REML supply exact gradients; a value-only
+objective (the PIT baseline, labeled-parameter searches) is adapted by
+`with_central_diff`, whose central-difference step rule is shared by
+every gradient check.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
+
+# Stopping tolerances of every fit except PIT: relative objective decrease
+# and projected-gradient infinity norm.
+TOL_OBJ = 1e-11
+TOL_GRAD = 1e-8
 
 
 class ConvergenceError(RuntimeError):
@@ -47,6 +54,17 @@ def central_diff_grad(fun, x: np.ndarray, h: np.ndarray | None = None) -> np.nda
     return grad
 
 
+def with_central_diff(fun):
+    """Adapt a value-only `fun` to `(f, grad)` with `central_diff_grad`.
+
+    Each call evaluates `fun` at x, then at the 2 m probes.
+    """
+    def fun_and_grad(x):
+        return fun(x), central_diff_grad(fun, x)
+
+    return fun_and_grad
+
+
 @dataclass
 class BoxResult:
     x: np.ndarray
@@ -55,41 +73,55 @@ class BoxResult:
     converged: bool
     n_iter: int
     message: str
+    nfev: int  # calls of fun, each one (f, grad)
 
 
-def minimize_box(fun, x0, bounds, tol_obj=1e-9, tol_grad=1e-6, max_iter=500) -> BoxResult:
-    """Minimize `fun` over a box, tracking accepted-iterate objectives.
+def minimize_box(fun, x0, bounds, tol_obj=TOL_OBJ, tol_grad=TOL_GRAD,
+                 max_iter=500) -> BoxResult:
+    """Minimize over a box; `fun(x)` returns the objective and its gradient.
 
     Stops when the relative objective decrease falls below tol_obj, the
     projected-gradient infinity norm falls below tol_grad, or max_iter is
     reached. The returned point is re-projected onto the box so bound
-    constraints hold exactly.
+    constraints hold exactly. `fun` is called only by L-BFGS-B (its first
+    call is at x0, whose value opens the trace), unless that projection
+    moves the point, which costs one more call.
     """
     x0 = np.asarray(x0, dtype=float)
     lo = np.array([-np.inf if b[0] is None else b[0] for b in bounds])
     hi = np.array([np.inf if b[1] is None else b[1] for b in bounds])
     x0 = np.clip(x0, lo, hi)
 
-    trace = [float(fun(x0))]
+    trace = []
+
+    def fun_tracing_first(x):
+        f, grad = fun(x)
+        if not trace:
+            trace.append(float(f))
+        return f, grad
 
     def track(intermediate_result):
         trace.append(float(intermediate_result.fun))
 
     res = minimize(
-        fun,
+        fun_tracing_first,
         x0,
-        jac=lambda x: central_diff_grad(fun, x),
+        jac=True,
         method="L-BFGS-B",
         bounds=bounds,
         callback=track,
         options={"maxiter": max_iter, "ftol": tol_obj, "gtol": tol_grad},
     )
     x = np.clip(res.x, lo, hi)
+    value, nfev = float(res.fun), int(res.nfev)
+    if not np.array_equal(x, res.x):
+        value, nfev = float(fun(x)[0]), nfev + 1
     return BoxResult(
         x=x,
-        fun=float(fun(x)),
+        fun=value,
         trace=np.asarray(trace),
         converged=bool(res.success),
         n_iter=int(res.nit),
         message=str(res.message),
+        nfev=nfev,
     )

@@ -197,6 +197,22 @@ def variance_factor(rho: float) -> float:
     return 1.0 - 2.0 * rho * math.exp(-0.5 * rho * rho) / (_SQRT_2PI * math.erf(rho / _SQRT_2))
 
 
+def variance_factor_slope(rho: float) -> float:
+    """Derivative of `variance_factor` in rho.
+
+    Closed form 2*phi(rho) * ((rho^2 - 1)/m + 2*rho*phi(rho)/m^2) with
+    m = 2*Phi(rho) - 1; below SMALL_RHO the derivative of the series,
+    2*rho/3 - 8*rho^3/45, so the slope follows the value's branch.
+    """
+    if not rho > 0:
+        raise ValueError(f"truncation ratio rho must be positive, got {rho}")
+    if rho < SMALL_RHO:
+        return 2.0 * rho / 3.0 - 8.0 * rho ** 3 / 45.0
+    phi = math.exp(-0.5 * rho * rho) / _SQRT_2PI
+    m = math.erf(rho / _SQRT_2)
+    return 2.0 * phi * ((rho * rho - 1.0) / m + 2.0 * rho * phi / (m * m))
+
+
 def sdtn_variance(p: SdtnParams) -> float:
     """Variance of an SDTN law: eta^2 * variance_factor(rho)."""
     return p.eta ** 2 * variance_factor(p.rho)

@@ -28,7 +28,7 @@ from .model import (
     RandomEffects,
     SingularDesignError,
 )
-from .optim import ConvergenceError, minimize_box
+from .optim import ConvergenceError, minimize_box, with_central_diff
 from .sdtn import SdtnParams, sdtn_ppf, variance_factor
 
 ALL_METHODS = ("PLS", "PRLS", "ML", "REML", "PIT")
@@ -417,8 +417,8 @@ def minimize_labels(dataset: Dataset, spec: ModelSpec, fixed: Parameters,
             bounds.append((0.0, None))
         else:
             bounds.append((None, None))
-    res = minimize_box(fun, np.asarray(x0, dtype=float), bounds,
-                       tol_obj=1e-11, tol_grad=1e-8, max_iter=max_iter)
+    res = minimize_box(with_central_diff(fun), np.asarray(x0, dtype=float), bounds,
+                       max_iter=max_iter)
     values = {lbl: (math.exp(v) if lbl == "sigma" else float(v))
               for lbl, v in zip(labels, res.x)}
     return values, float(res.fun)

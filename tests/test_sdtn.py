@@ -21,6 +21,7 @@ from cslme.sdtn import (
     std_normal_cdf,
     std_normal_pdf,
     variance_factor,
+    variance_factor_slope,
 )
 
 law_st = st.builds(
@@ -193,6 +194,25 @@ class TestVarianceFactor:
         closed = 1.0 - 2 * rho * std_normal_pdf(rho) / (2 * std_normal_cdf(rho) - 1)
         series = rho ** 2 / 3.0 - 2.0 * rho ** 4 / 45.0
         assert abs(closed - series) < 1e-10
+
+    def test_slope_matches_central_difference(self):
+        # steps of 1e-4 rho keep each difference on one side of SMALL_RHO
+        grid = np.concatenate([np.logspace(-6, math.log10(0.5 * SMALL_RHO), 8),
+                               np.logspace(math.log10(2 * SMALL_RHO), math.log10(30.0), 40)])
+        for rho in grid:
+            h = 1e-4 * rho
+            fd = (variance_factor(rho + h) - variance_factor(rho - h)) / (2 * h)
+            assert abs(variance_factor_slope(rho) - fd) <= 1e-5 * abs(fd) + 1e-12
+
+    def test_slope_branch_continuity_at_threshold(self):
+        below = variance_factor_slope(np.nextafter(SMALL_RHO, 0.0))
+        at = variance_factor_slope(SMALL_RHO)
+        assert abs(at - below) <= 1e-8 * at
+        assert at == pytest.approx(2 * SMALL_RHO / 3, rel=1e-5)
+
+    def test_slope_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            variance_factor_slope(0.0)
 
     def test_variance_bounded_by_eta_sq(self, rng):
         for _ in range(50):

@@ -6,9 +6,10 @@ from scipy import stats
 
 from dataclasses import replace
 
-from cslme import sim
+from cslme import baseline, estimate, sim
 from cslme.baseline import fit_pit, fit_unconstrained
 from cslme.model import Dataset, GroupData, ModelSpec, Parameters
+from cslme.optim import minimize_box
 from cslme.sdtn import variance_factor
 from cslme.sim import (
     ALL_METHODS,
@@ -222,6 +223,25 @@ class TestFitMethod:
         for name in ("beta", "varsigma", "sigma"):
             assert np.array_equal(getattr(got.params, name), getattr(want.params, name))
         assert np.array_equal(got.gamma.gamma, want.gamma.gamma)
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_n_eval_counts_the_objective_calls(self, monkeypatch, method):
+        calls = [0]
+
+        def counting(fun, *args, **kwargs):
+            def counted(x):
+                calls[0] += 1
+                return fun(x)
+
+            return minimize_box(counted, *args, **kwargs)
+
+        monkeypatch.setattr(estimate, "minimize_box", counting)
+        monkeypatch.setattr(baseline, "minimize_box", counting)
+        sc = scenario(n=60, seed=3)
+        spec = sc.model_spec()
+        data, _ = gen_response(gen_design(sc), sc.truth, spec, seed=2)
+        res = fit_method(method, data, spec, seed=7, n_starts=3)
+        assert res.n_eval == calls[0] > 0
 
     def test_unknown_method_rejected(self):
         sc = scenario(n=60, seed=3)
