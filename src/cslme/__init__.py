@@ -17,7 +17,6 @@ from .baseline import (
     Theta,
     fit_pit,
     fit_unconstrained,
-    joint_system_solve,
     profile_beta,
     profile_loglik,
     reml_loglik,
@@ -27,7 +26,6 @@ from .estimate import (
     FitResult,
     approx_loglik,
     fit,
-    logdet_psd,
     pls_objective,
     prls_objective,
 )
@@ -38,9 +36,6 @@ from .model import (
     ModelSpec,
     Parameters,
     RandomEffects,
-    assemble,
-    lambda_diag,
-    marginal_cov,
     sdtn_variances,
 )
 from .optim import ConvergenceError
@@ -80,17 +75,12 @@ __all__ = [
     "Theta",
     "TnParams",
     "approx_loglik",
-    "assemble",
     "contour_grid",
     "fit",
     "fit_pit",
     "fit_unconstrained",
     "gen_design",
     "gen_response",
-    "joint_system_solve",
-    "lambda_diag",
-    "logdet_psd",
-    "marginal_cov",
     "pls_objective",
     "prls_objective",
     "profile_beta",

@@ -6,9 +6,10 @@ sigma); the fixed effects and per-group deviations are then recovered in
 closed form (generalized least squares and the usual shrinkage formula,
 equivalently the Henderson-style joint linear system). The search gets
 the criterion and its exact gradient in theta from one factorization of
-V: by the envelope theorem the fixed effects stay at their GLS value, so
-the partials are those of the PLS objective at beta_hat
-(`BlockSolve.pls_partials`), halved, with d = varsigma^2.
+V: the criterion is half of `BlockSolve.criterion` at the GLS beta_hat
+(`BlockSolve.gls_beta`), and by the envelope theorem its partials are
+those at fixed beta (`BlockSolve.criterion_partials`), halved, with d =
+varsigma^2.
 
 The probability-integral-transform (PIT) baseline instead approximates the
 marginal likelihood of each group by Gauss-Hermite quadrature over a
@@ -30,11 +31,10 @@ from .model import (
     ModelSpec,
     Parameters,
     RandomEffects,
-    SingularDesignError,
     as_design,
 )
 from .estimate import multistart
-from .optim import TOL_GRAD, TOL_OBJ, minimize_box, with_central_diff
+from .optim import MAX_ITER, TOL_GRAD, TOL_OBJ, minimize_box, with_central_diff
 from .sdtn import SdtnParams, sdtn_ppf, std_normal_cdf
 
 LOG_DOUBLE_MIN = math.log(np.finfo(float).tiny)
@@ -114,62 +114,38 @@ def _solve_at(theta: Theta, design: BlockDesign):
     return design.solve(theta.varsigma ** 2, theta.sigma)
 
 
-def _chol(A):
-    try:
-        return np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError("X^T V^{-1} X is singular") from exc
-
-
-def _chol_solve(L, b):
-    return np.linalg.solve(L.T, np.linalg.solve(L, b))
-
-
-def _logdet_from_chol(L) -> float:
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
-
-
-def _gls(theta: Theta, design: BlockDesign):
-    """(BlockSolve, X^T V^{-1} X, its Cholesky factor, GLS fixed effects) at theta."""
-    sol = _solve_at(theta, design)
-    F = sol.xt_vinv_x()
-    L = _chol(F)
-    return sol, F, L, _chol_solve(L, sol.xt_vinv_y())
-
-
 def criterion_and_gradient(x: np.ndarray, design: BlockDesign, criterion: str):
     """The minimized ML or REML criterion at x = (varsigma, log sigma) and
     its exact gradient; the value is bit-equal to -profile_loglik
     (-reml_loglik) at theta = (|varsigma|, exp(log sigma)).
     """
-    restricted = criterion == "REML"
-    sol, F, L, beta = _gls(Theta(np.abs(x[:-1]), math.exp(x[-1])), design)
-    q = sol.quad_form_resid(beta)
-    value = sol.logdet_v + q
-    if restricted:
-        value += _logdet_from_chol(L)
-    dd, _ = sol.pls_partials(beta, F if restricted else None)
+    sol = _solve_at(Theta(np.abs(x[:-1]), math.exp(x[-1])), design)
+    value, dd, _, half_dlogsigma = sol.criterion_partials(sol.gls_beta(),
+                                                          criterion == "REML")
     grad = np.empty(x.size)
     grad[:-1] = dd * x[:-1]  # d_i = x_i^2, halved
-    grad[-1] = design.n - q - design.p * restricted - float(sol.d @ dd)
+    grad[-1] = half_dlogsigma
     return 0.5 * value, grad
 
 
 def profile_beta(theta: Theta, dataset, spec: ModelSpec) -> np.ndarray:
     """Generalized-least-squares fixed effects at theta."""
-    return _gls(theta, as_design(dataset, spec))[3]
+    return _solve_at(theta, as_design(dataset, spec)).gls_beta()
+
+
+def _loglik(theta: Theta, dataset, spec: ModelSpec, restricted: bool) -> float:
+    sol = _solve_at(theta, as_design(dataset, spec))
+    return -0.5 * sol.criterion(sol.gls_beta(), restricted)
 
 
 def profile_loglik(theta: Theta, dataset, spec: ModelSpec) -> float:
     """Profile Gaussian log-likelihood at theta, fixed effects profiled out."""
-    sol, _, _, beta = _gls(theta, as_design(dataset, spec))
-    return -0.5 * (sol.logdet_v + sol.quad_form_resid(beta))
+    return _loglik(theta, dataset, spec, restricted=False)
 
 
 def reml_loglik(theta: Theta, dataset, spec: ModelSpec) -> float:
     """Restricted log-likelihood: profile value minus half logdet(X^T V^{-1} X)."""
-    sol, _, L, beta = _gls(theta, as_design(dataset, spec))
-    return -0.5 * (sol.logdet_v + sol.quad_form_resid(beta) + _logdet_from_chol(L))
+    return _loglik(theta, dataset, spec, restricted=True)
 
 
 def gamma_closed_form(theta: Theta, dataset, spec: ModelSpec, beta: np.ndarray) -> RandomEffects:
@@ -177,39 +153,6 @@ def gamma_closed_form(theta: Theta, dataset, spec: ModelSpec, beta: np.ndarray) 
     design = as_design(dataset, spec)
     sol = _solve_at(theta, design)
     return RandomEffects(theta.varsigma ** 2 * sol.zt_vinv_resid(beta))
-
-
-def joint_system_solve(theta_hat: Theta, dataset, spec: ModelSpec):
-    """Solve the joint (beta, gamma) normal equations at known theta.
-
-    Coordinates with zero random-effect variance are removed from the
-    system (their deviations are identically zero) so the penalty block
-    stays invertible; the result agrees with the closed forms.
-    """
-    from .model import assemble
-
-    if isinstance(dataset, BlockDesign):
-        raise TypeError("joint_system_solve needs the raw Dataset")
-    X, Z, y, _ = assemble(dataset, spec)
-    g, k, p = dataset.g, spec.k, dataset.p
-    active = np.where(theta_hat.varsigma > 0)[0]
-    keep = np.concatenate([ell * k + active for ell in range(g)]) if k else np.array([], dtype=int)
-    Za = Z[:, keep] if k else Z
-    ginv = np.tile(1.0 / theta_hat.varsigma[active] ** 2, g)
-    r2 = theta_hat.sigma ** 2
-    top = np.hstack([X.T @ X, X.T @ Za])
-    bottom = np.hstack([Za.T @ X, Za.T @ Za + r2 * np.diag(ginv)])
-    lhs = np.vstack([top, bottom])
-    rhs = np.concatenate([X.T @ y, Za.T @ y])
-    try:
-        sol = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError("joint system is singular") from exc
-    beta = sol[:p]
-    gamma = np.zeros((g, k))
-    for j, idx in enumerate(keep):
-        gamma[idx // k, idx % k] = sol[p + j]
-    return beta, RandomEffects(gamma)
 
 
 def _baseline_starts(design: BlockDesign, seed: int):
@@ -231,7 +174,7 @@ def _baseline_starts(design: BlockDesign, seed: int):
 
 
 def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML",
-                      seed: int = 0, max_iter: int = 500) -> BaselineFit:
+                      seed: int = 0) -> BaselineFit:
     """Maximize the ML or REML criterion over theta, then recover beta, gamma.
 
     The search runs over (varsigma, log sigma) with varsigma kept
@@ -251,7 +194,7 @@ def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML"
 
     bounds = [(0.0, None)] * design.k + [(design.log_sigma_floor, None)]
     _, res, results, _ = multistart(objective, _baseline_starts(design, seed), bounds,
-                                    tol_obj=TOL_OBJ, tol_grad=TOL_GRAD, max_iter=max_iter)
+                                    tol_obj=TOL_OBJ, tol_grad=TOL_GRAD, max_iter=MAX_ITER)
     theta = Theta(res.x[:-1], math.exp(res.x[-1]))
     beta = profile_beta(theta, design, spec)
     gamma = gamma_closed_form(theta, design, spec, beta)
@@ -328,8 +271,7 @@ def pit_objective(x: np.ndarray, design: BlockDesign, spec: ModelSpec, q: int,
 
 
 def fit_pit(dataset: Dataset, spec: ModelSpec, q: int = 2,
-            initial: Parameters | None = None,
-            max_iter: int = 500) -> BaselineFit:
+            initial: Parameters | None = None) -> BaselineFit:
     """Fit the PIT quadrature baseline (single random-effect column only).
 
     Deliberately mirrors the original single-pass formulation: one
@@ -362,7 +304,7 @@ def fit_pit(dataset: Dataset, spec: ModelSpec, q: int = 2,
     pit_objective(x0, design, spec, q, strict=True)
     res = minimize_box(with_central_diff(lambda x: pit_objective(x, design, spec, q,
                                                                  strict=False)),
-                       x0, bounds, tol_obj=1e-10, tol_grad=1e-7, max_iter=max_iter)
+                       x0, bounds, tol_obj=1e-10, tol_grad=1e-7)
     pit_objective(res.x, design, spec, q, strict=True)
     beta = res.x[:design.p]
     varsigma = res.x[design.p:design.p + 1].copy()

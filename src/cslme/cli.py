@@ -624,10 +624,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, FileNotFoundError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError, PermissionError) as exc:  # SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except QuadratureUnderflowError as exc:

@@ -1,8 +1,6 @@
-"""Bundled example data and synthetic analogs."""
+"""Bundled example data."""
 
 from pathlib import Path
-
-import numpy as np
 
 
 def sleepstudy_path() -> Path:
@@ -12,45 +10,3 @@ def sleepstudy_path() -> Path:
     subject-day.
     """
     return Path(__file__).parent / "data" / "sleepstudy.csv"
-
-
-def synthetic_discount_sales(seed: int = 20170301, clusters: int = 6,
-                             rows_per_cluster: int = 45):
-    """Synthetic panel shaped like a store-level discounted-sales extract.
-
-    Columns: Store Cluster (A, B, ...), Discount Rate in [0, 1] (mostly
-    zero), Logit Quantity. The true discount effect is slightly positive,
-    but low-demand clusters discount more often and more deeply, so an
-    unconstrained mixed fit typically lands on a negative pooled slope;
-    the sign-constrained fit cannot. Returns (header, rows).
-    """
-    rng = np.random.default_rng(seed)
-    labels = [chr(ord("A") + i) for i in range(clusters)]
-    # demand level decreasing across clusters, discounting intensity increasing
-    base = np.linspace(0.9, -0.9, clusters) + rng.normal(0.0, 0.1, clusters)
-    discount_prob = np.linspace(0.1, 0.7, clusters)
-    discount_scale = np.linspace(0.1, 0.45, clusters)
-    true_slope = 0.05
-    rows = []
-    for c in range(clusters):
-        for _ in range(rows_per_cluster):
-            if rng.random() < discount_prob[c]:
-                x = float(np.clip(rng.normal(discount_scale[c], 0.1), 0.01, 1.0))
-            else:
-                x = 0.0
-            y = base[c] + true_slope * x + float(rng.normal(0.0, 0.6))
-            rows.append((labels[c], round(x, 3), round(y, 3)))
-    return ("Store Cluster", "Discount Rate", "Logit Quantity"), rows
-
-
-def write_synthetic_discount_sales(path, **kwargs) -> Path:
-    """Write the synthetic discounted-sales panel as RFC-4180 CSV."""
-    import csv
-
-    header, rows = synthetic_discount_sales(**kwargs)
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path

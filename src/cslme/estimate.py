@@ -14,15 +14,10 @@ multi-start; the lowest-objective start wins, ties broken by start index.
 
 Each optimizer call returns the objective and its exact gradient in
 (beta, varsigma, log sigma) from one factorization of V
-(`objective_and_gradient`): the partials in the random-effect variances
-d and in beta come from `BlockSolve.pls_partials`, the chain through d_i
-= varsigma_i^2 vf(|beta_{alpha_i}| / varsigma_i) from
-`re_variance_partials`, and the log-sigma partial from the homogeneity of
-V of degree 1 in (d, sigma^2):
-
-    df/dlog sigma = 2 (n - q - p [PRLS] - sum_i d_i df/dd_i),
-
-with q the quadratic form.
+(`objective_and_gradient`): the value and its partials in the random-effect
+variances d, in beta and in log sigma come from
+`BlockSolve.criterion_partials`, and the chain through d_i = varsigma_i^2
+vf(|beta_{alpha_i}| / varsigma_i) from `re_variance_partials`.
 """
 
 from dataclasses import dataclass, field
@@ -41,7 +36,7 @@ from .model import (
     re_variance_partials,
     re_variances,
 )
-from .optim import TOL_GRAD, TOL_OBJ, BoxResult, ConvergenceError, minimize_box
+from .optim import MAX_ITER, TOL_GRAD, TOL_OBJ, BoxResult, ConvergenceError, minimize_box
 from . import metrics as _metrics
 from . import ranef as _ranef
 
@@ -54,29 +49,20 @@ FAILED_START = (np.linalg.LinAlgError, FloatingPointError, OverflowError,
                 SingularDesignError)
 
 
-class NotPositiveDefiniteError(np.linalg.LinAlgError):
-    """A block failed Cholesky factorization even after one jitter retry."""
-
-
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs for the constrained fit."""
 
     method: str = "PLS"
     n_starts: int = 5
-    max_iter: int = 500
-    tol_obj: float = TOL_OBJ
-    tol_grad: float = TOL_GRAD
     seed: int = 0
 
     def __post_init__(self):
         if self.method.upper() not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         object.__setattr__(self, "method", self.method.upper())
-        if self.n_starts < 1 or self.max_iter < 1:
-            raise ValueError("n_starts and max_iter must be positive")
-        if not (self.tol_obj > 0 and self.tol_grad > 0):
-            raise ValueError("tolerances must be positive")
+        if self.n_starts < 1:
+            raise ValueError("n_starts must be positive")
 
 
 @dataclass
@@ -96,44 +82,10 @@ class FitResult:
     failed_starts: list = field(default_factory=list)
 
 
-def logdet_psd(blocks) -> float:
-    """Sum of log-determinants of symmetric PD blocks via Cholesky.
-
-    On a failed factorization, retries once with 1e-10 * trace/n added to
-    the diagonal; a second failure raises.
-    """
-    total = 0.0
-    for B in blocks:
-        B = np.asarray(B, dtype=float)
-        try:
-            L = np.linalg.cholesky(B)
-        except np.linalg.LinAlgError:
-            jitter = 1e-10 * float(np.trace(B)) / B.shape[0]
-            try:
-                L = np.linalg.cholesky(B + jitter * np.eye(B.shape[0]))
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefiniteError(
-                    "block is not positive definite after jitter retry"
-                ) from exc
-        total += 2.0 * float(np.sum(np.log(np.diag(L))))
-    return total
-
-
-def _logdet_restricted(F: np.ndarray) -> float:
-    try:
-        return logdet_psd([F])
-    except NotPositiveDefiniteError as exc:
-        raise SingularDesignError("X^T V^{-1} X is singular") from exc
-
-
 def _objective_core(design: BlockDesign, spec: ModelSpec, beta, varsigma, sigma,
                     restricted: bool) -> float:
     d = re_variances(beta, varsigma, spec.alpha)
-    sol = design.solve(d, sigma)
-    value = sol.quad_form_resid(beta) + sol.logdet_v
-    if restricted:
-        value += _logdet_restricted(sol.xt_vinv_x())
-    return value
+    return design.solve(d, sigma).criterion(beta, restricted)
 
 
 def objective_and_gradient(design: BlockDesign, spec: ModelSpec, x: np.ndarray,
@@ -147,18 +99,12 @@ def objective_and_gradient(design: BlockDesign, spec: ModelSpec, x: np.ndarray,
     beta, varsigma = x[:p], x[p:p + k]
     d, d_beta, d_varsigma = re_variance_partials(beta, varsigma, spec.alpha)
     sol = design.solve(d, math.exp(x[-1]))
-    q = sol.quad_form_resid(beta)
-    value = q + sol.logdet_v
-    F = None
-    if restricted:
-        F = sol.xt_vinv_x()
-        value += _logdet_restricted(F)
-    dd, xvr = sol.pls_partials(beta, F)
+    value, dd, xvr, half_dlogsigma = sol.criterion_partials(beta, restricted)
     grad = np.empty(p + k + 1)
     grad[:p] = -2.0 * xvr
     grad[list(spec.alpha)] += dd * d_beta
     grad[p:p + k] = dd * d_varsigma
-    grad[-1] = 2.0 * (design.n - q - p * restricted - float(d @ dd))
+    grad[-1] = 2.0 * half_dlogsigma
     return value, grad
 
 
@@ -279,7 +225,7 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
 
     best_idx, best, results, failures = multistart(
         objective, default_starts(design, spec, config), _bounds_for(design, spec),
-        config.tol_obj, config.tol_grad, config.max_iter)
+        TOL_OBJ, TOL_GRAD, MAX_ITER)
     x = best.x
     varsigma = x[p:p + k].copy()
     # a zero coefficient pins its deviation at 0, leaving the scale

@@ -33,17 +33,13 @@ def rmse(estimates, truth, subset=None) -> float:
     return math.sqrt(sum(sq) / len(sq))
 
 
-def r_squared(fit, dataset: Dataset, spec: ModelSpec, effective: bool = False):
-    """Marginal and conditional variance-explained of a fitted model.
+def r_squared(params: Parameters, dataset: Dataset, spec: ModelSpec,
+              effective: bool = False):
+    """Marginal and conditional variance-explained at fitted parameters.
 
-    Accepts a FitResult-like object carrying `.params` or a bare
-    Parameters. Predictions use fixed effects only; their variance is
-    taken around their own mean so a constant prediction contributes
-    exactly zero.
+    Predictions use fixed effects only; their variance is taken around
+    their own mean so a constant prediction contributes exactly zero.
     """
-    params = getattr(fit, "params", fit)
-    if not isinstance(params, Parameters):
-        raise TypeError("expected a Parameters or an object with a .params field")
     y_hat = np.concatenate([gd.X @ params.beta for gd in dataset.groups])
     var_fixed = float(np.mean((y_hat - np.mean(y_hat)) ** 2))
     if effective:

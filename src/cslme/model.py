@@ -1,4 +1,4 @@
-"""Grouped data model and marginal-covariance assembly.
+"""Grouped data model and the block-diagonal covariance core.
 
 A Dataset is an ordered list of groups, each carrying a response vector and
 a design matrix with a shared column count p. A ModelSpec selects the
@@ -12,12 +12,18 @@ determinant/solve work goes through the g small k x k capacitance matrices
 per-group cross-products once, in O(n (p + k)^2); each (d, sigma)
 evaluation is then one batched factorization of the capacitance matrices
 and batched contractions, O(g k^3 + g k p), plus one O(n p) mat-vec for a
-residual; the partial derivatives an exact gradient needs
-(`BlockSolve.pls_partials`) add O(g k^2 (k + p) + g k p^2 + p^3). The dense `marginal_cov` exists as a test surface and for small
-problems.
+residual.
+
+`BlockSolve.criterion` is the one Gaussian criterion behind every
+estimator: r^T V^{-1} r + ln|V|, plus ln|X^T V^{-1} X| when restricted.
+PLS/PRLS evaluate it at the sign-constrained beta, ML/REML at the GLS
+beta (`BlockSolve.gls_beta`), which reads the same Cholesky factor of
+X^T V^{-1} X. `BlockSolve.criterion_partials` adds the partial derivatives
+an exact gradient needs, for O(g k^2 (k + p) + g k p^2 + p^3) more.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import math
 
 import numpy as np
@@ -178,31 +184,6 @@ class RandomEffects:
             object.__setattr__(self, "at_bound", np.atleast_2d(np.asarray(self.at_bound, dtype=bool)))
 
 
-def assemble(dataset: Dataset, spec: ModelSpec):
-    """Stack the grouped model into dense (X, Z, y, group_offsets).
-
-    Z is block diagonal with block l equal to X_l restricted to the alpha
-    columns; rows keep input order within and across groups. group_offsets
-    has g + 1 entries (row boundaries of each group's block).
-    """
-    spec.validate_against(dataset)
-    k, g = spec.k, dataset.g
-    n, p = dataset.n, dataset.p
-    X = np.vstack([gd.X for gd in dataset.groups])
-    have_y = all(gd.y is not None for gd in dataset.groups)
-    y = np.concatenate([gd.y for gd in dataset.groups]) if have_y else None
-    Z = np.zeros((n, k * g))
-    offsets = np.zeros(g + 1, dtype=int)
-    row = 0
-    for ell, gd in enumerate(dataset.groups):
-        offsets[ell] = row
-        if k:
-            Z[row:row + gd.n, ell * k:(ell + 1) * k] = gd.X[:, list(spec.alpha)]
-        row += gd.n
-    offsets[g] = row
-    return X, Z, y, offsets
-
-
 def re_variances(beta: np.ndarray, varsigma: np.ndarray, alpha) -> np.ndarray:
     """SDTN random-effect variances from raw coefficient/scale arrays.
 
@@ -260,24 +241,6 @@ def re_variance_partials(beta: np.ndarray, varsigma: np.ndarray, alpha):
 def sdtn_variances(params: Parameters, spec: ModelSpec) -> np.ndarray:
     """Per-column SDTN random-effect variances (the diagonal of Delta)."""
     return re_variances(params.beta, params.varsigma, spec.alpha)
-
-
-def lambda_diag(params: Parameters, spec: ModelSpec, g: int) -> np.ndarray:
-    """Diagonal of Lambda: g repeated copies of the per-column variances."""
-    return np.tile(sdtn_variances(params, spec), g)
-
-
-def marginal_cov(params: Parameters, spec: ModelSpec, Z: np.ndarray) -> np.ndarray:
-    """Dense marginal covariance V = Z Lambda Z^T + sigma^2 I.
-
-    Intended for tests and small problems; fitting code uses BlockDesign.
-    """
-    n, kg = Z.shape
-    if spec.k == 0:
-        return params.sigma ** 2 * np.eye(n)
-    g = kg // spec.k
-    lam = lambda_diag(params, spec, g)
-    return (Z * lam) @ Z.T + params.sigma ** 2 * np.eye(n)
 
 
 class BlockDesign:
@@ -406,20 +369,70 @@ class BlockSolve:
         u = (self._B @ self.design.Zty[:, :, None]).reshape(-1)
         return (self.design.Xty - self._BZtX().T @ u / self.sigma2) / self.sigma2
 
-    def pls_partials(self, beta: np.ndarray, F: np.ndarray | None = None):
-        """Partial derivatives of r^T V^{-1} r + ln|V|, r = y - X beta.
+    @cached_property
+    def _f_chol(self):
+        """(F, L): F = X^T V^{-1} X = L L^T, the one factorization of F.
 
-        Returns (dd, xvr). dd[i], the derivative in d_i at fixed beta and
-        sigma, is sum_l [(Z_l^T V_l^{-1} Z_l)_ii - u_li^2] with u_l =
-        Z_l^T V_l^{-1} r_l; xvr = X^T V^{-1} r, so the derivative in beta at
-        fixed V is -2 xvr. Given F = X^T V^{-1} X, dd also carries the
-        derivative of ln|F|, -sum_l (W_l F^{-1} W_l^T)_ii with W_l =
-        Z_l^T V_l^{-1} X_l. Everything is read off Z_l^T V_l^{-1} [Z_l X_l y_l]
-        and X^T V^{-1} [X y], one batched product each, with u_l and xvr
-        formed as (.. y) - (.. X) beta: O(g k^2 (k + p) + g k p^2 + p^3).
+        F depends on (d, sigma) alone, so it stays exact when
+        `BlockDesign.solve` hands this solve back for a repeated point.
+        """
+        F = self.xt_vinv_x()
+        try:
+            L = np.linalg.cholesky(F)
+            # a collinear column can pass with a rounding-level pivot, about
+            # sqrt(eps) of its norm; reject pivots below 1e-7 of the norm, the
+            # usual QR collinearity tolerance (Python floats: p is small)
+            pivots, norms2 = L.diagonal().tolist(), F.diagonal().tolist()
+            if any(v * v <= 1e-14 * f for v, f in zip(pivots, norms2)):
+                raise np.linalg.LinAlgError("collinear design column")
+        except np.linalg.LinAlgError as exc:
+            raise SingularDesignError("X^T V^{-1} X is singular") from exc
+        return F, L
+
+    def _logdet_f(self) -> float:
+        return 2.0 * float(np.sum(np.log(np.diag(self._f_chol[1]))))
+
+    def gls_beta(self) -> np.ndarray:
+        """Generalized-least-squares fixed effects F^{-1} X^T V^{-1} y."""
+        L = self._f_chol[1]
+        return np.linalg.solve(L.T, np.linalg.solve(L, self.xt_vinv_y()))
+
+    def criterion(self, beta: np.ndarray, restricted: bool) -> float:
+        """r^T V^{-1} r + ln|V|, plus ln|X^T V^{-1} X| if `restricted`; r = y - X beta.
+
+        The PLS (PRLS) objective at beta; at beta = gls_beta() it is -2
+        times the profile (restricted) log-likelihood, up to constants.
+        """
+        value = self.quad_form_resid(beta) + self.logdet_v
+        if restricted:
+            value += self._logdet_f()
+        return value
+
+    def criterion_partials(self, beta: np.ndarray, restricted: bool):
+        """`criterion` and its partial derivatives, from this one factorization.
+
+        Returns (value, dd, xvr, half_dlogsigma). dd[i], the derivative in
+        d_i at fixed beta and sigma, is sum_l [(Z_l^T V_l^{-1} Z_l)_ii -
+        u_li^2] with u_l = Z_l^T V_l^{-1} r_l; if `restricted` it also
+        carries the derivative of ln|F|, -sum_l (W_l F^{-1} W_l^T)_ii with
+        W_l = Z_l^T V_l^{-1} X_l. xvr = X^T V^{-1} r, so the derivative in
+        beta at fixed V is -2 xvr. V is homogeneous of degree 1 in (d,
+        sigma^2), so the derivative in log sigma at fixed beta and d is
+        twice
+
+            half_dlogsigma = n - q - p [restricted] - sum_i d_i dd_i,
+
+        with q the quadratic form. Everything is read off Z_l^T V_l^{-1}
+        [Z_l X_l y_l] and X^T V^{-1} [X y], one batched product each, with
+        u_l and xvr formed as (.. y) - (.. X) beta: O(g k^2 (k + p) + g k
+        p^2 + p^3).
         """
         des = self.design
         k, p, s2 = des.k, des.p, self.sigma2
+        q = self.quad_form_resid(beta)
+        value = q + self.logdet_v
+        if restricted:
+            value += self._logdet_f()
         Q = self._B @ des.ZtA                                # B_l Z_l^T [Z_l X_l y_l]
         R = (des.ZtA - np.swapaxes(Q[:, :, :k], 1, 2) @ Q / s2) / s2  # Z_l^T V_l^{-1} [...]
         W = R[:, :, k:k + p]
@@ -428,10 +441,10 @@ class BlockSolve:
         T = Q[:, :, k:].reshape(-1, p + 1)
         M = (des.XtA - T[:, :p].T @ T / s2) / s2             # X^T V^{-1} [X y]
         xvr = M[:, -1] - M[:, :p] @ beta
-        if F is not None:
+        if restricted:
             Wt = np.swapaxes(W, 0, 1)                        # (k, g, p)
-            dd -= (np.swapaxes(Wt, 1, 2) @ Wt * np.linalg.inv(F)).sum(axis=(1, 2))
-        return dd, xvr
+            dd -= (np.swapaxes(Wt, 1, 2) @ Wt * np.linalg.inv(self._f_chol[0])).sum(axis=(1, 2))
+        return value, dd, xvr, des.n - q - p * restricted - float(self.d @ dd)
 
     def zt_vinv_resid(self, beta: np.ndarray) -> np.ndarray:
         """Z_l^T V_l^{-1} (y_l - X_l beta) for every group, as rows of a (g, k) array."""

@@ -15,9 +15,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 # Stopping tolerances of every fit except PIT: relative objective decrease
-# and projected-gradient infinity norm.
+# and projected-gradient infinity norm. Every fit allows MAX_ITER iterations.
 TOL_OBJ = 1e-11
 TOL_GRAD = 1e-8
+MAX_ITER = 500
 
 
 class ConvergenceError(RuntimeError):
@@ -77,7 +78,7 @@ class BoxResult:
 
 
 def minimize_box(fun, x0, bounds, tol_obj=TOL_OBJ, tol_grad=TOL_GRAD,
-                 max_iter=500) -> BoxResult:
+                 max_iter=MAX_ITER) -> BoxResult:
     """Minimize over a box; `fun(x)` returns the objective and its gradient.
 
     Stops when the relative objective decrease falls below tol_obj, the

@@ -379,7 +379,7 @@ def contour_grid(request: ContourRequest, dataset: Dataset, spec: ModelSpec) -> 
 
 def minimize_labels(dataset: Dataset, spec: ModelSpec, fixed: Parameters,
                     labels, method: str = "PLS", constrained: bool = True,
-                    x0=None, max_iter: int = 500):
+                    x0=None):
     """Minimize the chosen objective over a subset of labeled parameters.
 
     All parameters outside `labels` stay at their `fixed` values. With
@@ -417,8 +417,7 @@ def minimize_labels(dataset: Dataset, spec: ModelSpec, fixed: Parameters,
             bounds.append((0.0, None))
         else:
             bounds.append((None, None))
-    res = minimize_box(with_central_diff(fun), np.asarray(x0, dtype=float), bounds,
-                       max_iter=max_iter)
+    res = minimize_box(with_central_diff(fun), np.asarray(x0, dtype=float), bounds)
     values = {lbl: (math.exp(v) if lbl == "sigma" else float(v))
               for lbl, v in zip(labels, res.x)}
     return values, float(res.fun)

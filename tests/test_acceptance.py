@@ -22,18 +22,12 @@ from cslme.baseline import (
     fit_pit,
     fit_unconstrained,
     gamma_closed_form,
-    joint_system_solve,
     profile_beta,
 )
 from cslme.cli import InputSchema, ingest
 from cslme.datasets import sleepstudy_path
 from cslme.estimate import FitConfig, fit, pls_objective, prls_objective
-from cslme.model import (
-    ModelSpec,
-    Parameters,
-    assemble,
-    marginal_cov,
-)
+from cslme.model import ModelSpec, Parameters
 from cslme.optim import central_diff_grad
 from cslme.ranef import GroupQp, kkt_residual, solve_group
 from cslme.sdtn import (
@@ -55,6 +49,7 @@ from cslme.sim import (
 )
 
 from conftest import make_dataset, random_params
+from dense import assemble, joint_system_solve, marginal_cov
 
 
 class Budget:

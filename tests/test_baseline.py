@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from conftest import make_dataset
+from dense import assemble, joint_system_solve
 from cslme.baseline import (
     QuadratureUnderflowError,
     Theta,
@@ -12,7 +13,6 @@ from cslme.baseline import (
     fit_unconstrained,
     gamma_closed_form,
     gh_nodes,
-    joint_system_solve,
     pit_objective,
     profile_beta,
     profile_loglik,
@@ -24,7 +24,6 @@ from cslme.model import (
     GroupData,
     ModelSpec,
     Parameters,
-    assemble,
 )
 from cslme.optim import ConvergenceError
 from cslme.sdtn import SdtnParams, sdtn_pdf

@@ -334,7 +334,7 @@ class TestMalformedInputs:
 
 class TestDiscountSalesAnalog:
     def test_sign_pattern_and_r2(self, tmp_path):
-        from cslme.datasets import write_synthetic_discount_sales
+        from dense import write_synthetic_discount_sales
         from cslme.baseline import fit_unconstrained
         from cslme.estimate import FitConfig, fit
         from cslme.model import ModelSpec
@@ -364,7 +364,7 @@ class TestDiscountSalesAnalog:
         assert 0.15 < c_eff < 0.9
 
     def test_cli_fit_on_analog(self, tmp_path):
-        from cslme.datasets import write_synthetic_discount_sales
+        from dense import write_synthetic_discount_sales
 
         path = write_synthetic_discount_sales(tmp_path / "discount.csv")
         out = tmp_path / "fit.json"

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, random_params
+from dense import assemble, marginal_cov
 from cslme import estimate
 from cslme.estimate import (
     FAILED_START,
     FitConfig,
-    NotPositiveDefiniteError,
     approx_loglik,
     fit,
-    logdet_psd,
     multistart,
     pls_objective,
     prls_objective,
@@ -21,10 +20,9 @@ from cslme.model import (
     GroupData,
     ModelSpec,
     Parameters,
-    assemble,
-    marginal_cov,
 )
 from cslme.optim import (
+    TOL_OBJ,
     ConvergenceError,
     central_diff_grad,
     gradient_step,
@@ -99,27 +97,6 @@ class TestObjectives:
         expected = -0.5 * data.n * (math.log(2 * math.pi * sigma2) + 1.0)
         spec = ModelSpec(alpha=(0,), constrained=False)
         assert approx_loglik(params, data, spec) == pytest.approx(expected, rel=1e-12)
-
-
-class TestLogdetPsd:
-    def test_identity_blocks(self):
-        assert logdet_psd([np.eye(3), np.eye(5)]) == 0.0
-
-    def test_diagonal_blocks(self):
-        d = np.array([0.5, 2.0, 4.0])
-        assert logdet_psd([np.diag(d)]) == pytest.approx(float(np.sum(np.log(d))),
-                                                         rel=1e-14)
-
-    def test_random_pd_matches_eigenvalues(self, rng):
-        for _ in range(5):
-            A = rng.normal(size=(6, 6))
-            B = A @ A.T + 0.5 * np.eye(6)
-            assert logdet_psd([B]) == pytest.approx(
-                float(np.sum(np.log(np.linalg.eigvalsh(B)))), abs=1e-8)
-
-    def test_indefinite_block_raises(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            logdet_psd([np.diag([1.0, -1.0])])
 
 
 def boundary_scenario(n=300, seed=11):
@@ -200,12 +177,11 @@ class TestFit:
 
     def test_optimality_probe(self):
         data, spec, _ = simulate(boundary_scenario(n=250, seed=13))
-        cfg = FitConfig(method="PLS", seed=1, tol_obj=1e-11, tol_grad=1e-8)
-        res = fit(data, spec, cfg)
+        res = fit(data, spec, FitConfig(method="PLS", seed=1))
         x = np.concatenate([res.params.beta, res.params.varsigma,
                             [math.log(res.params.sigma)]])
         rng = np.random.default_rng(99)
-        tol = cfg.tol_obj * (1.0 + abs(res.objective))
+        tol = TOL_OBJ * (1.0 + abs(res.objective))
         p, k = data.p, spec.k
         for _ in range(200):
             delta = 1e-3 * rng.uniform(-1, 1, size=x.size) * np.maximum(np.abs(x), 0.1)
@@ -233,7 +209,7 @@ class TestFit:
                            varsigma=np.array([0.4]), sigma=0.8)
         sc = Scenario(n=500, p=3, g=2, alpha=(0,), truth=truth, seed=31)
         data, spec, _ = simulate(sc)
-        cfg = FitConfig(method="PLS", seed=2, tol_obj=1e-11, tol_grad=1e-8)
+        cfg = FitConfig(method="PLS", seed=2)
         constrained = fit(data, spec, cfg)
         free_spec = ModelSpec(alpha=spec.alpha, intercept=spec.intercept,
                               constrained=False)

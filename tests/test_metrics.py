@@ -93,14 +93,3 @@ class TestRSquared:
         y_hat = np.concatenate([gd.X @ params.beta for gd in data.groups])
         vfix = float(np.mean((y_hat - y_hat.mean()) ** 2))
         assert c_eff == pytest.approx((vfix + vr) / (vfix + vr + 1.0), rel=1e-12)
-
-    def test_accepts_fit_result_like(self, rng):
-        class Holder:
-            pass
-
-        data = make_dataset(rng, g=2, p=2)
-        spec = ModelSpec(alpha=(0,))
-        holder = Holder()
-        holder.params = Parameters(beta=np.array([1.0, 1.0]),
-                                   varsigma=np.array([0.3]), sigma=1.0)
-        assert r_squared(holder, data, spec) == r_squared(holder.params, data, spec)

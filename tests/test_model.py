@@ -5,6 +5,9 @@ import pytest
 from scipy import integrate
 
 from conftest import make_dataset, random_params
+from dense import assemble, lambda_diag, marginal_cov
+from cslme.baseline import Theta, reml_loglik
+from cslme.estimate import prls_objective
 from cslme.model import (
     BlockDesign,
     Dataset,
@@ -12,9 +15,7 @@ from cslme.model import (
     GroupData,
     ModelSpec,
     Parameters,
-    assemble,
-    lambda_diag,
-    marginal_cov,
+    SingularDesignError,
     sdtn_variances,
 )
 from cslme.sdtn import SdtnParams, sdtn_pdf
@@ -237,6 +238,18 @@ class TestBlockSolveAgainstDense:
         close(sol.xt_vinv_y(), X.T @ Vinv @ y)
         close(sol.zt_vinv_resid(params.beta).reshape(-1), Z.T @ Vinv @ r)
 
+        logdet_v = np.linalg.slogdet(V)[1]
+        q = r @ Vinv @ r
+        F = X.T @ Vinv @ X
+        assert sol.criterion(params.beta, False) == pytest.approx(q + logdet_v, abs=1e-9,
+                                                                  rel=1e-9)
+        # the restricted term and GLS need a well-conditioned X^T V^-1 X
+        # (one-row groups can leave fewer rows than columns)
+        if np.linalg.cond(F) < 1e6:
+            assert sol.criterion(params.beta, True) == pytest.approx(
+                q + logdet_v + np.linalg.slogdet(F)[1], abs=1e-8, rel=1e-9)
+            close(sol.gls_beta(), np.linalg.solve(F, X.T @ Vinv @ y))
+
     def test_repeated_point_gives_a_fresh_designs_values(self, rng):
         data = make_dataset(rng, g=4, p=3)
         spec = ModelSpec(alpha=(0, 2))
@@ -256,3 +269,26 @@ class TestBlockSolveAgainstDense:
         assert again is design.solve(*first)
         # one ulp of sigma away is a new point
         assert design.solve(first[0], np.nextafter(first[1], 2.0)) is not again
+
+
+RESTRICTED_CRITERIA = {
+    "prls_objective": lambda data, spec, params: prls_objective(params, data, spec),
+    "reml_loglik": lambda data, spec, params: reml_loglik(
+        Theta(params.varsigma, params.sigma), data, spec),
+    "BlockSolve.criterion": lambda data, spec, params: BlockDesign(data, spec).solve(
+        sdtn_variances(params, spec), params.sigma).criterion(params.beta, True),
+}
+
+
+@pytest.mark.parametrize("name", RESTRICTED_CRITERIA)
+def test_duplicated_design_column_is_singular(rng, name):
+    # Cholesky of the exactly singular X^T V^-1 X fails on some draws and
+    # passes with a rounding-level pivot on others; both must raise
+    spec = ModelSpec(alpha=(0,))
+    params = Parameters(beta=np.array([1.0, 0.5, 0.5]), varsigma=np.array([0.4]), sigma=0.8)
+    for _ in range(20):
+        data = make_dataset(rng, g=4, p=2)
+        dup = Dataset(tuple(GroupData(gd.group_id, gd.y, gd.X[:, [0, 1, 1]])
+                            for gd in data.groups))
+        with pytest.raises(SingularDesignError):
+            RESTRICTED_CRITERIA[name](dup, spec, params)
