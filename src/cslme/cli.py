@@ -39,7 +39,6 @@ from .sim import (
     fit_method,
     gen_design,
     gen_response,
-    parameter_labels,
     run_scenario,
     sdtn_sd,
 )
@@ -469,7 +468,7 @@ def cmd_contour(args) -> int:
         parts = _cfg_float_list(cfg, key)
         if len(parts) != 3:
             raise SchemaError(f"{key} must be 'lo, hi, steps'")
-        ranges.append((parts[0], parts[1], int(parts[2])))
+        ranges.append(tuple(parts))  # ContourRequest checks the step count
 
     if args.data:
         if not (args.group_col and args.response_col and args.features):
@@ -491,14 +490,6 @@ def cmd_contour(args) -> int:
                            sigma=float(cfg["sigma"]))
     except KeyError as exc:
         raise SchemaError(f"contour config missing key {exc.args[0]!r}") from None
-    if fixed.beta.shape != (dataset.p,):
-        raise SchemaError(
-            f"fixed beta has {fixed.beta.size} entries, model has p={dataset.p}"
-        )
-    labels = parameter_labels(spec, dataset.p)
-    for v in vary:
-        if v not in labels:
-            raise SchemaError(f"unknown parameter {v!r}; valid labels: {labels}")
     request = ContourRequest(objective=cfg["objective"].upper(), vary=vary,
                              ranges=tuple(ranges), fixed=fixed)
     grid = contour_grid(request, dataset, spec)

@@ -20,6 +20,14 @@ PLS/PRLS evaluate it at the sign-constrained beta, ML/REML at the GLS
 beta (`BlockSolve.gls_beta`), which reads the same Cholesky factor of
 X^T V^{-1} X. `BlockSolve.criterion_partials` adds the partial derivatives
 an exact gradient needs, for O(g k^2 (k + p) + g k p^2 + p^3) more.
+
+A `BlockSolve` holds one point (d, sigma), as every fit evaluates, or R
+points at once with a leading points axis, as a contour grid evaluates:
+one batched factorization of the R g capacitance matrices, and every
+value, X^T V^{-1} X and its factor included, per point. One point is the
+empty-batch case of the same contractions and forms the same products,
+so a point's values do not depend on the batch; where one point raises,
+a point of a batch reads NaN.
 """
 
 from dataclasses import dataclass, field
@@ -319,85 +327,180 @@ def as_design(dataset, spec: ModelSpec) -> BlockDesign:
     return BlockDesign(dataset, spec)
 
 
-class BlockSolve:
-    """Factorized state of V = Z diag(d) Z^T + sigma^2 I for fixed (d, sigma).
+# The helpers below make, at every point of a stack, the same BLAS or LAPACK
+# call as their 1-d case, so a point's value does not depend on the batch.
 
-    With M_l = L_l L_l^T and B_l = L_l^{-1} S, the Woodbury identity gives
-    V_l^{-1} = (I - Z_l B_l^T B_l Z_l^T / sigma^2) / sigma^2, so every
-    product below is a batched contraction of the design's cross-products.
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a @ b as a float for vectors a, b (m,), or at every leading index of stacks (..., m)."""
+    return float(a @ b) if a.ndim == 1 else (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A @ v for a vector v (m,), or for a stack of vectors (..., m); A broadcasts."""
+    return A @ v if v.ndim == 1 else (A @ v[..., None])[..., 0]
+
+
+def _solve(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A^{-1} v for a vector v (m,), or for stacks of vectors (..., m) and of A."""
+    return np.linalg.solve(A, v) if v.ndim == 1 else np.linalg.solve(A, v[..., None])[..., 0]
+
+
+def _logdet_chol(L: np.ndarray, shape: tuple):
+    """ln|L L^T| from the Cholesky factors L of a point, summed over all its
+    factors: a float for one point, an array of `shape` for a batch."""
+    logs = np.log(L.diagonal(0, -2, -1))
+    return 2.0 * (logs.reshape(shape + (-1,)).sum(-1) if shape else float(logs.sum()))
+
+
+class BlockSolve:
+    """Factorized state of V = Z diag(d) Z^T + sigma^2 I, at one point or at R.
+
+    One point is d of shape (k,) with a float sigma, as in every fit; R
+    points are d of shape (R, k) with sigma of shape (R,), as in a contour
+    grid. Every contraction runs over the leading `...` axes, so one point
+    is the empty-batch case of the same code and every value keeps its
+    shape: floats for one point, (R,) arrays for R points (beta is then
+    (R, p)). With M_l = L_l L_l^T and B_l = L_l^{-1} S, the Woodbury
+    identity gives V_l^{-1} = (I - Z_l B_l^T B_l Z_l^T / sigma^2) /
+    sigma^2, so every product below is a batched contraction of the
+    design's cross-products.
+
+    Where a single point raises (a capacitance matrix that does not factor,
+    or X^T V^{-1} X singular where a value needs it), a point of a batch
+    gets NaN in `logdet_v`, `criterion`, `criterion_partials` and
+    `gls_beta` instead, and the other points keep their values; `ok` marks
+    the points whose capacitance matrices factor.
     """
 
-    def __init__(self, design: BlockDesign, d: np.ndarray, sigma: float):
-        if d.shape != (design.k,):
+    def __init__(self, design: BlockDesign, d: np.ndarray, sigma):
+        shape = d.shape[:-1]
+        if d.shape[-1:] != (design.k,) or len(shape) > 1 or (shape and sigma.shape != shape):
             raise DimensionMismatchError(
-                f"expected {design.k} random-effect variances, got {d.shape}"
+                f"expected {design.k} random-effect variances per point, got {d.shape} "
+                f"with sigma of shape {np.shape(sigma)}"
             )
-        if any(v < 0.0 for v in d.tolist()):
+        if any(v < 0.0 for v in (d.ravel() if shape else d).tolist()):
             raise ValueError("random-effect variances must be nonnegative")
-        if not sigma > 0:
+        if not (sigma > 0 if not shape else np.all(sigma > 0)):
             raise ValueError(f"sigma must be positive, got {sigma}")
         self.design = design
+        self.shape = shape
         self.d = d
         self.sigma = sigma
         self.sigma2 = sigma * sigma
+        # sigma^2 shaped to divide arrays with 0, 1, 2 or 3 core axes
+        self._s2 = ([self.sigma2] * 4 if not shape else
+                    [self.sigma2.reshape(shape + (1,) * i) for i in range(4)])
         s = np.sqrt(d)
-        L = np.linalg.cholesky(design.eye + design.ZtZ * (s[:, None] * s / self.sigma2))
-        self.logdet_v = (design.n * math.log(self.sigma2)
-                         + 2.0 * float(np.log(L.diagonal(0, 1, 2)).sum()))
-        self._B = np.linalg.inv(L) * s
+        L, self.ok = self._cholesky(
+            design.eye + design.ZtZ * (s[..., None, :, None] * s[..., None, None, :]
+                                       / self._s2[3]), bool(shape))
+        log_s2 = np.log(self.sigma2) if shape else math.log(self.sigma2)
+        self.logdet_v = self._valid(design.n * log_s2 + _logdet_chol(L, shape))
+        self._B = np.linalg.inv(L) * s[..., None, None, :]
+
+    @staticmethod
+    def _cholesky(A: np.ndarray, points: bool):
+        """Lower Cholesky factors of A (..., m, m) and the points where they exist.
+
+        Without a points axis a failure raises LinAlgError. With one (axis 0),
+        a point whose matrices are not all positive definite gets identity
+        factors and False in the returned mask, so it cannot spoil the others.
+        """
+        try:
+            return np.linalg.cholesky(A), np.ones(A.shape[0], bool) if points else True
+        except np.linalg.LinAlgError:
+            if not points:
+                raise
+        L, ok = np.empty_like(A), np.ones(A.shape[0], bool)
+        for i, a in enumerate(A):
+            try:
+                L[i] = np.linalg.cholesky(a)
+            except np.linalg.LinAlgError:
+                L[i], ok[i] = np.eye(A.shape[-1]), False
+        return L, ok
+
+    @staticmethod
+    def _pivots_ok(F: np.ndarray, L: np.ndarray):
+        """Whether every pivot of F = L L^T exceeds 1e-7 of its column norm, per point.
+
+        A collinear column can pass the factorization with a rounding-level
+        pivot, about sqrt(eps) of its norm; 1e-7 is the usual QR collinearity
+        tolerance. One point is checked on Python floats (p is small).
+        """
+        if F.ndim == 2:
+            return all(v * v > 1e-14 * f
+                       for v, f in zip(L.diagonal().tolist(), F.diagonal().tolist()))
+        return (L.diagonal(0, -2, -1) ** 2 > 1e-14 * F.diagonal(0, -2, -1)).all(axis=-1)
 
     def _BZtX(self) -> np.ndarray:
-        """B_l Z_l^T X_l stacked over groups, (g k, p)."""
-        return (self._B @ self.design.ZtX).reshape(-1, self.design.p)
+        """B_l Z_l^T X_l stacked over groups, (..., g k, p)."""
+        return (self._B @ self.design.ZtX).reshape(self.shape + (-1, self.design.p))
 
     def _Ztr(self, beta: np.ndarray) -> np.ndarray:
         des = self.design
-        return des.Zty - des.ZtX @ beta
+        return des.Zty - _mv(des.ZtX, beta[:, None, :] if self.shape else beta)
 
-    def quad_form_resid(self, beta: np.ndarray) -> float:
+    def _valid(self, value, needs_f: bool = False):
+        """value (..., *core), NaN at the points of a batch where one point
+        would raise; `needs_f` if it is read off the factor of X^T V^{-1} X."""
+        if not self.shape:
+            return value
+        ok = self._f_chol[2] if needs_f else self.ok
+        if ok.all():
+            return value
+        return np.where(ok.reshape(ok.shape + (1,) * (value.ndim - 1)), value, np.nan)
+
+    def quad_form_resid(self, beta: np.ndarray):
         """(y - X beta)^T V^{-1} (y - X beta); r^T r from the stacked residual."""
         des = self.design
-        r = des.y - des.X @ beta
-        u = (self._B @ self._Ztr(beta)[:, :, None]).ravel()
-        return float(r @ r - u @ u / self.sigma2) / self.sigma2
+        r = des.y - _mv(des.X, beta)
+        u = (self._B @ self._Ztr(beta)[..., None]).reshape(self.shape + (-1,))
+        return (_dot(r, r) - _dot(u, u) / self.sigma2) / self.sigma2
 
     def xt_vinv_x(self) -> np.ndarray:
         T = self._BZtX()
-        return (self.design.XtX - T.T @ T / self.sigma2) / self.sigma2
+        s2 = self._s2[2]
+        return (self.design.XtX - T.swapaxes(-1, -2) @ T / s2) / s2
 
     def xt_vinv_y(self) -> np.ndarray:
-        u = (self._B @ self.design.Zty[:, :, None]).reshape(-1)
-        return (self.design.Xty - self._BZtX().T @ u / self.sigma2) / self.sigma2
+        u = (self._B @ self.design.Zty[..., None]).reshape(self.shape + (-1,))
+        s2 = self._s2[1]
+        return (self.design.Xty - _mv(self._BZtX().swapaxes(-1, -2), u) / s2) / s2
 
     @cached_property
     def _f_chol(self):
-        """(F, L): F = X^T V^{-1} X = L L^T, the one factorization of F.
+        """(F, L, ok): F = X^T V^{-1} X = L L^T, the one factorization of F.
 
-        F depends on (d, sigma) alone, so it stays exact when
-        `BlockDesign.solve` hands this solve back for a repeated point.
+        One point raises SingularDesignError where F does not factor or has
+        a rounding-level pivot; in a batch such points get ok False and the
+        identity for F and L. F depends on (d, sigma) alone, so it stays
+        exact when `BlockDesign.solve` hands this solve back for a repeated
+        point.
         """
         F = self.xt_vinv_x()
         try:
-            L = np.linalg.cholesky(F)
-            # a collinear column can pass with a rounding-level pivot, about
-            # sqrt(eps) of its norm; reject pivots below 1e-7 of the norm, the
-            # usual QR collinearity tolerance (Python floats: p is small)
-            pivots, norms2 = L.diagonal().tolist(), F.diagonal().tolist()
-            if any(v * v <= 1e-14 * f for v, f in zip(pivots, norms2)):
-                raise np.linalg.LinAlgError("collinear design column")
+            L, ok = self._cholesky(F, bool(self.shape))
         except np.linalg.LinAlgError as exc:
             raise SingularDesignError("X^T V^{-1} X is singular") from exc
-        return F, L
+        ok = ok & self.ok & self._pivots_ok(F, L)
+        if not self.shape:
+            if not ok:
+                raise SingularDesignError("X^T V^{-1} X is singular")
+        elif not ok.all():
+            eye = np.eye(self.design.p)
+            F, L = (np.where(ok[:, None, None], a, eye) for a in (F, L))
+        return F, L, ok
 
-    def _logdet_f(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self._f_chol[1]))))
+    def _logdet_f(self):
+        return _logdet_chol(self._f_chol[1], self.shape)
 
     def gls_beta(self) -> np.ndarray:
         """Generalized-least-squares fixed effects F^{-1} X^T V^{-1} y."""
         L = self._f_chol[1]
-        return np.linalg.solve(L.T, np.linalg.solve(L, self.xt_vinv_y()))
+        return self._valid(_solve(L.swapaxes(-1, -2), _solve(L, self.xt_vinv_y())), True)
 
-    def criterion(self, beta: np.ndarray, restricted: bool) -> float:
+    def criterion(self, beta: np.ndarray, restricted: bool):
         """r^T V^{-1} r + ln|V|, plus ln|X^T V^{-1} X| if `restricted`; r = y - X beta.
 
         The PLS (PRLS) objective at beta; at beta = gls_beta() it is -2
@@ -405,8 +508,8 @@ class BlockSolve:
         """
         value = self.quad_form_resid(beta) + self.logdet_v
         if restricted:
-            value += self._logdet_f()
-        return value
+            value = value + self._logdet_f()
+        return self._valid(value, restricted)
 
     def criterion_partials(self, beta: np.ndarray, restricted: bool):
         """`criterion` and its partial derivatives, from this one factorization.
@@ -425,30 +528,32 @@ class BlockSolve:
         with q the quadratic form. Everything is read off Z_l^T V_l^{-1}
         [Z_l X_l y_l] and X^T V^{-1} [X y], one batched product each, with
         u_l and xvr formed as (.. y) - (.. X) beta: O(g k^2 (k + p) + g k
-        p^2 + p^3).
+        p^2 + p^3). In a batch, dd and xvr gain the points axis first.
         """
         des = self.design
-        k, p, s2 = des.k, des.p, self.sigma2
+        k, p, s2 = des.k, des.p, self._s2
         q = self.quad_form_resid(beta)
         value = q + self.logdet_v
         if restricted:
-            value += self._logdet_f()
+            value = value + self._logdet_f()
         Q = self._B @ des.ZtA                                # B_l Z_l^T [Z_l X_l y_l]
-        R = (des.ZtA - np.swapaxes(Q[:, :, :k], 1, 2) @ Q / s2) / s2  # Z_l^T V_l^{-1} [...]
-        W = R[:, :, k:k + p]
-        u = R[:, :, -1] - W @ beta
-        dd = (R.diagonal(0, 1, 2) - u * u).sum(axis=0)
-        T = Q[:, :, k:].reshape(-1, p + 1)
-        M = (des.XtA - T[:, :p].T @ T / s2) / s2             # X^T V^{-1} [X y]
-        xvr = M[:, -1] - M[:, :p] @ beta
+        R = (des.ZtA - Q[..., :k].swapaxes(-1, -2) @ Q / s2[3]) / s2[3]  # Z_l^T V_l^{-1} [...]
+        W = R[..., k:k + p]
+        u = R[..., -1] - _mv(W, beta[:, None, :] if self.shape else beta)
+        dd = (R.diagonal(0, -2, -1) - u * u).sum(axis=-2)
+        T = Q[..., k:].reshape(self.shape + (-1, p + 1))
+        M = (des.XtA - T[..., :p].swapaxes(-1, -2) @ T / s2[2]) / s2[2]  # X^T V^{-1} [X y]
+        xvr = M[..., -1] - _mv(M[..., :p], beta)
         if restricted:
-            Wt = np.swapaxes(W, 0, 1)                        # (k, g, p)
-            dd -= (np.swapaxes(Wt, 1, 2) @ Wt * np.linalg.inv(self._f_chol[0])).sum(axis=(1, 2))
-        return value, dd, xvr, des.n - q - p * restricted - float(self.d @ dd)
+            Wt = W.swapaxes(-3, -2)                      # (..., k, g, p)
+            Finv = np.linalg.inv(self._f_chol[0])[..., None, :, :]
+            dd = dd - (Wt.swapaxes(-1, -2) @ Wt * Finv).sum(axis=(-2, -1))
+        out = (value, dd, xvr, des.n - q - p * restricted - _dot(self.d, dd))
+        return tuple(self._valid(v, restricted) for v in out) if self.shape else out
 
     def zt_vinv_resid(self, beta: np.ndarray) -> np.ndarray:
-        """Z_l^T V_l^{-1} (y_l - X_l beta) for every group, as rows of a (g, k) array."""
+        """Z_l^T V_l^{-1} (y_l - X_l beta) for every group, as rows of a (..., g, k) array."""
         des = self.design
-        z = self._Ztr(beta)[:, :, None]
-        w = np.swapaxes(self._B, 1, 2) @ (self._B @ z)
-        return (z - des.ZtZ @ w / self.sigma2)[:, :, 0] / self.sigma2
+        z = self._Ztr(beta)[..., None]
+        w = self._B.swapaxes(-1, -2) @ (self._B @ z)
+        return (z - des.ZtZ @ w / self._s2[3])[..., 0] / self._s2[2]

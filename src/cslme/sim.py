@@ -21,12 +21,14 @@ from .estimate import FitConfig, fit, objective_for
 from .metrics import r_squared, rmse
 from .model import (
     BlockDesign,
+    BlockSolve,
     Dataset,
     GroupData,
     ModelSpec,
     Parameters,
     RandomEffects,
     SingularDesignError,
+    re_variances,
 )
 from .optim import ConvergenceError, minimize_box, with_central_diff
 from .sdtn import SdtnParams, sdtn_ppf, variance_factor
@@ -75,9 +77,18 @@ class ContourRequest:
     def __post_init__(self):
         if len(self.vary) != 2 or len(self.ranges) != 2:
             raise ValueError("exactly two varied parameters are required")
+        if self.vary[0] == self.vary[1]:
+            raise ValueError(f"the two varied parameters must differ, got {self.vary}")
+        ranges = []
         for lo, hi, steps in self.ranges:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"range ends must be finite, got {lo}, {hi}")
+            if not float(steps).is_integer():
+                raise ValueError(f"step count must be a whole number, got {steps}")
             if steps < 2 and not (steps == 1 and lo == hi):
                 raise ValueError("each range needs steps >= 2 (or 1 with lo == hi)")
+            ranges.append((float(lo), float(hi), int(steps)))
+        object.__setattr__(self, "ranges", tuple(ranges))
 
 
 def group_sizes(n: int, g: int) -> list:
@@ -353,28 +364,64 @@ def set_parameter(params: Parameters, spec: ModelSpec, label: str, value: float)
     raise ValueError(f"unknown parameter label {label!r}")
 
 
+# Cells per batched evaluation are CONTOUR_CHUNK // n, so the (cells, n)
+# residuals of one evaluation stay near 2^16 doubles (512 kB) on any grid.
+CONTOUR_CHUNK = 1 << 16
+
+
 def contour_grid(request: ContourRequest, dataset: Dataset, spec: ModelSpec) -> np.ndarray:
     """Objective values on the Cartesian grid; failed cells become NaN.
 
     Returns an array of (value1, value2, objective) rows, row-major in the
-    first varied parameter.
+    first varied parameter. The request is checked against
+    `parameter_labels(spec, p)` and the fixed point's beta (p) and varsigma
+    (k) lengths, and the fixed point must be finite; a bad request raises
+    ValueError before any cell is evaluated. The grid is then held as
+    (cells, p) beta, (cells, k) varsigma and (cells,) sigma arrays and
+    evaluated in chunks of CONTOUR_CHUNK // n cells, one batched
+    `BlockSolve` each; the random-effect variances come from
+    `re_variances`, cell by cell. A cell is NaN exactly where the per-point
+    `pls_objective`/`prls_objective` raises: sigma <= 0, a negative
+    varsigma, a ratio |beta| / varsigma that underflows to 0, a capacitance
+    matrix that does not factor, or (PRLS) a singular X^T V^{-1} X.
     """
-    objective = objective_for(request.objective)
+    objective_for(request.objective)  # rejects an unknown objective
+    restricted = request.objective.upper() == "PRLS"
+    fixed, p, k = request.fixed, dataset.p, spec.k
+    labels = parameter_labels(spec, p)
+    for label in request.vary:
+        if label not in labels:
+            raise ValueError(f"unknown parameter {label!r}; valid labels: {labels}")
+    if fixed.beta.shape != (p,) or fixed.varsigma.shape != (k,):
+        raise ValueError(f"fixed point has {fixed.beta.size} beta and {fixed.varsigma.size} "
+                         f"varsigma entries, the model has p={p} and k={k}")
+    if not (np.isfinite(fixed.beta).all() and np.isfinite(fixed.varsigma).all()
+            and math.isfinite(fixed.sigma)):
+        raise ValueError("fixed point must be finite")
     design = BlockDesign(dataset, spec)
     (lo1, hi1, s1), (lo2, hi2, s2) = request.ranges
-    grid1 = np.linspace(lo1, hi1, int(s1))
-    grid2 = np.linspace(lo2, hi2, int(s2))
-    rows = []
-    for v1 in grid1:
-        for v2 in grid2:
-            try:
-                point = set_parameter(request.fixed, spec, request.vary[0], float(v1))
-                point = set_parameter(point, spec, request.vary[1], float(v2))
-                val = objective(point, design, spec)
-            except (ValueError, np.linalg.LinAlgError):
-                val = np.nan
-            rows.append((float(v1), float(v2), float(val)))
-    return np.asarray(rows)
+    axes = np.meshgrid(np.linspace(lo1, hi1, s1), np.linspace(lo2, hi2, s2), indexing="ij")
+    cells = s1 * s2
+    # one row per cell: beta, then varsigma, then sigma, as in parameter_labels
+    points = np.tile(np.concatenate([fixed.beta, fixed.varsigma, [fixed.sigma]]), (cells, 1))
+    for label, values in zip(request.vary, axes):
+        points[:, labels.index(label)] = values.ravel()
+    beta, varsigma, sigma = points[:, :p], points[:, p:p + k], points[:, -1]
+    ok = (sigma > 0) & ~(varsigma < 0).any(axis=1)
+    d = np.zeros((cells, k))
+    for i in np.flatnonzero(ok):
+        try:
+            d[i] = re_variances(beta[i], varsigma[i], spec.alpha)
+        except ValueError:  # |beta| / varsigma underflows to 0
+            ok[i] = False
+    live = np.flatnonzero(ok)
+    out = np.full(cells, np.nan)
+    chunk = max(1, CONTOUR_CHUNK // design.n)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, live.size, chunk):
+            i = live[start:start + chunk]
+            out[i] = BlockSolve(design, d[i], sigma[i]).criterion(beta[i], restricted)
+    return np.column_stack([axes[0].ravel(), axes[1].ravel(), out])
 
 
 def minimize_labels(dataset: Dataset, spec: ModelSpec, fixed: Parameters,

@@ -277,6 +277,25 @@ class TestContourCommand:
         assert main(["contour", str(cfg)]) == 1
         assert "beta9" in capsys.readouterr().err
 
+    def test_fixed_varsigma_length_rejected(self, tmp_path, capsys):
+        # a builtin scenario with k = 1 and two scales: every cell used to be NaN
+        cfg = tmp_path / "contour.cfg"
+        cfg.write_text("objective = PLS\nvary = beta1, beta2\n"
+                       "range1 = 0, 2, 3\nrange2 = 0, 2, 3\n"
+                       "scenario = intercept-p3-n300\n"
+                       "beta = 0.072, 1.0, 1.0\nvarsigma = 0.058, 0.3\nsigma = 1.0\n")
+        out = tmp_path / "grid.csv"
+        assert main(["contour", str(cfg), "--out", str(out)]) == 1
+        assert "varsigma" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("steps", ["2.7", "4.5", "inf"])
+    def test_fractional_steps_rejected(self, tmp_path, capsys, steps):
+        cfg = self.contour_cfg(tmp_path)
+        cfg.write_text(cfg.read_text().replace("range2 = 0, 2, 4", f"range2 = 0, 2, {steps}"))
+        assert main(["contour", str(cfg)]) == 1
+        assert "whole number" in capsys.readouterr().err
+
 
 class TestConfigParser:
     def test_comments_and_blanks(self, tmp_path):

@@ -10,6 +10,7 @@ from cslme.baseline import Theta, reml_loglik
 from cslme.estimate import prls_objective
 from cslme.model import (
     BlockDesign,
+    BlockSolve,
     Dataset,
     DimensionMismatchError,
     GroupData,
@@ -249,6 +250,53 @@ class TestBlockSolveAgainstDense:
             assert sol.criterion(params.beta, True) == pytest.approx(
                 q + logdet_v + np.linalg.slogdet(F)[1], abs=1e-8, rel=1e-9)
             close(sol.gls_beta(), np.linalg.solve(F, X.T @ Vinv @ y))
+
+        # R points at once, the first the case's own: every point's values are
+        # the single point's, and NaN exactly where the single point raises
+        rng = np.random.default_rng(data.n)
+        for R in (1, 7):
+            jitter = np.exp(rng.normal(0.0, 0.5, size=(R, spec.k + 2)))
+            jitter[0] = 1.0
+            d = sdtn_variances(params, spec) * jitter[:, :spec.k]
+            sigma = params.sigma * jitter[:, -1]
+            beta = params.beta * jitter[:, [spec.k]]
+            self.check_batch(BlockDesign(data, spec), d, sigma, beta)
+
+    @staticmethod
+    def check_batch(design, d, sigma, beta):
+        batch = BlockSolve(design, d, sigma)
+        singles = [design.solve(d[r], sigma[r]) for r in range(len(sigma))]
+
+        def each(method, *args):
+            """Stacked per-point values; None where the single point raises."""
+            out = []
+            for r, sol in enumerate(singles):
+                try:
+                    out.append(method(sol, *(a[r] for a in args)))
+                except SingularDesignError:
+                    out.append(None)
+            return out
+
+        def same(actual, expected):
+            for a, e in zip(actual, expected):
+                if e is None:
+                    assert np.all(np.isnan(a))
+                else:
+                    np.testing.assert_allclose(a, e, rtol=1e-12, atol=1e-300)
+
+        assert batch.logdet_v.shape == sigma.shape
+        same(batch.logdet_v, [sol.logdet_v for sol in singles])
+        same(batch.quad_form_resid(beta), each(BlockSolve.quad_form_resid, beta))
+        same(batch.xt_vinv_x(), each(BlockSolve.xt_vinv_x))
+        same(batch.xt_vinv_y(), each(BlockSolve.xt_vinv_y))
+        same(batch.zt_vinv_resid(beta), each(BlockSolve.zt_vinv_resid, beta))
+        same(batch.gls_beta(), each(BlockSolve.gls_beta))
+        for restricted in (False, True):
+            same(batch.criterion(beta, restricted),
+                 each(lambda sol, b: sol.criterion(b, restricted), beta))
+            parts = each(lambda sol, b: sol.criterion_partials(b, restricted), beta)
+            for i, part in enumerate(batch.criterion_partials(beta, restricted)):
+                same(part, [None if p is None else p[i] for p in parts])
 
     def test_repeated_point_gives_a_fresh_designs_values(self, rng):
         data = make_dataset(rng, g=4, p=3)

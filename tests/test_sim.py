@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from cslme.sim import (
     table_labels,
     table_values,
 )
-from cslme.estimate import FitConfig, fit, pls_objective
+from cslme.estimate import FitConfig, fit, pls_objective, prls_objective
 
 
 def scenario(n=300, seed=1, replications=1, beta=(0.072, 1.0, 1.0), vs=(0.058,)):
@@ -277,6 +278,23 @@ class TestContour:
         assert abs(best[0] - 1.0) <= 0.1 + 1e-12
         assert abs(best[1] - 1.0) <= 0.1 + 1e-12
 
+    @staticmethod
+    def per_point(req, data, spec):
+        """The objective cell by cell, NaN where the per-point call raises."""
+        objective = {"PLS": pls_objective, "PRLS": prls_objective}[req.objective]
+        (lo1, hi1, s1), (lo2, hi2, s2) = req.ranges
+        out = []
+        for v1 in np.linspace(lo1, hi1, s1):
+            for v2 in np.linspace(lo2, hi2, s2):
+                try:
+                    point = set_parameter(req.fixed, spec, req.vary[0], float(v1))
+                    point = set_parameter(point, spec, req.vary[1], float(v2))
+                    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                        out.append(objective(point, data, spec))
+                except (ValueError, np.linalg.LinAlgError):
+                    out.append(np.nan)
+        return np.array(out)
+
     def test_grid_shape_and_failed_cells(self):
         sc = scenario(n=60, seed=3)
         spec = sc.model_spec()
@@ -289,6 +307,42 @@ class TestContour:
         # sigma <= 0 cells must be recorded as NaN, not raised
         bad = grid[grid[:, 1] <= 0]
         assert np.all(np.isnan(bad[:, 2]))
+        # NaN exactly where the per-point call raises (sigma <= 0, varsigma < 0,
+        # sigma^2 or |beta| / varsigma underflowing to 0), every other cell equal to it
+        for objective in ("PLS", "PRLS"):
+            for vary, ranges in [(("beta1", "sigma"), ((0.0, 1.0, 3), (-1.0, 1.0, 4))),
+                                 (("varsigma0", "beta0"), ((-0.05, 0.1, 4), (-0.1, 0.2, 5))),
+                                 (("sigma", "varsigma0"), ((1e-300, 2.0, 4), (0.0, 0.3, 3))),
+                                 (("beta0", "varsigma0"), ((1e-320, 1e-300, 3), (1e9, 1e10, 2)))]:
+                req = ContourRequest(objective=objective, vary=vary, ranges=ranges,
+                                     fixed=sc.truth)
+                grid = contour_grid(req, data, spec)
+                (lo1, hi1, s1), (lo2, hi2, s2) = ranges
+                np.testing.assert_array_equal(
+                    grid[:, 0], np.repeat(np.linspace(lo1, hi1, s1), s2))
+                np.testing.assert_array_equal(
+                    grid[:, 1], np.tile(np.linspace(lo2, hi2, s2), s1))
+                ref = self.per_point(req, data, spec)
+                np.testing.assert_array_equal(np.isnan(grid[:, 2]), np.isnan(ref))
+                assert np.isnan(ref).any() and not np.isnan(ref).all()
+                np.testing.assert_allclose(grid[:, 2], ref, rtol=1e-12)
+
+    def test_duplicated_design_column(self):
+        # X^T V^-1 X is singular at every cell: no PRLS value, every PLS value
+        sc = scenario(n=60, seed=3)
+        spec = sc.model_spec()
+        data, _ = gen_response(gen_design(sc), sc.truth, spec, seed=2)
+        dup = Dataset(tuple(GroupData(gd.group_id, gd.y, gd.X[:, [0, 1, 1]])
+                            for gd in data.groups))
+        for objective in ("PLS", "PRLS"):
+            req = ContourRequest(objective=objective, vary=("beta0", "beta1"),
+                                 ranges=((0.0, 0.2, 4), (0.5, 1.5, 3)), fixed=sc.truth)
+            values = contour_grid(req, dup, spec)[:, 2]
+            if objective == "PRLS":
+                assert np.all(np.isnan(values))
+            else:
+                assert np.all(np.isfinite(values))
+                np.testing.assert_allclose(values, self.per_point(req, dup, spec), rtol=1e-12)
 
     def test_unknown_label_rejected(self):
         sc = scenario()
@@ -296,6 +350,63 @@ class TestContour:
             set_parameter(sc.truth, sc.model_spec(), "beta9", 1.0)
         with pytest.raises(ValueError):
             set_parameter(sc.truth, sc.model_spec(), "varsigma1", 1.0)
+
+    @pytest.mark.parametrize("vary", [("beta9", "sigma"), ("varsigma1", "sigma"),
+                                      ("beta0", "bogus")])
+    def test_unknown_vary_label_rejected(self, vary):
+        sc = scenario()
+        data, _ = gen_response(gen_design(sc), sc.truth, sc.model_spec(), seed=2)
+        req = ContourRequest(objective="PLS", vary=vary,
+                             ranges=((0.0, 1.0, 3), (0.5, 1.0, 3)), fixed=sc.truth)
+        with pytest.raises(ValueError, match="unknown parameter"):
+            contour_grid(req, data, sc.model_spec())
+
+    @pytest.mark.parametrize("beta, varsigma", [((0.072, 1.0), (0.058,)),
+                                                ((0.072, 1.0, 1.0), (0.058, 0.3)),
+                                                ((np.nan, 1.0, 1.0), (0.058,)),
+                                                ((0.072, 1.0, 1.0), (np.inf,))])
+    def test_bad_fixed_point_rejected(self, beta, varsigma):
+        sc = scenario()
+        data, _ = gen_response(gen_design(sc), sc.truth, sc.model_spec(), seed=2)
+        fixed = Parameters(beta=np.array(beta), varsigma=np.array(varsigma), sigma=1.0)
+        req = ContourRequest(objective="PLS", vary=("beta0", "sigma"),
+                             ranges=((0.0, 1.0, 3), (0.5, 1.0, 3)), fixed=fixed)
+        with pytest.raises(ValueError, match="fixed point"):
+            contour_grid(req, data, sc.model_spec())
+
+    @pytest.mark.parametrize("bad", [(0.1, 0.2, 2.7), (0.1, 0.2, 1.5), (0.0, np.inf, 3),
+                                     (0.1, 0.2, 1), (0.1, 0.2, np.nan)])
+    def test_bad_range_rejected(self, bad):
+        sc = scenario()
+        with pytest.raises(ValueError):
+            ContourRequest(objective="PLS", vary=("beta1", "beta2"),
+                           ranges=((0.0, 1.0, 3), bad), fixed=sc.truth)
+
+    def test_whole_float_steps_and_same_label_twice(self):
+        sc = scenario()
+        req = ContourRequest(objective="PLS", vary=("beta1", "beta2"),
+                             ranges=((0.0, 1.0, 3.0), (0.5, 1.0, 2)), fixed=sc.truth)
+        assert req.ranges == ((0.0, 1.0, 3), (0.5, 1.0, 2))
+        assert isinstance(req.ranges[0][2], int)
+        with pytest.raises(ValueError, match="differ"):
+            ContourRequest(objective="PLS", vary=("beta1", "beta1"),
+                           ranges=((0.0, 1.0, 3), (0.5, 1.0, 2)), fixed=sc.truth)
+
+    def test_large_grid_allocates_no_cells_by_rows_array(self):
+        sc = builtin_scenarios()["intercept-p7-n4000"]
+        spec = sc.model_spec()
+        data, _ = gen_response(gen_design(sc, seed=1), sc.truth, spec, seed=2)
+        req = ContourRequest(objective="PRLS", vary=("beta1", "varsigma0"),
+                             ranges=((0.5, 1.5, 60), (0.1, 1.0, 60)), fixed=sc.truth)
+        tracemalloc.start()
+        try:
+            grid = contour_grid(req, data, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(grid[:, 2]))
+        # one (cells, n) float array would take 3600 * 4000 * 8 B = 115 MB
+        assert peak < 50e6
 
 
 class TestMinimizeLabels:
