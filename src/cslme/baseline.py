@@ -32,6 +32,9 @@ from .model import (
     Parameters,
     RandomEffects,
     as_design,
+    check_point,
+    search_bounds,
+    unpack,
 )
 from .estimate import multistart
 from .optim import MAX_ITER, TOL_GRAD, TOL_OBJ, minimize_box, with_central_diff
@@ -86,10 +89,7 @@ class Theta:
 
     def __post_init__(self):
         object.__setattr__(self, "varsigma", np.asarray(self.varsigma, dtype=float))
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if np.any(self.varsigma < 0):
-            raise ValueError("varsigma entries must be nonnegative")
+        check_point(self.varsigma, self.sigma)
 
 
 @dataclass
@@ -119,7 +119,7 @@ def criterion_and_gradient(x: np.ndarray, design: BlockDesign, criterion: str):
     its exact gradient; the value is bit-equal to -profile_loglik
     (-reml_loglik) at theta = (|varsigma|, exp(log sigma)).
     """
-    sol = _solve_at(Theta(np.abs(x[:-1]), math.exp(x[-1])), design)
+    sol = design.solve(x[:-1] ** 2, math.exp(x[-1]))
     value, dd, _, half_dlogsigma = sol.criterion_partials(sol.gls_beta(),
                                                           criterion == "REML")
     grad = np.empty(x.size)
@@ -192,7 +192,7 @@ def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML"
     def objective(x):
         return criterion_and_gradient(x, design, criterion)
 
-    bounds = [(0.0, None)] * design.k + [(design.log_sigma_floor, None)]
+    bounds = search_bounds(design, spec)[design.p:]
     _, res, results, _ = multistart(objective, _baseline_starts(design, seed), bounds,
                                     tol_obj=TOL_OBJ, tol_grad=TOL_GRAD, max_iter=MAX_ITER)
     theta = Theta(res.x[:-1], math.exp(res.x[-1]))
@@ -298,7 +298,7 @@ def fit_pit(dataset: Dataset, spec: ModelSpec, q: int = 2,
         x0 = np.concatenate([initial.beta, initial.varsigma,
                              [math.log(initial.sigma)]])
 
-    bounds = [(0.0, None)] * design.p + [(0.0, None), (design.log_sigma_floor, None)]
+    bounds = search_bounds(design, spec)
     # the first evaluation and the returned solution must carry real mass;
     # transient probes may dip into the underflow region and back out
     pit_objective(x0, design, spec, q, strict=True)
@@ -306,19 +306,14 @@ def fit_pit(dataset: Dataset, spec: ModelSpec, q: int = 2,
                                                                  strict=False)),
                        x0, bounds, tol_obj=1e-10, tol_grad=1e-7)
     pit_objective(res.x, design, spec, q, strict=True)
-    beta = res.x[:design.p]
-    varsigma = res.x[design.p:design.p + 1].copy()
-    if beta[spec.alpha[0]] == 0.0:
-        varsigma[0] = 0.0  # degenerate deviation law; scale unidentified
-    theta = Theta(varsigma, math.exp(res.x[design.p + 1]))
+    params = unpack(res.x, spec)
 
     from .ranef import solve_all
 
-    params = Parameters(beta=beta, varsigma=theta.varsigma, sigma=theta.sigma)
     gamma = solve_all(dataset, params, spec)
     return BaselineFit(
-        theta=theta,
-        beta=beta,
+        theta=Theta(params.varsigma, params.sigma),
+        beta=params.beta,
         gamma=gamma,
         loglik=-res.fun,
         criterion="PIT",

@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -203,13 +203,8 @@ def _scenario_from_config(cfg: dict) -> Scenario:
                 f"unknown built-in scenario {name!r}; available: {sorted(registry)}"
             )
         base = registry[name]
-        reps = int(cfg.get("replications", base.replications))
-        seed = int(cfg.get("seed", base.seed))
-        if reps < 1:
-            raise SchemaError("replications must be positive")
-        return Scenario(n=base.n, p=base.p, g=base.g, alpha=base.alpha,
-                        truth=base.truth, replications=reps, seed=seed,
-                        intercept=base.intercept)
+        return replace(base, replications=int(cfg.get("replications", base.replications)),
+                       seed=int(cfg.get("seed", base.seed)))
     try:
         truth = Parameters(beta=np.asarray(_cfg_float_list(cfg, "beta")),
                            varsigma=np.asarray(_cfg_float_list(cfg, "varsigma")),

@@ -35,6 +35,8 @@ from .model import (
     as_design,
     re_variance_partials,
     re_variances,
+    search_bounds,
+    unpack,
 )
 from .optim import MAX_ITER, TOL_GRAD, TOL_OBJ, BoxResult, ConvergenceError, minimize_box
 from . import metrics as _metrics
@@ -166,16 +168,6 @@ def default_starts(design: BlockDesign, spec: ModelSpec, config: FitConfig) -> l
     return [np.concatenate([pt[:-1], [math.log(pt[-1])]]) for pt in points]
 
 
-def _bounds_for(design: BlockDesign, spec: ModelSpec) -> list:
-    beta_bounds = []
-    for j in range(design.p):
-        if spec.constrained and j not in spec.unconstrained_columns:
-            beta_bounds.append((0.0, None))
-        else:
-            beta_bounds.append((None, None))
-    return beta_bounds + [(0.0, None)] * spec.k + [(design.log_sigma_floor, None)]
-
-
 def multistart(fun, starts, bounds, tol_obj, tol_grad, max_iter):
     """Run `minimize_box` on `fun(x) -> (f, grad)` from every start and
     keep the lowest objective.
@@ -217,23 +209,15 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
     design = as_design(dataset, spec)
     if spec.k < 1:
         raise ValueError("at least one random-effect column is required")
-    p, k = design.p, spec.k
     restricted = config.method == "PRLS"
 
     def objective(x):
         return objective_and_gradient(design, spec, x, restricted)
 
     best_idx, best, results, failures = multistart(
-        objective, default_starts(design, spec, config), _bounds_for(design, spec),
+        objective, default_starts(design, spec, config), search_bounds(design, spec),
         TOL_OBJ, TOL_GRAD, MAX_ITER)
-    x = best.x
-    varsigma = x[p:p + k].copy()
-    # a zero coefficient pins its deviation at 0, leaving the scale
-    # unidentified (the objective is flat in it); report the canonical 0
-    for i, col in enumerate(spec.alpha):
-        if x[col] == 0.0:
-            varsigma[i] = 0.0
-    params = Parameters(beta=x[:p], varsigma=varsigma, sigma=math.exp(x[-1]))
+    params = unpack(best.x, spec)
     objective_value = objective_for(config.method)(params, design, spec)
     gamma = _ranef.solve_all(dataset, params, spec)
     r2m, r2c = _metrics.r_squared(params, dataset, spec)

@@ -28,6 +28,11 @@ value, X^T V^{-1} X and its factor included, per point. One point is the
 empty-batch case of the same contractions and forms the same products,
 so a point's values do not depend on the batch; where one point raises,
 a point of a batch reads NaN.
+
+Every estimator searches the point x = (beta, varsigma, log sigma), and
+ML/REML its tail (varsigma, log sigma). Its layout lives here once:
+`parameter_labels` names its entries, `search_bounds` gives its box and
+`unpack` reads it back as `Parameters`.
 """
 
 from dataclasses import dataclass, field
@@ -159,10 +164,27 @@ class ModelSpec:
             )
 
 
+def check_point(varsigma: np.ndarray, sigma, beta: np.ndarray | None = None):
+    """Reject a point with a non-finite entry, a negative varsigma or sigma <= 0.
+
+    Shared by `Parameters` and `baseline.Theta`; a non-finite entry is
+    named by field and index.
+    """
+    for name, a in (("beta", beta), ("varsigma", varsigma)):
+        if a is not None and not np.isfinite(a).all():
+            i = int(np.flatnonzero(~np.isfinite(a))[0])
+            raise ValueError(f"{name}[{i}] must be finite, got {a.flat[i]}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    if np.any(varsigma < 0):
+        raise ValueError("varsigma entries must be nonnegative")
+
+
 @dataclass(frozen=True, slots=True)
 class Parameters:
     """Estimation target: fixed effects, SDTN scales, residual scale.
 
+    Every entry is finite, varsigma >= 0 and sigma > 0 (`check_point`).
     Slotted, like RandomEffects: sweeps and simulations keep one per point.
     """
 
@@ -173,10 +195,7 @@ class Parameters:
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
         object.__setattr__(self, "varsigma", np.asarray(self.varsigma, dtype=float))
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if np.any(self.varsigma < 0):
-            raise ValueError("varsigma entries must be nonnegative")
+        check_point(self.varsigma, self.sigma, beta=self.beta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,6 +344,41 @@ def as_design(dataset, spec: ModelSpec) -> BlockDesign:
     if isinstance(dataset, BlockDesign):
         return dataset
     return BlockDesign(dataset, spec)
+
+
+# The search point x = (beta, varsigma, log sigma): its labels, box and read-back.
+
+def parameter_labels(spec: ModelSpec, p: int) -> list:
+    """Labels of the point (beta, varsigma, sigma): beta<j>, varsigma<col>, sigma."""
+    return ([f"beta{j}" for j in range(p)] + [f"varsigma{col}" for col in spec.alpha]
+            + ["sigma"])
+
+
+def search_bounds(design: BlockDesign, spec: ModelSpec) -> list:
+    """The box of x = (beta, varsigma, log sigma), one (lo, hi) per entry.
+
+    beta_j >= 0 when `spec.constrained`, except the unconstrained columns;
+    varsigma >= 0; log sigma >= `design.log_sigma_floor`.
+    """
+    free = set(spec.unconstrained_columns) if spec.constrained else set(range(design.p))
+    return ([(None, None) if j in free else (0.0, None) for j in range(design.p)]
+            + [(0.0, None)] * spec.k + [(design.log_sigma_floor, None)])
+
+
+def unpack(x: np.ndarray, spec: ModelSpec) -> Parameters:
+    """The Parameters at a search point x = (beta, varsigma, log sigma).
+
+    A zero coefficient pins its deviation at 0, leaving the scale
+    unidentified (the objective is flat in it), so its varsigma reads as
+    the canonical 0.
+    """
+    k = spec.k
+    p = x.size - k - 1
+    varsigma = x[p:p + k].copy()
+    for i, col in enumerate(spec.alpha):
+        if x[col] == 0.0:
+            varsigma[i] = 0.0
+    return Parameters(beta=x[:p], varsigma=varsigma, sigma=math.exp(x[-1]))
 
 
 # The helpers below make, at every point of a stack, the same BLAS or LAPACK

@@ -8,6 +8,10 @@ construction; errors are centered normal.
 Replications are independent: replication r of a scenario derives its
 seed from SeedSequence([scenario.seed, r]), so results do not depend on
 execution order or worker count (CSLME_THREADS caps process workers).
+
+Contour grids and labeled-parameter searches name the entries of the
+search point by `model.parameter_labels` and check the labels the same
+way; a search keeps to the box of `model.search_bounds`.
 """
 
 from dataclasses import dataclass, replace
@@ -28,7 +32,9 @@ from .model import (
     Parameters,
     RandomEffects,
     SingularDesignError,
+    parameter_labels,
     re_variances,
+    search_bounds,
 )
 from .optim import ConvergenceError, minimize_box, with_central_diff
 from .sdtn import SdtnParams, sdtn_ppf, variance_factor
@@ -145,17 +151,6 @@ def sdtn_sd(beta_i: float, varsigma_i: float) -> float:
     return s * math.sqrt(variance_factor(b / s))
 
 
-def table_labels(spec: ModelSpec, p: int, g: int) -> list:
-    """Labeled parameter set mirroring the reporting tables."""
-    labels = []
-    for col in spec.alpha:
-        labels.extend(f"overall_g{ell + 1}_b{col}" for ell in range(g))
-    labels.extend(f"beta{col}" for col in range(p) if col not in spec.alpha)
-    labels.extend(f"s_gamma{col}" for col in spec.alpha)
-    labels.append("sigma")
-    return labels
-
-
 def table_values(beta, varsigma, sigma, gamma, spec: ModelSpec, g: int,
                  normal_re: bool = False) -> dict:
     """Map the table labels to values for one parameter point.
@@ -210,7 +205,7 @@ def _replication(scenario: Scenario, methods, rep: int, pit_q: int, n_starts: in
     truth_vals = table_values(scenario.truth.beta, scenario.truth.varsigma,
                               scenario.truth.sigma, gamma_truth.gamma, spec,
                               scenario.g)
-    labels = table_labels(spec, scenario.p, scenario.g)
+    labels = list(truth_vals)
     no_spread = [s for s in labels if not s.startswith("s_gamma")]
     out = {}
     for method in methods:
@@ -337,31 +332,21 @@ def _replication_star(args):
 # ---------------------------------------------------------------------------
 
 
-def parameter_labels(spec: ModelSpec, p: int) -> list:
-    labels = [f"beta{j}" for j in range(p)]
-    labels += [f"varsigma{col}" for col in spec.alpha]
-    labels.append("sigma")
-    return labels
+def _labeled_point(fixed: Parameters, labels, spec: ModelSpec, p: int):
+    """The flat point (beta, varsigma, sigma) of `fixed` and the index of each label.
 
-
-def set_parameter(params: Parameters, spec: ModelSpec, label: str, value: float) -> Parameters:
-    if label.startswith("beta"):
-        j = int(label[4:])
-        if not 0 <= j < params.beta.size:
-            raise ValueError(f"unknown parameter label {label!r}")
-        beta = params.beta.copy()
-        beta[j] = value
-        return replace(params, beta=beta)
-    if label.startswith("varsigma"):
-        col = int(label[8:])
-        if col not in spec.alpha:
-            raise ValueError(f"column {col} carries no random effect")
-        vs = params.varsigma.copy()
-        vs[spec.alpha.index(col)] = value
-        return replace(params, varsigma=vs)
-    if label == "sigma":
-        return replace(params, sigma=value)
-    raise ValueError(f"unknown parameter label {label!r}")
+    Raises ValueError for a label outside `parameter_labels(spec, p)` or a
+    fixed point whose beta or varsigma length does not match the model.
+    """
+    valid = parameter_labels(spec, p)
+    for label in labels:
+        if label not in valid:
+            raise ValueError(f"unknown parameter {label!r}; valid labels: {valid}")
+    if fixed.beta.shape != (p,) or fixed.varsigma.shape != (spec.k,):
+        raise ValueError(f"fixed point has {fixed.beta.size} beta and {fixed.varsigma.size} "
+                         f"varsigma entries, the model has p={p} and k={spec.k}")
+    point = np.concatenate([fixed.beta, fixed.varsigma, [fixed.sigma]])
+    return point, [valid.index(label) for label in labels]
 
 
 # Cells per batched evaluation are CONTOUR_CHUNK // n, so the (cells, n)
@@ -375,37 +360,27 @@ def contour_grid(request: ContourRequest, dataset: Dataset, spec: ModelSpec) -> 
     Returns an array of (value1, value2, objective) rows, row-major in the
     first varied parameter. The request is checked against
     `parameter_labels(spec, p)` and the fixed point's beta (p) and varsigma
-    (k) lengths, and the fixed point must be finite; a bad request raises
-    ValueError before any cell is evaluated. The grid is then held as
-    (cells, p) beta, (cells, k) varsigma and (cells,) sigma arrays and
-    evaluated in chunks of CONTOUR_CHUNK // n cells, one batched
-    `BlockSolve` each; the random-effect variances come from
-    `re_variances`, cell by cell. A cell is NaN exactly where the per-point
+    (k) lengths; a bad request raises ValueError before any cell is
+    evaluated. The grid is then held as (cells, p) beta, (cells, k)
+    varsigma and (cells,) sigma arrays and evaluated in chunks of
+    CONTOUR_CHUNK // n cells, one batched `BlockSolve` each; the
+    random-effect variances come from `re_variances`, cell by cell. A cell is NaN exactly where the per-point
     `pls_objective`/`prls_objective` raises: sigma <= 0, a negative
     varsigma, a ratio |beta| / varsigma that underflows to 0, a capacitance
     matrix that does not factor, or (PRLS) a singular X^T V^{-1} X.
     """
     objective_for(request.objective)  # rejects an unknown objective
     restricted = request.objective.upper() == "PRLS"
-    fixed, p, k = request.fixed, dataset.p, spec.k
-    labels = parameter_labels(spec, p)
-    for label in request.vary:
-        if label not in labels:
-            raise ValueError(f"unknown parameter {label!r}; valid labels: {labels}")
-    if fixed.beta.shape != (p,) or fixed.varsigma.shape != (k,):
-        raise ValueError(f"fixed point has {fixed.beta.size} beta and {fixed.varsigma.size} "
-                         f"varsigma entries, the model has p={p} and k={k}")
-    if not (np.isfinite(fixed.beta).all() and np.isfinite(fixed.varsigma).all()
-            and math.isfinite(fixed.sigma)):
-        raise ValueError("fixed point must be finite")
+    p, k = dataset.p, spec.k
+    point, idx = _labeled_point(request.fixed, request.vary, spec, p)
     design = BlockDesign(dataset, spec)
     (lo1, hi1, s1), (lo2, hi2, s2) = request.ranges
     axes = np.meshgrid(np.linspace(lo1, hi1, s1), np.linspace(lo2, hi2, s2), indexing="ij")
     cells = s1 * s2
     # one row per cell: beta, then varsigma, then sigma, as in parameter_labels
-    points = np.tile(np.concatenate([fixed.beta, fixed.varsigma, [fixed.sigma]]), (cells, 1))
-    for label, values in zip(request.vary, axes):
-        points[:, labels.index(label)] = values.ravel()
+    points = np.tile(point, (cells, 1))
+    for i, values in zip(idx, axes):
+        points[:, i] = values.ravel()
     beta, varsigma, sigma = points[:, :p], points[:, p:p + k], points[:, -1]
     ok = (sigma > 0) & ~(varsigma < 0).any(axis=1)
     d = np.zeros((cells, k))
@@ -429,42 +404,35 @@ def minimize_labels(dataset: Dataset, spec: ModelSpec, fixed: Parameters,
                     x0=None):
     """Minimize the chosen objective over a subset of labeled parameters.
 
-    All parameters outside `labels` stay at their `fixed` values. With
-    `constrained`, beta/varsigma coordinates are kept nonnegative; without
-    it they are free. Returns (values dict, objective value).
+    All parameters outside `labels` stay at their `fixed` values. The
+    search runs over the labeled entries of x = (beta, varsigma, log sigma)
+    in the box of `model.search_bounds`: with `constrained`, beta is kept
+    nonnegative as `spec` sets out, without it beta is free; varsigma is
+    always nonnegative and log sigma above the fits' floor. Labels are
+    checked as by `contour_grid`. Returns (values dict, objective value),
+    sigma on its natural scale.
     """
-    objective = objective_for(method)
+    objective_for(method)  # rejects an unknown objective
+    restricted = method.upper() == "PRLS"
     design = BlockDesign(dataset, spec)
+    p, k = design.p, spec.k
     labels = list(labels)
-
-    def params_at(x):
-        point = fixed
-        for lbl, v in zip(labels, x):
-            point = set_parameter(point, spec, lbl,
-                                  math.exp(v) if lbl == "sigma" else float(v))
-        return point
+    point, idx = _labeled_point(fixed, labels, spec, p)
+    log_sigma = point.size - 1 in idx  # sigma is searched on the log scale
+    bounds = search_bounds(design, replace(spec, constrained=constrained))
 
     def fun(x):
-        return objective(params_at(x), design, spec)
+        point[idx] = x
+        if log_sigma:
+            point[-1] = math.exp(point[-1])
+        beta = point[:p]
+        d = re_variances(beta, point[p:p + k], spec.alpha)
+        return design.solve(d, point[-1]).criterion(beta, restricted)
 
     if x0 is None:
-        x0 = []
-        for lbl in labels:
-            if lbl == "sigma":
-                x0.append(math.log(fixed.sigma))
-            elif lbl.startswith("varsigma"):
-                x0.append(float(fixed.varsigma[spec.alpha.index(int(lbl[8:]))]))
-            else:
-                x0.append(float(fixed.beta[int(lbl[4:])]))
-    bounds = []
-    for lbl in labels:
-        if lbl == "sigma":
-            bounds.append((None, None))
-        elif constrained:
-            bounds.append((0.0, None))
-        else:
-            bounds.append((None, None))
-    res = minimize_box(with_central_diff(fun), np.asarray(x0, dtype=float), bounds)
+        x0 = np.append(point[:-1], math.log(fixed.sigma))[idx]
+    res = minimize_box(with_central_diff(fun), np.asarray(x0, dtype=float),
+                       [bounds[i] for i in idx])
     values = {lbl: (math.exp(v) if lbl == "sigma" else float(v))
               for lbl, v in zip(labels, res.x)}
     return values, float(res.fun)

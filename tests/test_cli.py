@@ -186,6 +186,20 @@ class TestRanefRoundTrip:
             assert float(cells[gi]) == gamma_row[0]
             assert float(cells[gd]) == gamma_row[1]
 
+    def test_non_finite_parameter_rejected(self, tmp_path, capsys):
+        fit_out = tmp_path / "fit.json"
+        main(["fit", str(sleepstudy_path()), *SLEEP_SCHEMA_ARGS,
+              "--method", "PLS", "--seed", "0", "--out", str(fit_out)])
+        doc = json.loads(fit_out.read_text())
+        doc["parameters"]["beta"][1] = float("nan")
+        fit_out.write_text(json.dumps(doc))
+        ranef_out = tmp_path / "ranef.csv"
+        code = main(["ranef", str(sleepstudy_path()), *SLEEP_SCHEMA_ARGS,
+                     "--params", str(fit_out), "--out", str(ranef_out)])
+        assert code == 1
+        assert "beta[1] must be finite" in capsys.readouterr().err
+        assert not ranef_out.exists()
+
     def test_mismatched_document_rejected(self, tmp_path, capsys):
         fit_out = tmp_path / "fit.json"
         main(["fit", str(sleepstudy_path()), *SLEEP_SCHEMA_ARGS,

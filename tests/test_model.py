@@ -17,7 +17,10 @@ from cslme.model import (
     ModelSpec,
     Parameters,
     SingularDesignError,
+    parameter_labels,
     sdtn_variances,
+    search_bounds,
+    unpack,
 )
 from cslme.sdtn import SdtnParams, sdtn_pdf
 
@@ -53,6 +56,53 @@ class TestTypes:
             Parameters(beta=np.zeros(2), varsigma=np.array([-0.1]), sigma=1.0)
         with pytest.raises(ValueError):
             Parameters(beta=np.zeros(2), varsigma=np.array([0.1]), sigma=0.0)
+
+    @pytest.mark.parametrize("beta, varsigma, sigma, message", [
+        ((0.5, np.nan), (0.1,), 1.0, r"beta\[1\] must be finite, got nan"),
+        ((0.5, 1.0), (0.1, np.inf), 1.0, r"varsigma\[1\] must be finite, got inf"),
+        ((0.5, 1.0), (0.1,), np.inf, "sigma must be finite and positive, got inf"),
+        ((0.5, 1.0), (0.1,), np.nan, "sigma must be finite and positive, got nan"),
+    ])
+    def test_non_finite_parameters_rejected(self, beta, varsigma, sigma, message):
+        with pytest.raises(ValueError, match=message):
+            Parameters(beta=np.array(beta), varsigma=np.array(varsigma), sigma=sigma)
+        if np.isfinite(beta).all():  # Theta holds the same scales, without beta
+            with pytest.raises(ValueError, match=message):
+                Theta(varsigma=np.array(varsigma), sigma=sigma)
+
+
+class TestSearchPoint:
+    def test_labels_follow_the_point(self):
+        spec = ModelSpec(alpha=(0, 2))
+        assert parameter_labels(spec, 3) == ["beta0", "beta1", "beta2", "varsigma0",
+                                             "varsigma2", "sigma"]
+
+    @pytest.mark.parametrize("alpha", [(0,), (0, 2)])
+    def test_bounds_match_each_fits_box(self, rng, alpha):
+        data = make_dataset(rng, g=3, p=3)
+        spec = ModelSpec(alpha=alpha)
+        design = BlockDesign(data, spec)
+        p, k, floor = 3, len(alpha), (design.log_sigma_floor, None)
+        bounds = search_bounds(design, spec)
+        # the PLS/PRLS box, its ML/REML tail and, for k = 1, the PIT box
+        assert bounds == [(0.0, None)] * p + [(0.0, None)] * k + [floor]
+        assert bounds[p:] == [(0.0, None)] * k + [floor]
+        if k == 1:
+            assert bounds == [(0.0, None)] * p + [(0.0, None), floor]
+        free = search_bounds(design, ModelSpec(alpha=alpha, constrained=False))
+        assert free[:p] == [(None, None)] * p and free[p:] == bounds[p:]
+        partly = search_bounds(design, ModelSpec(alpha=alpha, unconstrained_columns=(1,)))
+        assert partly[:p] == [(0.0, None), (None, None), (0.0, None)]
+
+    def test_unpack_canonicalizes_varsigma(self):
+        spec = ModelSpec(alpha=(0, 2))
+        x = np.array([0.0, 1.5, 2.0, 0.7, 0.3, np.log(1.25)])
+        params = unpack(x, spec)
+        np.testing.assert_array_equal(params.beta, [0.0, 1.5, 2.0])
+        # beta0 = 0 pins its deviation, so its scale reads 0; beta2 > 0 keeps 0.3
+        np.testing.assert_array_equal(params.varsigma, [0.0, 0.3])
+        assert params.sigma == pytest.approx(1.25, rel=1e-15)
+        assert x[3] == 0.7  # the search point itself is left alone
 
 
 class TestAssemble:

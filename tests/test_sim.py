@@ -25,11 +25,20 @@ from cslme.sim import (
     minimize_labels,
     run_scenario,
     sdtn_sd,
-    set_parameter,
-    table_labels,
     table_values,
 )
 from cslme.estimate import FitConfig, fit, pls_objective, prls_objective
+
+
+def with_label(params, spec, label, value):
+    """`params` with the entry named `label` (beta<j>, varsigma<col>, sigma) set."""
+    if label == "sigma":
+        return replace(params, sigma=value)
+    name, i = (("beta", int(label[4:])) if label.startswith("beta")
+               else ("varsigma", spec.alpha.index(int(label[8:]))))
+    values = getattr(params, name).copy()
+    values[i] = value
+    return replace(params, **{name: values})
 
 
 def scenario(n=300, seed=1, replications=1, beta=(0.072, 1.0, 1.0), vs=(0.058,)):
@@ -113,9 +122,10 @@ class TestGenResponse:
 class TestTables:
     def test_labels_intercept_only(self):
         spec = ModelSpec(alpha=(0,))
-        labels = table_labels(spec, p=3, g=2)
-        assert labels == ["overall_g1_b0", "overall_g2_b0", "beta1", "beta2",
-                          "s_gamma0", "sigma"]
+        vals = table_values(np.array([0.5, 1.0, 2.0]), np.array([0.2]), 0.9,
+                            np.array([[0.1], [-0.2]]), spec, g=2)
+        assert list(vals) == ["overall_g1_b0", "overall_g2_b0", "beta1", "beta2",
+                              "s_gamma0", "sigma"]
 
     def test_values_roundtrip(self):
         spec = ModelSpec(alpha=(0,))
@@ -261,8 +271,7 @@ class TestContour:
                              fixed=sc.truth)
         grid = contour_grid(req, data, spec)
         assert grid.shape == (1, 3)
-        point = set_parameter(set_parameter(sc.truth, spec, "beta1", 1.0),
-                              spec, "beta2", 1.0)
+        point = with_label(with_label(sc.truth, spec, "beta1", 1.0), spec, "beta2", 1.0)
         assert grid[0, 2] == pytest.approx(pls_objective(point, data, spec),
                                            rel=1e-12)
 
@@ -287,8 +296,8 @@ class TestContour:
         for v1 in np.linspace(lo1, hi1, s1):
             for v2 in np.linspace(lo2, hi2, s2):
                 try:
-                    point = set_parameter(req.fixed, spec, req.vary[0], float(v1))
-                    point = set_parameter(point, spec, req.vary[1], float(v2))
+                    point = with_label(req.fixed, spec, req.vary[0], float(v1))
+                    point = with_label(point, spec, req.vary[1], float(v2))
                     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                         out.append(objective(point, data, spec))
                 except (ValueError, np.linalg.LinAlgError):
@@ -344,13 +353,6 @@ class TestContour:
                 assert np.all(np.isfinite(values))
                 np.testing.assert_allclose(values, self.per_point(req, dup, spec), rtol=1e-12)
 
-    def test_unknown_label_rejected(self):
-        sc = scenario()
-        with pytest.raises(ValueError):
-            set_parameter(sc.truth, sc.model_spec(), "beta9", 1.0)
-        with pytest.raises(ValueError):
-            set_parameter(sc.truth, sc.model_spec(), "varsigma1", 1.0)
-
     @pytest.mark.parametrize("vary", [("beta9", "sigma"), ("varsigma1", "sigma"),
                                       ("beta0", "bogus")])
     def test_unknown_vary_label_rejected(self, vary):
@@ -368,6 +370,11 @@ class TestContour:
     def test_bad_fixed_point_rejected(self, beta, varsigma):
         sc = scenario()
         data, _ = gen_response(gen_design(sc), sc.truth, sc.model_spec(), seed=2)
+        if not (np.isfinite(beta).all() and np.isfinite(varsigma).all()):
+            # a non-finite point is never built, so it cannot reach the grid
+            with pytest.raises(ValueError, match="must be finite"):
+                Parameters(beta=np.array(beta), varsigma=np.array(varsigma), sigma=1.0)
+            return
         fixed = Parameters(beta=np.array(beta), varsigma=np.array(varsigma), sigma=1.0)
         req = ContourRequest(objective="PLS", vary=("beta0", "sigma"),
                              ranges=((0.0, 1.0, 3), (0.5, 1.0, 3)), fixed=fixed)
@@ -421,6 +428,36 @@ class TestMinimizeLabels:
         assert con_obj >= free_obj - 1e-9
         assert con_vals["beta1"] >= 0.0
         assert con_vals["beta2"] >= 0.0
+
+    def test_unknown_label_rejected(self):
+        sc = scenario()
+        data, _ = gen_response(gen_design(sc), sc.truth, sc.model_spec(), seed=2)
+        for label in ("beta9", "varsigma1", "bogus"):  # alpha = (0,)
+            with pytest.raises(ValueError, match=f"unknown parameter '{label}'"):
+                minimize_labels(data, sc.model_spec(), sc.truth, ("beta1", label))
+
+    @pytest.mark.parametrize("constrained", [True, False])
+    def test_scale_search_at_its_bound(self, constrained):
+        # the central-difference probe at varsigma = 0 steps below 0, which
+        # the objective reads through |varsigma| as the fits do
+        base = builtin_scenarios()["intercept-p3-n300"]
+        spec = base.model_spec()
+        for seed in range(12):
+            sc = replace(base, seed=seed)
+            data, _ = gen_response(gen_design(sc), sc.truth, spec, seed)
+            values, value = minimize_labels(data, spec, sc.truth, ("varsigma0",),
+                                            constrained=constrained)
+            assert values["varsigma0"] >= 0.0 and np.isfinite(value)
+
+    def test_sigma_label_reads_back_on_natural_scale(self):
+        sc = scenario(n=60, seed=3)
+        spec = sc.model_spec()
+        data, _ = gen_response(gen_design(sc), sc.truth, spec, seed=2)
+        values, value = minimize_labels(data, spec, sc.truth, ("beta1", "sigma"))
+        assert values["sigma"] > 0.0
+        fixed = replace(sc.truth, beta=np.array([0.072, values["beta1"], 1.0]),
+                        sigma=values["sigma"])
+        assert value == pytest.approx(pls_objective(fixed, data, spec), rel=1e-12)
 
 
 class TestBuiltins:
