@@ -34,6 +34,7 @@ from .model import (
     Dataset,
     GroupData,
     ModelSpec,
+    NumericalError,
     Parameters,
     RandomEffects,
     sdtn_variances,
@@ -67,6 +68,7 @@ __all__ = [
     "GroupData",
     "GroupQp",
     "ModelSpec",
+    "NumericalError",
     "Parameters",
     "QuadratureUnderflowError",
     "RandomEffects",

@@ -29,6 +29,7 @@ from .model import (
     BlockDesign,
     Dataset,
     ModelSpec,
+    NumericalError,
     Parameters,
     RandomEffects,
     as_design,
@@ -38,6 +39,7 @@ from .model import (
 )
 from .estimate import multistart
 from .optim import MAX_ITER, TOL_GRAD, TOL_OBJ, minimize_box, with_central_diff
+from .ranef import solve_all
 from .sdtn import SdtnParams, sdtn_ppf, std_normal_cdf
 
 LOG_DOUBLE_MIN = math.log(np.finfo(float).tiny)
@@ -67,7 +69,7 @@ _GH_TABLE = {
 }
 
 
-class QuadratureUnderflowError(RuntimeError):
+class QuadratureUnderflowError(NumericalError):
     """All quadrature node density products underflowed for some group."""
 
     def __init__(self, group_id, log_max):
@@ -270,6 +272,13 @@ def pit_objective(x: np.ndarray, design: BlockDesign, spec: ModelSpec, q: int,
     return total
 
 
+def check_pit_k(k: int):
+    """Raise ValueError unless k = 1: PIT supports one random-effect column."""
+    if k != 1:
+        raise ValueError(
+            f"the quadrature baseline supports exactly one random-effect column, got k={k}")
+
+
 def fit_pit(dataset: Dataset, spec: ModelSpec, q: int = 2,
             initial: Parameters | None = None) -> BaselineFit:
     """Fit the PIT quadrature baseline (single random-effect column only).
@@ -282,11 +291,7 @@ def fit_pit(dataset: Dataset, spec: ModelSpec, q: int = 2,
     meant to exhibit. Callers needing a better basin can supply `initial`.
     """
     design = as_design(dataset, spec)
-    if design.k != 1:
-        raise ValueError(
-            f"the quadrature baseline supports exactly one random-effect "
-            f"column, got k={design.k}"
-        )
+    check_pit_k(design.k)
     y, X = design.y, design.X
     if initial is None:
         beta0, *_ = np.linalg.lstsq(X, y, rcond=None)
@@ -307,14 +312,10 @@ def fit_pit(dataset: Dataset, spec: ModelSpec, q: int = 2,
                        x0, bounds, tol_obj=1e-10, tol_grad=1e-7)
     pit_objective(res.x, design, spec, q, strict=True)
     params = unpack(res.x, spec)
-
-    from .ranef import solve_all
-
-    gamma = solve_all(dataset, params, spec)
     return BaselineFit(
         theta=Theta(params.varsigma, params.sigma),
         beta=params.beta,
-        gamma=gamma,
+        gamma=solve_all(dataset, params, spec),
         loglik=-res.fun,
         criterion="PIT",
         converged=res.converged,

@@ -7,8 +7,9 @@ simulate  run a scenario config through the Monte-Carlo harness
 contour   evaluate a PLS/PRLS objective on a 2-d parameter grid
 ranef     recompute per-group deviations from a saved fit document
 
-Exit codes: 0 success, 1 input/config error, 2 numerical non-convergence
-(the result document is still written with diagnostics).
+Exit codes: 0 success, 1 input/config error, 2 numerical failure: a fit
+that did not converge or raised one of `model.NUMERICAL_FAILURES` (`fit`
+still writes its result document, with diagnostics).
 
 Config files are flat `key = value` text; `#` starts a comment. All JSON
 numbers round-trip losslessly; stdout summaries are rounded to 3 decimals.
@@ -25,10 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .baseline import QuadratureUnderflowError
 from .metrics import r_squared
-from .model import Dataset, GroupData, ModelSpec, Parameters
-from .optim import ConvergenceError
+from .model import NUMERICAL_FAILURES, Dataset, GroupData, ModelSpec, Parameters
 from .ranef import solve_all
 from .sim import (
     ALL_METHODS,
@@ -365,7 +364,7 @@ def cmd_fit(args) -> int:
     }
     try:
         return _run_fit_method(args, method, schema, dataset, spec, run_config)
-    except (ConvergenceError, QuadratureUnderflowError) as exc:
+    except NUMERICAL_FAILURES as exc:
         doc = {
             "spec": {"method": method},
             "diagnostics": {"converged": False, "error": f"{type(exc).__name__}: {exc}"},
@@ -373,8 +372,7 @@ def cmd_fit(args) -> int:
                            "config_hash": _config_hash(run_config)},
         }
         _write_document(doc, args.out, args.format)
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+        raise  # main reports it and exits 2
 
 
 def _run_fit_method(args, method, schema, dataset, spec, run_config) -> int:
@@ -610,15 +608,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except NUMERICAL_FAILURES as exc:  # before ValueError: LinAlgError is one
+        detail = getattr(exc, "diagnostics", "")  # ConvergenceError's per-start list
+        print(f"numerical failure: {exc} {detail}".rstrip(), file=sys.stderr)
+        return 2
     except (ValueError, FileNotFoundError, PermissionError) as exc:  # SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except QuadratureUnderflowError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"did not converge: {exc} {exc.diagnostics}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

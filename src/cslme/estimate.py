@@ -26,12 +26,12 @@ import math
 import numpy as np
 
 from .model import (
+    NUMERICAL_FAILURES,
     BlockDesign,
     Dataset,
     ModelSpec,
     Parameters,
     RandomEffects,
-    SingularDesignError,
     as_design,
     re_variance_partials,
     re_variances,
@@ -39,16 +39,11 @@ from .model import (
     unpack,
 )
 from .optim import MAX_ITER, TOL_GRAD, TOL_OBJ, BoxResult, ConvergenceError, minimize_box
-from . import metrics as _metrics
 from . import ranef as _ranef
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 METHODS = ("PLS", "PRLS")
-
-# errors that end one start of a multi-start fit without ending the fit
-FAILED_START = (np.linalg.LinAlgError, FloatingPointError, OverflowError,
-                SingularDesignError)
 
 
 @dataclass(frozen=True)
@@ -75,8 +70,6 @@ class FitResult:
     objective_trace: np.ndarray
     start_index: int
     converged: bool
-    r2_marginal: float
-    r2_conditional: float
     method: str = "PLS"
     n_iter: int = 0
     n_eval: int = 0  # (f, grad) calls, summed over the starts that finished
@@ -172,7 +165,7 @@ def multistart(fun, starts, bounds, tol_obj, tol_grad, max_iter):
     """Run `minimize_box` on `fun(x) -> (f, grad)` from every start and
     keep the lowest objective.
 
-    A start that raises one of FAILED_START is recorded as (index, repr)
+    A start that raises one of NUMERICAL_FAILURES is recorded as (index, repr)
     and skipped. A later start wins only if its objective is lower by more
     than tol_obj, so near-ties go to the earlier start. Returns (winning
     index, its BoxResult, [(index, BoxResult)] of every finished start,
@@ -184,7 +177,7 @@ def multistart(fun, starts, bounds, tol_obj, tol_grad, max_iter):
         try:
             res = minimize_box(fun, x0, bounds, tol_obj=tol_obj, tol_grad=tol_grad,
                                max_iter=max_iter)
-        except FAILED_START as exc:
+        except NUMERICAL_FAILURES as exc:
             failures.append((idx, repr(exc)))
             continue
         results.append((idx, res))
@@ -200,9 +193,9 @@ def multistart(fun, starts, bounds, tol_obj, tol_grad, max_iter):
 def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> FitResult:
     """Multi-start constrained minimization of the PLS or PRLS objective.
 
-    Returns the lowest-objective start with the fitted deviations and
-    variance-explained summaries attached. Every returned parameter
-    satisfies its bound exactly (projection, not tolerance).
+    Returns the lowest-objective start with the fitted deviations
+    attached. Every returned parameter satisfies its bound exactly
+    (projection, not tolerance).
     """
     if config is None:
         config = FitConfig()
@@ -218,18 +211,13 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
         objective, default_starts(design, spec, config), search_bounds(design, spec),
         TOL_OBJ, TOL_GRAD, MAX_ITER)
     params = unpack(best.x, spec)
-    objective_value = objective_for(config.method)(params, design, spec)
-    gamma = _ranef.solve_all(dataset, params, spec)
-    r2m, r2c = _metrics.r_squared(params, dataset, spec)
     return FitResult(
         params=params,
-        gamma=gamma,
-        objective=objective_value,
+        gamma=_ranef.solve_all(dataset, params, spec),
+        objective=best.fun,
         objective_trace=best.trace,
         start_index=best_idx,
         converged=best.converged,
-        r2_marginal=r2m,
-        r2_conditional=r2c,
         method=config.method,
         n_iter=best.n_iter,
         n_eval=sum(res.nfev for _, res in results),

@@ -48,7 +48,15 @@ class DimensionMismatchError(ValueError):
     """Shapes of responses/designs disagree across or within groups."""
 
 
-class SingularDesignError(ValueError):
+class NumericalError(ArithmeticError):
+    """The input was valid, and the computation failed on it; bad input is a ValueError."""
+
+
+# what a start, a replication or a CLI run counts as a numerical failure
+NUMERICAL_FAILURES = (NumericalError, OverflowError, FloatingPointError, np.linalg.LinAlgError)
+
+
+class SingularDesignError(NumericalError):
     """X^T V^{-1} X, or a joint normal-equation system, is rank deficient."""
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from .model import NumericalError
+
 # Stopping tolerances of every fit except PIT: relative objective decrease
 # and projected-gradient infinity norm. Every fit allows MAX_ITER iterations.
 TOL_OBJ = 1e-11
@@ -21,7 +23,7 @@ TOL_GRAD = 1e-8
 MAX_ITER = 500
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(NumericalError):
     """Optimization failed; carries per-start diagnostics."""
 
     def __init__(self, message, diagnostics=None):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Dataset, ModelSpec, Parameters, RandomEffects
+from .optim import ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,8 @@ def _box_qp(H, c, lo, hi, tol=1e-12):
 
     Primal active set: solve the free subsystem exactly, step to the first
     blocking bound when infeasible, release the worst-violating multiplier
-    otherwise. Finite for strictly convex problems; the returned point
-    satisfies the bounds exactly.
+    otherwise. Finite for strictly convex problems, ConvergenceError at the
+    iteration cap; the returned point satisfies the bounds exactly.
     """
     m = c.size
     x = np.clip(np.linalg.solve(H, c), lo, hi)
@@ -92,7 +93,7 @@ def _box_qp(H, c, lo, hi, tol=1e-12):
         if release < 0:
             return np.clip(x, lo, hi)
         state[release] = 0
-    raise RuntimeError("active-set QP did not terminate")
+    raise ConvergenceError("active-set QP did not terminate")
 
 
 def solve_group(qp: GroupQp) -> np.ndarray:

@@ -20,10 +20,11 @@ import os
 
 import numpy as np
 
-from .baseline import QuadratureUnderflowError, fit_pit, fit_unconstrained
+from .baseline import check_pit_k, fit_pit, fit_unconstrained
 from .estimate import FitConfig, fit, objective_for
 from .metrics import r_squared, rmse
 from .model import (
+    NUMERICAL_FAILURES,
     BlockDesign,
     BlockSolve,
     Dataset,
@@ -31,12 +32,11 @@ from .model import (
     ModelSpec,
     Parameters,
     RandomEffects,
-    SingularDesignError,
     parameter_labels,
     re_variances,
     search_bounds,
 )
-from .optim import ConvergenceError, minimize_box, with_central_diff
+from .optim import minimize_box, with_central_diff
 from .sdtn import SdtnParams, sdtn_ppf, variance_factor
 
 ALL_METHODS = ("PLS", "PRLS", "ML", "REML", "PIT")
@@ -224,8 +224,7 @@ def _replication(scenario: Scenario, methods, rep: int, pit_q: int, n_starts: in
                 "r2_marginal": r2m,
                 "r2_conditional": r2c,
             }
-        except (QuadratureUnderflowError, ConvergenceError, SingularDesignError,
-                np.linalg.LinAlgError) as exc:
+        except NUMERICAL_FAILURES as exc:
             out[method] = {"error": f"{type(exc).__name__}: {exc}"}
     return rep, out
 
@@ -287,9 +286,10 @@ def run_scenario(scenario: Scenario, methods=("PLS", "PRLS", "REML"),
                  pit_q: int = 2, n_starts: int = 5) -> ScenarioResult:
     """Fit each method on each replication and aggregate.
 
-    Per-replication failures (quadrature underflow, non-convergence, a
-    singular design) are recorded and excluded from the aggregates, with
-    counts reported.
+    A fit that raises one of `model.NUMERICAL_FAILURES` is recorded as
+    its replication's failure and excluded from the aggregates, with
+    counts reported. An unknown method, or PIT without exactly one
+    random-effect column, raises ValueError before any replication runs.
     """
     methods = tuple(m.upper() for m in methods)
     if not methods:
@@ -297,6 +297,8 @@ def run_scenario(scenario: Scenario, methods=("PLS", "PRLS", "REML"),
     for m in methods:
         if m not in ALL_METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {ALL_METHODS}")
+    if "PIT" in methods:
+        check_pit_k(len(scenario.alpha))
     reps = range(scenario.replications)
     workers = worker_count()
     if workers > 1:

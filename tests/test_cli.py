@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from cslme import sim
 from cslme.cli import InputSchema, SchemaError, ingest, main, read_config
 from cslme.datasets import sleepstudy_path
+from cslme.model import SingularDesignError
 
 SLEEP_SCHEMA_ARGS = [
     "--group-col", "Subject", "--response-col", "Reaction",
@@ -351,6 +353,27 @@ class TestNumericalFailureExit:
         assert "Underflow" in doc["diagnostics"]["error"]
 
 
+    @pytest.mark.parametrize("method, target, error", [
+        ("PIT", "fit_pit", OverflowError("math range error")),
+        ("PLS", "fit", SingularDesignError("X^T V^{-1} X is singular")),
+    ], ids=["pit-overflow", "singular-design"])
+    def test_numerical_failure_exits_2_with_diagnostics(self, tmp_path, monkeypatch, capsys,
+                                                         method, target, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(sim, target, failing)
+        raneff = "intercept" if method == "PIT" else "intercept,Days"
+        out = tmp_path / "fit.json"
+        code = main(["fit", str(sleepstudy_path()), *SLEEP_SCHEMA_ARGS[:-1], raneff,
+                     "--method", method, "--out", str(out)])
+        assert code == 2
+        doc = json.loads(out.read_text())
+        assert doc["diagnostics"] == {"converged": False,
+                                      "error": f"{type(error).__name__}: {error}"}
+        assert capsys.readouterr().err == f"numerical failure: {error}\n"
+
+
 class TestMalformedInputs:
     def test_binary_garbage_is_an_error_not_a_crash(self, tmp_path, capsys):
         path = tmp_path / "garbage.csv"
@@ -388,10 +411,11 @@ class TestDiscountSalesAnalog:
         # near the uniform limit the raw scale is weakly identified, so the
         # as-printed conditional R2 can approach 1; the effective mode uses
         # the deflated deviation variance instead
-        assert pls.r2_marginal < 0.05
-        assert pls.r2_conditional > 0.1
         from cslme.metrics import r_squared
 
+        r2m, r2c = r_squared(pls.params, data, spec)
+        assert r2m < 0.05
+        assert r2c > 0.1
         m_eff, c_eff = r_squared(pls.params, data, spec, effective=True)
         assert m_eff < 0.05
         assert 0.15 < c_eff < 0.9

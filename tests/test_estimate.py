@@ -7,7 +7,6 @@ from conftest import make_dataset, random_params
 from dense import assemble, marginal_cov
 from cslme import estimate
 from cslme.estimate import (
-    FAILED_START,
     FitConfig,
     approx_loglik,
     fit,
@@ -16,10 +15,12 @@ from cslme.estimate import (
     prls_objective,
 )
 from cslme.model import (
+    NUMERICAL_FAILURES,
     Dataset,
     GroupData,
     ModelSpec,
     Parameters,
+    SingularDesignError,
 )
 from cslme.optim import (
     TOL_OBJ,
@@ -163,6 +164,17 @@ class TestFit:
         assert res.failed_starts[0][1].startswith("OverflowError")
         assert [idx for idx, *_ in res.start_objectives] == [0]
 
+    @pytest.mark.parametrize("error", [ZeroDivisionError, KeyError])
+    def test_program_error_in_a_start_propagates(self, rng, monkeypatch, error):
+        # ZeroDivisionError is an ArithmeticError, as NumericalError is: the
+        # failure tuple must name NumericalError, not its base
+        def raising(*args):
+            raise error("a program error")
+
+        monkeypatch.setattr(estimate, "objective_and_gradient", raising)
+        with pytest.raises(error, match="a program error"):
+            fit(make_dataset(rng, g=3, p=2), ModelSpec(alpha=(0,)), FitConfig(n_starts=2))
+
     def test_zero_variance_truth_recovers_gls(self, rng):
         truth = Parameters(beta=np.array([1.0, 0.8, 1.2]),
                            varsigma=np.array([0.0]), sigma=0.7)
@@ -271,7 +283,8 @@ class TestMultistart:
         idx, best, _, _ = self.run(two_basins(-1e-5))
         assert idx == 1 and best.x[0] == pytest.approx(-1.0, abs=1e-4)
 
-    @pytest.mark.parametrize("error", FAILED_START)
+    @pytest.mark.parametrize("error", [*NUMERICAL_FAILURES, SingularDesignError,
+                                       ConvergenceError])
     def test_every_start_failing_lists_each(self, error):
         def fun(x):
             raise error("no value here")

@@ -7,9 +7,9 @@ from scipy import stats
 
 from dataclasses import replace
 
-from cslme import baseline, estimate, sim
+from cslme import baseline, estimate, ranef, sim
 from cslme.baseline import fit_pit, fit_unconstrained
-from cslme.model import Dataset, GroupData, ModelSpec, Parameters
+from cslme.model import NUMERICAL_FAILURES, Dataset, GroupData, ModelSpec, Parameters
 from cslme.optim import minimize_box
 from cslme.sdtn import variance_factor
 from cslme.sim import (
@@ -203,6 +203,43 @@ class TestRunScenario:
             assert res.summary(m) == {"method": m, "n_ok": 0, "n_failed": 2}
             assert all(msg.startswith("ConvergenceError") for _, msg in res.failures[m])
 
+    def test_pit_overflow_recorded_not_raised(self, monkeypatch):
+        monkeypatch.delenv("CSLME_THREADS", raising=False)
+
+        def overflowing(*args, **kwargs):
+            return math.exp(800.0)  # as pit_objective at an unbounded log sigma
+
+        monkeypatch.setattr(sim, "fit_pit", overflowing)
+        res = run_scenario(scenario(n=60, replications=2, seed=4), methods=ALL_METHODS)
+        assert res.summary("PIT") == {"method": "PIT", "n_ok": 0, "n_failed": 2}
+        assert all(msg.startswith("OverflowError") for _, msg in res.failures["PIT"])
+        for m in ("PLS", "PRLS", "ML", "REML"):
+            assert res.summary(m)["n_ok"] == 2 and res.failures[m] == []
+
+    def test_qp_iteration_cap_recorded_not_raised(self, monkeypatch):
+        monkeypatch.delenv("CSLME_THREADS", raising=False)
+        # _box_qp iterates over range(cap); a zero cap makes every group QP
+        # with a live coordinate reach it at once
+        monkeypatch.setattr(ranef, "range", lambda cap: range(0), raising=False)
+        # six groups keep every fitted deviation scale above 0, so each fit has one
+        truth = Parameters(beta=np.ones(3), varsigma=np.array([0.5]), sigma=1.0)
+        sc = Scenario(n=120, p=3, g=6, alpha=(0,), truth=truth, replications=2, seed=4)
+        res = run_scenario(sc, methods=ALL_METHODS)
+        for m in ("PLS", "PRLS", "PIT"):  # their deviations solve the group QPs
+            assert res.summary(m)["n_failed"] == 2
+            assert all(msg == "ConvergenceError: active-set QP did not terminate"
+                       for _, msg in res.failures[m])
+        for m in ("ML", "REML"):  # closed-form deviations
+            assert res.summary(m)["n_ok"] == 2 and res.failures[m] == []
+
+    def test_pit_with_three_random_columns_rejected_before_any_fit(self, monkeypatch):
+        fits = []
+        monkeypatch.setattr(sim, "fit_method", lambda *args, **kw: fits.append(args))
+        sc = builtin_scenarios()["full-p3-n500"]
+        with pytest.raises(ValueError, match="exactly one random-effect column, got k=3"):
+            run_scenario(sc, methods=("PLS", "PIT"))
+        assert fits == []
+
     def test_failures_reported(self):
         # PIT on large per-group sizes fails with the underflow diagnostic
         truth = Parameters(beta=np.array([1.0, 1.0]), varsigma=np.array([0.3]),
@@ -300,7 +337,7 @@ class TestContour:
                     point = with_label(point, spec, req.vary[1], float(v2))
                     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                         out.append(objective(point, data, spec))
-                except (ValueError, np.linalg.LinAlgError):
+                except (ValueError, *NUMERICAL_FAILURES):
                     out.append(np.nan)
         return np.array(out)
 
