@@ -1,25 +1,26 @@
 #!/usr/bin/env python3
 """Small-sample sign-constraint demonstration (n=30, near-zero slopes).
 
-Generates one dataset, minimizes the penalized least-squares objective
-over (beta1, beta2) with and without nonnegativity, prints the three-row
-comparison (truth plug-in / free / constrained), and writes a contour grid
-with a level-band sidecar for plotting the two objective values.
+Draws one dataset of the built-in merit-n30 scenario, minimizes the
+penalized least-squares objective over (beta1, beta2) with and without
+nonnegativity, prints the three-row comparison (truth plug-in / free /
+constrained), and writes a contour grid with a level-band sidecar for
+plotting the two objective values.
 """
 
 import argparse
+from dataclasses import replace
 
-import numpy as np
-
+from cslme.cli import write_csv
 from cslme.estimate import pls_objective
-from cslme.model import Parameters
 from cslme.sim import (
     ContourRequest,
-    Scenario,
+    builtin_scenarios,
     contour_grid,
-    gen_design,
-    gen_response,
+    contour_rows,
+    level_rows,
     minimize_labels,
+    replication_data,
 )
 
 
@@ -32,13 +33,9 @@ def main():
     parser.add_argument("--steps", type=int, default=81)
     args = parser.parse_args()
 
-    truth = Parameters(beta=np.array([0.072, 0.001, 0.001]),
-                       varsigma=np.array([0.058]), sigma=1.0)
-    sc = Scenario(n=30, p=3, g=2, alpha=(0,), truth=truth, seed=args.seed)
-    spec = sc.model_spec()
-    ss = np.random.SeedSequence([sc.seed, args.rep])
-    d_seed, r_seed = ss.spawn(2)
-    data, _ = gen_response(gen_design(sc, seed=d_seed), truth, spec, r_seed)
+    sc = replace(builtin_scenarios()["merit-n30"], seed=args.seed)
+    truth, spec = sc.truth, sc.model_spec()
+    data, _, _ = replication_data(sc, args.rep)
 
     plug_in = pls_objective(truth, data, spec)
     free_vals, free_obj = minimize_labels(data, spec, truth, ("beta1", "beta2"),
@@ -64,18 +61,10 @@ def main():
                              ranges=((lo, hi, args.steps), (lo, hi, args.steps)),
                              fixed=truth)
     grid = contour_grid(request, data, spec)
-    with open(args.out, "w") as fh:
-        fh.write("beta1,beta2,objective\n")
-        for a, b, v in grid:
-            fh.write(f"{float(a)!r},{float(b)!r},{float(v)!r}\n")
-    tol = max(1e-3, abs(gap) / 10)
+    write_csv(args.out, contour_rows(grid, request.vary))
     side = args.out + ".levels.csv"
-    with open(side, "w") as fh:
-        fh.write("level,beta1,beta2,objective\n")
-        for level in (free_obj, con_obj):
-            for a, b, v in grid:
-                if np.isfinite(v) and abs(v - level) <= tol:
-                    fh.write(f"{float(level)!r},{float(a)!r},{float(b)!r},{float(v)!r}\n")
+    write_csv(side, level_rows(grid, request.vary, (free_obj, con_obj),
+                               max(1e-3, abs(gap) / 10)))
     print(f"contour grid -> {args.out}; level bands -> {side}")
 
 

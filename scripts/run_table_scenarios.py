@@ -7,11 +7,11 @@ and methods are configurable; seeds are fixed so reruns are identical.
 """
 
 import argparse
-import csv
+from dataclasses import replace
 from pathlib import Path
 
+from cslme.cli import write_csv
 from cslme.sim import builtin_scenarios, run_scenario
-from dataclasses import replace
 
 
 def main():
@@ -34,21 +34,7 @@ def main():
         sc = replace(registry[name], replications=args.replications, seed=args.seed)
         result = run_scenario(sc, methods=methods)
         path = out_dir / f"{name}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["method", "parameter", "true_mean",
-                             "estimate_mean", "estimate_median"])
-            for row in result.estimate_rows():
-                writer.writerow([row["method"], row["parameter"],
-                                 repr(row["true_mean"]), repr(row["estimate_mean"]),
-                                 repr(row["estimate_median"])])
-            for method in methods:
-                s = result.summary(method)
-                for key in ("rmse_median", "rmse_mean", "rmse_core_median",
-                            "r2_marginal_mean", "r2_conditional_mean"):
-                    if key in s:
-                        writer.writerow([method, key, "", repr(s[key]), ""])
-                writer.writerow([method, "n_failed", "", s["n_failed"], ""])
+        write_csv(path, result.table_rows())
         summaries = ", ".join(
             f"{m}: rmse_med={result.summary(m).get('rmse_median', float('nan')):.3f}"
             for m in methods)

@@ -189,7 +189,6 @@ def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML"
     design = as_design(dataset, spec)
     if design.k < 1:
         raise ValueError("at least one random-effect column is required")
-    loglik = profile_loglik if criterion == "ML" else reml_loglik
 
     def objective(x):
         return criterion_and_gradient(x, design, criterion)
@@ -204,7 +203,7 @@ def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML"
         theta=theta,
         beta=beta,
         gamma=gamma,
-        loglik=float(loglik(theta, design, spec)),
+        loglik=-res.fun,  # the minimized criterion is the negated log-likelihood
         criterion=criterion,
         converged=res.converged,
         n_iter=res.n_iter,

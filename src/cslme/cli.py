@@ -26,20 +26,25 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
+from .estimate import METHODS
 from .metrics import r_squared
 from .model import NUMERICAL_FAILURES, Dataset, GroupData, ModelSpec, Parameters
+from .optim import ConvergenceError
 from .ranef import solve_all
 from .sim import (
     ALL_METHODS,
+    NORMAL_METHODS,
     ContourRequest,
     Scenario,
     builtin_scenarios,
     contour_grid,
+    contour_rows,
+    deviation_sd,
     fit_method,
-    gen_design,
-    gen_response,
+    fmt_float,
+    level_rows,
+    replication_data,
     run_scenario,
-    sdtn_sd,
 )
 
 
@@ -193,6 +198,12 @@ def _cfg_int_list(cfg, key):
     return [int(v) for v in cfg[key].replace(",", " ").split()]
 
 
+def _cfg_parameters(cfg) -> Parameters:
+    return Parameters(beta=np.asarray(_cfg_float_list(cfg, "beta")),
+                      varsigma=np.asarray(_cfg_float_list(cfg, "varsigma")),
+                      sigma=float(cfg["sigma"]))
+
+
 def _scenario_from_config(cfg: dict) -> Scenario:
     if "scenario" in cfg:
         name = cfg["scenario"]
@@ -205,9 +216,7 @@ def _scenario_from_config(cfg: dict) -> Scenario:
         return replace(base, replications=int(cfg.get("replications", base.replications)),
                        seed=int(cfg.get("seed", base.seed)))
     try:
-        truth = Parameters(beta=np.asarray(_cfg_float_list(cfg, "beta")),
-                           varsigma=np.asarray(_cfg_float_list(cfg, "varsigma")),
-                           sigma=float(cfg["sigma"]))
+        truth = _cfg_parameters(cfg)
         scenario = Scenario(
             n=int(cfg["n"]), p=int(cfg["p"]), g=int(cfg["g"]),
             alpha=tuple(_cfg_int_list(cfg, "alpha")),
@@ -242,12 +251,8 @@ def _fit_document(method, schema, spec, dataset, params, gamma, diagnostics,
         [float(params.beta[col] + gamma.gamma[ell, i]) for i, col in enumerate(alpha)]
         for ell in range(dataset.g)
     ]
-    normal_re = method in ("ML", "REML")  # unconstrained, normal deviations
-    s_gamma = [
-        float(abs(params.varsigma[i])) if normal_re
-        else sdtn_sd(float(params.beta[col]), float(params.varsigma[i]))
-        for i, col in enumerate(alpha)
-    ]
+    s_gamma = [deviation_sd(method, params.beta[col], params.varsigma[i])
+               for i, col in enumerate(alpha)]
     at_bound = gamma.at_bound if gamma.at_bound is not None else np.zeros_like(
         gamma.gamma, dtype=bool)
     return {
@@ -257,7 +262,7 @@ def _fit_document(method, schema, spec, dataset, params, gamma, diagnostics,
             "alpha": alpha,
             "random_effect_columns": [cols[i] for i in alpha],
             "intercept": spec.intercept,
-            "constrained": spec.constrained and not normal_re,
+            "constrained": spec.constrained and method not in NORMAL_METHODS,
             "n_groups": dataset.g,
             "n_rows": dataset.n,
         },
@@ -306,7 +311,7 @@ def _write_document(doc: dict, out, fmt: str):
             rows.append((section, key, repr(obj) if isinstance(obj, float) else str(obj)))
 
     flatten("", doc)
-    _write_csv(out, rows)
+    write_csv(out, rows)
 
 
 def _write_text(out, text):
@@ -317,17 +322,15 @@ def _write_text(out, text):
             fh.write(text)
 
 
-def _write_csv(out, rows):
+def write_csv(out, rows):
+    """Write `rows` as CSV, lines ending in a bare newline, to the file `out`
+    or to stdout when `out` is None or "-"."""
     if out in (None, "-"):
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerows(rows)
     else:
         with open(out, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
-
-
-def _num(x) -> str:
-    return repr(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +368,13 @@ def cmd_fit(args) -> int:
     try:
         return _run_fit_method(args, method, schema, dataset, spec, run_config)
     except NUMERICAL_FAILURES as exc:
+        diagnostics = {"converged": False, "error": f"{type(exc).__name__}: {exc}"}
+        if isinstance(exc, ConvergenceError):
+            diagnostics["failed_starts"] = [{"start": i, "error": e}
+                                            for i, e in exc.diagnostics]
         doc = {
             "spec": {"method": method},
-            "diagnostics": {"converged": False, "error": f"{type(exc).__name__}: {exc}"},
+            "diagnostics": diagnostics,
             "provenance": {"seed": args.seed, "version": __version__,
                            "config_hash": _config_hash(run_config)},
         }
@@ -379,7 +386,7 @@ def _run_fit_method(args, method, schema, dataset, spec, run_config) -> int:
     res = fit_method(method, dataset, spec, seed=args.seed, n_starts=args.starts,
                      pit_q=args.pit_q)
     diagnostics = {"converged": res.converged, "n_iter": res.n_iter}
-    if method in ("PLS", "PRLS"):
+    if method in METHODS:
         objective, loglik = res.objective, None
         diagnostics.update(
             start_index=res.start_index,
@@ -435,18 +442,7 @@ def cmd_simulate(args) -> int:
     }
     print("resolved config: " + json.dumps(resolved, sort_keys=True))
     result = run_scenario(scenario, methods=methods, pit_q=pit_q, n_starts=n_starts)
-    rows = [("method", "parameter", "true_mean", "estimate_mean", "estimate_median")]
-    for row in result.estimate_rows():
-        rows.append((row["method"], row["parameter"], _num(row["true_mean"]),
-                     _num(row["estimate_mean"]), _num(row["estimate_median"])))
-    for method in methods:
-        s = result.summary(method)
-        for key in ("rmse_median", "rmse_mean", "rmse_core_median",
-                    "r2_marginal_mean", "r2_conditional_mean"):
-            if key in s:
-                rows.append((method, key, "", _num(s[key]), ""))
-        rows.append((method, "n_failed", "", str(s["n_failed"]), ""))
-    _write_csv(args.out, rows)
+    write_csv(args.out, result.table_rows())
     return 0
 
 
@@ -472,36 +468,24 @@ def cmd_contour(args) -> int:
     else:
         scenario = _scenario_from_config(cfg)
         spec = scenario.model_spec()
-        seed = np.random.SeedSequence([scenario.seed, int(cfg.get("data_rep", 0))])
-        d_seed, r_seed = seed.spawn(2)
-        design = gen_design(scenario, seed=d_seed)
-        dataset, _ = gen_response(design, scenario.truth, spec, r_seed)
+        dataset, _, _ = replication_data(scenario, int(cfg.get("data_rep", 0)))
 
     try:
-        fixed = Parameters(beta=np.asarray(_cfg_float_list(cfg, "beta")),
-                           varsigma=np.asarray(_cfg_float_list(cfg, "varsigma")),
-                           sigma=float(cfg["sigma"]))
+        fixed = _cfg_parameters(cfg)
     except KeyError as exc:
         raise SchemaError(f"contour config missing key {exc.args[0]!r}") from None
     request = ContourRequest(objective=cfg["objective"].upper(), vary=vary,
                              ranges=tuple(ranges), fixed=fixed)
     grid = contour_grid(request, dataset, spec)
-    rows = [(vary[0], vary[1], "objective")]
-    rows += [(_num(a), _num(b), _num(v)) for a, b, v in grid]
-    _write_csv(args.out, rows)
+    write_csv(args.out, contour_rows(grid, vary))
 
     if "levels" in cfg:
-        levels = _cfg_float_list(cfg, "levels")
-        tol = float(cfg.get("level_tol", 0.01))
-        side_rows = [("level", vary[0], vary[1], "objective")]
-        for level in levels:
-            for a, b, v in grid:
-                if np.isfinite(v) and abs(v - level) <= tol:
-                    side_rows.append((_num(level), _num(a), _num(b), _num(v)))
+        side_rows = level_rows(grid, vary, _cfg_float_list(cfg, "levels"),
+                               float(cfg.get("level_tol", 0.01)))
         side_out = None
         if args.out not in (None, "-"):
             side_out = str(args.out) + ".levels.csv"
-        _write_csv(side_out, side_rows)
+        write_csv(side_out, side_rows)
     return 0
 
 
@@ -537,12 +521,12 @@ def cmd_ranef(args) -> int:
         row = [str(gid)]
         for i, col in enumerate(spec.alpha):
             row += [
-                _num(effects.gamma[ell, i]),
-                _num(params.beta[col] + effects.gamma[ell, i]),
+                fmt_float(effects.gamma[ell, i]),
+                fmt_float(params.beta[col] + effects.gamma[ell, i]),
                 str(bool(effects.at_bound[ell, i])),
             ]
         rows.append(tuple(row))
-    _write_csv(args.out, rows)
+    write_csv(args.out, rows)
     return 0
 
 

@@ -28,10 +28,12 @@ import numpy as np
 from .model import (
     NUMERICAL_FAILURES,
     BlockDesign,
+    BlockSolve,
     Dataset,
     ModelSpec,
     Parameters,
     RandomEffects,
+    SingularDesignError,
     as_design,
     re_variance_partials,
     re_variances,
@@ -125,13 +127,18 @@ def approx_loglik(params: Parameters, dataset, spec: ModelSpec) -> float:
     return -0.5 * design.n * LOG_2PI - 0.5 * pls
 
 
-def objective_for(method: str):
-    method = method.upper()
-    if method == "PLS":
-        return pls_objective
-    if method == "PRLS":
-        return prls_objective
-    raise ValueError(f"unknown method {method!r}")
+def _check_full_rank(design: BlockDesign):
+    """Raise SingularDesignError naming the first column of X collinear with
+    those before it, by `BlockSolve._pivots_ok`'s rule on X^T X."""
+    F = design.XtX
+    for j in range(1, design.p + 1):
+        try:
+            ok = BlockSolve._pivots_ok(F[:j, :j], np.linalg.cholesky(F[:j, :j]))
+        except np.linalg.LinAlgError:
+            ok = False
+        if not ok:
+            raise SingularDesignError(
+                f"design column {j - 1} (0-based) is collinear with the columns before it")
 
 
 def default_starts(design: BlockDesign, spec: ModelSpec, config: FitConfig) -> list:
@@ -195,13 +202,15 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
 
     Returns the lowest-objective start with the fitted deviations
     attached. Every returned parameter satisfies its bound exactly
-    (projection, not tolerance).
+    (projection, not tolerance). A column of X collinear with those before
+    it raises SingularDesignError before any start runs.
     """
     if config is None:
         config = FitConfig()
     design = as_design(dataset, spec)
     if spec.k < 1:
         raise ValueError("at least one random-effect column is required")
+    _check_full_rank(design)
     restricted = config.method == "PRLS"
 
     def objective(x):

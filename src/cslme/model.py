@@ -297,6 +297,10 @@ class BlockDesign:
 
     def __init__(self, dataset: Dataset, spec: ModelSpec):
         spec.validate_against(dataset)
+        for gd in dataset.groups:
+            if gd.y is None:
+                raise ValueError(f"group {gd.group_id}: no response; a design-only "
+                                 "dataset cannot be fitted or evaluated")
         self.spec = spec
         self.p = dataset.p
         self.k = spec.k
@@ -317,15 +321,12 @@ class BlockDesign:
         self.ZtZ = per_group(Z[:, :, None] * Z[:, None, :])
         self.ZtX = per_group(Z[:, :, None] * self.X[:, None, :])
         self.XtX = self.X.T @ self.X
-        if any(y is None for y in self.ys):
-            self.y = self.Zty = self.Xty = self.ZtA = self.XtA = None
-        else:
-            self.y = np.concatenate(self.ys)
-            self.Zty = per_group(Z * self.y[:, None])
-            self.Xty = self.X.T @ self.y
-            # the same, side by side, for the gradient: Z_l^T [Z_l X_l y_l], X^T [X y]
-            self.ZtA = np.concatenate([self.ZtZ, self.ZtX, self.Zty[:, :, None]], axis=2)
-            self.XtA = np.column_stack([self.XtX, self.Xty])
+        self.y = np.concatenate(self.ys)
+        self.Zty = per_group(Z * self.y[:, None])
+        self.Xty = self.X.T @ self.y
+        # the same, side by side, for the gradient: Z_l^T [Z_l X_l y_l], X^T [X y]
+        self.ZtA = np.concatenate([self.ZtZ, self.ZtX, self.Zty[:, :, None]], axis=2)
+        self.XtA = np.column_stack([self.XtX, self.Xty])
         self.eye = np.eye(self.k)
         self._last = None
 

@@ -6,8 +6,10 @@ effect, so every generated overall coefficient is nonnegative by
 construction; errors are centered normal.
 
 Replications are independent: replication r of a scenario derives its
-seed from SeedSequence([scenario.seed, r]), so results do not depend on
-execution order or worker count (CSLME_THREADS caps process workers).
+data and fit seed from SeedSequence([scenario.seed, r]) (`replication_data`),
+so results do not depend on execution order or worker count (CSLME_THREADS
+caps process workers). The CLI and the scripts write the reports built
+here: `ScenarioResult.table_rows`, `contour_rows` and `level_rows`.
 
 Contour grids and labeled-parameter searches name the entries of the
 search point by `model.parameter_labels` and check the labels the same
@@ -15,13 +17,14 @@ way; a search keeps to the box of `model.search_bounds`.
 """
 
 from dataclasses import dataclass, replace
+from itertools import repeat
 import math
 import os
 
 import numpy as np
 
 from .baseline import check_pit_k, fit_pit, fit_unconstrained
-from .estimate import FitConfig, fit, objective_for
+from .estimate import METHODS, FitConfig, fit
 from .metrics import r_squared, rmse
 from .model import (
     NUMERICAL_FAILURES,
@@ -40,6 +43,7 @@ from .optim import minimize_box, with_central_diff
 from .sdtn import SdtnParams, sdtn_ppf, variance_factor
 
 ALL_METHODS = ("PLS", "PRLS", "ML", "REML", "PIT")
+NORMAL_METHODS = ("ML", "REML")  # unconstrained, with normal deviations
 
 
 @dataclass(frozen=True)
@@ -66,9 +70,8 @@ class Scenario:
         if self.truth.varsigma.shape != (len(self.alpha),):
             raise ValueError("truth.varsigma length must equal |alpha|")
 
-    def model_spec(self, constrained: bool = True) -> ModelSpec:
-        return ModelSpec(alpha=self.alpha, intercept=self.intercept,
-                         constrained=constrained)
+    def model_spec(self) -> ModelSpec:
+        return ModelSpec(alpha=self.alpha, intercept=self.intercept)
 
 
 @dataclass(frozen=True)
@@ -143,35 +146,42 @@ def gen_response(design: Dataset, truth: Parameters, spec: ModelSpec, seed):
     return Dataset(tuple(groups)), RandomEffects(gamma)
 
 
-def sdtn_sd(beta_i: float, varsigma_i: float) -> float:
-    """Standard deviation of the deviation law tied to one coefficient."""
-    s, b = abs(varsigma_i), abs(beta_i)
+def replication_data(scenario: Scenario, rep: int):
+    """(dataset, deviation truth, fit seed) of replication `rep`, drawn in that
+    order by the children of SeedSequence([scenario.seed, rep])."""
+    design_seed, response_seed, fit_entropy = np.random.SeedSequence(
+        [scenario.seed, rep]).spawn(3)
+    design = gen_design(scenario, seed=design_seed)
+    data, gamma = gen_response(design, scenario.truth, scenario.model_spec(), response_seed)
+    return data, gamma, int(fit_entropy.generate_state(1)[0])
+
+
+def deviation_sd(method, beta_i: float, varsigma_i: float) -> float:
+    """Standard deviation of one deviation: |varsigma_i| for NORMAL_METHODS;
+    for other methods and the truth (None), that of the SDTN law tied to beta_i."""
+    s, b = abs(float(varsigma_i)), abs(float(beta_i))
+    if method in NORMAL_METHODS:
+        return s
     if s == 0.0 or b == 0.0:
         return 0.0
     return s * math.sqrt(variance_factor(b / s))
 
 
-def table_values(beta, varsigma, sigma, gamma, spec: ModelSpec, g: int,
-                 normal_re: bool = False) -> dict:
-    """Map the table labels to values for one parameter point.
-
-    `normal_re` selects the untruncated-normal deviation sd (the scale
-    itself) instead of the SDTN sd; used for the ML/REML baselines.
-    """
+def table_values(params: Parameters, gamma, spec: ModelSpec, method=None) -> dict:
+    """Map the table labels to values for one parameter point and its
+    deviations; s_gamma is `deviation_sd` under `method`."""
+    beta = params.beta
     gamma = np.atleast_2d(gamma)
     out = {}
     for i, col in enumerate(spec.alpha):
-        for ell in range(g):
+        for ell in range(gamma.shape[0]):
             out[f"overall_g{ell + 1}_b{col}"] = float(beta[col] + gamma[ell, i])
     for col in range(len(beta)):
         if col not in spec.alpha:
             out[f"beta{col}"] = float(beta[col])
     for i, col in enumerate(spec.alpha):
-        if normal_re:
-            out[f"s_gamma{col}"] = float(abs(varsigma[i]))
-        else:
-            out[f"s_gamma{col}"] = sdtn_sd(float(beta[col]), float(varsigma[i]))
-    out["sigma"] = float(sigma)
+        out[f"s_gamma{col}"] = deviation_sd(method, beta[col], params.varsigma[i])
+    out["sigma"] = float(params.sigma)
     return out
 
 
@@ -179,14 +189,15 @@ def fit_method(method: str, dataset: Dataset, spec: ModelSpec, seed: int = 0,
                n_starts: int = 5, pit_q: int = 2):
     """Fit `dataset` with one of ALL_METHODS; the result has `.params` and `.gamma`.
 
-    PLS/PRLS fit under `spec` as given and ML/REML with constrained=False.
-    `seed` picks the multi-start jitter of PLS/PRLS/ML/REML, `n_starts`
-    the PLS/PRLS start count and `pit_q` the PIT quadrature order.
+    PLS/PRLS fit under `spec` as given and NORMAL_METHODS with
+    constrained=False. `seed` picks the multi-start jitter of
+    PLS/PRLS/ML/REML, `n_starts` the PLS/PRLS start count and `pit_q` the
+    PIT quadrature order.
     """
     method = method.upper()
-    if method in ("PLS", "PRLS"):
+    if method in METHODS:
         return fit(dataset, spec, FitConfig(method=method, n_starts=n_starts, seed=seed))
-    if method in ("ML", "REML"):
+    if method in NORMAL_METHODS:
         return fit_unconstrained(dataset, replace(spec, constrained=False),
                                  criterion=method, seed=seed)
     if method == "PIT":
@@ -196,15 +207,9 @@ def fit_method(method: str, dataset: Dataset, spec: ModelSpec, seed: int = 0,
 
 def _replication(scenario: Scenario, methods, rep: int, pit_q: int, n_starts: int):
     """Run one replication; returns (rep, per-method record or error string)."""
-    ss = np.random.SeedSequence([scenario.seed, rep])
-    design_seed, response_seed, fit_entropy = ss.spawn(3)
-    rep_seed = int(fit_entropy.generate_state(1)[0])
-    spec = scenario.model_spec(constrained=True)
-    design = gen_design(scenario, seed=design_seed)
-    data, gamma_truth = gen_response(design, scenario.truth, spec, response_seed)
-    truth_vals = table_values(scenario.truth.beta, scenario.truth.varsigma,
-                              scenario.truth.sigma, gamma_truth.gamma, spec,
-                              scenario.g)
+    data, gamma_truth, rep_seed = replication_data(scenario, rep)
+    spec = scenario.model_spec()
+    truth_vals = table_values(scenario.truth, gamma_truth.gamma, spec)
     labels = list(truth_vals)
     no_spread = [s for s in labels if not s.startswith("s_gamma")]
     out = {}
@@ -212,9 +217,7 @@ def _replication(scenario: Scenario, methods, rep: int, pit_q: int, n_starts: in
         try:
             res = fit_method(method, data, spec, seed=rep_seed, n_starts=n_starts,
                              pit_q=pit_q)
-            est = table_values(res.params.beta, res.params.varsigma, res.params.sigma,
-                               res.gamma.gamma, spec, scenario.g,
-                               normal_re=method in ("ML", "REML"))
+            est = table_values(res.params, res.gamma.gamma, spec, method)
             r2m, r2c = r_squared(res.params, data, spec)
             out[method] = {
                 "estimates": est,
@@ -261,24 +264,24 @@ class ScenarioResult:
             "r2_conditional_mean": float(np.mean([r["r2_conditional"] for r in recs])),
         }
 
-    def estimate_rows(self) -> list:
-        """Per method x parameter rows (mean truth, mean/median estimate)."""
-        rows = []
+    def table_rows(self) -> list:
+        """The scenario summary CSV: per method x parameter the mean truth and
+        the mean and median estimate, then per method its `summary` figures."""
+        rows = [("method", "parameter", "true_mean", "estimate_mean", "estimate_median")]
         for method in self.methods:
             recs = self.records[method]
-            if not recs:
-                continue
-            labels = list(recs[0]["estimates"])
-            for label in labels:
+            for label in recs[0]["estimates"] if recs else ():
                 est = np.array([r["estimates"][label] for r in recs])
                 tru = np.array([r["truth"][label] for r in recs])
-                rows.append({
-                    "method": method,
-                    "parameter": label,
-                    "true_mean": float(np.mean(tru)),
-                    "estimate_mean": float(np.mean(est)),
-                    "estimate_median": float(np.median(est)),
-                })
+                rows.append((method, label, fmt_float(np.mean(tru)), fmt_float(np.mean(est)),
+                             fmt_float(np.median(est))))
+        for method in self.methods:
+            s = self.summary(method)
+            for key in ("rmse_median", "rmse_mean", "rmse_core_median",
+                        "r2_marginal_mean", "r2_conditional_mean"):
+                if key in s:
+                    rows.append((method, key, "", fmt_float(s[key]), ""))
+            rows.append((method, "n_failed", "", str(s["n_failed"]), ""))
         return rows
 
 
@@ -305,10 +308,8 @@ def run_scenario(scenario: Scenario, methods=("PLS", "PRLS", "REML"),
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                _replication_star,
-                [(scenario, methods, rep, pit_q, n_starts) for rep in reps],
-            ))
+            results = list(pool.map(_replication, repeat(scenario), repeat(methods), reps,
+                                    repeat(pit_q), repeat(n_starts)))
     else:
         results = [_replication(scenario, methods, rep, pit_q, n_starts)
                    for rep in reps]
@@ -325,13 +326,16 @@ def run_scenario(scenario: Scenario, methods=("PLS", "PRLS", "REML"),
                           records=records, failures=failures)
 
 
-def _replication_star(args):
-    return _replication(*args)
-
-
 # ---------------------------------------------------------------------------
 # Parameter labels, contour grids, constrained-vs-free profile minimization
 # ---------------------------------------------------------------------------
+
+
+def _restricted(objective: str) -> bool:
+    """Whether `objective`, one of `estimate.METHODS`, is PRLS."""
+    if objective.upper() not in METHODS:
+        raise ValueError(f"unknown method {objective!r}; choose from {METHODS}")
+    return objective.upper() == "PRLS"
 
 
 def _labeled_point(fixed: Parameters, labels, spec: ModelSpec, p: int):
@@ -371,8 +375,7 @@ def contour_grid(request: ContourRequest, dataset: Dataset, spec: ModelSpec) -> 
     varsigma, a ratio |beta| / varsigma that underflows to 0, a capacitance
     matrix that does not factor, or (PRLS) a singular X^T V^{-1} X.
     """
-    objective_for(request.objective)  # rejects an unknown objective
-    restricted = request.objective.upper() == "PRLS"
+    restricted = _restricted(request.objective)
     p, k = dataset.p, spec.k
     point, idx = _labeled_point(request.fixed, request.vary, spec, p)
     design = BlockDesign(dataset, spec)
@@ -401,6 +404,27 @@ def contour_grid(request: ContourRequest, dataset: Dataset, spec: ModelSpec) -> 
     return np.column_stack([axes[0].ravel(), axes[1].ravel(), out])
 
 
+def fmt_float(x) -> str:
+    """A number as a CSV cell that reads back to the same float: repr(float(x))."""
+    return repr(float(x))
+
+
+def contour_rows(grid: np.ndarray, vary) -> list:
+    """The CSV of a `contour_grid` result, one row per cell."""
+    return [(vary[0], vary[1], "objective")] + [
+        (fmt_float(a), fmt_float(b), fmt_float(v)) for a, b, v in grid]
+
+
+def level_rows(grid: np.ndarray, vary, levels, tol: float) -> list:
+    """The level-band CSV: per level, every finite cell of `grid` within `tol` of it."""
+    rows = [("level", vary[0], vary[1], "objective")]
+    for level in levels:
+        for a, b, v in grid:
+            if np.isfinite(v) and abs(v - level) <= tol:
+                rows.append((fmt_float(level), fmt_float(a), fmt_float(b), fmt_float(v)))
+    return rows
+
+
 def minimize_labels(dataset: Dataset, spec: ModelSpec, fixed: Parameters,
                     labels, method: str = "PLS", constrained: bool = True,
                     x0=None):
@@ -414,8 +438,7 @@ def minimize_labels(dataset: Dataset, spec: ModelSpec, fixed: Parameters,
     checked as by `contour_grid`. Returns (values dict, objective value),
     sigma on its natural scale.
     """
-    objective_for(method)  # rejects an unknown objective
-    restricted = method.upper() == "PRLS"
+    restricted = _restricted(method)
     design = BlockDesign(dataset, spec)
     p, k = design.p, spec.k
     labels = list(labels)

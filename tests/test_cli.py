@@ -373,6 +373,35 @@ class TestNumericalFailureExit:
                                       "error": f"{type(error).__name__}: {error}"}
         assert capsys.readouterr().err == f"numerical failure: {error}\n"
 
+    @pytest.fixture
+    def collinear_csv(self, tmp_path):
+        """The sleep study with a copy of Days as a second feature."""
+        lines = sleepstudy_path().read_text().splitlines()
+        rows = [lines[0] + ",Days2"] + [f"{row},{row.split(',')[1]}" for row in lines[1:]]
+        return write_csv(tmp_path / "collinear.csv", "\n".join(rows) + "\n")
+
+    def _fit_collinear(self, path, method, out):
+        return main(["fit", path, "--group-col", "Subject", "--response-col", "Reaction",
+                     "--features", "Days,Days2", "--random-effects", "intercept,Days",
+                     "--method", method, "--out", str(out)])
+
+    @pytest.mark.parametrize("method", ["PLS", "PRLS"])
+    def test_collinear_design_exits_2(self, tmp_path, capsys, collinear_csv, method):
+        out = tmp_path / "fit.json"
+        assert self._fit_collinear(collinear_csv, method, out) == 2
+        error = json.loads(out.read_text())["diagnostics"]["error"]
+        assert error == ("SingularDesignError: design column 2 (0-based) is collinear "
+                         "with the columns before it")
+
+    def test_failure_document_lists_each_start(self, tmp_path, capsys, collinear_csv):
+        out = tmp_path / "fit.json"
+        assert self._fit_collinear(collinear_csv, "REML", out) == 2
+        diagnostics = json.loads(out.read_text())["diagnostics"]
+        assert diagnostics["error"] == "ConvergenceError: all 3 starts failed"
+        assert [d["start"] for d in diagnostics["failed_starts"]] == [0, 1, 2]
+        assert all(d["error"].startswith("SingularDesignError(")
+                   for d in diagnostics["failed_starts"])
+
 
 class TestMalformedInputs:
     def test_binary_garbage_is_an_error_not_a_crash(self, tmp_path, capsys):

@@ -230,6 +230,18 @@ class TestFit:
         assert constrained.objective == pytest.approx(
             free.objective, abs=1e-6 * (1 + abs(free.objective)))
 
+    @pytest.mark.parametrize("method", ["PLS", "PRLS"])
+    @pytest.mark.parametrize("column", [
+        lambda X: X[:, 0] + 2.0 * X[:, 1], lambda X: np.zeros(len(X))],
+        ids=["combination", "zero"])
+    def test_collinear_column_named(self, method, column):
+        data, spec, _ = simulate(boundary_scenario(n=100))
+        data = Dataset(tuple(GroupData(gd.group_id, gd.y, np.column_stack([gd.X[:, :2],
+                                                                          column(gd.X)]))
+                             for gd in data.groups))
+        with pytest.raises(SingularDesignError, match="design column 2 "):
+            fit(data, spec, FitConfig(method=method))
+
 
 def two_basins(offset):
     """Minimum 0 at x = 1 and minimum `offset` at x = -1."""

@@ -1,4 +1,5 @@
-"""Smoke tests for the experiment scripts under scripts/."""
+"""Smoke tests for the experiment scripts under scripts/, and byte-identity
+of their CSV outputs with the `cslme` command that writes the same report."""
 
 import math
 import os
@@ -6,24 +7,27 @@ from pathlib import Path
 import subprocess
 import sys
 
+from cslme.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_run_sleepstudy_pins_subject_335():
+def run_script(name, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_sleepstudy.py")],
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_run_sleepstudy_pins_subject_335():
+    proc = run_script("run_sleepstudy.py")
     assert "PLS: overall slope pinned at 0 for subject(s) ['335']" in proc.stdout.splitlines()
 
 
 def test_run_merit_experiment_writes_a_finite_grid(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = tmp_path / "merit.csv"
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_merit_experiment.py"),
-                           "--steps", "11", "--out", str(out)],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    proc = run_script("run_merit_experiment.py", "--steps", "11", "--out", str(out))
     rows = out.read_text().splitlines()
     assert rows[0] == "beta1,beta2,objective"
     values = [[float(v) for v in row.split(",")] for row in rows[1:]]
@@ -34,3 +38,41 @@ def test_run_merit_experiment_writes_a_finite_grid(tmp_path):
             if label in line:
                 objective[label] = float(line.split()[-1])
     assert objective["with nonnegative constraints"] >= objective["without sign constraints"]
+
+
+def test_merit_grid_and_level_bands_match_cslme_contour(tmp_path):
+    """The script's grid and level bands are the bytes `cslme contour` writes
+    for its dataset (merit-n30, seed 6001, replication 3), range and levels."""
+    out = tmp_path / "merit.csv"
+    run_script("run_merit_experiment.py", "--steps", "41", "--out", str(out))
+    grid = out.read_text().splitlines()
+    lo, hi = grid[1].split(",")[0], grid[-1].split(",")[0]
+    bands = (tmp_path / "merit.csv.levels.csv").read_text().splitlines()
+    levels = list(dict.fromkeys(row.split(",")[0] for row in bands[1:]))
+    assert len(levels) == 2  # the free and the constrained optimum
+    free, constrained = (float(v) for v in levels)
+    cfg = tmp_path / "merit.cfg"
+    cfg.write_text(
+        "scenario = merit-n30\nseed = 6001\ndata_rep = 3\n"
+        "beta = 0.072, 0.001, 0.001\nvarsigma = 0.058\nsigma = 1.0\n"
+        f"objective = PLS\nvary = beta1, beta2\nrange1 = {lo}, {hi}, 41\n"
+        f"range2 = {lo}, {hi}, 41\nlevels = {levels[0]}, {levels[1]}\n"
+        f"level_tol = {max(1e-3, abs(constrained - free) / 10)!r}\n")
+    cli_out = tmp_path / "cli.csv"
+    assert main(["contour", str(cfg), "--out", str(cli_out)]) == 0
+    assert cli_out.read_bytes() == out.read_bytes()
+    assert (tmp_path / "cli.csv.levels.csv").read_bytes() == \
+        (tmp_path / "merit.csv.levels.csv").read_bytes()
+
+
+def test_run_table_scenarios_matches_cslme_simulate(tmp_path, monkeypatch):
+    monkeypatch.delenv("CSLME_THREADS", raising=False)
+    run_script("run_table_scenarios.py", "--out-dir", str(tmp_path), "--only",
+               "intercept-p3-n300", "--replications", "2", "--methods", "PLS,PRLS,REML",
+               "--seed", "5")
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("scenario = intercept-p3-n300\nreplications = 2\nseed = 5\n"
+                   "methods = PLS,PRLS,REML\n")
+    cli_out = tmp_path / "cli.csv"
+    assert main(["simulate", str(cfg), "--out", str(cli_out)]) == 0
+    assert cli_out.read_bytes() == (tmp_path / "intercept-p3-n300.csv").read_bytes()

@@ -18,13 +18,14 @@ from cslme.sim import (
     Scenario,
     builtin_scenarios,
     contour_grid,
+    deviation_sd,
     fit_method,
     gen_design,
     gen_response,
     group_sizes,
     minimize_labels,
+    replication_data,
     run_scenario,
-    sdtn_sd,
     table_values,
 )
 from cslme.estimate import FitConfig, fit, pls_objective, prls_objective
@@ -72,6 +73,31 @@ class TestGenDesign:
         assert group_sizes(9, 3) == [3, 3, 3]
         assert group_sizes(7, 2) == [4, 3]
 
+    @pytest.mark.parametrize("fit_call", [
+        lambda d, sc: fit(d, sc.model_spec()),
+        lambda d, sc: fit_unconstrained(d, sc.model_spec()),
+        lambda d, sc: fit_pit(d, sc.model_spec()),
+        lambda d, sc: pls_objective(sc.truth, d, sc.model_spec()),
+    ], ids=["fit", "fit_unconstrained", "fit_pit", "pls_objective"])
+    def test_design_only_dataset_rejected(self, fit_call):
+        sc = scenario(n=40)
+        with pytest.raises(ValueError, match="group 1: no response"):
+            fit_call(gen_design(sc), sc)
+
+
+class TestReplicationData:
+    def test_children_of_the_replication_seed(self):
+        sc = scenario(n=80, seed=12)
+        data, gamma, fit_seed = replication_data(sc, 3)
+        design_seed, response_seed, fit_entropy = np.random.SeedSequence([12, 3]).spawn(3)
+        expected, expected_gamma = gen_response(gen_design(sc, seed=design_seed), sc.truth,
+                                                sc.model_spec(), response_seed)
+        for ga, gb in zip(data.groups, expected.groups):
+            np.testing.assert_array_equal(ga.X, gb.X)
+            np.testing.assert_array_equal(ga.y, gb.y)
+        np.testing.assert_array_equal(gamma.gamma, expected_gamma.gamma)
+        assert fit_seed == int(fit_entropy.generate_state(1)[0])
+
 
 class TestGenResponse:
     def test_zero_scale_truth(self):
@@ -97,7 +123,8 @@ class TestGenResponse:
         _, gamma = gen_response(gen_design(sc), truth, spec, seed=8)
         expected = 0.6 * math.sqrt(variance_factor(1.0 / 0.6))
         assert gamma.gamma[:, 0].std() == pytest.approx(expected, rel=0.02)
-        assert sdtn_sd(1.0, 0.6) == pytest.approx(expected, rel=1e-12)
+        assert deviation_sd(None, 1.0, 0.6) == pytest.approx(expected, rel=1e-12)
+        assert deviation_sd("PLS", 1.0, 0.6) == deviation_sd(None, 1.0, 0.6)
 
     def test_model_identity_residuals_normal(self):
         sc = scenario(n=10_000, seed=6)
@@ -120,28 +147,30 @@ class TestGenResponse:
 
 
 class TestTables:
+    point = Parameters(beta=np.array([0.5, 1.0, 2.0]), varsigma=np.array([0.2]), sigma=0.9)
+
     def test_labels_intercept_only(self):
         spec = ModelSpec(alpha=(0,))
-        vals = table_values(np.array([0.5, 1.0, 2.0]), np.array([0.2]), 0.9,
-                            np.array([[0.1], [-0.2]]), spec, g=2)
+        vals = table_values(self.point, np.array([[0.1], [-0.2]]), spec)
         assert list(vals) == ["overall_g1_b0", "overall_g2_b0", "beta1", "beta2",
                               "s_gamma0", "sigma"]
 
     def test_values_roundtrip(self):
         spec = ModelSpec(alpha=(0,))
-        vals = table_values(np.array([0.5, 1.0, 2.0]), np.array([0.2]), 0.9,
-                            np.array([[0.1], [-0.2]]), spec, g=2)
+        vals = table_values(self.point, np.array([[0.1], [-0.2]]), spec)
         assert vals["overall_g1_b0"] == pytest.approx(0.6)
         assert vals["overall_g2_b0"] == pytest.approx(0.3)
         assert vals["beta1"] == 1.0
         assert vals["sigma"] == 0.9
-        assert vals["s_gamma0"] == pytest.approx(sdtn_sd(0.5, 0.2))
+        assert vals["s_gamma0"] == deviation_sd(None, 0.5, 0.2)
+        assert vals["s_gamma0"] == pytest.approx(0.2 * math.sqrt(variance_factor(2.5)))
 
     def test_normal_re_mode(self):
         spec = ModelSpec(alpha=(0,))
-        vals = table_values(np.array([0.5, 1.0]), np.array([0.2]), 1.0,
-                            np.zeros((2, 1)), spec, g=2, normal_re=True)
-        assert vals["s_gamma0"] == 0.2
+        for method in sim.NORMAL_METHODS:
+            vals = table_values(self.point, np.zeros((2, 1)), spec, method)
+            assert vals["s_gamma0"] == 0.2
+        assert table_values(self.point, np.zeros((2, 1)), spec, "PRLS")["s_gamma0"] < 0.2
 
 
 class TestRunScenario:
