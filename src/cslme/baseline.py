@@ -37,7 +37,7 @@ from .model import (
     search_bounds,
     unpack,
 )
-from .estimate import multistart
+from .estimate import jittered_starts, least_squares, multistart
 from .optim import MAX_ITER, TOL_GRAD, TOL_OBJ, minimize_box, with_central_diff
 from .ranef import solve_all
 from .sdtn import SdtnParams, sdtn_ppf, std_normal_cdf
@@ -163,16 +163,10 @@ def _baseline_starts(design: BlockDesign, seed: int):
     The jitter is multiplicative on the natural-scale components
     (varsigma, sigma); sigma is packed as log(sigma) afterwards.
     """
-    y, X = design.y, design.X
-    beta_ols, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid_sd = float(np.std(y - X @ beta_ols))
-    resid_sd = max(resid_sd, 1e-8 * max(1.0, float(np.std(y))))
+    resid_sd = least_squares(design)[2]
     natural = np.concatenate([np.full(design.k, 0.5 * resid_sd), [resid_sd]])
-    points = [natural]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A5A]))
-    for _ in range(2):
-        points.append(natural * np.exp(rng.normal(0.0, 0.5, size=natural.size)))
-    return [np.concatenate([pt[:-1], [math.log(pt[-1])]]) for pt in points]
+    return jittered_starts(natural, [rng, rng])  # two draws from one generator
 
 
 def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML",

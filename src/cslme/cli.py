@@ -5,7 +5,8 @@ Subcommands
 fit       fit one model to a long-format CSV, write a JSON/CSV result doc
 simulate  run a scenario config through the Monte-Carlo harness
 contour   evaluate a PLS/PRLS objective on a 2-d parameter grid
-ranef     recompute per-group deviations from a saved fit document
+ranef     recompute per-group deviations from a saved fit document, as its
+          method does (box QP; closed-form shrinkage for ML/REML)
 
 Exit codes: 0 success, 1 input/config error, 2 numerical failure: a fit
 that did not converge or raised one of `model.NUMERICAL_FAILURES` (`fit`
@@ -26,9 +27,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
+from .baseline import Theta, gamma_closed_form
 from .estimate import METHODS
 from .metrics import r_squared
-from .model import NUMERICAL_FAILURES, Dataset, GroupData, ModelSpec, Parameters
+from .model import NUMERICAL_FAILURES, Dataset, GroupData, ModelSpec, Parameters, RandomEffects
 from .optim import ConvergenceError
 from .ranef import solve_all
 from .sim import (
@@ -499,6 +501,7 @@ def cmd_ranef(args) -> int:
         varsigma = np.asarray(doc["parameters"]["varsigma"], dtype=float)
         sigma = float(doc["parameters"]["sigma"])
         doc_alpha = tuple(doc["spec"]["alpha"])
+        method = doc["spec"]["method"]
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise SchemaError(f"cannot read fit document {args.params}: {exc}") from None
     if doc_alpha != spec.alpha or beta.size != dataset.p:
@@ -511,7 +514,12 @@ def cmd_ranef(args) -> int:
             f"fit document has {varsigma.size} random-effect scales, model needs {spec.k}"
         )
     params = Parameters(beta=beta, varsigma=varsigma, sigma=sigma)
-    effects = solve_all(dataset, params, spec)
+    if method in NORMAL_METHODS:  # the fit's shrinkage estimate, never at a bound
+        gamma = gamma_closed_form(Theta(varsigma, sigma), dataset,
+                                  replace(spec, constrained=False), beta).gamma
+        effects = RandomEffects(gamma, at_bound=np.zeros_like(gamma, dtype=bool))
+    else:
+        effects = solve_all(dataset, params, spec)
     cols = list(schema.model_columns)
     header = ["group"]
     for i in spec.alpha:

@@ -79,12 +79,6 @@ class FitResult:
     failed_starts: list = field(default_factory=list)
 
 
-def _objective_core(design: BlockDesign, spec: ModelSpec, beta, varsigma, sigma,
-                    restricted: bool) -> float:
-    d = re_variances(beta, varsigma, spec.alpha)
-    return design.solve(d, sigma).criterion(beta, restricted)
-
-
 def objective_and_gradient(design: BlockDesign, spec: ModelSpec, x: np.ndarray,
                            restricted: bool):
     """PLS (or PRLS) value and exact gradient at x = (beta, varsigma, log sigma).
@@ -105,26 +99,25 @@ def objective_and_gradient(design: BlockDesign, spec: ModelSpec, x: np.ndarray,
     return value, grad
 
 
+def _objective(params: Parameters, dataset, spec: ModelSpec, restricted: bool) -> float:
+    design = as_design(dataset, spec)
+    d = re_variances(params.beta, params.varsigma, spec.alpha)
+    return design.solve(d, params.sigma).criterion(params.beta, restricted)
+
+
 def pls_objective(params: Parameters, dataset, spec: ModelSpec) -> float:
     """(y - X beta)^T V^{-1} (y - X beta) + ln|V| at the given parameters."""
-    design = as_design(dataset, spec)
-    return _objective_core(design, spec, params.beta, params.varsigma, params.sigma,
-                           restricted=False)
+    return _objective(params, dataset, spec, restricted=False)
 
 
 def prls_objective(params: Parameters, dataset, spec: ModelSpec) -> float:
     """PLS objective plus the restricted-likelihood term ln|X^T V^{-1} X|."""
-    design = as_design(dataset, spec)
-    return _objective_core(design, spec, params.beta, params.varsigma, params.sigma,
-                           restricted=True)
+    return _objective(params, dataset, spec, restricted=True)
 
 
 def approx_loglik(params: Parameters, dataset, spec: ModelSpec) -> float:
     """Normal-approximation log-likelihood -(n/2) ln 2pi - (PLS value)/2."""
-    design = as_design(dataset, spec)
-    pls = _objective_core(design, spec, params.beta, params.varsigma, params.sigma,
-                          restricted=False)
-    return -0.5 * design.n * LOG_2PI - 0.5 * pls
+    return -0.5 * dataset.n * LOG_2PI - 0.5 * pls_objective(params, dataset, spec)
 
 
 def _check_full_rank(design: BlockDesign):
@@ -141,6 +134,23 @@ def _check_full_rank(design: BlockDesign):
                 f"design column {j - 1} (0-based) is collinear with the columns before it")
 
 
+def least_squares(design: BlockDesign):
+    """(beta_ols, sd(y), residual sd) of the stacked data, the residual sd
+    floored at 1e-8 max(sd(y), 1) so that its log is finite."""
+    y, X = design.y, design.X
+    beta_ols, *_ = np.linalg.lstsq(X, y, rcond=None)
+    sd_y = float(np.std(y))
+    return beta_ols, sd_y, max(float(np.std(y - X @ beta_ols)), 1e-8 * max(sd_y, 1.0))
+
+
+def jittered_starts(natural: np.ndarray, rngs) -> list:
+    """`natural`, then natural * exp(z), z ~ N(0, 0.5^2) drawn from each of `rngs`,
+    as search points: sigma (last) is jittered on its natural scale, then logged."""
+    points = [natural] + [natural * np.exp(rng.normal(0.0, 0.5, size=natural.size))
+                          for rng in rngs]
+    return [np.concatenate([pt[:-1], [math.log(pt[-1])]]) for pt in points]
+
+
 def default_starts(design: BlockDesign, spec: ModelSpec, config: FitConfig) -> list:
     """Deterministic multi-start points.
 
@@ -149,10 +159,7 @@ def default_starts(design: BlockDesign, spec: ModelSpec, config: FitConfig) -> l
     residual sd. Remaining starts apply multiplicative log-normal jitter
     (sd 0.5) to every component, seeded from config.seed.
     """
-    y, X = design.y, design.X
-    beta_ols, *_ = np.linalg.lstsq(X, y, rcond=None)
-    sd_y = float(np.std(y))
-    resid_sd = max(float(np.std(y - X @ beta_ols)), 1e-8 * max(sd_y, 1.0))
+    beta_ols, sd_y, resid_sd = least_squares(design)
     beta0 = beta_ols.copy()
     if spec.constrained:
         clamp = np.ones(design.p, dtype=bool)
@@ -160,12 +167,8 @@ def default_starts(design: BlockDesign, spec: ModelSpec, config: FitConfig) -> l
         beta0[clamp] = np.maximum(beta0[clamp], 0.0)
     vs0 = 0.5 * np.abs(beta_ols[list(spec.alpha)]) + 0.1 * sd_y
     natural = np.concatenate([beta0, vs0, [resid_sd]])
-    points = [natural]
-    for s in range(1, config.n_starts):
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, s]))
-        points.append(natural * np.exp(rng.normal(0.0, 0.5, size=natural.size)))
-    # sigma optimizes on the log scale; jitter acts on the natural scale
-    return [np.concatenate([pt[:-1], [math.log(pt[-1])]]) for pt in points]
+    return jittered_starts(natural, (np.random.default_rng(np.random.SeedSequence(
+        [config.seed, s])) for s in range(1, config.n_starts)))
 
 
 def multistart(fun, starts, bounds, tol_obj, tol_grad, max_iter):

@@ -26,8 +26,8 @@ points at once with a leading points axis, as a contour grid evaluates:
 one batched factorization of the R g capacitance matrices, and every
 value, X^T V^{-1} X and its factor included, per point. One point is the
 empty-batch case of the same contractions and forms the same products,
-so a point's values do not depend on the batch; where one point raises,
-a point of a batch reads NaN.
+so a point's values do not depend on the batch. A point that cannot be
+evaluated raises, and a batch raises if any of its points would.
 
 Every estimator searches the point x = (beta, varsigma, log sigma), and
 ML/REML its tail (varsigma, log sigma). Its layout lives here once:
@@ -134,6 +134,14 @@ class Dataset:
     @property
     def group_ids(self) -> list:
         return [gd.group_id for gd in self.groups]
+
+
+def check_response(dataset: Dataset):
+    """Raise ValueError naming the first group without a response (`sim.gen_design`)."""
+    for gd in dataset.groups:
+        if gd.y is None:
+            raise ValueError(f"group {gd.group_id}: no response; a design-only "
+                             "dataset cannot be fitted or evaluated")
 
 
 @dataclass(frozen=True)
@@ -288,19 +296,11 @@ class BlockDesign:
     M_l = I + S Z_l^T Z_l S / sigma^2, S = diag(sqrt(d)), in one batched
     call and works from the cross-products alone: O(g k^3 + g k p), plus
     one O(n p) mat-vec for a residual quadratic form.
-
-    `solve` keeps its last factorization and returns it again when
-    (d, sigma) is bit-equal, as it is for the central-difference probes
-    of a labeled-parameter search (`sim.minimize_labels`) on fixed effects
-    that carry no random deviation.
     """
 
     def __init__(self, dataset: Dataset, spec: ModelSpec):
         spec.validate_against(dataset)
-        for gd in dataset.groups:
-            if gd.y is None:
-                raise ValueError(f"group {gd.group_id}: no response; a design-only "
-                                 "dataset cannot be fitted or evaluated")
+        check_response(dataset)
         self.spec = spec
         self.p = dataset.p
         self.k = spec.k
@@ -328,7 +328,6 @@ class BlockDesign:
         self.ZtA = np.concatenate([self.ZtZ, self.ZtX, self.Zty[:, :, None]], axis=2)
         self.XtA = np.column_stack([self.XtX, self.Xty])
         self.eye = np.eye(self.k)
-        self._last = None
 
     @property
     def g(self) -> int:
@@ -340,12 +339,7 @@ class BlockDesign:
         return math.log(max(1e-6 * float(np.std(self.y)), 1e-12))
 
     def solve(self, re_var: np.ndarray, sigma: float) -> "BlockSolve":
-        d = np.array(re_var, dtype=float)
-        sigma = float(sigma)
-        key = (d.shape, d.tobytes(), sigma)
-        if self._last is None or self._last[0] != key:
-            self._last = (key, BlockSolve(self, d, sigma))
-        return self._last[1]
+        return BlockSolve(self, np.array(re_var, dtype=float), float(sigma))
 
 
 def as_design(dataset, spec: ModelSpec) -> BlockDesign:
@@ -428,11 +422,9 @@ class BlockSolve:
     sigma^2, so every product below is a batched contraction of the
     design's cross-products.
 
-    Where a single point raises (a capacitance matrix that does not factor,
-    or X^T V^{-1} X singular where a value needs it), a point of a batch
-    gets NaN in `logdet_v`, `criterion`, `criterion_partials` and
-    `gls_beta` instead, and the other points keep their values; `ok` marks
-    the points whose capacitance matrices factor.
+    A point raises where sigma^2 underflows to 0 (ValueError), a capacitance
+    matrix does not factor (LinAlgError) or a value needs a singular
+    X^T V^{-1} X (SingularDesignError); a batch, if any of its points would.
     """
 
     def __init__(self, design: BlockDesign, d: np.ndarray, sigma):
@@ -449,43 +441,23 @@ class BlockSolve:
         self.design = design
         self.shape = shape
         self.d = d
-        self.sigma = sigma
         self.sigma2 = sigma * sigma
         # sigma^2 shaped to divide arrays with 0, 1, 2 or 3 core axes
         self._s2 = ([self.sigma2] * 4 if not shape else
                     [self.sigma2.reshape(shape + (1,) * i) for i in range(4)])
         s = np.sqrt(d)
-        L, self.ok = self._cholesky(
+        L = np.linalg.cholesky(
             design.eye + design.ZtZ * (s[..., None, :, None] * s[..., None, None, :]
-                                       / self._s2[3]), bool(shape))
-        log_s2 = np.log(self.sigma2) if shape else math.log(self.sigma2)
-        self.logdet_v = self._valid(design.n * log_s2 + _logdet_chol(L, shape))
+                                       / self._s2[3]))
+        # math.log at every point: numpy's vectorized log can be an ulp away from it
+        log_s2 = (np.array([math.log(v) for v in self.sigma2.tolist()]) if shape
+                  else math.log(self.sigma2))
+        self.logdet_v = design.n * log_s2 + _logdet_chol(L, shape)
         self._B = np.linalg.inv(L) * s[..., None, None, :]
 
     @staticmethod
-    def _cholesky(A: np.ndarray, points: bool):
-        """Lower Cholesky factors of A (..., m, m) and the points where they exist.
-
-        Without a points axis a failure raises LinAlgError. With one (axis 0),
-        a point whose matrices are not all positive definite gets identity
-        factors and False in the returned mask, so it cannot spoil the others.
-        """
-        try:
-            return np.linalg.cholesky(A), np.ones(A.shape[0], bool) if points else True
-        except np.linalg.LinAlgError:
-            if not points:
-                raise
-        L, ok = np.empty_like(A), np.ones(A.shape[0], bool)
-        for i, a in enumerate(A):
-            try:
-                L[i] = np.linalg.cholesky(a)
-            except np.linalg.LinAlgError:
-                L[i], ok[i] = np.eye(A.shape[-1]), False
-        return L, ok
-
-    @staticmethod
-    def _pivots_ok(F: np.ndarray, L: np.ndarray):
-        """Whether every pivot of F = L L^T exceeds 1e-7 of its column norm, per point.
+    def _pivots_ok(F: np.ndarray, L: np.ndarray) -> bool:
+        """Whether every pivot of F = L L^T, at every point, exceeds 1e-7 of its column norm.
 
         A collinear column can pass the factorization with a rounding-level
         pivot, about sqrt(eps) of its norm; 1e-7 is the usual QR collinearity
@@ -494,7 +466,7 @@ class BlockSolve:
         if F.ndim == 2:
             return all(v * v > 1e-14 * f
                        for v, f in zip(L.diagonal().tolist(), F.diagonal().tolist()))
-        return (L.diagonal(0, -2, -1) ** 2 > 1e-14 * F.diagonal(0, -2, -1)).all(axis=-1)
+        return bool((L.diagonal(0, -2, -1) ** 2 > 1e-14 * F.diagonal(0, -2, -1)).all())
 
     def _BZtX(self) -> np.ndarray:
         """B_l Z_l^T X_l stacked over groups, (..., g k, p)."""
@@ -503,16 +475,6 @@ class BlockSolve:
     def _Ztr(self, beta: np.ndarray) -> np.ndarray:
         des = self.design
         return des.Zty - _mv(des.ZtX, beta[:, None, :] if self.shape else beta)
-
-    def _valid(self, value, needs_f: bool = False):
-        """value (..., *core), NaN at the points of a batch where one point
-        would raise; `needs_f` if it is read off the factor of X^T V^{-1} X."""
-        if not self.shape:
-            return value
-        ok = self._f_chol[2] if needs_f else self.ok
-        if ok.all():
-            return value
-        return np.where(ok.reshape(ok.shape + (1,) * (value.ndim - 1)), value, np.nan)
 
     def quad_form_resid(self, beta: np.ndarray):
         """(y - X beta)^T V^{-1} (y - X beta); r^T r from the stacked residual."""
@@ -533,27 +495,19 @@ class BlockSolve:
 
     @cached_property
     def _f_chol(self):
-        """(F, L, ok): F = X^T V^{-1} X = L L^T, the one factorization of F.
+        """(F, L): F = X^T V^{-1} X = L L^T, the one factorization of F.
 
-        One point raises SingularDesignError where F does not factor or has
-        a rounding-level pivot; in a batch such points get ok False and the
-        identity for F and L. F depends on (d, sigma) alone, so it stays
-        exact when `BlockDesign.solve` hands this solve back for a repeated
-        point.
+        Raises SingularDesignError where F does not factor or has a
+        rounding-level pivot, at any point of a batch.
         """
         F = self.xt_vinv_x()
         try:
-            L, ok = self._cholesky(F, bool(self.shape))
+            L = np.linalg.cholesky(F)
         except np.linalg.LinAlgError as exc:
             raise SingularDesignError("X^T V^{-1} X is singular") from exc
-        ok = ok & self.ok & self._pivots_ok(F, L)
-        if not self.shape:
-            if not ok:
-                raise SingularDesignError("X^T V^{-1} X is singular")
-        elif not ok.all():
-            eye = np.eye(self.design.p)
-            F, L = (np.where(ok[:, None, None], a, eye) for a in (F, L))
-        return F, L, ok
+        if not self._pivots_ok(F, L):
+            raise SingularDesignError("X^T V^{-1} X is singular")
+        return F, L
 
     def _logdet_f(self):
         return _logdet_chol(self._f_chol[1], self.shape)
@@ -561,7 +515,7 @@ class BlockSolve:
     def gls_beta(self) -> np.ndarray:
         """Generalized-least-squares fixed effects F^{-1} X^T V^{-1} y."""
         L = self._f_chol[1]
-        return self._valid(_solve(L.swapaxes(-1, -2), _solve(L, self.xt_vinv_y())), True)
+        return _solve(L.swapaxes(-1, -2), _solve(L, self.xt_vinv_y()))
 
     def criterion(self, beta: np.ndarray, restricted: bool):
         """r^T V^{-1} r + ln|V|, plus ln|X^T V^{-1} X| if `restricted`; r = y - X beta.
@@ -572,7 +526,7 @@ class BlockSolve:
         value = self.quad_form_resid(beta) + self.logdet_v
         if restricted:
             value = value + self._logdet_f()
-        return self._valid(value, restricted)
+        return value
 
     def criterion_partials(self, beta: np.ndarray, restricted: bool):
         """`criterion` and its partial derivatives, from this one factorization.
@@ -611,8 +565,7 @@ class BlockSolve:
             Wt = W.swapaxes(-3, -2)                      # (..., k, g, p)
             Finv = np.linalg.inv(self._f_chol[0])[..., None, :, :]
             dd = dd - (Wt.swapaxes(-1, -2) @ Wt * Finv).sum(axis=(-2, -1))
-        out = (value, dd, xvr, des.n - q - p * restricted - _dot(self.d, dd))
-        return tuple(self._valid(v, restricted) for v in out) if self.shape else out
+        return value, dd, xvr, des.n - q - p * restricted - _dot(self.d, dd)
 
     def zt_vinv_resid(self, beta: np.ndarray) -> np.ndarray:
         """Z_l^T V_l^{-1} (y_l - X_l beta) for every group, as rows of a (..., g, k) array."""

@@ -16,6 +16,7 @@ search point by `model.parameter_labels` and check the labels the same
 way; a search keeps to the box of `model.search_bounds`.
 """
 
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from itertools import repeat
 import math
@@ -23,7 +24,7 @@ import os
 
 import numpy as np
 
-from .baseline import check_pit_k, fit_pit, fit_unconstrained
+from .baseline import check_pit_k, fit_pit, fit_unconstrained, gh_nodes
 from .estimate import METHODS, FitConfig, fit
 from .metrics import r_squared, rmse
 from .model import (
@@ -291,8 +292,9 @@ def run_scenario(scenario: Scenario, methods=("PLS", "PRLS", "REML"),
 
     A fit that raises one of `model.NUMERICAL_FAILURES` is recorded as
     its replication's failure and excluded from the aggregates, with
-    counts reported. An unknown method, or PIT without exactly one
-    random-effect column, raises ValueError before any replication runs.
+    counts reported. An unknown method, or a setting a method cannot run
+    with (PIT: k and `gh_nodes`' orders; PLS/PRLS: `FitConfig`'s start
+    count), raises ValueError before any replication runs.
     """
     methods = tuple(m.upper() for m in methods)
     if not methods:
@@ -302,6 +304,9 @@ def run_scenario(scenario: Scenario, methods=("PLS", "PRLS", "REML"),
             raise ValueError(f"unknown method {m!r}; choose from {ALL_METHODS}")
     if "PIT" in methods:
         check_pit_k(len(scenario.alpha))
+        gh_nodes(pit_q)
+    if any(m in METHODS for m in methods):
+        FitConfig(n_starts=n_starts)
     reps = range(scenario.replications)
     workers = worker_count()
     if workers > 1:
@@ -370,10 +375,12 @@ def contour_grid(request: ContourRequest, dataset: Dataset, spec: ModelSpec) -> 
     evaluated. The grid is then held as (cells, p) beta, (cells, k)
     varsigma and (cells,) sigma arrays and evaluated in chunks of
     CONTOUR_CHUNK // n cells, one batched `BlockSolve` each; the
-    random-effect variances come from `re_variances`, cell by cell. A cell is NaN exactly where the per-point
-    `pls_objective`/`prls_objective` raises: sigma <= 0, a negative
-    varsigma, a ratio |beta| / varsigma that underflows to 0, a capacitance
-    matrix that does not factor, or (PRLS) a singular X^T V^{-1} X.
+    random-effect variances come from `re_variances`, cell by cell. A
+    chunk that raises is evaluated again one cell at a time. A cell is NaN
+    exactly where the per-point `pls_objective`/`prls_objective` raises:
+    sigma <= 0, sigma^2 or a ratio |beta| / varsigma that underflows to 0,
+    a negative varsigma, a capacitance matrix that does not factor, or
+    (PRLS) a singular X^T V^{-1} X; every other cell equals it bit for bit.
     """
     restricted = _restricted(request.objective)
     p, k = dataset.p, spec.k
@@ -387,7 +394,7 @@ def contour_grid(request: ContourRequest, dataset: Dataset, spec: ModelSpec) -> 
     for i, values in zip(idx, axes):
         points[:, i] = values.ravel()
     beta, varsigma, sigma = points[:, :p], points[:, p:p + k], points[:, -1]
-    ok = (sigma > 0) & ~(varsigma < 0).any(axis=1)
+    ok = (sigma > 0) & (sigma * sigma > 0) & ~(varsigma < 0).any(axis=1)
     d = np.zeros((cells, k))
     for i in np.flatnonzero(ok):
         try:
@@ -400,7 +407,12 @@ def contour_grid(request: ContourRequest, dataset: Dataset, spec: ModelSpec) -> 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, live.size, chunk):
             i = live[start:start + chunk]
-            out[i] = BlockSolve(design, d[i], sigma[i]).criterion(beta[i], restricted)
+            try:
+                out[i] = BlockSolve(design, d[i], sigma[i]).criterion(beta[i], restricted)
+            except NUMERICAL_FAILURES:  # one cell at a time; a cell that raises stays NaN
+                for j in i:
+                    with suppress(*NUMERICAL_FAILURES):
+                        out[j] = design.solve(d[j], sigma[j]).criterion(beta[j], restricted)
     return np.column_stack([axes[0].ravel(), axes[1].ravel(), out])
 
 
@@ -436,7 +448,8 @@ def minimize_labels(dataset: Dataset, spec: ModelSpec, fixed: Parameters,
     nonnegative as `spec` sets out, without it beta is free; varsigma is
     always nonnegative and log sigma above the fits' floor. Labels are
     checked as by `contour_grid`. Returns (values dict, objective value),
-    sigma on its natural scale.
+    sigma on its natural scale. When no label enters V (only fixed effects
+    without a random deviation), every probe shares one `BlockSolve`.
     """
     restricted = _restricted(method)
     design = BlockDesign(dataset, spec)
@@ -446,13 +459,16 @@ def minimize_labels(dataset: Dataset, spec: ModelSpec, fixed: Parameters,
     log_sigma = point.size - 1 in idx  # sigma is searched on the log scale
     bounds = search_bounds(design, replace(spec, constrained=constrained))
 
+    def solve():
+        return design.solve(re_variances(point[:p], point[p:p + k], spec.alpha), point[-1])
+
+    fixed_sol = None if any(i >= p or i in spec.alpha for i in idx) else solve()
+
     def fun(x):
         point[idx] = x
         if log_sigma:
             point[-1] = math.exp(point[-1])
-        beta = point[:p]
-        d = re_variances(beta, point[p:p + k], spec.alpha)
-        return design.solve(d, point[-1]).criterion(beta, restricted)
+        return (solve() if fixed_sol is None else fixed_sol).criterion(point[:p], restricted)
 
     if x0 is None:
         x0 = np.append(point[:-1], math.log(fixed.sigma))[idx]

@@ -171,22 +171,24 @@ class TestFitCommand:
 
 class TestRanefRoundTrip:
     def test_gamma_reproduced_bit_for_bit(self, tmp_path):
-        fit_out = tmp_path / "fit.json"
-        main(["fit", str(sleepstudy_path()), *SLEEP_SCHEMA_ARGS,
-              "--method", "PLS", "--seed", "0", "--out", str(fit_out)])
-        doc = json.loads(fit_out.read_text())
-        ranef_out = tmp_path / "ranef.csv"
-        code = main(["ranef", str(sleepstudy_path()), *SLEEP_SCHEMA_ARGS,
-                     "--params", str(fit_out), "--out", str(ranef_out)])
-        assert code == 0
-        lines = ranef_out.read_text().splitlines()
-        header = lines[0].split(",")
-        gi = header.index("gamma_intercept")
-        gd = header.index("gamma_Days")
-        for row_line, gamma_row in zip(lines[1:], doc["random_effects"]["gamma"]):
-            cells = row_line.split(",")
-            assert float(cells[gi]) == gamma_row[0]
-            assert float(cells[gd]) == gamma_row[1]
+        # each method's document: the box QP (PLS, PRLS, PIT) or the
+        # closed-form shrinkage estimate (ML, REML), and its at_bound flags
+        for method in sim.ALL_METHODS:
+            raneff = "intercept" if method == "PIT" else "intercept,Days"
+            args = [str(sleepstudy_path()), *SLEEP_SCHEMA_ARGS[:-1], raneff]
+            fit_out = tmp_path / f"{method}.json"
+            main(["fit", *args, "--method", method, "--seed", "0", "--out", str(fit_out)])
+            doc = json.loads(fit_out.read_text())["random_effects"]
+            ranef_out = tmp_path / f"{method}.csv"
+            code = main(["ranef", *args, "--params", str(fit_out), "--out", str(ranef_out)])
+            assert code == 0
+            lines = ranef_out.read_text().splitlines()
+            header = lines[0].split(",")
+            cols = [c for c in header if c.startswith("gamma_")]
+            rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+            assert [[float(r[c]) for c in cols] for r in rows] == doc["gamma"]
+            assert [[r["at_bound_" + c[6:]] == "True" for c in cols]
+                    for r in rows] == doc["at_bound"]
 
     def test_non_finite_parameter_rejected(self, tmp_path, capsys):
         fit_out = tmp_path / "fit.json"

@@ -9,6 +9,7 @@ from dense import assemble, lambda_diag, marginal_cov
 from cslme.baseline import Theta, reml_loglik
 from cslme.estimate import prls_objective
 from cslme.model import (
+    NUMERICAL_FAILURES,
     BlockDesign,
     BlockSolve,
     Dataset,
@@ -301,8 +302,8 @@ class TestBlockSolveAgainstDense:
                 q + logdet_v + np.linalg.slogdet(F)[1], abs=1e-8, rel=1e-9)
             close(sol.gls_beta(), np.linalg.solve(F, X.T @ Vinv @ y))
 
-        # R points at once, the first the case's own: every point's values are
-        # the single point's, and NaN exactly where the single point raises
+        # R points at once, the first the case's own: every value is the single
+        # points', and the batch raises where a single point raises
         rng = np.random.default_rng(data.n)
         for R in (1, 7):
             jitter = np.exp(rng.normal(0.0, 0.5, size=(R, spec.k + 2)))
@@ -317,36 +318,55 @@ class TestBlockSolveAgainstDense:
         batch = BlockSolve(design, d, sigma)
         singles = [design.solve(d[r], sigma[r]) for r in range(len(sigma))]
 
-        def each(method, *args):
-            """Stacked per-point values; None where the single point raises."""
-            out = []
-            for r, sol in enumerate(singles):
-                try:
-                    out.append(method(sol, *(a[r] for a in args)))
-                except SingularDesignError:
-                    out.append(None)
-            return out
-
-        def same(actual, expected):
-            for a, e in zip(actual, expected):
-                if e is None:
-                    assert np.all(np.isnan(a))
-                else:
-                    np.testing.assert_allclose(a, e, rtol=1e-12, atol=1e-300)
+        def same(value, *args):
+            """value(batch, *args) stacks value(single point r, *(a[r] for a in args))
+            bit for bit, or raises the error class of the first single point that raises."""
+            try:
+                expected = [value(sol, *(a[r] for a in args)) for r, sol in enumerate(singles)]
+            except NUMERICAL_FAILURES as exc:
+                with pytest.raises(type(exc)):
+                    value(batch, *args)
+                return
+            actual = value(batch, *args)
+            if isinstance(actual, tuple):
+                for i, part in enumerate(actual):
+                    np.testing.assert_array_equal(part, [e[i] for e in expected])
+            else:
+                np.testing.assert_array_equal(actual, expected)
 
         assert batch.logdet_v.shape == sigma.shape
-        same(batch.logdet_v, [sol.logdet_v for sol in singles])
-        same(batch.quad_form_resid(beta), each(BlockSolve.quad_form_resid, beta))
-        same(batch.xt_vinv_x(), each(BlockSolve.xt_vinv_x))
-        same(batch.xt_vinv_y(), each(BlockSolve.xt_vinv_y))
-        same(batch.zt_vinv_resid(beta), each(BlockSolve.zt_vinv_resid, beta))
-        same(batch.gls_beta(), each(BlockSolve.gls_beta))
+        np.testing.assert_array_equal(batch.logdet_v, [sol.logdet_v for sol in singles])
+        same(BlockSolve.quad_form_resid, beta)
+        same(BlockSolve.xt_vinv_x)
+        same(BlockSolve.xt_vinv_y)
+        same(BlockSolve.zt_vinv_resid, beta)
+        same(BlockSolve.gls_beta)
         for restricted in (False, True):
-            same(batch.criterion(beta, restricted),
-                 each(lambda sol, b: sol.criterion(b, restricted), beta))
-            parts = each(lambda sol, b: sol.criterion_partials(b, restricted), beta)
-            for i, part in enumerate(batch.criterion_partials(beta, restricted)):
-                same(part, [None if p is None else p[i] for p in parts])
+            same(lambda sol, b: sol.criterion(b, restricted), beta)
+            same(lambda sol, b: sol.criterion_partials(b, restricted), beta)
+
+    def test_batch_raises_where_a_point_raises(self, rng):
+        data = make_dataset(rng, g=4, p=2)
+        spec = ModelSpec(alpha=(0,))
+        design = BlockDesign(data, spec)
+        # sigma^2 underflows to 0 at one point of three
+        d, sigma = np.array([[0.3], [0.2], [0.1]]), np.array([0.9, 1e-300, 1.1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(ValueError):
+                design.solve(d[1], sigma[1])
+            with pytest.raises(ValueError):
+                BlockSolve(design, d, sigma)
+        # a duplicated column: X^T V^-1 X is singular at every point
+        dup = BlockDesign(Dataset(tuple(GroupData(gd.group_id, gd.y, gd.X[:, [0, 1, 1]])
+                                        for gd in data.groups)), spec)
+        d, sigma, beta = d[[0, 2]], sigma[[0, 2]], np.array([[1.0, 0.5, 0.5]] * 2)
+        self.check_batch(dup, d, sigma, beta)
+        batch = BlockSolve(dup, d, sigma)
+        assert np.isfinite(batch.criterion(beta, False)).all()
+        for value in (batch.gls_beta, lambda: batch.criterion(beta, True),
+                      lambda: batch.criterion_partials(beta, True)):
+            with pytest.raises(SingularDesignError):
+                value()
 
     def test_repeated_point_gives_a_fresh_designs_values(self, rng):
         data = make_dataset(rng, g=4, p=3)
@@ -363,10 +383,6 @@ class TestBlockSolveAgainstDense:
             np.testing.assert_array_equal(sol.xt_vinv_x(), fresh.xt_vinv_x())
             np.testing.assert_array_equal(sol.xt_vinv_y(), fresh.xt_vinv_y())
             np.testing.assert_array_equal(sol.zt_vinv_resid(beta), fresh.zt_vinv_resid(beta))
-        again = design.solve(first[0].copy(), first[1])
-        assert again is design.solve(*first)
-        # one ulp of sigma away is a new point
-        assert design.solve(first[0], np.nextafter(first[1], 2.0)) is not again
 
 
 RESTRICTED_CRITERIA = {

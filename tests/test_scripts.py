@@ -76,3 +76,20 @@ def test_run_table_scenarios_matches_cslme_simulate(tmp_path, monkeypatch):
     cli_out = tmp_path / "cli.csv"
     assert main(["simulate", str(cfg), "--out", str(cli_out)]) == 0
     assert cli_out.read_bytes() == (tmp_path / "intercept-p3-n300.csv").read_bytes()
+
+
+def test_fingerprint_prints_one_hex_float_per_label():
+    lines = run_script("fingerprint.py").stdout.splitlines()
+    labels = [line.split(" ", 1)[0] for line in lines]
+    assert len(set(labels)) == len(labels)
+    values = {}
+    for line in lines:
+        label, value = line.split(" ", 1)
+        if label.endswith(".n_eval"):
+            assert int(value) > 0
+        elif not label.endswith(".failed"):
+            values[label] = float.fromhex(value)
+    assert {label.split(".")[1] for label in labels if label.startswith("sleepstudy.")} == {
+        "PLS", "PRLS", "ML", "REML", "PIT"}
+    grid = [v for label, v in values.items() if label.startswith("contour.")]
+    assert any(math.isnan(v) for v in grid) and any(math.isfinite(v) for v in grid)

@@ -9,7 +9,14 @@ from dataclasses import replace
 
 from cslme import baseline, estimate, ranef, sim
 from cslme.baseline import fit_pit, fit_unconstrained
-from cslme.model import NUMERICAL_FAILURES, Dataset, GroupData, ModelSpec, Parameters
+from cslme.model import (
+    NUMERICAL_FAILURES,
+    BlockSolve,
+    Dataset,
+    GroupData,
+    ModelSpec,
+    Parameters,
+)
 from cslme.optim import minimize_box
 from cslme.sdtn import variance_factor
 from cslme.sim import (
@@ -78,7 +85,8 @@ class TestGenDesign:
         lambda d, sc: fit_unconstrained(d, sc.model_spec()),
         lambda d, sc: fit_pit(d, sc.model_spec()),
         lambda d, sc: pls_objective(sc.truth, d, sc.model_spec()),
-    ], ids=["fit", "fit_unconstrained", "fit_pit", "pls_objective"])
+        lambda d, sc: ranef.solve_all(d, sc.truth, sc.model_spec()),
+    ], ids=["fit", "fit_unconstrained", "fit_pit", "pls_objective", "solve_all"])
     def test_design_only_dataset_rejected(self, fit_call):
         sc = scenario(n=40)
         with pytest.raises(ValueError, match="group 1: no response"):
@@ -216,6 +224,21 @@ class TestRunScenario:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             run_scenario(scenario(), methods=("BOGUS",))
+
+    @pytest.mark.parametrize("methods, settings, match", [
+        (("PLS", "PIT"), {"pit_q": 3}, "quadrature order"),
+        (("REML", "PRLS"), {"n_starts": 0}, "n_starts"),
+    ], ids=["pit_q", "n_starts"])
+    def test_bad_settings_rejected_before_any_fit(self, monkeypatch, methods, settings,
+                                                  match):
+        monkeypatch.setenv("CSLME_THREADS", "1")
+
+        def no_fit(*args, **kwargs):
+            pytest.fail("a replication ran before the settings were checked")
+
+        monkeypatch.setattr(sim, "fit_method", no_fit)
+        with pytest.raises(ValueError, match=match):
+            run_scenario(scenario(n=60, replications=2), methods=methods, **settings)
 
     def test_singular_design_recorded_not_raised(self, monkeypatch):
         monkeypatch.delenv("CSLME_THREADS", raising=False)
@@ -402,6 +425,23 @@ class TestContour:
                 assert np.isnan(ref).any() and not np.isnan(ref).all()
                 np.testing.assert_allclose(grid[:, 2], ref, rtol=1e-12)
 
+    def test_failing_and_valid_cells_in_one_chunk(self, monkeypatch):
+        # a chunk that raises is evaluated cell by cell; small chunks mix cells
+        # that raise (PRLS: d overflows, X^T V^-1 X singular) with valid ones
+        sc = scenario(n=60, seed=3)
+        spec = sc.model_spec()
+        data, _ = gen_response(gen_design(sc), sc.truth, spec, seed=2)
+        for objective, vary, ranges in [
+                ("PRLS", ("varsigma0", "beta1"), ((0.5, 3e154, 4), (0.5, 1.5, 3))),
+                ("PLS", ("sigma", "varsigma0"), ((1e-300, 2.0, 4), (0.0, 0.3, 3)))]:
+            req = ContourRequest(objective=objective, vary=vary, ranges=ranges,
+                                 fixed=sc.truth)
+            ref = self.per_point(req, data, spec)
+            assert np.isnan(ref).any() and not np.isnan(ref).all()
+            for cells in (1, 2, 4, 5):
+                monkeypatch.setattr(sim, "CONTOUR_CHUNK", cells * data.n)
+                np.testing.assert_array_equal(contour_grid(req, data, spec)[:, 2], ref)
+
     def test_duplicated_design_column(self):
         # X^T V^-1 X is singular at every cell: no PRLS value, every PLS value
         sc = scenario(n=60, seed=3)
@@ -494,6 +534,22 @@ class TestMinimizeLabels:
         assert con_obj >= free_obj - 1e-9
         assert con_vals["beta1"] >= 0.0
         assert con_vals["beta2"] >= 0.0
+
+    def test_fixed_v_search_builds_one_solve(self, monkeypatch):
+        # beta1 and beta2 carry no deviation (alpha = (0,)), so no probe changes V
+        sc = scenario(n=30, seed=8, beta=(0.072, 0.001, 0.001))
+        spec = sc.model_spec()
+        data, _ = gen_response(gen_design(sc), sc.truth, spec, seed=9)
+        built = []
+        init = BlockSolve.__init__
+
+        def counting(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(BlockSolve, "__init__", counting)
+        minimize_labels(data, spec, sc.truth, ("beta1", "beta2"))
+        assert len(built) == 1
 
     def test_unknown_label_rejected(self):
         sc = scenario()
