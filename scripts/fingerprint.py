@@ -3,9 +3,11 @@
 
 One `label hex` line per number, `float.hex` so that equal lines mean
 bit-equal floats:
-- the sleep-study PLS, PRLS, ML, REML and PIT fits (PIT with a random
-  intercept only): every parameter, every deviation, the objective or
-  log-likelihood and the evaluation count;
+- the sleep-study PLS, PRLS, ML and REML fits at start seeds 0-9 and the
+  PIT fit (a random intercept only): every parameter, every deviation,
+  the objective or log-likelihood and the evaluation count, and for
+  PLS/PRLS every start's objective and converged flag (1 or 0) and each
+  failed start's message;
 - every estimate of `run_scenario` on 4 `intercept-p3-n300` replications
   (all five methods) and on 2 `full-p3-n500` replications (all but PIT),
   and each failed replication's message;
@@ -51,17 +53,23 @@ def sleepstudy_fits():
     data, spec = ingest(sleepstudy_path(), schema)
     for method in ALL_METHODS:
         model = replace(spec, alpha=(0,)) if method == "PIT" else spec
-        res = fit_method(method, data, model)
-        label = f"sleepstudy.{method}"
-        emit_all(f"{label}.beta", res.params.beta)
-        emit_all(f"{label}.varsigma", res.params.varsigma)
-        emit(f"{label}.sigma", res.params.sigma)
-        emit_all(f"{label}.gamma", res.gamma.gamma)
-        if hasattr(res, "objective"):
-            emit(f"{label}.objective", res.objective)
-        else:
-            emit(f"{label}.loglik", res.loglik)
-        print(f"{label}.n_eval {res.n_eval}")
+        for seed in range(1 if method == "PIT" else 10):
+            res = fit_method(method, data, model, seed=seed)
+            label = f"sleepstudy.{method}.seed{seed}"
+            emit_all(f"{label}.beta", res.params.beta)
+            emit_all(f"{label}.varsigma", res.params.varsigma)
+            emit(f"{label}.sigma", res.params.sigma)
+            emit_all(f"{label}.gamma", res.gamma.gamma)
+            if hasattr(res, "objective"):
+                emit(f"{label}.objective", res.objective)
+            else:
+                emit(f"{label}.loglik", res.loglik)
+            print(f"{label}.n_eval {res.n_eval}")
+            for idx, value, converged in getattr(res, "start_objectives", ()):
+                emit(f"{label}.start{idx}.objective", value)
+                emit(f"{label}.start{idx}.converged", converged)
+            for idx, message in getattr(res, "failed_starts", ()):
+                print(f"{label}.start{idx}.failed {message}")
 
 
 def scenario_estimates():

@@ -34,6 +34,7 @@ from .model import (
     RandomEffects,
     as_design,
     check_point,
+    exp_each,
     search_bounds,
     unpack,
 )
@@ -120,13 +121,17 @@ def criterion_and_gradient(x: np.ndarray, design: BlockDesign, criterion: str):
     """The minimized ML or REML criterion at x = (varsigma, log sigma) and
     its exact gradient; the value is bit-equal to -profile_loglik
     (-reml_loglik) at theta = (|varsigma|, exp(log sigma)).
+
+    x is one point (m,), or R points (R, m) evaluated by one batched
+    `BlockSolve`, as in `estimate.objective_and_gradient`.
     """
-    sol = design.solve(x[:-1] ** 2, math.exp(x[-1]))
+    varsigma = x[..., :-1]
+    sol = design.solve(varsigma ** 2, exp_each(x[..., -1]))
     value, dd, _, half_dlogsigma = sol.criterion_partials(sol.gls_beta(),
                                                           criterion == "REML")
-    grad = np.empty(x.size)
-    grad[:-1] = dd * x[:-1]  # d_i = x_i^2, halved
-    grad[-1] = half_dlogsigma
+    grad = np.empty(x.shape)
+    grad[..., :-1] = dd * varsigma  # d_i = x_i^2, halved
+    grad[..., -1] = half_dlogsigma
     return 0.5 * value, grad
 
 

@@ -10,14 +10,16 @@ truncation-deflated random-effect variances. The penalized restricted
 least squares (PRLS) variant adds ln|X^T V^{-1} X|. Both are minimized by
 a projected limited-memory quasi-Newton method and a small deterministic
 multi-start; the lowest-objective start wins, ties broken by start index.
-`multistart` runs that loop, for the ML/REML baselines too.
+`multistart` runs the starts in lockstep (`optim.minimize_starts`), for
+the ML/REML baselines too.
 
 Each optimizer call returns the objective and its exact gradient in
-(beta, varsigma, log sigma) from one factorization of V
-(`objective_and_gradient`): the value and its partials in the random-effect
-variances d, in beta and in log sigma come from
-`BlockSolve.criterion_partials`, and the chain through d_i = varsigma_i^2
-vf(|beta_{alpha_i}| / varsigma_i) from `re_variance_partials`.
+(beta, varsigma, log sigma) at every start's pending point from one
+batched factorization of V (`objective_and_gradient`): the value and its
+partials in the random-effect variances d, in beta and in log sigma come
+from `BlockSolve.criterion_partials`, and the chain through d_i =
+varsigma_i^2 vf(|beta_{alpha_i}| / varsigma_i) from `re_variance_partials`,
+point by point.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +28,6 @@ import math
 import numpy as np
 
 from .model import (
-    NUMERICAL_FAILURES,
     BlockDesign,
     BlockSolve,
     Dataset,
@@ -35,12 +36,21 @@ from .model import (
     RandomEffects,
     SingularDesignError,
     as_design,
+    exp_each,
     re_variance_partials,
     re_variances,
     search_bounds,
     unpack,
 )
-from .optim import MAX_ITER, TOL_GRAD, TOL_OBJ, BoxResult, ConvergenceError, minimize_box
+from .optim import (
+    MAX_ITER,
+    TOL_GRAD,
+    TOL_OBJ,
+    BoxResult,
+    ConvergenceError,
+    minimize_box,  # noqa: F401 -- perfbench's tracer test patches it in this namespace
+    minimize_starts,
+)
 from . import ranef as _ranef
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -83,19 +93,25 @@ def objective_and_gradient(design: BlockDesign, spec: ModelSpec, x: np.ndarray,
                            restricted: bool):
     """PLS (or PRLS) value and exact gradient at x = (beta, varsigma, log sigma).
 
-    The value is bit-equal to the value-only objective at the same point;
-    both come from one `design.solve`.
+    x is one point (m,), or R points (R, m) evaluated by one batched
+    `BlockSolve` with values (R,) and gradients (R, m). The value is
+    bit-equal to the value-only objective at the same point, and a point's
+    value and gradient do not depend on the batch.
     """
     p, k = design.p, spec.k
-    beta, varsigma = x[:p], x[p:p + k]
-    d, d_beta, d_varsigma = re_variance_partials(beta, varsigma, spec.alpha)
-    sol = design.solve(d, math.exp(x[-1]))
+    beta, varsigma = x[..., :p], x[..., p:p + k]
+    if x.ndim == 1:
+        d, d_beta, d_varsigma = re_variance_partials(beta, varsigma, spec.alpha)
+    else:
+        d, d_beta, d_varsigma = np.array([re_variance_partials(b, s, spec.alpha)
+                                          for b, s in zip(beta, varsigma)]).swapaxes(0, 1)
+    sol = design.solve(d, exp_each(x[..., -1]))
     value, dd, xvr, half_dlogsigma = sol.criterion_partials(beta, restricted)
-    grad = np.empty(p + k + 1)
-    grad[:p] = -2.0 * xvr
-    grad[list(spec.alpha)] += dd * d_beta
-    grad[p:p + k] = dd * d_varsigma
-    grad[-1] = 2.0 * half_dlogsigma
+    grad = np.empty(x.shape)
+    grad[..., :p] = -2.0 * xvr
+    grad[..., list(spec.alpha)] += dd * d_beta
+    grad[..., p:p + k] = dd * d_varsigma
+    grad[..., -1] = 2.0 * half_dlogsigma
     return value, grad
 
 
@@ -172,25 +188,24 @@ def default_starts(design: BlockDesign, spec: ModelSpec, config: FitConfig) -> l
 
 
 def multistart(fun, starts, bounds, tol_obj, tol_grad, max_iter):
-    """Run `minimize_box` on `fun(x) -> (f, grad)` from every start and
-    keep the lowest objective.
+    """Minimize `fun(X) -> (F, G)` from every start in lockstep
+    (`optim.minimize_starts`) and keep the lowest objective.
 
-    A start that raises one of NUMERICAL_FAILURES is recorded as (index, repr)
-    and skipped. A later start wins only if its objective is lower by more
-    than tol_obj, so near-ties go to the earlier start. Returns (winning
-    index, its BoxResult, [(index, BoxResult)] of every finished start,
-    failures); raises ConvergenceError listing every start if none finishes.
+    A start whose evaluation raises one of NUMERICAL_FAILURES is recorded as
+    (index, repr) and dropped; the other starts run on. A later start wins
+    only if its objective is lower by more than tol_obj, so near-ties go to
+    the earlier start. Returns (winning index, its BoxResult, [(index,
+    BoxResult)] of every finished start, failures); raises ConvergenceError
+    listing every start if none finishes.
     """
     results: list[tuple[int, BoxResult]] = []
     failures = []
-    for idx, x0 in enumerate(starts):
-        try:
-            res = minimize_box(fun, x0, bounds, tol_obj=tol_obj, tol_grad=tol_grad,
-                               max_iter=max_iter)
-        except NUMERICAL_FAILURES as exc:
-            failures.append((idx, repr(exc)))
-            continue
-        results.append((idx, res))
+    for idx, res in enumerate(minimize_starts(fun, starts, bounds, tol_obj=tol_obj,
+                                              tol_grad=tol_grad, max_iter=max_iter)):
+        if isinstance(res, BoxResult):
+            results.append((idx, res))
+        else:
+            failures.append((idx, repr(res)))
     if not results:
         raise ConvergenceError(f"all {len(failures)} starts failed", diagnostics=failures)
     best_idx, best = results[0]

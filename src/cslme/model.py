@@ -21,13 +21,14 @@ beta (`BlockSolve.gls_beta`), which reads the same Cholesky factor of
 X^T V^{-1} X. `BlockSolve.criterion_partials` adds the partial derivatives
 an exact gradient needs, for O(g k^2 (k + p) + g k p^2 + p^3) more.
 
-A `BlockSolve` holds one point (d, sigma), as every fit evaluates, or R
-points at once with a leading points axis, as a contour grid evaluates:
-one batched factorization of the R g capacitance matrices, and every
-value, X^T V^{-1} X and its factor included, per point. One point is the
-empty-batch case of the same contractions and forms the same products,
-so a point's values do not depend on the batch. A point that cannot be
-evaluated raises, and a batch raises if any of its points would.
+A `BlockSolve` holds one point (d, sigma), as a value-only objective
+evaluates, or R points at once with a leading points axis, as a contour
+grid or one lockstep round of a fit's starts evaluates: one batched
+factorization of the R g capacitance matrices, and every value, X^T V^{-1}
+X and its factor included, per point. One point is the empty-batch case
+of the same contractions and forms the same products, so a point's values
+do not depend on the batch. A point that cannot be evaluated raises, and
+a batch raises if any of its points would.
 
 Every estimator searches the point x = (beta, varsigma, log sigma), and
 ML/REML its tail (varsigma, log sigma). Its layout lives here once:
@@ -338,8 +339,12 @@ class BlockDesign:
         """Lower bound on log sigma shared by every fit: log max(1e-6 sd(y), 1e-12)."""
         return math.log(max(1e-6 * float(np.std(self.y)), 1e-12))
 
-    def solve(self, re_var: np.ndarray, sigma: float) -> "BlockSolve":
-        return BlockSolve(self, np.array(re_var, dtype=float), float(sigma))
+    def solve(self, re_var: np.ndarray, sigma) -> "BlockSolve":
+        """The `BlockSolve` at one point, re_var (k,) and a float sigma, or at
+        R points, re_var (R, k) and sigma (R,)."""
+        re_var = np.array(re_var, dtype=float)
+        return BlockSolve(self, re_var, float(sigma) if re_var.ndim == 1
+                          else np.asarray(sigma, dtype=float))
 
 
 def as_design(dataset, spec: ModelSpec) -> BlockDesign:
@@ -384,6 +389,14 @@ def unpack(x: np.ndarray, spec: ModelSpec) -> Parameters:
     return Parameters(beta=x[:p], varsigma=varsigma, sigma=math.exp(x[-1]))
 
 
+def exp_each(log_sigma):
+    """exp of a float, or math.exp at every entry of a 1-d array: numpy's
+    vectorized exp can be an ulp away from math.exp."""
+    if np.ndim(log_sigma) == 0:
+        return math.exp(log_sigma)
+    return np.array([math.exp(v) for v in log_sigma.tolist()])
+
+
 # The helpers below make, at every point of a stack, the same BLAS or LAPACK
 # call as their 1-d case, so a point's value does not depend on the batch.
 
@@ -412,19 +425,26 @@ def _logdet_chol(L: np.ndarray, shape: tuple):
 class BlockSolve:
     """Factorized state of V = Z diag(d) Z^T + sigma^2 I, at one point or at R.
 
-    One point is d of shape (k,) with a float sigma, as in every fit; R
-    points are d of shape (R, k) with sigma of shape (R,), as in a contour
-    grid. Every contraction runs over the leading `...` axes, so one point
-    is the empty-batch case of the same code and every value keeps its
-    shape: floats for one point, (R,) arrays for R points (beta is then
-    (R, p)). With M_l = L_l L_l^T and B_l = L_l^{-1} S, the Woodbury
+    One point is d of shape (k,) with a float sigma; R points are d of
+    shape (R, k) with sigma of shape (R,), as in a contour grid or a round
+    of a fit's starts. Every contraction runs over the leading `...` axes,
+    so one point is the empty-batch case of the same code and every value
+    keeps its shape: floats for one point, (R,) arrays for R points (beta
+    is then (R, p)). With M_l = L_l L_l^T and B_l = L_l^{-1} S, the Woodbury
     identity gives V_l^{-1} = (I - Z_l B_l^T B_l Z_l^T / sigma^2) /
     sigma^2, so every product below is a batched contraction of the
     design's cross-products.
 
-    A point raises where sigma^2 underflows to 0 (ValueError), a capacitance
-    matrix does not factor (LinAlgError) or a value needs a singular
-    X^T V^{-1} X (SingularDesignError); a batch, if any of its points would.
+    A point raises where sigma^2 underflows to 0 (ValueError), a finite
+    capacitance matrix does not factor (LinAlgError) or a value needs a
+    singular X^T V^{-1} X (SingularDesignError); a batch, if any of its
+    points would. A point whose capacitance matrix has NaN or inf entries
+    (d or d / sigma^2 overflowing), or whose sigma^2 overflows to inf,
+    raises nothing: `np.linalg.cholesky` factors such a matrix into
+    non-finite factors instead of raising, and ln|V| is non-finite, so the
+    values there are non-finite and an optimizer's line search backs off
+    such a probe. Only the values that factor X^T V^{-1} X (restricted
+    ones, `gls_beta`) may then raise, as SingularDesignError on its pivots.
     """
 
     def __init__(self, design: BlockDesign, d: np.ndarray, sigma):
@@ -441,10 +461,15 @@ class BlockSolve:
         self.design = design
         self.shape = shape
         self.d = d
-        self.sigma2 = sigma * sigma
-        # sigma^2 shaped to divide arrays with 0, 1, 2 or 3 core axes
-        self._s2 = ([self.sigma2] * 4 if not shape else
-                    [self.sigma2.reshape(shape + (1,) * i) for i in range(4)])
+        # sigma^2, shaped to divide arrays with 0, 1, 2 or 3 core axes; in a
+        # batch it overflows to inf silently, as Python floats do at one point
+        if shape:
+            with np.errstate(over="ignore"):
+                self.sigma2 = sigma * sigma
+            self._s2 = [self.sigma2.reshape(shape + (1,) * i) for i in range(4)]
+        else:
+            self.sigma2 = sigma * sigma
+            self._s2 = [self.sigma2] * 4
         s = np.sqrt(d)
         L = np.linalg.cholesky(
             design.eye + design.ZtZ * (s[..., None, :, None] * s[..., None, None, :]

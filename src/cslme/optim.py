@@ -1,20 +1,25 @@
 """Box-constrained quasi-Newton driver shared by all fitting routines.
 
-Thin wrapper around scipy's L-BFGS-B (projected-gradient limited-memory
-quasi-Newton) that takes the objective and its gradient from one call,
-`fun(x) -> (f, grad)`, and records the objective at every accepted
-iterate. PLS, PRLS, ML and REML supply exact gradients; a value-only
-objective (the PIT baseline, labeled-parameter searches) is adapted by
-`with_central_diff`, whose central-difference step rule is shared by
-every gradient check.
+`minimize_starts` runs L-BFGS-B (projected-gradient limited-memory
+quasi-Newton) from many starts in lockstep. L-BFGS-B is a
+reverse-communication algorithm, so each start keeps its own scipy
+`setulb` state, and every round evaluates the points the starts ask for
+in one batched call, `fun(X) -> (F, G)`. Each start takes exactly the
+steps `scipy.optimize.minimize(method="L-BFGS-B")` would take from it
+alone. `minimize_box` is the one-start case, for a one-point objective
+`fun(x) -> (f, grad)`. PLS, PRLS, ML and REML supply exact gradients; a
+value-only objective (the PIT baseline, labeled-parameter searches) is
+adapted by `with_central_diff`, whose central-difference step rule is
+shared by every gradient check.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
+from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
-from .model import NumericalError
+from .model import NUMERICAL_FAILURES, NumericalError
 
 # Stopping tolerances of every fit except PIT: relative objective decrease
 # and projected-gradient infinity norm. Every fit allows MAX_ITER iterations.
@@ -76,55 +81,177 @@ class BoxResult:
     converged: bool
     n_iter: int
     message: str
-    nfev: int  # calls of fun, each one (f, grad)
+    nfev: int  # points evaluated, each for (f, grad)
+
+
+# scipy.optimize.minimize's L-BFGS-B settings: stored corrections, line-search
+# steps per iteration and the evaluation cap (its maxcor, maxls and maxfun)
+MEMORY = 10
+MAX_LINE_SEARCH = 20
+MAX_FEV = 15000
+
+
+class _Lbfgsb:
+    """One start's L-BFGS-B run: scipy's `setulb` state, its last evaluated
+    point and its record (objective trace, iterations, evaluations)."""
+
+    def __init__(self, x0: np.ndarray):
+        n = x0.size
+        self.x = x0.copy()  # setulb's iterate, moved in place
+        self.f = 0.0
+        self.g = np.zeros(n)
+        self.wa = np.zeros(2 * MEMORY * n + 5 * n + 11 * MEMORY * MEMORY + 8 * MEMORY)
+        self.iwa = np.zeros(3 * n, dtype=np.int32)
+        self.task = np.zeros(2, dtype=np.int32)
+        self.ln_task = np.zeros(2, dtype=np.int32)
+        self.lsave = np.zeros(4, dtype=np.int32)
+        self.isave = np.zeros(44, dtype=np.int32)
+        self.dsave = np.zeros(29)
+        self.seen = self.value = self.grad = None
+        self.trace = []
+        self.nfev = self.nit = 0
+
+    def take(self, value: float, grad: np.ndarray):
+        """Record (f, grad) at the current iterate; the first value opens the trace."""
+        if not self.trace:
+            self.trace.append(value)
+        self.seen, self.value, self.grad = self.x.copy(), value, grad
+        self.f, self.g = value, grad.copy()
+        self.nfev += 1
+
+    def advance(self, box, factr: float, pgtol: float, max_iter: int) -> bool:
+        """Step `setulb` until it asks for (f, grad) at a point other than the
+        last one evaluated (True) or stops (False). A request at that same
+        point is answered from the record, and each new iterate adds its
+        objective to the trace, exactly as `scipy.optimize.minimize` does.
+        """
+        lower, upper, nbd = box
+        while True:
+            setulb(MEMORY, self.x, lower, upper, nbd, self.f, self.g, factr, pgtol, self.wa,
+                   self.iwa, self.task, self.lsave, self.isave, self.dsave,
+                   MAX_LINE_SEARCH, self.ln_task)
+            if self.task[0] == 3:  # FG: evaluate at self.x
+                if not np.array_equal(self.x, self.seen):
+                    return True
+                self.f, self.g = self.value, self.grad.copy()
+            elif self.task[0] == 1:  # NEW_X: an iteration is done
+                self.nit += 1
+                self.trace.append(float(self.f))
+                if self.nit >= max_iter:
+                    self.task[:] = 5, 504
+                elif self.nfev > MAX_FEV:
+                    self.task[:] = 5, 502
+            else:
+                return False
+
+    def result(self, fun, lo: np.ndarray, hi: np.ndarray):
+        """The BoxResult at the last iterate re-projected onto [lo, hi]; where
+        that moves it, `fun` is evaluated there, which may fail instead."""
+        x, value, nfev = np.clip(self.x, lo, hi), float(self.f), self.nfev
+        if not np.array_equal(x, self.x):
+            (got,) = _evaluate(fun, x[None])
+            if not isinstance(got, tuple):
+                return got
+            value, nfev = float(got[0]), nfev + 1
+        return BoxResult(
+            x=x,
+            fun=value,
+            trace=np.asarray(self.trace, dtype=float),
+            converged=bool(self.task[0] == 4),
+            n_iter=self.nit,
+            message=f"{status_messages[self.task[0]]}: {task_messages[self.task[1]]}",
+            nfev=nfev,
+        )
+
+
+def _evaluate(fun, X: np.ndarray) -> list:
+    """`fun` at the rows of X: per row (f, grad), or the member of
+    NUMERICAL_FAILURES its evaluation raised. A batch that raises is
+    evaluated again one row at a time."""
+    try:
+        F, G = fun(X)
+    except NUMERICAL_FAILURES as exc:
+        if len(X) == 1:
+            return [exc]
+        return [_evaluate(fun, X[i:i + 1])[0] for i in range(len(X))]
+    return list(zip(F.tolist(), G))
+
+
+def _box(bounds):
+    """(lo, hi) of `bounds`, an absent bound infinite, and the box in setulb's
+    coding (lower, upper, nbd): an absent bound reads 0, and nbd is 0 (free),
+    1 (lower bound only), 2 (both) or 3 (upper bound only)."""
+    lo = np.array([-np.inf if b[0] is None else float(b[0]) for b in bounds])
+    hi = np.array([np.inf if b[1] is None else float(b[1]) for b in bounds])
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    nbd = np.where(has_lo, np.where(has_hi, 2, 1), np.where(has_hi, 3, 0)).astype(np.int32)
+    return lo, hi, (np.where(has_lo, lo, 0.0), np.where(has_hi, hi, 0.0), nbd)
+
+
+def minimize_starts(fun, starts, bounds, tol_obj=TOL_OBJ, tol_grad=TOL_GRAD,
+                    max_iter=MAX_ITER) -> list:
+    """Minimize over a box from every start in lockstep; `fun(X)` maps points
+    X (R, m) to their objectives F (R,) and gradients G (R, m).
+
+    Each start runs L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) through scipy's
+    reverse-communication `setulb`, as `scipy.optimize.minimize(method=
+    "L-BFGS-B", jac=True)` runs it with maxiter=max_iter, ftol=tol_obj and
+    gtol=tol_grad: the same memory, line search, x0 clip, stopping tests
+    and messages, and the same reuse of the last evaluation when a start
+    asks again for the point it was last evaluated at. A round steps every
+    live start until it asks for a new point or stops, then evaluates all
+    the asked-for points in one call of `fun`. So a start's result does not
+    depend on the other starts, as long as `fun`'s value at a point does not
+    depend on the batch.
+
+    Returns one entry per start: its BoxResult, or the member of
+    NUMERICAL_FAILURES one of its evaluations raised. A round whose batch
+    raises is evaluated again one point at a time, so only the starts whose
+    own point raises fail. Each result is re-projected onto the box, so
+    bound constraints hold exactly; where that moves the point, the start
+    costs one more evaluation there.
+    """
+    lo, hi, box = _box(bounds)
+    factr = tol_obj / np.finfo(float).eps
+    runs = [_Lbfgsb(np.clip(np.asarray(x0, dtype=float), lo, hi)) for x0 in starts]
+    failed = [None] * len(runs)  # the error of each start that failed
+    want = list(range(len(runs)))  # the starts waiting for an evaluation
+    while want:
+        for i, got in zip(want, _evaluate(fun, np.array([runs[i].x for i in want]))):
+            if isinstance(got, tuple):
+                runs[i].take(*got)
+            else:
+                failed[i] = got
+        want = [i for i in want
+                if failed[i] is None and runs[i].advance(box, factr, tol_grad, max_iter)]
+    return [run.result(fun, lo, hi) if exc is None else exc
+            for exc, run in zip(failed, runs)]
+
+
+def per_point(fun):
+    """Adapt a one-point `fun(x) -> (f, grad)` to the batch form `fun(X) -> (F, G)`
+    of `minimize_starts`, evaluating the rows of X one after another."""
+    def batch(X):
+        values, grads = zip(*(fun(x) for x in X))
+        return np.array(values, dtype=float), np.array(grads, dtype=float)
+
+    return batch
 
 
 def minimize_box(fun, x0, bounds, tol_obj=TOL_OBJ, tol_grad=TOL_GRAD,
                  max_iter=MAX_ITER) -> BoxResult:
-    """Minimize over a box; `fun(x)` returns the objective and its gradient.
+    """Minimize over a box from one start; `fun(x)` returns the objective and its gradient.
 
-    Stops when the relative objective decrease falls below tol_obj, the
-    projected-gradient infinity norm falls below tol_grad, or max_iter is
-    reached. The returned point is re-projected onto the box so bound
-    constraints hold exactly. `fun` is called only by L-BFGS-B (its first
-    call is at x0, whose value opens the trace), unless that projection
-    moves the point, which costs one more call.
+    The one-start case of `minimize_starts`: stops when the relative
+    objective decrease falls below tol_obj, the projected-gradient infinity
+    norm falls below tol_grad, or max_iter is reached, and returns a point
+    on the box. `fun` is called only by L-BFGS-B (its first call is at x0,
+    whose value opens the trace), unless the re-projection moves the point,
+    which costs one more call. An evaluation that raises one of
+    NUMERICAL_FAILURES raises it from here.
     """
-    x0 = np.asarray(x0, dtype=float)
-    lo = np.array([-np.inf if b[0] is None else b[0] for b in bounds])
-    hi = np.array([np.inf if b[1] is None else b[1] for b in bounds])
-    x0 = np.clip(x0, lo, hi)
-
-    trace = []
-
-    def fun_tracing_first(x):
-        f, grad = fun(x)
-        if not trace:
-            trace.append(float(f))
-        return f, grad
-
-    def track(intermediate_result):
-        trace.append(float(intermediate_result.fun))
-
-    res = minimize(
-        fun_tracing_first,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        callback=track,
-        options={"maxiter": max_iter, "ftol": tol_obj, "gtol": tol_grad},
-    )
-    x = np.clip(res.x, lo, hi)
-    value, nfev = float(res.fun), int(res.nfev)
-    if not np.array_equal(x, res.x):
-        value, nfev = float(fun(x)[0]), nfev + 1
-    return BoxResult(
-        x=x,
-        fun=value,
-        trace=np.asarray(trace),
-        converged=bool(res.success),
-        n_iter=int(res.nit),
-        message=str(res.message),
-        nfev=nfev,
-    )
+    (res,) = minimize_starts(per_point(fun), [x0], bounds, tol_obj=tol_obj,
+                             tol_grad=tol_grad, max_iter=max_iter)
+    if not isinstance(res, BoxResult):
+        raise res
+    return res

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from cslme.model import (
     ModelSpec,
     Parameters,
     SingularDesignError,
+    as_design,
+    search_bounds,
 )
 from cslme.optim import (
     TOL_OBJ,
@@ -28,6 +31,8 @@ from cslme.optim import (
     central_diff_grad,
     gradient_step,
     minimize_box,
+    minimize_starts,
+    per_point,
     with_central_diff,
 )
 from cslme.ranef import joint_objective
@@ -262,6 +267,20 @@ class TestMinimizeBox:
         assert res.x[0] == 1.0 and res.x[1] == pytest.approx(3.0)
         assert res.converged
 
+    def test_nfev_counts_every_evaluated_row(self):
+        rows = []
+
+        def fun(X):
+            rows.extend(X.copy())
+            return ((X - 3.0) ** 2).sum(axis=1), 2.0 * (X - 3.0)
+
+        starts = [np.array([0.0, 10.0]), np.array([0.5, -4.0]), np.array([2.0, 3.0])]
+        results = minimize_starts(fun, starts, [(0.0, 1.0), (None, None)])
+        assert sum(res.nfev for res in results) == len(rows)
+        np.testing.assert_array_equal(rows[:3], [[0.0, 10.0], [0.5, -4.0], [1.0, 3.0]])
+        assert [res.trace[0] for res in results] == [58.0, 55.25, 4.0]
+        assert all(res.x[0] == 1.0 and res.converged for res in results)
+
     def test_with_central_diff_calls_at_x_then_the_probes(self):
         seen = []
 
@@ -282,8 +301,8 @@ class TestMultistart:
     BOUNDS = [(None, None)]
 
     def run(self, fun):
-        return multistart(with_central_diff(fun), self.STARTS, self.BOUNDS, tol_obj=1e-6,
-                          tol_grad=1e-10, max_iter=200)
+        return multistart(per_point(with_central_diff(fun)), self.STARTS, self.BOUNDS,
+                          tol_obj=1e-6, tol_grad=1e-10, max_iter=200)
 
     def test_near_tie_goes_to_earlier_start(self):
         idx, best, results, failures = self.run(two_basins(-0.5e-6))
@@ -337,6 +356,33 @@ class TestSleepStudyStarts:
                 for est, ref in zip(res.params.beta, (250.389, 10.789)):
                     assert abs(est - ref) <= 0.03 * abs(ref)
                 assert res.params.beta[1] + res.gamma.gamma[idx335, 1] == 0.0
+
+    def test_seed_8_starts_run_silently_as_when_run_alone(self, sleep):
+        # PLS start 1 at start seed 8 probes a sigma whose square overflows: one
+        # point squares Python floats, silently, and the batch must stay as silent
+        data, spec = sleep
+        design = as_design(data, spec)
+        starts = estimate.default_starts(design, spec, FitConfig(seed=8))
+        bounds = search_bounds(design, spec)
+        log_sigmas = []
+
+        def fun(x):
+            log_sigmas.extend(np.atleast_2d(x)[:, -1].tolist())
+            return estimate.objective_and_gradient(design, spec, x, False)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            together = minimize_starts(fun, starts, bounds)
+            solo = [minimize_box(fun, x0, bounds) for x0 in starts]
+            res = fit(data, spec, FitConfig(seed=8))
+        assert max(log_sigmas) > 0.5 * math.log(np.finfo(float).max)
+        assert res.start_objectives == [(i, r.fun, r.converged) for i, r in enumerate(solo)]
+        assert res.failed_starts == []
+        for got, want in zip(together, solo):
+            np.testing.assert_array_equal(got.x, want.x)
+            np.testing.assert_array_equal(got.trace, want.trace)
+            assert (got.fun, got.nfev, got.n_iter, got.message) == \
+                (want.fun, want.nfev, want.n_iter, want.message)
 
 
 class TestGradient:

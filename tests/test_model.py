@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
@@ -7,7 +9,7 @@ from scipy import integrate
 from conftest import make_dataset, random_params
 from dense import assemble, lambda_diag, marginal_cov
 from cslme.baseline import Theta, reml_loglik
-from cslme.estimate import prls_objective
+from cslme.estimate import pls_objective, prls_objective
 from cslme.model import (
     NUMERICAL_FAILURES,
     BlockDesign,
@@ -24,6 +26,7 @@ from cslme.model import (
     unpack,
 )
 from cslme.sdtn import SdtnParams, sdtn_pdf
+from cslme.sim import Scenario, gen_design, gen_response
 
 
 class TestTypes:
@@ -367,6 +370,26 @@ class TestBlockSolveAgainstDense:
                       lambda: batch.criterion_partials(beta, True)):
             with pytest.raises(SingularDesignError):
                 value()
+
+    def test_non_finite_capacitance_gives_a_non_finite_value(self):
+        # np.linalg.cholesky factors a matrix with NaN or inf entries into
+        # non-finite factors instead of raising, so at varsigma = 1e200 (d is
+        # inf * 0 = NaN) the PLS value is NaN, at one point and in a batch, and
+        # only the restricted value raises, on the pivots of X^T V^-1 X
+        truth = Parameters(beta=np.array([0.072, 1.0, 1.0]), varsigma=np.array([0.058]),
+                           sigma=1.0)
+        sc = Scenario(n=60, p=3, g=2, alpha=(0,), truth=truth, seed=3)
+        spec = sc.model_spec()
+        data, _ = gen_response(gen_design(sc), truth, spec, seed=2)
+        far = replace(truth, varsigma=np.array([1e200]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(pls_objective(far, data, spec))
+            with pytest.raises(SingularDesignError):
+                prls_objective(far, data, spec)
+            d = np.array([sdtn_variances(truth, spec), sdtn_variances(far, spec)])
+            values = BlockSolve(BlockDesign(data, spec), d, np.ones(2)).criterion(
+                np.tile(truth.beta, (2, 1)), False)
+        assert values[0] == pls_objective(truth, data, spec) and np.isnan(values[1])
 
     def test_repeated_point_gives_a_fresh_designs_values(self, rng):
         data = make_dataset(rng, g=4, p=3)

@@ -17,7 +17,7 @@ from cslme.model import (
     ModelSpec,
     Parameters,
 )
-from cslme.optim import minimize_box
+from cslme.optim import minimize_box, minimize_starts
 from cslme.sdtn import variance_factor
 from cslme.sim import (
     ALL_METHODS,
@@ -326,17 +326,20 @@ class TestFitMethod:
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_n_eval_counts_the_objective_calls(self, monkeypatch, method):
-        calls = [0]
+        calls = [0]  # evaluated points: the rows of a batch, or one point
 
-        def counting(fun, *args, **kwargs):
-            def counted(x):
-                calls[0] += 1
-                return fun(x)
+        def counting(driver):
+            def run(fun, *args, **kwargs):
+                def counted(x):
+                    calls[0] += len(x) if x.ndim == 2 else 1
+                    return fun(x)
 
-            return minimize_box(counted, *args, **kwargs)
+                return driver(counted, *args, **kwargs)
 
-        monkeypatch.setattr(estimate, "minimize_box", counting)
-        monkeypatch.setattr(baseline, "minimize_box", counting)
+            return run
+
+        monkeypatch.setattr(estimate, "minimize_starts", counting(minimize_starts))
+        monkeypatch.setattr(baseline, "minimize_box", counting(minimize_box))
         sc = scenario(n=60, seed=3)
         spec = sc.model_spec()
         data, _ = gen_response(gen_design(sc), sc.truth, spec, seed=2)
