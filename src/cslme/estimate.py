@@ -48,7 +48,6 @@ from .optim import (
     TOL_OBJ,
     BoxResult,
     ConvergenceError,
-    minimize_box,  # noqa: F401 -- perfbench's tracer test patches it in this namespace
     minimize_starts,
 )
 from . import ranef as _ranef
@@ -100,11 +99,9 @@ def objective_and_gradient(design: BlockDesign, spec: ModelSpec, x: np.ndarray,
     """
     p, k = design.p, spec.k
     beta, varsigma = x[..., :p], x[..., p:p + k]
-    if x.ndim == 1:
-        d, d_beta, d_varsigma = re_variance_partials(beta, varsigma, spec.alpha)
-    else:
-        d, d_beta, d_varsigma = np.array([re_variance_partials(b, s, spec.alpha)
-                                          for b, s in zip(beta, varsigma)]).swapaxes(0, 1)
+    parts = [re_variance_partials(row[:p], row[p:p + k], spec.alpha)
+             for row in x.reshape(-1, x.shape[-1])]
+    d, d_beta, d_varsigma = np.array(parts).swapaxes(0, 1).reshape(3, *x.shape[:-1], k)
     sol = design.solve(d, exp_each(x[..., -1]))
     value, dd, xvr, half_dlogsigma = sol.criterion_partials(beta, restricted)
     grad = np.empty(x.shape)
