@@ -11,6 +11,10 @@ bit-equal floats:
 - every estimate of `run_scenario` on 4 `intercept-p3-n300` replications
   (all five methods) and on 2 `full-p3-n500` replications (all but PIT),
   and each failed replication's message;
+- the PIT fits at quadrature orders 2 and 4 on 20 `intercept-p3-n300`
+  replications: every parameter and deviation, the log-likelihood, the
+  evaluation and iteration counts, the converged flag and the objective
+  trace, or the message of a fit that fails;
 - PLS and PRLS contour grids with failing (NaN) cells.
 
 It uses only the public API, so it runs against any checkout:
@@ -85,6 +89,29 @@ def scenario_estimates():
                 print(f"{name}.{method}.rep{rep}.failed {message}")
 
 
+def pit_fits():
+    scenario = builtin_scenarios()["intercept-p3-n300"]
+    spec = scenario.model_spec()
+    for rep in range(20):
+        data, _, _ = replication_data(scenario, rep)
+        for q in (2, 4):
+            label = f"intercept-p3-n300.PIT.q{q}.rep{rep}"
+            try:
+                res = fit_method("PIT", data, spec, pit_q=q)
+            except Exception as exc:
+                print(f"{label}.failed {type(exc).__name__}: {exc}")
+                continue
+            emit_all(f"{label}.beta", res.params.beta)
+            emit_all(f"{label}.varsigma", res.params.varsigma)
+            emit(f"{label}.sigma", res.params.sigma)
+            emit_all(f"{label}.gamma", res.gamma.gamma)
+            emit(f"{label}.loglik", res.loglik)
+            print(f"{label}.n_eval {res.n_eval}")
+            emit(f"{label}.n_iter", res.n_iter)
+            emit(f"{label}.converged", res.converged)
+            emit_all(f"{label}.trace", res.trace)
+
+
 def contour_grids():
     scenario = builtin_scenarios()["intercept-p3-n300"]
     data, _, _ = replication_data(scenario, 0)
@@ -103,6 +130,7 @@ def contour_grids():
 def main():
     sleepstudy_fits()
     scenario_estimates()
+    pit_fits()
     contour_grids()
 
 

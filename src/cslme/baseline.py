@@ -41,7 +41,7 @@ from .model import (
 from .estimate import jittered_starts, least_squares, multistart
 from .optim import MAX_ITER, TOL_GRAD, TOL_OBJ, minimize_box, with_central_diff
 from .ranef import solve_all
-from .sdtn import SdtnParams, sdtn_ppf, std_normal_cdf
+from .sdtn import sdtn_quantile, std_normal_cdf
 
 LOG_DOUBLE_MIN = math.log(np.finfo(float).tiny)
 
@@ -224,50 +224,76 @@ def gh_nodes(q: int):
 
 
 PIT_UNDERFLOW_PENALTY = 1e30
+_LOG_NORM = -0.5 * math.log(2.0 * math.pi)
+
+
+def _scale(log_sigma: float):
+    """(sigma, log normal constant -log(sqrt(2 pi) sigma), None) at one row by
+    scalar math, or (nan, nan, the error math raises there)."""
+    try:
+        sigma = math.exp(log_sigma)
+        return sigma, _LOG_NORM - math.log(sigma), None
+    except (OverflowError, ValueError) as exc:
+        return math.nan, math.nan, exc
 
 
 def pit_objective(x: np.ndarray, design: BlockDesign, spec: ModelSpec, q: int,
-                  strict: bool = True) -> float:
+                  strict: bool = True):
     """Negative log of the quadrature-approximated marginal likelihood.
 
-    x packs (beta, varsigma, log sigma) for a single random-effect column.
-    Per-group products of row densities are accumulated in log space and
-    combined across nodes with log-sum-exp. If every node's log-product
-    falls below the double-precision floor for some group, the historical
-    plain-product objective is exactly -log(0): with `strict` the
-    underflow diagnostic is raised, otherwise a large finite penalty is
-    returned so a line search can back away (mirroring -log(0) = inf).
+    x packs (beta, varsigma, log sigma) for a single random-effect column;
+    it is one point (m,), whose value is a float, or R points (R, m),
+    whose values are an (R,) array, each bit-equal to its row's value
+    alone. The deviation at node d_j is the SDTN quantile at Phi(d_j); it
+    is 0 at every node where varsigma = 0 or beta_alpha = 0, or where the
+    ratio |beta_alpha| / varsigma underflows to 0. Per-group products of
+    row densities are accumulated in log space and combined across nodes
+    with log-sum-exp. If every node's log-product falls below the
+    double-precision floor for some group, the historical plain-product
+    objective is exactly -log(0): with `strict` the underflow diagnostic
+    is raised, otherwise that row's value is a large finite penalty, so a
+    line search can back away (mirroring -log(0) = inf). A batch raises
+    what its first failing row raises alone.
     """
+    X = np.asarray(x, dtype=float).reshape(-1, np.shape(x)[-1])
     p = design.p
-    beta = x[:p]
-    varsigma = abs(float(x[p]))
-    sigma = math.exp(float(x[p + 1]))
-    col = spec.alpha[0]
+    B = X[:, :p]
     d, w = gh_nodes(q)
-    u = std_normal_cdf(d)
+    varsigma = np.abs(X[:, p])
+    b = np.abs(B[:, spec.alpha[0]])
+    with np.errstate(over="ignore"):  # as in float division, b / tiny varsigma is inf
+        rho = np.divide(b, varsigma, out=np.zeros_like(b), where=varsigma > 0.0)
+    # rho = 0 puts every quantile at exactly 0
+    gammas = sdtn_quantile(std_normal_cdf(d), 0.0, varsigma[:, None], rho[:, None])
+    sigma, log_norm, errors = zip(*map(_scale, X[:, p + 1].tolist()))
+    sigma, log_norm = np.array(sigma)[:, None, None], np.array(log_norm)[:, None, None]
 
-    b = abs(float(beta[col]))
-    if varsigma <= 0.0 or b <= 0.0:
-        gammas = np.zeros_like(d)
-    else:
-        law = SdtnParams(0.0, varsigma, b / varsigma)
-        gammas = np.asarray(sdtn_ppf(u, law), dtype=float)
-
-    log_norm = -0.5 * math.log(2.0 * math.pi) - math.log(sigma)
-    total = 0.0
+    log_max, sums = [], []  # per group, (R,): the best node and the scaled node sum
     for ell in range(design.g):
-        resid = design.ys[ell] - design.Xs[ell] @ beta
-        zcol = design.Zs[ell][:, 0]
-        # log-product over rows for each node
-        dev = resid[:, None] - zcol[:, None] * gammas[None, :]
-        log_prod = np.sum(log_norm - 0.5 * (dev / sigma) ** 2, axis=0)
-        log_max = float(np.max(log_prod))
-        if log_max < LOG_DOUBLE_MIN:
-            if strict:
-                raise QuadratureUnderflowError(design.group_ids[ell], log_max)
-            return PIT_UNDERFLOW_PENALTY
-        total += -(log_max + math.log(float(np.sum(w * np.exp(log_prod - log_max)))))
-    return total
+        resid = design.ys[ell] - np.array([design.Xs[ell] @ beta for beta in B])
+        # log-product over rows for each point and node: (R, n_l, Q) summed over rows
+        dev = resid[:, :, None] - design.Zs[ell][:, :1] * gammas[:, None, :]
+        log_prod = np.sum(log_norm - 0.5 * (dev / sigma) ** 2, axis=1)
+        top = np.max(log_prod, axis=1)
+        log_max.append(top)
+        shift = np.maximum(top, LOG_DOUBLE_MIN)  # top, except where the group underflows
+        sums.append(np.sum(w * np.exp(log_prod - shift[:, None]), axis=1))
+
+    values = []
+    for error, tops, node_sums in zip(errors, np.transpose(log_max).tolist(),
+                                      np.transpose(sums).tolist()):
+        if error is not None:
+            raise error
+        total = 0.0
+        for ell, (top, node_sum) in enumerate(zip(tops, node_sums)):
+            if top < LOG_DOUBLE_MIN:
+                if strict:
+                    raise QuadratureUnderflowError(design.group_ids[ell], top)
+                total = PIT_UNDERFLOW_PENALTY
+                break
+            total += -(top + math.log(node_sum))
+        values.append(total)
+    return np.array(values).reshape(np.shape(x)[:-1])[()]
 
 
 def check_pit_k(k: int):
@@ -305,7 +331,7 @@ def fit_pit(dataset: Dataset, spec: ModelSpec, q: int = 2,
     # the first evaluation and the returned solution must carry real mass;
     # transient probes may dip into the underflow region and back out
     pit_objective(x0, design, spec, q, strict=True)
-    res = minimize_box(with_central_diff(lambda x: pit_objective(x, design, spec, q,
+    res = minimize_box(with_central_diff(lambda P: pit_objective(P, design, spec, q,
                                                                  strict=False)),
                        x0, bounds, tol_obj=1e-10, tol_grad=1e-7)
     pit_objective(res.x, design, spec, q, strict=True)

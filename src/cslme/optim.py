@@ -9,8 +9,10 @@ steps `scipy.optimize.minimize(method="L-BFGS-B")` would take from it
 alone. `minimize_box` is the one-start case, for a one-point objective
 `fun(x) -> (f, grad)`. PLS, PRLS, ML and REML supply exact gradients; a
 value-only objective (the PIT baseline, labeled-parameter searches) is
-adapted by `with_central_diff`, whose central-difference step rule is
-shared by every gradient check.
+adapted by `with_central_diff`, which evaluates the 1 + 2m probes of a
+central-difference step in one call of a batch value function
+`values(P) -> F`. Its step rule and probe layout (`central_diff_probes`)
+are shared by every gradient check (`central_diff_grad`).
 """
 
 from dataclasses import dataclass
@@ -41,34 +43,45 @@ def gradient_step(x: np.ndarray) -> np.ndarray:
     return np.maximum(1e-6, 1e-7 * np.abs(x))
 
 
-def central_diff_grad(fun, x: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
-    """Central-difference gradient with the shared step rule.
+def central_diff_probes(x: np.ndarray, h: np.ndarray | None = None):
+    """The probes of a central-difference step at x, one per row, and the steps.
 
-    `fun` is called on one probe array that is changed in place between
-    calls, so it must not keep a reference to its argument.
+    Row 0 is x; rows 2i + 1 and 2i + 2 are x + h_i e_i and x - h_i e_i.
+    h defaults to `gradient_step(x)`.
     """
-    x = np.array(x, dtype=float)  # a private copy, moved one coordinate at a time
+    x = np.asarray(x, dtype=float)
     if h is None:
         h = gradient_step(x)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        xi = x[i]
-        x[i] = xi + h[i]
-        f_plus = fun(x)
-        x[i] = xi - h[i]
-        f_minus = fun(x)
-        x[i] = xi
-        grad[i] = (f_plus - f_minus) / (2.0 * h[i])
-    return grad
+    i = np.arange(x.size)
+    probes = np.tile(x, (1 + 2 * x.size, 1))
+    probes[2 * i + 1, i] = x + h
+    probes[2 * i + 2, i] = x - h
+    return probes, h
 
 
-def with_central_diff(fun):
-    """Adapt a value-only `fun` to `(f, grad)` with `central_diff_grad`.
+def _differences(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The central differences from the values at probe rows 1 to 2m."""
+    return (values[0::2] - values[1::2]) / (2.0 * h)
 
-    Each call evaluates `fun` at x, then at the 2 m probes.
+
+def central_diff_grad(fun, x: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
+    """Central-difference gradient of a one-point `fun`, called at the probes
+    of `central_diff_probes` after x, one after another."""
+    probes, h = central_diff_probes(x, h)
+    return _differences(np.array([fun(probe) for probe in probes[1:]], dtype=float), h)
+
+
+def with_central_diff(values):
+    """Adapt a batch value function `values(P (K, m)) -> (K,)` to `(f, grad)`.
+
+    Each call evaluates `values` once, at the 1 + 2m rows of
+    `central_diff_probes`, and takes the gradient by `central_diff_grad`'s
+    differences.
     """
     def fun_and_grad(x):
-        return fun(x), central_diff_grad(fun, x)
+        probes, h = central_diff_probes(x)
+        F = np.asarray(values(probes), dtype=float)
+        return F[0], _differences(F[1:], h)
 
     return fun_and_grad
 

@@ -167,14 +167,24 @@ def sdtn_cdf(x, p: SdtnParams):
     return out if out.ndim else float(out)
 
 
+def sdtn_quantile(q, mu, eta, rho):
+    """SDTN quantiles at levels q of the laws (mu, eta, rho), unchecked.
+
+    Every argument is a float or an array, and they broadcast: levels
+    (Q,) against laws (R, 1) give an (R, Q) array. Each quantile is
+    clipped to its law's support, [mu - rho*eta, mu + rho*eta] as in
+    `SdtnParams.lower/upper`.
+    """
+    z = ndtri(std_normal_cdf(-rho) + q * erf(rho / _SQRT_2))
+    return np.clip(mu + eta * z, mu - rho * eta, mu + rho * eta)
+
+
 def sdtn_ppf(q, p: SdtnParams):
     """SDTN quantile function (inverse CDF) for q in [0, 1]."""
     q = np.asarray(q, dtype=float)
     if np.any((q < 0.0) | (q > 1.0)):
         raise ValueError("quantile levels must lie in [0, 1]")
-    mass = _central_mass(p.rho)
-    z = ndtri(std_normal_cdf(-p.rho) + q * mass)
-    out = np.clip(p.mu + p.eta * z, p.lower, p.upper)
+    out = sdtn_quantile(q, p.mu, p.eta, p.rho)
     return out if out.ndim else float(out)
 
 

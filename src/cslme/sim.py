@@ -472,7 +472,8 @@ def minimize_labels(dataset: Dataset, spec: ModelSpec, fixed: Parameters,
 
     if x0 is None:
         x0 = np.append(point[:-1], math.log(fixed.sigma))[idx]
-    res = minimize_box(with_central_diff(fun), np.asarray(x0, dtype=float),
+    res = minimize_box(with_central_diff(lambda P: [fun(x) for x in P]),
+                       np.asarray(x0, dtype=float),
                        [bounds[i] for i in idx])
     values = {lbl: (math.exp(v) if lbl == "sigma" else float(v))
               for lbl, v in zip(labels, res.x)}

@@ -22,12 +22,13 @@ from cslme.baseline import (
     fit_pit,
     fit_unconstrained,
     gamma_closed_form,
+    pit_objective,
     profile_beta,
 )
 from cslme.cli import InputSchema, ingest
 from cslme.datasets import sleepstudy_path
 from cslme.estimate import FitConfig, fit, pls_objective, prls_objective
-from cslme.model import ModelSpec, Parameters
+from cslme.model import BlockDesign, ModelSpec, Parameters
 from cslme.optim import central_diff_grad
 from cslme.ranef import GroupQp, kkt_residual, solve_group
 from cslme.sdtn import (
@@ -45,11 +46,13 @@ from cslme.sim import (
     gen_design,
     gen_response,
     minimize_labels,
+    replication_data,
     run_scenario,
 )
 
 from conftest import make_dataset, random_params
 from dense import assemble, joint_system_solve, marginal_cov
+from exact import sdtn_group_loglik
 
 
 class Budget:
@@ -312,8 +315,23 @@ def test_criterion_08_pit_comparison_regime():
     data, _ = gen_response(gen_design(big, seed=1), big.truth, big.model_spec(), 2)
     with pytest.raises(QuadratureUnderflowError):
         fit_pit(data, big.model_spec(), q=2)
+
+    # reported, not gated: PIT's q = 2 objective against the exact SDTN
+    # negative log-likelihood at the truth, on the same replications
+    truth, spec = sc.truth, sc.model_spec()
+    x = np.concatenate([truth.beta, truth.varsigma, [math.log(truth.sigma)]])
+    col = spec.alpha[0]
+    quad_err = []
+    for rep in range(sc.replications):
+        data, _, _ = replication_data(sc, rep)
+        exact = -sum(sdtn_group_loglik(gd.y - gd.X @ truth.beta, gd.X[:, col],
+                                       float(truth.varsigma[0]), abs(float(truth.beta[col])),
+                                       truth.sigma) for gd in data.groups)
+        quad_err.append(abs(pit_objective(x, BlockDesign(data, spec), spec, 2) - exact))
     budget.done(detail=f"median core RMSE: PLS {pls:.4f} <= PIT {pit:.4f}; "
-                       f"n=1200 raises the underflow diagnostic")
+                       f"n=1200 raises the underflow diagnostic; q=2 objective error "
+                       f"against the exact likelihood at the truth: median "
+                       f"{np.median(quad_err):.1e}, max {max(quad_err):.1e}")
 
 
 def test_criterion_09_group_qp_grid_oracles():

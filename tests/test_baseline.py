@@ -1,12 +1,17 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from conftest import make_dataset
 from dense import assemble, joint_system_solve
+from exact import sdtn_group_loglik
 from cslme.baseline import (
+    PIT_UNDERFLOW_PENALTY,
     QuadratureUnderflowError,
     Theta,
     fit_pit,
@@ -19,15 +24,22 @@ from cslme.baseline import (
     reml_loglik,
 )
 from cslme.model import (
+    NUMERICAL_FAILURES,
     BlockDesign,
     Dataset,
     GroupData,
     ModelSpec,
     Parameters,
 )
-from cslme.optim import ConvergenceError
+from cslme.optim import ConvergenceError, central_diff_grad, with_central_diff
 from cslme.sdtn import SdtnParams, sdtn_pdf
-from cslme.sim import Scenario, gen_design, gen_response
+from cslme.sim import (
+    Scenario,
+    builtin_scenarios,
+    gen_design,
+    gen_response,
+    replication_data,
+)
 
 
 def dense_v(dataset, spec, theta):
@@ -337,6 +349,138 @@ class TestPit:
         data = make_dataset(rng, g=2, p=3)
         with pytest.raises(ValueError):
             fit_pit(data, ModelSpec(alpha=(0, 1)), q=2)
+
+
+@functools.cache
+def batch_problem():
+    """A two-group, p = 2 PIT problem (20 rows per group) and its design."""
+    data, spec, _ = tiny_pit_problem()
+    return BlockDesign(data, spec), spec
+
+
+def outcome(call):
+    """What `call()` returns, or the member of NUMERICAL_FAILURES it raises."""
+    try:
+        return call()
+    except NUMERICAL_FAILURES as exc:
+        return exc
+
+
+# (beta_alpha, beta_1, varsigma, log sigma): varsigma = 0 and beta_alpha = 0
+# are drawn often; from about log sigma = -2.5 down, every node of a group
+# underflows, and 800 overflows exp; the last row's |beta_alpha| / varsigma
+# underflows to 0
+PIT_ROWS = st.one_of(
+    st.tuples(st.one_of(st.just(0.0), st.floats(-8.0, 8.0)), st.floats(-2.0, 2.0),
+              st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+              st.one_of(st.floats(-6.0, 1.0), st.just(800.0))),
+    st.just((1e-320, 0.5, 1e10, 0.0)),
+)
+
+
+class TestPitBatch:
+    """pit_objective at R points is, row for row, bit-equal to each point alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(PIT_ROWS, min_size=1, max_size=12), q=st.sampled_from([2, 4]),
+           strict=st.booleans())
+    def test_batch_equals_rows_alone(self, rows, q, strict):
+        design, spec = batch_problem()
+        X = np.array(rows)
+        alone = [outcome(lambda: pit_objective(x, design, spec, q, strict)) for x in X]
+        batch = outcome(lambda: pit_objective(X, design, spec, q, strict))
+        first = next((got for got in alone if isinstance(got, Exception)), None)
+        if first is None:
+            assert batch.shape == (len(X),)
+            assert [v.hex() for v in batch.tolist()] == [float(v).hex() for v in alone]
+        else:
+            assert type(batch) is type(first) and str(batch) == str(first)
+            if isinstance(first, QuadratureUnderflowError):
+                assert (batch.group_id, batch.log_max) == (first.group_id, first.log_max)
+
+    def test_degenerate_and_penalized_rows_beside_valid_ones(self):
+        design, spec = batch_problem()
+        X = np.array([
+            [5.0, 1.0, 0.5, 0.0],     # valid
+            [5.0, 1.0, 0.0, 0.0],     # varsigma = 0
+            [0.0, 1.0, 0.5, 0.0],     # beta_alpha = 0
+            [5.0, 1.0, 0.5, -5.0],    # every node of a group underflows
+        ])
+        values = pit_objective(X, design, spec, 2, strict=False)
+        assert values.tolist() == [pit_objective(x, design, spec, 2, strict=False)
+                                   for x in X]
+        assert values[3] == PIT_UNDERFLOW_PENALTY and np.isfinite(values).all()
+
+    def test_strict_batch_raises_the_first_failing_rows_error(self):
+        design, spec = batch_problem()
+        X = np.array([[5.0, 1.0, 0.5, 0.0], [5.0, 1.0, 0.5, -4.0], [5.0, 1.0, 0.5, -5.0]])
+        with pytest.raises(QuadratureUnderflowError) as first:
+            pit_objective(X[1], design, spec, 2)
+        with pytest.raises(QuadratureUnderflowError) as second:
+            pit_objective(X[2], design, spec, 2)
+        assert first.value.log_max != second.value.log_max
+        with pytest.raises(QuadratureUnderflowError) as batch:
+            pit_objective(X, design, spec, 2)
+        assert (batch.value.group_id, batch.value.log_max) == \
+            (first.value.group_id, first.value.log_max)
+
+    def test_vanishing_truncation_ratio_is_a_value_not_an_error(self):
+        # |beta_alpha| / varsigma = 1e-320 / 1e10 underflows to 0
+        sc = builtin_scenarios()["intercept-p3-n300"]
+        data, _, _ = replication_data(sc, 0)
+        spec = sc.model_spec()
+        design = BlockDesign(data, spec)
+        x = np.array([1e-320, 0.5, 0.5, 1e10, 0.0])
+        value = pit_objective(x, design, spec, 2, strict=False)
+        at_zero = pit_objective(np.array([0.0, 0.5, 0.5, 1e10, 0.0]), design, spec, 2,
+                                strict=False)
+        assert math.isfinite(value) and value == at_zero
+        X = np.array([[0.072, 1.0, 1.0, 0.058, 0.0], x, [0.1, 0.9, 1.1, 0.2, 0.1]])
+        batch = pit_objective(X, design, spec, 2, strict=False)
+        assert batch.tolist() == [pit_objective(row, design, spec, 2, strict=False)
+                                  for row in X]
+        assert batch[1] == value
+
+    @settings(max_examples=60, deadline=None)
+    @given(row=PIT_ROWS.filter(lambda row: row[3] < 700.0), q=st.sampled_from([2, 4]))
+    def test_with_central_diff_is_value_and_central_diff_grad(self, row, q):
+        design, spec = batch_problem()
+        x = np.array(row)
+
+        def one(point):
+            return pit_objective(point, design, spec, q, strict=False)
+
+        value, grad = with_central_diff(lambda P: pit_objective(P, design, spec, q,
+                                                                strict=False))(x)
+        assert float(value).hex() == float(one(x)).hex()
+        want = central_diff_grad(one, x)
+        assert [v.hex() for v in grad.tolist()] == [v.hex() for v in want.tolist()]
+
+
+class TestExactSdtnLikelihood:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8),
+           log_varsigma=st.floats(-3.0, 2.0), log_rho=st.floats(-3.0, 1.0))
+    def test_matches_quad(self, seed, n, log_varsigma, log_rho):
+        # group sizes 1-8, varsigma from 1e-3 to 100, rho = b / varsigma from 1e-3 to 10
+        rng = np.random.default_rng(seed)
+        r = rng.normal(0.0, 1.5, size=n)
+        z = np.ones(n) if seed % 2 else rng.gamma(2.0, 1.0, size=n)
+        varsigma = 10.0 ** log_varsigma
+        b = varsigma * 10.0 ** log_rho
+        sigma = float(rng.uniform(0.3, 2.0))
+        law = SdtnParams(0.0, varsigma, b / varsigma)
+        exact = sdtn_group_loglik(r, z, varsigma, b, sigma)
+
+        def integrand(g):  # the likelihood over the exact one: integrates to 1
+            logs = (-0.5 * math.log(2 * math.pi) - math.log(sigma)
+                    - 0.5 * ((r - z * g) / sigma) ** 2)
+            return math.exp(float(np.sum(logs)) - exact) * sdtn_pdf(g, law)
+
+        peaks = [g for g in (0.0, float(z @ r) / float(z @ z)) if abs(g) < b]
+        val, _ = integrate.quad(integrand, law.lower, law.upper, epsabs=0.0, epsrel=1e-13,
+                                limit=200, points=peaks)
+        assert abs(val - 1.0) <= 1e-10
 
 
 class TestGlsOptimality:

@@ -284,15 +284,16 @@ class TestMinimizeBox:
     def test_with_central_diff_calls_at_x_then_the_probes(self):
         seen = []
 
-        def fun(x):
-            seen.append(x.copy())
-            return float(np.sum(x ** 3))
+        def values(P):
+            seen.append(P.copy())
+            return np.sum(P ** 3, axis=1)
 
         x = np.array([1.0, -2.0])
-        value, grad = with_central_diff(fun)(x)
-        assert value == -7.0 and len(seen) == 1 + 2 * x.size
-        np.testing.assert_array_equal(seen[0], x)
-        np.testing.assert_array_equal(grad, central_diff_grad(fun, x))
+        value, grad = with_central_diff(values)(x)
+        assert value == -7.0 and len(seen) == 1 and seen[0].shape == (1 + 2 * x.size, x.size)
+        np.testing.assert_array_equal(seen[0][0], x)
+        np.testing.assert_array_equal(
+            grad, central_diff_grad(lambda probe: float(np.sum(probe ** 3)), x))
 
 
 class TestMultistart:
@@ -301,7 +302,8 @@ class TestMultistart:
     BOUNDS = [(None, None)]
 
     def run(self, fun):
-        return multistart(per_point(with_central_diff(fun)), self.STARTS, self.BOUNDS,
+        return multistart(per_point(with_central_diff(lambda P: [fun(x) for x in P])),
+                          self.STARTS, self.BOUNDS,
                           tol_obj=1e-6, tol_grad=1e-10, max_iter=200)
 
     def test_near_tie_goes_to_earlier_start(self):
