@@ -244,9 +244,9 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _fit_document(method, schema, spec, dataset, params, gamma, diagnostics,
+def _fit_document(method, schema, spec, dataset, params, gamma, at_limit, diagnostics,
                   objective, loglik, seed, run_config):
-    r2m, r2c = r_squared(params, dataset, spec)
+    r2m, r2c = r_squared(params, dataset, spec, at_limit=at_limit)
     cols = list(schema.model_columns)
     alpha = list(spec.alpha)
     overall = [
@@ -271,6 +271,8 @@ def _fit_document(method, schema, spec, dataset, params, gamma, diagnostics,
         "parameters": {
             "beta": [float(b) for b in params.beta],
             "varsigma": [float(v) for v in params.varsigma],
+            # true where varsigma is a finite stand-in for its minimizer +inf
+            "varsigma_at_limit": [bool(v) for v in at_limit],
             "sigma": float(params.sigma),
         },
         "random_effects": {
@@ -389,7 +391,7 @@ def _run_fit_method(args, method, schema, dataset, spec, run_config) -> int:
                      pit_q=args.pit_q)
     diagnostics = {"converged": res.converged, "n_iter": res.n_iter}
     if method in METHODS:
-        objective, loglik = res.objective, None
+        objective, loglik, at_limit = res.objective, None, res.at_limit
         diagnostics.update(
             start_index=res.start_index,
             start_objectives=[
@@ -399,11 +401,11 @@ def _run_fit_method(args, method, schema, dataset, spec, run_config) -> int:
             objective_trace=[float(v) for v in res.objective_trace],
         )
     else:
-        objective, loglik = None, res.loglik
+        objective, loglik, at_limit = None, res.loglik, (False,) * spec.k
         if method == "PIT":
             diagnostics["quadrature_order"] = args.pit_q
 
-    doc = _fit_document(method, schema, spec, dataset, res.params, res.gamma,
+    doc = _fit_document(method, schema, spec, dataset, res.params, res.gamma, at_limit,
                         diagnostics, objective, loglik, args.seed, run_config)
     _write_document(doc, args.out, args.format)
     if args.out not in (None, "-"):
@@ -422,6 +424,10 @@ def _print_fit_summary(doc):
     print(f"  {'sd(resid)':>14s}  {doc['parameters']['sigma']:10.3f}")
     print(f"  marginal R2 {doc['metrics']['r2_marginal']:.3f}   "
           f"conditional R2 {doc['metrics']['r2_conditional']:.3f}")
+    at_limit = [name for name, flag in zip(doc["spec"]["random_effect_columns"],
+                                           doc["parameters"]["varsigma_at_limit"]) if flag]
+    if at_limit:
+        print(f"  uniform limit (varsigma -> inf): {', '.join(at_limit)}")
 
 
 def cmd_simulate(args) -> int:

@@ -13,13 +13,23 @@ multi-start; the lowest-objective start wins, ties broken by start index.
 `multistart` runs the starts in lockstep (`optim.minimize_starts`), for
 the ML/REML baselines too.
 
+The search runs in x = (beta, q, log sigma), not in varsigma: q_i = d_i /
+beta_{alpha_i}^2 = vf(rho_i) / rho_i^2 is the deviation's variance over its
+squared half-width, boxed to [0, Q_MAX] with Q_MAX one ulp below the
+uniform limit 1/3 (`model.share_bounds`). In varsigma, d flattens to second
+order as varsigma -> inf, and L-BFGS-B crawls up that ridge toward a point
+the box cannot reach; in q that limit is a bound. The starts are mapped
+from varsigma to q once (`model.to_shares`), and the winner's varsigma is
+read back once (`model.unpack_shares`). A column that ends at q = Q_MAX has
+its minimizer at varsigma = +inf: `FitResult.at_limit` flags it, and its
+read-back varsigma (about 2.8e7 |beta_alpha|) is a finite stand-in.
+
 Each optimizer call returns the objective and its exact gradient in
-(beta, varsigma, log sigma) at every start's pending point from one
-batched factorization of V (`objective_and_gradient`): the value and its
-partials in the random-effect variances d, in beta and in log sigma come
-from `BlockSolve.criterion_partials`, and the chain through d_i =
-varsigma_i^2 vf(|beta_{alpha_i}| / varsigma_i) from `re_variance_partials`,
-point by point.
+(beta, q, log sigma) at every start's pending point from one batched
+factorization of V (`objective_and_gradient`): the value and its partials
+in the random-effect variances d, in beta and in log sigma come from
+`BlockSolve.criterion_partials`, and d = beta_alpha^2 q is one array
+operation, with dd/dq = beta_alpha^2 and dd/dbeta_alpha = 2 beta_alpha q.
 """
 
 from dataclasses import dataclass, field
@@ -36,11 +46,12 @@ from .model import (
     RandomEffects,
     SingularDesignError,
     as_design,
+    at_uniform_limit,
     exp_each,
-    re_variance_partials,
     re_variances,
-    search_bounds,
-    unpack,
+    share_bounds,
+    to_shares,
+    unpack_shares,
 )
 from .optim import (
     MAX_ITER,
@@ -86,28 +97,29 @@ class FitResult:
     n_eval: int = 0  # (f, grad) calls, summed over the starts that finished
     start_objectives: list = field(default_factory=list)
     failed_starts: list = field(default_factory=list)
+    # per random column: the scale is at the uniform limit varsigma -> inf and
+    # params.varsigma holds a finite stand-in (`model.at_uniform_limit`)
+    at_limit: tuple = ()
 
 
 def objective_and_gradient(design: BlockDesign, spec: ModelSpec, x: np.ndarray,
                            restricted: bool):
-    """PLS (or PRLS) value and exact gradient at x = (beta, varsigma, log sigma).
+    """PLS (or PRLS) value and exact gradient at x = (beta, q, log sigma).
 
     x is one point (m,), or R points (R, m) evaluated by one batched
     `BlockSolve` with values (R,) and gradients (R, m). The value is
-    bit-equal to the value-only objective at the same point, and a point's
-    value and gradient do not depend on the batch.
+    `BlockSolve.criterion` at d = beta_alpha^2 q, and a point's value and
+    gradient do not depend on the batch.
     """
     p, k = design.p, spec.k
-    beta, varsigma = x[..., :p], x[..., p:p + k]
-    parts = [re_variance_partials(row[:p], row[p:p + k], spec.alpha)
-             for row in x.reshape(-1, x.shape[-1])]
-    d, d_beta, d_varsigma = np.array(parts).swapaxes(0, 1).reshape(3, *x.shape[:-1], k)
-    sol = design.solve(d, exp_each(x[..., -1]))
+    alpha = list(spec.alpha)
+    beta, q, b = x[..., :p], x[..., p:p + k], x[..., alpha]
+    sol = design.solve(b * b * q, exp_each(x[..., -1]))
     value, dd, xvr, half_dlogsigma = sol.criterion_partials(beta, restricted)
     grad = np.empty(x.shape)
     grad[..., :p] = -2.0 * xvr
-    grad[..., list(spec.alpha)] += dd * d_beta
-    grad[..., p:p + k] = dd * d_varsigma
+    grad[..., alpha] += dd * (2.0 * b * q)
+    grad[..., p:p + k] = dd * (b * b)
     grad[..., -1] = 2.0 * half_dlogsigma
     return value, grad
 
@@ -165,12 +177,13 @@ def jittered_starts(natural: np.ndarray, rngs) -> list:
 
 
 def default_starts(design: BlockDesign, spec: ModelSpec, config: FitConfig) -> list:
-    """Deterministic multi-start points.
+    """Deterministic multi-start points x = (beta, q, log sigma).
 
     Start 0: least-squares coefficients clamped to the constraint cone,
     varsigma = 0.5*|beta_ols| on the random columns + 0.1*sd(y), sigma =
     residual sd. Remaining starts apply multiplicative log-normal jitter
-    (sd 0.5) to every component, seeded from config.seed.
+    (sd 0.5) to every component, seeded from config.seed. Each start's
+    varsigma is then mapped to q (`model.to_shares`).
     """
     beta_ols, sd_y, resid_sd = least_squares(design)
     beta0 = beta_ols.copy()
@@ -180,8 +193,9 @@ def default_starts(design: BlockDesign, spec: ModelSpec, config: FitConfig) -> l
         beta0[clamp] = np.maximum(beta0[clamp], 0.0)
     vs0 = 0.5 * np.abs(beta_ols[list(spec.alpha)]) + 0.1 * sd_y
     natural = np.concatenate([beta0, vs0, [resid_sd]])
-    return jittered_starts(natural, (np.random.default_rng(np.random.SeedSequence(
+    starts = jittered_starts(natural, (np.random.default_rng(np.random.SeedSequence(
         [config.seed, s])) for s in range(1, config.n_starts)))
+    return [to_shares(x, spec) for x in starts]
 
 
 def multistart(fun, starts, bounds, tol_obj, tol_grad, max_iter):
@@ -232,9 +246,9 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
         return objective_and_gradient(design, spec, x, restricted)
 
     best_idx, best, results, failures = multistart(
-        objective, default_starts(design, spec, config), search_bounds(design, spec),
+        objective, default_starts(design, spec, config), share_bounds(design, spec),
         TOL_OBJ, TOL_GRAD, MAX_ITER)
-    params = unpack(best.x, spec)
+    params = unpack_shares(best.x, spec)
     return FitResult(
         params=params,
         gamma=_ranef.solve_all(dataset, params, spec),
@@ -247,4 +261,5 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
         n_eval=sum(res.nfev for _, res in results),
         start_objectives=[(idx, res.fun, res.converged) for idx, res in results],
         failed_starts=failures,
+        at_limit=at_uniform_limit(best.x, spec),
     )

@@ -7,6 +7,11 @@ fixed + random + residual variance. The variance-components term uses the
 raw scales varsigma_i^2 as printed in the defining formulas; an alternate
 "effective" mode substitutes the truncation-deflated variances for
 sensitivity analysis (not part of the reference definition).
+
+A PLS/PRLS fit can end with a scale at the uniform limit varsigma_i -> inf
+(`FitResult.at_limit`). The raw random variance is then infinite, and the
+raw pair is its limit (0, 1): marginal 0 and conditional 1, exactly. The
+effective variance stays finite there, beta_{alpha_i}^2 / 3.
 """
 
 import math
@@ -34,16 +39,21 @@ def rmse(estimates, truth, subset=None) -> float:
 
 
 def r_squared(params: Parameters, dataset: Dataset, spec: ModelSpec,
-              effective: bool = False):
+              effective: bool = False, at_limit=()):
     """Marginal and conditional variance-explained at fitted parameters.
 
     Predictions use fixed effects only; their variance is taken around
     their own mean so a constant prediction contributes exactly zero.
+    `at_limit` flags the random columns whose scale is at the uniform
+    limit (`FitResult.at_limit`); with any flagged, the raw pair is (0.0,
+    1.0), whatever finite stand-in params.varsigma holds.
     """
     y_hat = np.concatenate([gd.X @ params.beta for gd in dataset.groups])
     var_fixed = float(np.mean((y_hat - np.mean(y_hat)) ** 2))
     if effective:
         var_random = float(np.sum(sdtn_variances(params, spec)))
+    elif any(at_limit):
+        return 0.0, 1.0
     else:
         var_random = float(np.sum(params.varsigma ** 2))
     total = var_fixed + var_random + params.sigma ** 2

@@ -30,10 +30,15 @@ of the same contractions and forms the same products, so a point's values
 do not depend on the batch. A point that cannot be evaluated raises, and
 a batch raises if any of its points would.
 
-Every estimator searches the point x = (beta, varsigma, log sigma), and
-ML/REML its tail (varsigma, log sigma). Its layout lives here once:
-`parameter_labels` names its entries, `search_bounds` gives its box and
-`unpack` reads it back as `Parameters`.
+Two search-point layouts live here, each once. PIT, contour grids and
+labeled searches use x = (beta, varsigma, log sigma), and ML/REML its tail
+(varsigma, log sigma): `parameter_labels` names its entries,
+`search_bounds` gives its box and `unpack` reads it back as `Parameters`.
+PLS/PRLS search x = (beta, q, log sigma) with q_i = d_i / beta_{alpha_i}^2
+in [0, Q_MAX], which keeps the uniform limit varsigma -> inf (q -> 1/3) on
+the box: `share_bounds` gives its box, `to_shares` maps a varsigma point to
+it, `unpack_shares` reads it back and `at_uniform_limit` flags the columns
+whose read-back varsigma stands in for +inf.
 """
 
 from dataclasses import dataclass, field
@@ -42,7 +47,7 @@ import math
 
 import numpy as np
 
-from .sdtn import variance_factor, variance_factor_slope
+from .sdtn import SMALL_RHO, variance_factor
 
 
 class DimensionMismatchError(ValueError):
@@ -251,37 +256,6 @@ def re_variances(beta: np.ndarray, varsigma: np.ndarray, alpha) -> np.ndarray:
     return out
 
 
-def re_variance_partials(beta: np.ndarray, varsigma: np.ndarray, alpha):
-    """`re_variances` with its partial derivatives, for exact gradients.
-
-    Returns (d, dd_dbeta, dd_dvarsigma), each of length k: d is bit-equal
-    to re_variances, entry i of the others is the derivative of d_i in
-    beta_{alpha_i} and in varsigma_i. With rho = |beta_{alpha_i}| /
-    |varsigma_i| and vf' = variance_factor_slope, they are sign(beta) *
-    |varsigma| vf'(rho) and sign(varsigma) * (2 |varsigma| vf(rho) -
-    |beta| vf'(rho)). Where the scale or the coefficient is zero, d_i is
-    identically zero along that boundary and flat to first order across
-    it, so both partials are zero.
-    """
-    alpha = tuple(alpha)
-    if len(alpha) != len(varsigma):
-        raise DimensionMismatchError(
-            f"varsigma has {len(varsigma)} entries, alpha has {len(alpha)}"
-        )
-    d, d_beta, d_varsigma = np.zeros((3, len(alpha)))
-    for i, col in enumerate(alpha):
-        s_signed, b_signed = float(varsigma[i]), float(beta[col])
-        s, b = abs(s_signed), abs(b_signed)
-        if s == 0.0 or b == 0.0:
-            continue
-        vf = variance_factor(b / s)
-        slope = variance_factor_slope(b / s)
-        d[i] = s * s * vf
-        d_beta[i] = math.copysign(s * slope, b_signed)
-        d_varsigma[i] = math.copysign(2.0 * s * vf - b * slope, s_signed)
-    return d, d_beta, d_varsigma
-
-
 def sdtn_variances(params: Parameters, spec: ModelSpec) -> np.ndarray:
     """Per-column SDTN random-effect variances (the diagonal of Delta)."""
     return re_variances(params.beta, params.varsigma, spec.alpha)
@@ -387,6 +361,111 @@ def unpack(x: np.ndarray, spec: ModelSpec) -> Parameters:
         if x[col] == 0.0:
             varsigma[i] = 0.0
     return Parameters(beta=x[:p], varsigma=varsigma, sigma=math.exp(x[-1]))
+
+
+# The PLS/PRLS search point x = (beta, q, log sigma), where q_i = d_i /
+# beta_{alpha_i}^2 is the deviation's variance over its squared half-width:
+# its box, the map from varsigma and the read-back as Parameters.
+
+# q runs from 0 (varsigma = 0) to 1/3, the uniform limit varsigma -> inf; the
+# box stops one ulp short of 1/3, where varsigma still reads back finite
+Q_MAX = float(np.nextafter(1.0 / 3.0, 0.0))
+# q at rho = SMALL_RHO on the two-term series branch of `variance_share`
+_Q_SERIES = 1.0 / 3.0 - 2.0 * SMALL_RHO * SMALL_RHO / 45.0
+
+
+def variance_share(rho: float) -> float:
+    """q = variance_factor(rho) / rho^2 at a ratio rho = |beta| / varsigma >= 0.
+
+    q falls monotonically from 1/3 (rho = 0, capped at Q_MAX) to 0 (rho =
+    inf); below SMALL_RHO it is the two-term series 1/3 - 2 rho^2/45.
+    """
+    if rho < SMALL_RHO:
+        return min(1.0 / 3.0 - 2.0 * rho * rho / 45.0, Q_MAX)
+    r2 = rho * rho
+    if r2 == math.inf:  # variance_factor is 1 there, and q subnormal
+        return (1.0 / rho) ** 2
+    return variance_factor(rho) / r2
+
+
+def share_ratio(q: float) -> float:
+    """The rho with variance_share(rho) = q, for 0 < q <= Q_MAX.
+
+    Above q(SMALL_RHO) the series inverts in closed form, rho = sqrt(22.5
+    (1/3 - q)). Where variance_factor(1/sqrt(q)) rounds to 1, q = 1/rho^2
+    and rho = 1/sqrt(q) (rho^2 would overflow at a subnormal q). Otherwise,
+    bisection over the floats of [SMALL_RHO, 1/sqrt(q)]
+    (variance_share(1/sqrt(q)) <= q, as variance_factor <= 1) returns the
+    end whose share is nearer q.
+    """
+    if q > _Q_SERIES:
+        return math.sqrt(22.5 * (1.0 / 3.0 - q))
+    lo, hi = SMALL_RHO, 1.0 / math.sqrt(q)
+    if variance_factor(hi) == 1.0:
+        return hi
+    while True:
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo if variance_share(lo) - q <= q - variance_share(hi) else hi
+        if variance_share(mid) > q:
+            lo = mid
+        else:
+            hi = mid
+
+
+def share_bounds(design: BlockDesign, spec: ModelSpec) -> list:
+    """The box of x = (beta, q, log sigma): `search_bounds` with each
+    varsigma's [0, inf) replaced by [0, Q_MAX]."""
+    bounds = search_bounds(design, spec)
+    bounds[design.p:design.p + spec.k] = [(0.0, Q_MAX)] * spec.k
+    return bounds
+
+
+def to_shares(x: np.ndarray, spec: ModelSpec) -> np.ndarray:
+    """The point (beta, q, log sigma) of x = (beta, varsigma, log sigma).
+
+    q_i = variance_share(|beta_{alpha_i}| / varsigma_i); a zero coefficient
+    maps to Q_MAX, a zero scale (with a nonzero coefficient) to 0.
+    """
+    k = spec.k
+    p = x.size - k - 1
+    out = np.array(x, dtype=float)
+    for i, col in enumerate(spec.alpha):
+        b, s = abs(float(x[col])), float(x[p + i])
+        if b == 0.0:
+            out[p + i] = Q_MAX
+        else:
+            out[p + i] = variance_share(b / s) if s > 0.0 else 0.0
+    return out
+
+
+def unpack_shares(x: np.ndarray, spec: ModelSpec) -> Parameters:
+    """The Parameters at x = (beta, q, log sigma): varsigma_i = |beta_{alpha_i}|
+    / share_ratio(q_i).
+
+    A zero q or a zero coefficient reads as varsigma = 0, as in `unpack`.
+    `re_variances` at the result gives back d = beta^2 q to about 1e-13
+    relative; at Q_MAX varsigma is finite, about 2.8e7 |beta_{alpha_i}|.
+    """
+    k = spec.k
+    p = x.size - k - 1
+    varsigma = np.zeros(k)
+    for i, col in enumerate(spec.alpha):
+        b, q = abs(float(x[col])), float(x[p + i])
+        if b > 0.0 and q > 0.0:
+            varsigma[i] = b / share_ratio(q)
+    return Parameters(beta=x[:p], varsigma=varsigma, sigma=math.exp(x[-1]))
+
+
+def at_uniform_limit(x: np.ndarray, spec: ModelSpec) -> tuple:
+    """Per random column of x = (beta, q, log sigma): is it at the uniform
+    limit, q_i = Q_MAX with beta_{alpha_i} != 0?
+
+    There the scale's minimizer is varsigma_i = +inf, and the varsigma_i of
+    `unpack_shares` is a finite stand-in for it.
+    """
+    p = x.size - spec.k - 1
+    return tuple(bool(x[p + i] >= Q_MAX and x[col] != 0.0) for i, col in enumerate(spec.alpha))
 
 
 def exp_each(log_sigma):

@@ -120,7 +120,7 @@ class _Lbfgsb:
         self.lsave = np.zeros(4, dtype=np.int32)
         self.isave = np.zeros(44, dtype=np.int32)
         self.dsave = np.zeros(29)
-        self.seen = self.value = self.grad = None
+        self.seen = self.value = self.grad = None  # seen: the last evaluated point, a list
         self.trace = []
         self.nfev = self.nit = 0
 
@@ -128,7 +128,7 @@ class _Lbfgsb:
         """Record (f, grad) at the current iterate; the first value opens the trace."""
         if not self.trace:
             self.trace.append(value)
-        self.seen, self.value, self.grad = self.x.copy(), value, grad
+        self.seen, self.value, self.grad = self.x.tolist(), value, grad
         self.f, self.g = value, grad.copy()
         self.nfev += 1
 
@@ -144,7 +144,9 @@ class _Lbfgsb:
                    self.iwa, self.task, self.lsave, self.isave, self.dsave,
                    MAX_LINE_SEARCH, self.ln_task)
             if self.task[0] == 3:  # FG: evaluate at self.x
-                if not np.array_equal(self.x, self.seen):
+                # np.array_equal's test (-0.0 == 0.0, nan unequal) on floats, at a
+                # tenth of its cost
+                if self.x.tolist() != self.seen:
                     return True
                 self.f, self.g = self.value, self.grad.copy()
             elif self.task[0] == 1:  # NEW_X: an iteration is done

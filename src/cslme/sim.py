@@ -219,7 +219,8 @@ def _replication(scenario: Scenario, methods, rep: int, pit_q: int, n_starts: in
             res = fit_method(method, data, spec, seed=rep_seed, n_starts=n_starts,
                              pit_q=pit_q)
             est = table_values(res.params, res.gamma.gamma, spec, method)
-            r2m, r2c = r_squared(res.params, data, spec)
+            at_limit = res.at_limit if method in METHODS else ()
+            r2m, r2c = r_squared(res.params, data, spec, at_limit=at_limit)
             out[method] = {
                 "estimates": est,
                 "truth": truth_vals,
@@ -227,6 +228,7 @@ def _replication(scenario: Scenario, methods, rep: int, pit_q: int, n_starts: in
                 "rmse_core": rmse(est, truth_vals, no_spread),
                 "r2_marginal": r2m,
                 "r2_conditional": r2c,
+                "at_limit": any(at_limit),
             }
         except NUMERICAL_FAILURES as exc:
             out[method] = {"error": f"{type(exc).__name__}: {exc}"}
@@ -263,6 +265,7 @@ class ScenarioResult:
             "rmse_core_median": float(np.median([r["rmse_core"] for r in recs])),
             "r2_marginal_mean": float(np.mean([r["r2_marginal"] for r in recs])),
             "r2_conditional_mean": float(np.mean([r["r2_conditional"] for r in recs])),
+            "n_at_limit": sum(r["at_limit"] for r in recs),
         }
 
     def table_rows(self) -> list:
@@ -283,6 +286,8 @@ class ScenarioResult:
                 if key in s:
                     rows.append((method, key, "", fmt_float(s[key]), ""))
             rows.append((method, "n_failed", "", str(s["n_failed"]), ""))
+            if "n_at_limit" in s:
+                rows.append((method, "n_at_limit", "", str(s["n_at_limit"]), ""))
         return rows
 
 

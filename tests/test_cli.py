@@ -167,6 +167,8 @@ class TestFitCommand:
         doc = json.loads(out.read_text())
         assert list(doc["diagnostics"]) == keys
         assert doc["spec"]["constrained"] is (method not in ("ML", "REML"))
+        # no scale of these fits is at the uniform limit
+        assert doc["parameters"]["varsigma_at_limit"] == [False] * len(raneff.split(","))
 
 
 class TestRanefRoundTrip:
@@ -439,11 +441,13 @@ class TestDiscountSalesAnalog:
         overall_slopes = pls.params.beta[1] + pls.gamma.gamma[:, 1]
         assert np.all(overall_slopes >= 0.0)
         # pinned slope: marginal explains ~nothing, clusters explain a lot.
-        # near the uniform limit the raw scale is weakly identified, so the
-        # as-printed conditional R2 can approach 1; the effective mode uses
+        # the intercept's scale ends at the uniform limit varsigma -> inf, so
+        # the as-printed pair is its limit (0, 1); the effective mode uses
         # the deflated deviation variance instead
         from cslme.metrics import r_squared
 
+        assert pls.at_limit == (True, False)
+        assert r_squared(pls.params, data, spec, at_limit=pls.at_limit) == (0.0, 1.0)
         r2m, r2c = r_squared(pls.params, data, spec)
         assert r2m < 0.05
         assert r2c > 0.1
@@ -451,7 +455,7 @@ class TestDiscountSalesAnalog:
         assert m_eff < 0.05
         assert 0.15 < c_eff < 0.9
 
-    def test_cli_fit_on_analog(self, tmp_path):
+    def test_cli_fit_on_analog(self, tmp_path, capsys):
         from dense import write_synthetic_discount_sales
 
         path = write_synthetic_discount_sales(tmp_path / "discount.csv")
@@ -464,3 +468,8 @@ class TestDiscountSalesAnalog:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["parameters"]["beta"][1] >= 0.0
+        # the intercept's scale is a finite stand-in for +inf, and flagged
+        assert doc["parameters"]["varsigma_at_limit"] == [True, False]
+        assert doc["parameters"]["varsigma"][0] > 1e7
+        assert (doc["metrics"]["r2_marginal"], doc["metrics"]["r2_conditional"]) == (0.0, 1.0)
+        assert "uniform limit (varsigma -> inf): intercept\n" in capsys.readouterr().out

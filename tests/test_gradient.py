@@ -1,9 +1,11 @@
 """Exact (f, grad f) of PLS, PRLS, ML and REML against the Richardson oracle.
 
 The oracle is the Richardson-extrapolated central difference of criterion
-10, applied to the value-only objectives; the exact gradients must agree
-with it to 1e-4 relative, and their values must equal the value-only
-objectives.
+10, applied to value-only objectives; the exact gradients must agree with
+it to 1e-4 relative, and their values must equal the value-only
+objectives. PLS/PRLS search x = (beta, q, log sigma) with d = beta_alpha^2
+q; their oracle is the dense n x n criterion at that d, which stays smooth
+across both bounds of q, so the differences may step past them.
 """
 
 import math
@@ -14,19 +16,21 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, random_params
+from dense import assemble
 from cslme.baseline import Theta, criterion_and_gradient, profile_loglik, reml_loglik
 from cslme.estimate import objective_and_gradient, pls_objective, prls_objective
-from cslme.model import BlockDesign, ModelSpec, Parameters
+from cslme.model import Q_MAX, BlockDesign, ModelSpec, to_shares, unpack_shares
 from cslme.optim import central_diff_grad
 from cslme.sdtn import SMALL_RHO
 
-# where one random-effect column sits: anywhere, at a zero coefficient, at a
-# zero scale, or with its truncation ratio just below or above SMALL_RHO
-POINT_KINDS = ("interior", "beta_zero", "varsigma_zero", "rho_below", "rho_above")
+# where one random-effect column sits: anywhere, at a zero coefficient, at
+# either bound of q, or with its truncation ratio just below or above SMALL_RHO
+POINT_KINDS = ("interior", "beta_zero", "q_zero", "q_max", "rho_below", "rho_above")
 
 
-def richardson_grad(fun, x):
-    h0 = 1e-3 * np.maximum(np.abs(x), 1.0)
+def richardson_grad(fun, x, h0=None):
+    if h0 is None:
+        h0 = 1e-3 * np.maximum(np.abs(x), 1.0)
     d1 = central_diff_grad(fun, x, h=h0)
     d2 = central_diff_grad(fun, x, h=h0 / 2)
     d4 = central_diff_grad(fun, x, h=h0 / 4)
@@ -35,16 +39,45 @@ def richardson_grad(fun, x):
     return (16 * r2 - r1) / 15
 
 
-def assert_matches_oracle(fun, fun_and_grad, x):
+def assert_matches_oracle(fun, fun_and_grad, x, value_only=None, h0=None):
     value, grad = fun_and_grad(x)
-    assert value == pytest.approx(fun(x), rel=1e-12)
-    oracle = richardson_grad(fun, x)
+    assert value == pytest.approx((value_only or fun)(x), rel=1e-12)
+    oracle = richardson_grad(fun, x, h0)
     assert np.linalg.norm(grad - oracle) <= 1e-4 * np.linalg.norm(oracle)
+
+
+def dense_share_criterion(data, spec, restricted):
+    """The PLS (PRLS) value at x = (beta, q, log sigma) from the dense V with
+    d = beta_alpha^2 q, for any real q at which V is nonsingular."""
+    X, Z, y, _ = assemble(data, spec)
+    p, k = data.p, spec.k
+
+    def fun(x):
+        d = x[list(spec.alpha)] ** 2 * x[p:p + k]
+        V = (Z * np.tile(d, data.g)) @ Z.T + math.exp(2.0 * x[-1]) * np.eye(len(y))
+        r = y - X @ x[:p]
+        value = r @ np.linalg.solve(V, r) + np.linalg.slogdet(V)[1]
+        if restricted:
+            value += np.linalg.slogdet(X.T @ np.linalg.solve(V, X))[1]
+        return float(value)
+
+    return fun
+
+
+def share_steps(x, p, k):
+    """Richardson's first steps: 1e-3 max(|x_i|, 1), but 1e-5 for q, so that a
+    step past q = 0 keeps V positive definite."""
+    h0 = 1e-3 * np.maximum(np.abs(x), 1.0)
+    h0[p:p + k] = 1e-5
+    return h0
 
 
 @st.composite
 def gradient_cases(draw):
-    """Ragged and one-row groups, k in {1, 2, 3}, one column at a special point."""
+    """Ragged and one-row groups, k in {1, 2, 3}, one column at a special point.
+
+    Returns (data, spec, x = (beta, varsigma, log sigma), the column whose q
+    goes to its upper bound or None)."""
     k = draw(st.integers(1, 3))
     p = draw(st.integers(k, 4))
     sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
@@ -59,37 +92,42 @@ def gradient_cases(draw):
     col = spec.alpha[i]
     if kind == "beta_zero":
         beta[col] = 0.0
-    elif kind == "varsigma_zero":
+    elif kind == "q_zero":
         varsigma[i] = 0.0
     elif kind == "rho_below":
         beta[col] = 0.5 * SMALL_RHO * varsigma[i]
     elif kind == "rho_above":
         beta[col] = 2.0 * SMALL_RHO * varsigma[i]
-    return data, spec, Parameters(beta=beta, varsigma=varsigma, sigma=params.sigma)
+    x = np.concatenate([beta, varsigma, [math.log(params.sigma)]])
+    return data, spec, x, i if kind == "q_max" else None
 
 
 class TestExactGradient:
     @settings(max_examples=60, deadline=None)
     @given(case=gradient_cases(), restricted=st.booleans())
     def test_pls_prls_match_richardson(self, case, restricted):
-        data, spec, params = case
+        data, spec, x, top = case
         design = BlockDesign(data, spec)
         p, k = data.p, spec.k
+        x = to_shares(x, spec)
+        if top is not None:
+            x[p + top] = Q_MAX
+        assert np.all((0.0 <= x[p:p + k]) & (x[p:p + k] <= Q_MAX))
         value_only = prls_objective if restricted else pls_objective
 
-        def fun(x):
-            point = Parameters(beta=x[:p], varsigma=np.abs(x[p:p + k]),
-                               sigma=math.exp(x[-1]))
-            return value_only(point, design, spec)
+        def read_back(z):
+            # the read-back varsigma reproduces d, so the value-only objective agrees
+            return value_only(unpack_shares(z, spec), design, spec)
 
-        x = np.concatenate([params.beta, params.varsigma, [math.log(params.sigma)]])
         assert_matches_oracle(
-            fun, lambda z: objective_and_gradient(design, spec, z, restricted), x)
+            dense_share_criterion(data, spec, restricted),
+            lambda z: objective_and_gradient(design, spec, z, restricted), x,
+            value_only=read_back, h0=share_steps(x, p, k))
 
     @settings(max_examples=40, deadline=None)
     @given(case=gradient_cases(), criterion=st.sampled_from(("ML", "REML")))
     def test_ml_reml_match_richardson(self, case, criterion):
-        data, spec, params = case
+        data, spec, x, _ = case
         spec = ModelSpec(alpha=spec.alpha, constrained=False)
         design = BlockDesign(data, spec)
         loglik = profile_loglik if criterion == "ML" else reml_loglik
@@ -97,19 +135,18 @@ class TestExactGradient:
         def fun(x):
             return -loglik(Theta(np.abs(x[:-1]), math.exp(x[-1])), design, spec)
 
-        x = np.concatenate([params.varsigma, [math.log(params.sigma)]])
+        x = x[data.p:]
         assert_matches_oracle(
             fun, lambda z: criterion_and_gradient(z, design, criterion), x)
 
     def test_unconstrained_negative_coefficient(self, rng):
-        # |beta| and |varsigma| enter the variances: the chain rule carries their signs
+        # d = beta^2 q: the chain rule carries the coefficients' signs
         data = make_dataset(rng, g=4, p=3)
         spec = ModelSpec(alpha=(0, 1), constrained=False)
         design = BlockDesign(data, spec)
-        x = np.array([-0.7, -1.1, 0.4, 0.4, -0.9, -0.2])
-
-        def fun(z):
-            point = Parameters(beta=z[:3], varsigma=np.abs(z[3:5]), sigma=math.exp(z[-1]))
-            return pls_objective(point, design, spec)
-
-        assert_matches_oracle(fun, lambda z: objective_and_gradient(design, spec, z, False), x)
+        x = np.array([-0.7, -1.1, 0.4, 0.3, 0.05, -0.2])
+        assert_matches_oracle(
+            dense_share_criterion(data, spec, False),
+            lambda z: objective_and_gradient(design, spec, z, False), x,
+            value_only=lambda z: pls_objective(unpack_shares(z, spec), design, spec),
+            h0=share_steps(x, 3, 2))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset
 from cslme.metrics import r_squared, rmse
-from cslme.model import ModelSpec, Parameters
+from cslme.model import ModelSpec, Parameters, sdtn_variances
+from cslme.sim import builtin_scenarios, fit_method, replication_data
 
 
 class TestRmse:
@@ -80,8 +81,6 @@ class TestRSquared:
         assert 0.0 <= m <= c <= 1.0
 
     def test_effective_mode_uses_deflated_variances(self, rng):
-        from cslme.model import sdtn_variances
-
         data = make_dataset(rng, g=2, p=2)
         spec = ModelSpec(alpha=(0,))
         params = Parameters(beta=np.array([1.0, 0.5]), varsigma=np.array([0.8]),
@@ -93,3 +92,45 @@ class TestRSquared:
         y_hat = np.concatenate([gd.X @ params.beta for gd in data.groups])
         vfix = float(np.mean((y_hat - y_hat.mean()) ** 2))
         assert c_eff == pytest.approx((vfix + vr) / (vfix + vr + 1.0), rel=1e-12)
+
+    def test_unflagged_columns_change_nothing(self, rng):
+        data = make_dataset(rng, g=3, p=3)
+        spec = ModelSpec(alpha=(0, 1))
+        params = Parameters(beta=np.array([0.4, 1.1, 0.6]),
+                            varsigma=np.array([0.5, 0.2]), sigma=0.9)
+        for effective in (False, True):
+            assert r_squared(params, data, spec, effective, at_limit=(False, False)) == \
+                r_squared(params, data, spec, effective)
+
+
+class TestRSquaredAtTheUniformLimit:
+    """Replication 7 of intercept-p3-n300, whose PLS and PRLS fits both end
+    with the intercept's variance share at Q_MAX."""
+
+    @pytest.fixture(scope="class")
+    def fits(self):
+        scenario = builtin_scenarios()["intercept-p3-n300"]
+        data, _, seed = replication_data(scenario, 7)
+        spec = scenario.model_spec()
+        return data, spec, {m: fit_method(m, data, spec, seed=seed) for m in ("PLS", "PRLS")}
+
+    @pytest.mark.parametrize("method", ["PLS", "PRLS"])
+    def test_raw_pair_is_its_limit(self, fits, method):
+        data, spec, res = fits[0], fits[1], fits[2][method]
+        assert res.at_limit == (True,)
+        b = res.params.beta[0]
+        assert 2.7e7 * b < res.params.varsigma[0] < 2.9e7 * b
+        assert r_squared(res.params, data, spec, at_limit=res.at_limit) == (0.0, 1.0)
+        # unflagged, the finite stand-in gives the limit only to rounding
+        m, c = r_squared(res.params, data, spec)
+        assert 0.0 < m < 1e-12 and 1.0 - 1e-12 < c < 1.0
+
+    @pytest.mark.parametrize("method", ["PLS", "PRLS"])
+    def test_effective_pair_is_finite_and_ignores_the_flags(self, fits, method):
+        data, spec, res = fits[0], fits[1], fits[2][method]
+        b = res.params.beta[0]
+        assert sdtn_variances(res.params, spec)[0] == pytest.approx(b * b / 3.0, rel=1e-15)
+        m, c = r_squared(res.params, data, spec, effective=True)
+        assert (m, c) == r_squared(res.params, data, spec, effective=True,
+                                   at_limit=res.at_limit)
+        assert 0.5 < m < c < 1.0

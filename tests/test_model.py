@@ -20,12 +20,20 @@ from cslme.model import (
     ModelSpec,
     Parameters,
     SingularDesignError,
+    Q_MAX,
+    at_uniform_limit,
     parameter_labels,
+    re_variances,
     sdtn_variances,
     search_bounds,
+    share_bounds,
+    share_ratio,
+    to_shares,
     unpack,
+    unpack_shares,
+    variance_share,
 )
-from cslme.sdtn import SdtnParams, sdtn_pdf
+from cslme.sdtn import SMALL_RHO, SdtnParams, sdtn_pdf
 from cslme.sim import Scenario, gen_design, gen_response
 
 
@@ -107,6 +115,99 @@ class TestSearchPoint:
         np.testing.assert_array_equal(params.varsigma, [0.0, 0.3])
         assert params.sigma == pytest.approx(1.25, rel=1e-15)
         assert x[3] == 0.7  # the search point itself is left alone
+
+
+@st.composite
+def share_points(draw):
+    """(x = (beta, q, log sigma), spec) with one column's q drawn on a chosen
+    side of SMALL_RHO, tiny or at a bound, or its coefficient at 0."""
+    kind = draw(st.sampled_from(["series", "near_threshold", "closed", "uniform",
+                                 "tiny", "zero", "max", "beta_zero"]))
+    b = 10.0 ** draw(st.floats(-3.0, 3.0)) * draw(st.sampled_from([1.0, -1.0]))
+    if kind == "beta_zero":
+        b = 0.0
+    log_rho = {"series": (-9.0, -3.0), "near_threshold": (-3.5, -2.5), "closed": (-3.0, 3.0)}
+    if kind in log_rho:
+        q = variance_share(10.0 ** draw(st.floats(*log_rho[kind])))
+    elif kind == "zero":
+        q = 0.0
+    elif kind == "max":
+        q = Q_MAX
+    elif kind == "tiny":  # subnormal q included, where rho^2 overflows
+        q = draw(st.floats(0.0, 1e-300))
+    else:
+        q = draw(st.floats(0.0, Q_MAX))
+    return np.array([0.4, b, q, 0.1]), ModelSpec(alpha=(1,), constrained=False)
+
+
+class TestShareLayout:
+    @pytest.mark.parametrize("alpha", [(0,), (0, 2)])
+    def test_box_replaces_each_scale_by_its_share(self, rng, alpha):
+        data = make_dataset(rng, g=3, p=3)
+        spec = ModelSpec(alpha=alpha)
+        design = BlockDesign(data, spec)
+        bounds = share_bounds(design, spec)
+        assert bounds[3:3 + len(alpha)] == [(0.0, Q_MAX)] * len(alpha)
+        others = search_bounds(design, spec)
+        assert bounds[:3] == others[:3] and bounds[-1] == others[-1]
+        assert Q_MAX < 1.0 / 3.0 and np.nextafter(Q_MAX, 1.0) == 1.0 / 3.0
+
+    def test_share_falls_from_one_third_to_zero(self):
+        rho = np.logspace(-9, 3, 400)
+        q = np.array([variance_share(r) for r in rho])
+        # flat only where it is capped at Q_MAX (2 rho^2/45 below an ulp of 1/3)
+        assert np.all(np.diff(q) <= 0.0) and np.all(np.diff(q[rho > 1e-7]) < 0.0)
+        assert variance_share(0.0) == Q_MAX == q[0] and variance_share(np.inf) == 0.0
+        assert q[-1] == pytest.approx(1e-6, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(point=share_points())
+    def test_read_back_reproduces_the_variance(self, point):
+        x, spec = point
+        b, q = x[1], x[2]
+        params = unpack_shares(x, spec)
+        np.testing.assert_array_equal(params.beta, x[:2])
+        assert params.sigma == pytest.approx(np.exp(0.1), rel=1e-15)
+        (d,) = re_variances(params.beta, params.varsigma, spec.alpha)
+        if b == 0.0 or q == 0.0:
+            assert params.varsigma[0] == 0.0 and d == 0.0
+            return
+        assert d == pytest.approx(b * b * q, rel=1e-12, abs=0.0)
+        # and back: the read-back scale maps to the same share
+        (q_again,) = to_shares(np.array([0.4, b, params.varsigma[0], 0.1]), spec)[2:3]
+        assert q_again == pytest.approx(q, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(b=st.floats(1e-3, 1e3), rho=st.floats(-9.0, 3.0))
+    def test_scale_maps_to_share_and_back(self, b, rho):
+        spec = ModelSpec(alpha=(0,))
+        x = np.array([b, b / 10.0 ** rho, 0.0])
+        shares = to_shares(x, spec)
+        d = re_variances(x[:1], x[1:2], spec.alpha)[0]
+        assert b * b * shares[1] == pytest.approx(d, rel=1e-12, abs=0.0)
+        back = unpack_shares(shares, spec)
+        assert re_variances(back.beta, back.varsigma, spec.alpha)[0] == \
+            pytest.approx(d, rel=1e-12, abs=0.0)
+
+    def test_uniform_limit_flags(self):
+        spec = ModelSpec(alpha=(0, 1, 2))
+        # at Q_MAX with a nonzero coefficient only; beta0 = 0 reads varsigma = 0
+        x = np.array([0.0, -2.0, 1.0, Q_MAX, Q_MAX, np.nextafter(Q_MAX, 0.0), 0.3])
+        assert at_uniform_limit(x, spec) == (False, True, False)
+
+    def test_bounds_and_zero_coefficient(self):
+        spec = ModelSpec(alpha=(0, 1))
+        # beta0 = 0 maps to Q_MAX, varsigma1 = 0 to q = 0; both read back as 0
+        x = np.array([0.0, 2.0, 0.5, 0.0, 0.3])
+        shares = to_shares(x, spec)
+        np.testing.assert_array_equal(shares, [0.0, 2.0, Q_MAX, 0.0, 0.3])
+        np.testing.assert_array_equal(unpack_shares(shares, spec).varsigma, [0.0, 0.0])
+        # at Q_MAX the scale reads back finite, and the variance is beta^2 / 3
+        top = unpack_shares(np.array([1.0, 2.0, 0.1, Q_MAX, 0.0]), spec)
+        assert 2.7e7 * 2.0 < top.varsigma[1] < 2.9e7 * 2.0
+        assert re_variances(top.beta, top.varsigma, spec.alpha)[1] == \
+            pytest.approx(4.0 / 3.0, rel=1e-15)
+        assert share_ratio(Q_MAX) == pytest.approx(np.sqrt(22.5 * 2.0 ** -54), rel=1e-6)
 
 
 class TestAssemble:

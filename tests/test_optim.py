@@ -14,7 +14,7 @@ import pytest
 from scipy.optimize import minimize
 
 from cslme import baseline, estimate, optim
-from cslme.model import as_design, search_bounds
+from cslme.model import as_design, search_bounds, share_bounds
 from cslme.optim import (
     MAX_ITER,
     TOL_GRAD,
@@ -80,7 +80,7 @@ def sleep_problem(sleep, method, seed=0):
         design = as_design(data, spec)
         starts = estimate.default_starts(design, spec, estimate.FitConfig(method, seed=seed))
         return (lambda x: estimate.objective_and_gradient(design, spec, x, method == "PRLS"),
-                starts, search_bounds(design, spec))
+                starts, share_bounds(design, spec))
     spec = replace(spec, constrained=False)
     design = as_design(data, spec)
     return (lambda x: baseline.criterion_and_gradient(x, design, method),

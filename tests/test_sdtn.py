@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from cslme.model import re_variances
+from cslme.sim import deviation_sd
 from cslme.sdtn import (
+    SERIES_RHO,
     SMALL_RHO,
     DegenerateMassError,
     SdtnParams,
@@ -21,7 +24,6 @@ from cslme.sdtn import (
     std_normal_cdf,
     std_normal_pdf,
     variance_factor,
-    variance_factor_slope,
 )
 
 law_st = st.builds(
@@ -195,24 +197,31 @@ class TestVarianceFactor:
         series = rho ** 2 / 3.0 - 2.0 * rho ** 4 / 45.0
         assert abs(closed - series) < 1e-10
 
-    def test_slope_matches_central_difference(self):
-        # steps of 1e-4 rho keep each difference on one side of SMALL_RHO
-        grid = np.concatenate([np.logspace(-6, math.log10(0.5 * SMALL_RHO), 8),
-                               np.logspace(math.log10(2 * SMALL_RHO), math.log10(30.0), 40)])
+    def test_matches_quadrature_through_the_series_branch(self):
+        # vf(rho) / rho^2 is the second moment of u on [-1, 1] with density
+        # proportional to exp(-rho^2 u^2 / 2): no cancellation at small rho
+        def oracle(rho):
+            def moment(j):
+                return integrate.quad(lambda u: u ** j * math.exp(-0.5 * rho * rho * u * u),
+                                      -1.0, 1.0, epsabs=0.0, epsrel=2e-14)[0]
+            return rho * rho * moment(2) / moment(0)
+
+        grid = np.concatenate([np.logspace(-8.0, math.log10(SMALL_RHO), 20),
+                               np.logspace(math.log10(SMALL_RHO), math.log10(SERIES_RHO), 40),
+                               np.logspace(math.log10(SERIES_RHO), 1.0, 20)])
         for rho in grid:
-            h = 1e-4 * rho
-            fd = (variance_factor(rho + h) - variance_factor(rho - h)) / (2 * h)
-            assert abs(variance_factor_slope(rho) - fd) <= 1e-5 * abs(fd) + 1e-12
+            assert variance_factor(rho) == pytest.approx(oracle(rho), rel=2e-13, abs=0.0)
 
-    def test_slope_branch_continuity_at_threshold(self):
-        below = variance_factor_slope(np.nextafter(SMALL_RHO, 0.0))
-        at = variance_factor_slope(SMALL_RHO)
-        assert abs(at - below) <= 1e-8 * at
-        assert at == pytest.approx(2 * SMALL_RHO / 3, rel=1e-5)
+    def test_series_branch_continuity_at_threshold(self):
+        below = variance_factor(np.nextafter(SERIES_RHO, 0.0))
+        assert abs(variance_factor(SERIES_RHO) - below) <= 1e-13 * below
 
-    def test_slope_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            variance_factor_slope(0.0)
+    def test_underflowing_tail_is_the_limit_one(self):
+        assert variance_factor(math.inf) == 1.0
+        assert variance_factor(1e200) == 1.0
+        # the ratio |beta| / varsigma overflows to inf at a subnormal scale
+        np.testing.assert_array_equal(re_variances([1.0], [1e-310], (0,)), [0.0])
+        assert deviation_sd("PLS", 1.0, 1e-310) == 1e-310
 
     def test_variance_bounded_by_eta_sq(self, rng):
         for _ in range(50):

@@ -292,6 +292,20 @@ class TestRunScenario:
             run_scenario(sc, methods=("PLS", "PIT"))
         assert fits == []
 
+    def test_fits_at_the_uniform_limit_counted(self):
+        # in replications 0-7 of intercept-p3-n300, PRLS ends with the
+        # intercept's variance share at Q_MAX in replications 2 and 7, PLS in 7
+        sc = replace(builtin_scenarios()["intercept-p3-n300"], replications=8)
+        res = run_scenario(sc, methods=("PLS", "PRLS", "REML"))
+        for method, reps in (("PLS", [7]), ("PRLS", [2, 7]), ("REML", [])):
+            recs = res.records[method]
+            assert len(recs) == 8
+            assert [r for r, rec in enumerate(recs) if rec["at_limit"]] == reps
+            assert res.summary(method)["n_at_limit"] == len(reps)
+            assert (method, "n_at_limit", "", str(len(reps)), "") in res.table_rows()
+            for r in reps:
+                assert (recs[r]["r2_marginal"], recs[r]["r2_conditional"]) == (0.0, 1.0)
+
     def test_failures_reported(self):
         # PIT on large per-group sizes fails with the underflow diagnostic
         truth = Parameters(beta=np.array([1.0, 1.0]), varsigma=np.array([0.3]),
