@@ -15,7 +15,14 @@ bit-equal floats:
   replications: every parameter and deviation, the log-likelihood, the
   evaluation and iteration counts, the converged flag and the objective
   trace, or the message of a fit that fails;
-- PLS and PRLS contour grids with failing (NaN) cells.
+- PLS and PRLS contour grids with failing (NaN) cells;
+- the per-point objectives and recoveries (`pls_objective`,
+  `prls_objective`, `approx_loglik`, `profile_loglik`, `reml_loglik`,
+  `profile_beta`, `gamma_closed_form`) at the seed-0 sleep-study PLS,
+  PRLS, ML and REML fitted points;
+- `minimize_labels` on 4 `merit-n30` replications, PLS and PRLS, over
+  (beta1, beta2) constrained and free and over label sets that enter V,
+  (varsigma0, sigma) and (beta0, varsigma0).
 
 It uses only the public API, so it runs against any checkout:
 
@@ -28,14 +35,17 @@ from dataclasses import replace
 
 import numpy as np
 
+from cslme.baseline import Theta, gamma_closed_form, profile_beta, profile_loglik, reml_loglik
 from cslme.cli import InputSchema, ingest
 from cslme.datasets import sleepstudy_path
+from cslme.estimate import approx_loglik, pls_objective, prls_objective
 from cslme.sim import (
     ALL_METHODS,
     ContourRequest,
     builtin_scenarios,
     contour_grid,
     fit_method,
+    minimize_labels,
     replication_data,
     run_scenario,
 )
@@ -50,11 +60,15 @@ def emit_all(label, values):
         emit(f"{label}[{i}]", v)
 
 
-def sleepstudy_fits():
+def sleepstudy():
     schema = InputSchema(group_column="Subject", response_column="Reaction",
                          feature_columns=("Days",),
                          random_effect_columns=("intercept", "Days"))
-    data, spec = ingest(sleepstudy_path(), schema)
+    return ingest(sleepstudy_path(), schema)
+
+
+def sleepstudy_fits():
+    data, spec = sleepstudy()
     for method in ALL_METHODS:
         model = replace(spec, alpha=(0,)) if method == "PIT" else spec
         for seed in range(1 if method == "PIT" else 10):
@@ -127,11 +141,47 @@ def contour_grids():
             emit_all(f"contour.{objective}.{vary[0]}-{vary[1]}", grid[:, 2])
 
 
+def point_values():
+    data, spec = sleepstudy()
+    for method in ("PLS", "PRLS", "ML", "REML"):
+        params = fit_method(method, data, spec).params
+        theta = Theta(params.varsigma, params.sigma)
+        label = f"sleepstudy.{method}.at"
+        emit(f"{label}.pls_objective", pls_objective(params, data, spec))
+        emit(f"{label}.prls_objective", prls_objective(params, data, spec))
+        emit(f"{label}.approx_loglik", approx_loglik(params, data, spec))
+        emit(f"{label}.profile_loglik", profile_loglik(theta, data, spec))
+        emit(f"{label}.reml_loglik", reml_loglik(theta, data, spec))
+        beta = profile_beta(theta, data, spec)
+        emit_all(f"{label}.profile_beta", beta)
+        emit_all(f"{label}.gamma_closed_form", gamma_closed_form(theta, data, spec, beta).gamma)
+
+
+def labeled_searches():
+    scenario = builtin_scenarios()["merit-n30"]
+    spec = scenario.model_spec()
+    for rep in range(4):
+        data, _, _ = replication_data(scenario, rep)
+        for method in ("PLS", "PRLS"):
+            for labels, constrained in ((("beta1", "beta2"), True),
+                                        (("beta1", "beta2"), False),
+                                        (("varsigma0", "sigma"), True),
+                                        (("beta0", "varsigma0"), True)):
+                label = f"merit-n30.rep{rep}.{method}.{'-'.join(labels)}.{constrained}"
+                values, value = minimize_labels(data, spec, scenario.truth, labels,
+                                                method=method, constrained=constrained)
+                for name, v in values.items():
+                    emit(f"{label}.{name}", v)
+                emit(f"{label}.objective", value)
+
+
 def main():
     sleepstudy_fits()
     scenario_estimates()
     pit_fits()
     contour_grids()
+    point_values()
+    labeled_searches()
 
 
 if __name__ == "__main__":

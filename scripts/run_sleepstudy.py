@@ -24,7 +24,7 @@ def main():
 
     fits = {m: fit_method(m, data, spec, seed=args.seed, n_starts=args.starts)
             for m in ("REML", "PLS", "PRLS")}
-    r2 = {m: r_squared(res.params, data, spec, at_limit=getattr(res, "at_limit", ()))
+    r2 = {m: r_squared(res.params, data, spec, at_limit=res.at_limit)
           for m, res in fits.items()}
 
     print(f"{'':24s}" + "".join(f"{m:>12s}" for m in fits))

@@ -108,13 +108,20 @@ class BaselineFit:
     n_eval: int = 0  # (f, grad) calls, summed over the starts that finished
 
     @property
+    def at_limit(self) -> tuple:
+        """All False, one per random column: unlike PLS/PRLS (`FitResult.at_limit`),
+        these fits never stand a finite varsigma in for the uniform limit."""
+        return (False,) * self.theta.varsigma.size
+
+    @property
     def params(self) -> Parameters:
         return Parameters(beta=self.beta, varsigma=self.theta.varsigma,
                           sigma=self.theta.sigma)
 
 
 def _solve_at(theta: Theta, design: BlockDesign):
-    return design.solve(theta.varsigma ** 2, theta.sigma)
+    """The `BlockSolve` at theta, a batch of one."""
+    return design.solve((theta.varsigma ** 2)[None], [theta.sigma])
 
 
 def criterion_and_gradient(x: np.ndarray, design: BlockDesign, criterion: str):
@@ -122,27 +129,27 @@ def criterion_and_gradient(x: np.ndarray, design: BlockDesign, criterion: str):
     its exact gradient; the value is bit-equal to -profile_loglik
     (-reml_loglik) at theta = (|varsigma|, exp(log sigma)).
 
-    x is one point (m,), or R points (R, m) evaluated by one batched
-    `BlockSolve`, as in `estimate.objective_and_gradient`.
+    x is R points (R, m), evaluated by one batched `BlockSolve`, as in
+    `estimate.objective_and_gradient`.
     """
-    varsigma = x[..., :-1]
-    sol = design.solve(varsigma ** 2, exp_each(x[..., -1]))
+    varsigma = x[:, :-1]
+    sol = design.solve(varsigma ** 2, exp_each(x[:, -1]))
     value, dd, _, half_dlogsigma = sol.criterion_partials(sol.gls_beta(),
                                                           criterion == "REML")
     grad = np.empty(x.shape)
-    grad[..., :-1] = dd * varsigma  # d_i = x_i^2, halved
-    grad[..., -1] = half_dlogsigma
+    grad[:, :-1] = dd * varsigma  # d_i = x_i^2, halved
+    grad[:, -1] = half_dlogsigma
     return 0.5 * value, grad
 
 
 def profile_beta(theta: Theta, dataset, spec: ModelSpec) -> np.ndarray:
     """Generalized-least-squares fixed effects at theta."""
-    return _solve_at(theta, as_design(dataset, spec)).gls_beta()
+    return _solve_at(theta, as_design(dataset, spec)).gls_beta()[0]
 
 
 def _loglik(theta: Theta, dataset, spec: ModelSpec, restricted: bool) -> float:
     sol = _solve_at(theta, as_design(dataset, spec))
-    return -0.5 * sol.criterion(sol.gls_beta(), restricted)
+    return float(-0.5 * sol.criterion(sol.gls_beta(), restricted)[0])
 
 
 def profile_loglik(theta: Theta, dataset, spec: ModelSpec) -> float:
@@ -157,9 +164,12 @@ def reml_loglik(theta: Theta, dataset, spec: ModelSpec) -> float:
 
 def gamma_closed_form(theta: Theta, dataset, spec: ModelSpec, beta: np.ndarray) -> RandomEffects:
     """Shrinkage estimate gamma_l = G Z_l^T V_l^{-1} (y_l - X_l beta) per group."""
-    design = as_design(dataset, spec)
-    sol = _solve_at(theta, design)
-    return RandomEffects(theta.varsigma ** 2 * sol.zt_vinv_resid(beta))
+    return _shrinkage(theta, _solve_at(theta, as_design(dataset, spec)), beta)
+
+
+def _shrinkage(theta: Theta, sol, beta: np.ndarray) -> RandomEffects:
+    """`gamma_closed_form` from `sol`, the `BlockSolve` at theta."""
+    return RandomEffects(theta.varsigma ** 2 * sol.zt_vinv_resid(beta[None])[0])
 
 
 def _baseline_starts(design: BlockDesign, seed: int):
@@ -196,12 +206,12 @@ def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML"
     _, res, results, _ = multistart(objective, _baseline_starts(design, seed), bounds,
                                     tol_obj=TOL_OBJ, tol_grad=TOL_GRAD, max_iter=MAX_ITER)
     theta = Theta(res.x[:-1], math.exp(res.x[-1]))
-    beta = profile_beta(theta, design, spec)
-    gamma = gamma_closed_form(theta, design, spec, beta)
+    sol = _solve_at(theta, design)  # beta and gamma share one factorization
+    beta = sol.gls_beta()[0]
     return BaselineFit(
         theta=theta,
         beta=beta,
-        gamma=gamma,
+        gamma=_shrinkage(theta, sol, beta),
         loglik=-res.fun,  # the minimized criterion is the negated log-likelihood
         criterion=criterion,
         converged=res.converged,

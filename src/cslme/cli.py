@@ -391,7 +391,7 @@ def _run_fit_method(args, method, schema, dataset, spec, run_config) -> int:
                      pit_q=args.pit_q)
     diagnostics = {"converged": res.converged, "n_iter": res.n_iter}
     if method in METHODS:
-        objective, loglik, at_limit = res.objective, None, res.at_limit
+        objective, loglik = res.objective, None
         diagnostics.update(
             start_index=res.start_index,
             start_objectives=[
@@ -401,11 +401,11 @@ def _run_fit_method(args, method, schema, dataset, spec, run_config) -> int:
             objective_trace=[float(v) for v in res.objective_trace],
         )
     else:
-        objective, loglik, at_limit = None, res.loglik, (False,) * spec.k
+        objective, loglik = None, res.loglik
         if method == "PIT":
             diagnostics["quadrature_order"] = args.pit_q
 
-    doc = _fit_document(method, schema, spec, dataset, res.params, res.gamma, at_limit,
+    doc = _fit_document(method, schema, spec, dataset, res.params, res.gamma, res.at_limit,
                         diagnostics, objective, loglik, args.seed, run_config)
     _write_document(doc, args.out, args.format)
     if args.out not in (None, "-"):

@@ -104,30 +104,31 @@ class FitResult:
 
 def objective_and_gradient(design: BlockDesign, spec: ModelSpec, x: np.ndarray,
                            restricted: bool):
-    """PLS (or PRLS) value and exact gradient at x = (beta, q, log sigma).
+    """PLS (or PRLS) values and exact gradients at R points x = (beta, q, log sigma).
 
-    x is one point (m,), or R points (R, m) evaluated by one batched
-    `BlockSolve` with values (R,) and gradients (R, m). The value is
-    `BlockSolve.criterion` at d = beta_alpha^2 q, and a point's value and
-    gradient do not depend on the batch.
+    x is (R, m), evaluated by one batched `BlockSolve`, with values (R,)
+    and gradients (R, m). The value is `BlockSolve.criterion` at d =
+    beta_alpha^2 q, and a point's value and gradient do not depend on the
+    batch.
     """
     p, k = design.p, spec.k
     alpha = list(spec.alpha)
-    beta, q, b = x[..., :p], x[..., p:p + k], x[..., alpha]
-    sol = design.solve(b * b * q, exp_each(x[..., -1]))
+    beta, q, b = x[:, :p], x[:, p:p + k], x[:, alpha]
+    sol = design.solve(b * b * q, exp_each(x[:, -1]))
     value, dd, xvr, half_dlogsigma = sol.criterion_partials(beta, restricted)
     grad = np.empty(x.shape)
-    grad[..., :p] = -2.0 * xvr
-    grad[..., alpha] += dd * (2.0 * b * q)
-    grad[..., p:p + k] = dd * (b * b)
-    grad[..., -1] = 2.0 * half_dlogsigma
+    grad[:, :p] = -2.0 * xvr
+    grad[:, alpha] += dd * (2.0 * b * q)
+    grad[:, p:p + k] = dd * (b * b)
+    grad[:, -1] = 2.0 * half_dlogsigma
     return value, grad
 
 
 def _objective(params: Parameters, dataset, spec: ModelSpec, restricted: bool) -> float:
     design = as_design(dataset, spec)
     d = re_variances(params.beta, params.varsigma, spec.alpha)
-    return design.solve(d, params.sigma).criterion(params.beta, restricted)
+    sol = design.solve(d[None], [params.sigma])
+    return float(sol.criterion(params.beta[None], restricted)[0])
 
 
 def pls_objective(params: Parameters, dataset, spec: ModelSpec) -> float:

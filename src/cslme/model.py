@@ -21,14 +21,13 @@ beta (`BlockSolve.gls_beta`), which reads the same Cholesky factor of
 X^T V^{-1} X. `BlockSolve.criterion_partials` adds the partial derivatives
 an exact gradient needs, for O(g k^2 (k + p) + g k p^2 + p^3) more.
 
-A `BlockSolve` holds one point (d, sigma), as a value-only objective
-evaluates, or R points at once with a leading points axis, as a contour
-grid or one lockstep round of a fit's starts evaluates: one batched
-factorization of the R g capacitance matrices, and every value, X^T V^{-1}
-X and its factor included, per point. One point is the empty-batch case
-of the same contractions and forms the same products, so a point's values
-do not depend on the batch. A point that cannot be evaluated raises, and
-a batch raises if any of its points would.
+A `BlockSolve` holds R points (d, sigma) along a leading points axis, as
+a contour grid, one lockstep round of a fit's starts or one
+central-difference step evaluates: one batched factorization of the R g
+capacitance matrices, and every value, X^T V^{-1} X and its factor
+included, per point. Every point gets the same products, so a point's
+values do not depend on the batch; one point is a batch of one. A batch
+raises if any of its points cannot be evaluated.
 
 Two search-point layouts live here, each once. PIT, contour grids and
 labeled searches use x = (beta, varsigma, log sigma), and ML/REML its tail
@@ -313,12 +312,9 @@ class BlockDesign:
         """Lower bound on log sigma shared by every fit: log max(1e-6 sd(y), 1e-12)."""
         return math.log(max(1e-6 * float(np.std(self.y)), 1e-12))
 
-    def solve(self, re_var: np.ndarray, sigma) -> "BlockSolve":
-        """The `BlockSolve` at one point, re_var (k,) and a float sigma, or at
-        R points, re_var (R, k) and sigma (R,)."""
-        re_var = np.array(re_var, dtype=float)
-        return BlockSolve(self, re_var, float(sigma) if re_var.ndim == 1
-                          else np.asarray(sigma, dtype=float))
+    def solve(self, re_var: np.ndarray, sigma: np.ndarray) -> "BlockSolve":
+        """The `BlockSolve` at R points: re_var (R, k) and sigma (R,)."""
+        return BlockSolve(self, np.array(re_var, dtype=float), np.asarray(sigma, dtype=float))
 
 
 def as_design(dataset, spec: ModelSpec) -> BlockDesign:
@@ -468,96 +464,85 @@ def at_uniform_limit(x: np.ndarray, spec: ModelSpec) -> tuple:
     return tuple(bool(x[p + i] >= Q_MAX and x[col] != 0.0) for i, col in enumerate(spec.alpha))
 
 
-def exp_each(log_sigma):
-    """exp of a float, or math.exp at every entry of a 1-d array: numpy's
-    vectorized exp can be an ulp away from math.exp."""
-    if np.ndim(log_sigma) == 0:
-        return math.exp(log_sigma)
+def exp_each(log_sigma: np.ndarray) -> np.ndarray:
+    """math.exp at every entry of a 1-d array: numpy's vectorized exp can be
+    an ulp away from it."""
     return np.array([math.exp(v) for v in log_sigma.tolist()])
 
 
-# The helpers below make, at every point of a stack, the same BLAS or LAPACK
-# call as their 1-d case, so a point's value does not depend on the batch.
+# The helpers below make the same BLAS or LAPACK call at every point of a
+# stack, so a point's value does not depend on the batch.
 
-def _dot(a: np.ndarray, b: np.ndarray):
-    """a @ b as a float for vectors a, b (m,), or at every leading index of stacks (..., m)."""
-    return float(a @ b) if a.ndim == 1 else (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b at every leading index of stacks of vectors (..., m)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A @ v for a vector v (m,), or for a stack of vectors (..., m); A broadcasts."""
-    return A @ v if v.ndim == 1 else (A @ v[..., None])[..., 0]
+    """A @ v for a stack of vectors v (..., m); A broadcasts."""
+    return (A @ v[..., None])[..., 0]
 
 
 def _solve(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A^{-1} v for a vector v (m,), or for stacks of vectors (..., m) and of A."""
-    return np.linalg.solve(A, v) if v.ndim == 1 else np.linalg.solve(A, v[..., None])[..., 0]
+    """A^{-1} v for stacks of vectors v (..., m) and of A."""
+    return np.linalg.solve(A, v[..., None])[..., 0]
 
 
-def _logdet_chol(L: np.ndarray, shape: tuple):
-    """ln|L L^T| from the Cholesky factors L of a point, summed over all its
-    factors: a float for one point, an array of `shape` for a batch."""
-    logs = np.log(L.diagonal(0, -2, -1))
-    return 2.0 * (logs.reshape(shape + (-1,)).sum(-1) if shape else float(logs.sum()))
+def _logdet_chol(L: np.ndarray) -> np.ndarray:
+    """ln|L L^T| at each point of a stack of Cholesky factors L (R, ..., m, m),
+    summed over all of a point's factors."""
+    return 2.0 * np.log(L.diagonal(0, -2, -1)).reshape(len(L), -1).sum(-1)
 
 
 class BlockSolve:
-    """Factorized state of V = Z diag(d) Z^T + sigma^2 I, at one point or at R.
+    """Factorized state of V = Z diag(d) Z^T + sigma^2 I at R points.
 
-    One point is d of shape (k,) with a float sigma; R points are d of
-    shape (R, k) with sigma of shape (R,), as in a contour grid or a round
-    of a fit's starts. Every contraction runs over the leading `...` axes,
-    so one point is the empty-batch case of the same code and every value
-    keeps its shape: floats for one point, (R,) arrays for R points (beta
-    is then (R, p)). With M_l = L_l L_l^T and B_l = L_l^{-1} S, the Woodbury
-    identity gives V_l^{-1} = (I - Z_l B_l^T B_l Z_l^T / sigma^2) /
-    sigma^2, so every product below is a batched contraction of the
+    d has shape (R, k) and sigma shape (R,), as in a contour grid, a round
+    of a fit's starts or a central-difference step; one point is R = 1.
+    Every value gains the points axis first: (R,) values, (R, p) vectors
+    (beta is (R, p)). With M_l = L_l L_l^T and B_l = L_l^{-1} S, the
+    Woodbury identity gives V_l^{-1} = (I - Z_l B_l^T B_l Z_l^T / sigma^2)
+    / sigma^2, so every product below is a batched contraction of the
     design's cross-products.
 
-    A point raises where sigma^2 underflows to 0 (ValueError), a finite
-    capacitance matrix does not factor (LinAlgError) or a value needs a
-    singular X^T V^{-1} X (SingularDesignError); a batch, if any of its
-    points would. A point whose capacitance matrix has NaN or inf entries
-    (d or d / sigma^2 overflowing), or whose sigma^2 overflows to inf,
-    raises nothing: `np.linalg.cholesky` factors such a matrix into
+    A batch raises if any of its points has sigma^2 underflowing to 0
+    (ValueError), a finite capacitance matrix that does not factor
+    (LinAlgError) or, for a value that needs it, a singular X^T V^{-1} X
+    (SingularDesignError). A point whose capacitance matrix has NaN or inf
+    entries (d or d / sigma^2 overflowing), or whose sigma^2 overflows to
+    inf, raises nothing: `np.linalg.cholesky` factors such a matrix into
     non-finite factors instead of raising, and ln|V| is non-finite, so the
     values there are non-finite and an optimizer's line search backs off
     such a probe. Only the values that factor X^T V^{-1} X (restricted
     ones, `gls_beta`) may then raise, as SingularDesignError on its pivots.
     """
 
-    def __init__(self, design: BlockDesign, d: np.ndarray, sigma):
-        shape = d.shape[:-1]
-        if d.shape[-1:] != (design.k,) or len(shape) > 1 or (shape and sigma.shape != shape):
+    def __init__(self, design: BlockDesign, d: np.ndarray, sigma: np.ndarray):
+        if d.ndim != 2 or d.shape[1] != design.k or sigma.shape != d.shape[:1]:
             raise DimensionMismatchError(
                 f"expected {design.k} random-effect variances per point, got {d.shape} "
-                f"with sigma of shape {np.shape(sigma)}"
+                f"with sigma of shape {sigma.shape}"
             )
-        if any(v < 0.0 for v in (d.ravel() if shape else d).tolist()):
+        if (d < 0.0).any():
             raise ValueError("random-effect variances must be nonnegative")
-        if not (sigma > 0 if not shape else np.all(sigma > 0)):
+        if not np.all(sigma > 0):
             raise ValueError(f"sigma must be positive, got {sigma}")
         self.design = design
-        self.shape = shape
+        self.R = len(sigma)
         self.d = d
-        # sigma^2, shaped to divide arrays with 0, 1, 2 or 3 core axes; in a
-        # batch it overflows to inf silently, as Python floats do at one point
-        if shape:
-            with np.errstate(over="ignore"):
-                self.sigma2 = sigma * sigma
-            self._s2 = [self.sigma2.reshape(shape + (1,) * i) for i in range(4)]
-        else:
+        # sigma^2, overflowing to inf silently as a Python float does, and
+        # shaped to divide arrays with 0, 1, 2 or 3 core axes
+        with np.errstate(over="ignore"):
             self.sigma2 = sigma * sigma
-            self._s2 = [self.sigma2] * 4
+        self._s2 = [self.sigma2.reshape((self.R,) + (1,) * i) for i in range(4)]
         s = np.sqrt(d)
         L = np.linalg.cholesky(
-            design.eye + design.ZtZ * (s[..., None, :, None] * s[..., None, None, :]
+            design.eye + design.ZtZ * (s[:, None, :, None] * s[:, None, None, :]
                                        / self._s2[3]))
         # math.log at every point: numpy's vectorized log can be an ulp away from it
-        log_s2 = (np.array([math.log(v) for v in self.sigma2.tolist()]) if shape
-                  else math.log(self.sigma2))
-        self.logdet_v = design.n * log_s2 + _logdet_chol(L, shape)
-        self._B = np.linalg.inv(L) * s[..., None, None, :]
+        log_s2 = np.array([math.log(v) for v in self.sigma2.tolist()])
+        self.logdet_v = design.n * log_s2 + _logdet_chol(L)
+        self._B = np.linalg.inv(L) * s[:, None, None, :]
 
     @staticmethod
     def _pivots_ok(F: np.ndarray, L: np.ndarray) -> bool:
@@ -565,26 +550,23 @@ class BlockSolve:
 
         A collinear column can pass the factorization with a rounding-level
         pivot, about sqrt(eps) of its norm; 1e-7 is the usual QR collinearity
-        tolerance. One point is checked on Python floats (p is small).
+        tolerance.
         """
-        if F.ndim == 2:
-            return all(v * v > 1e-14 * f
-                       for v, f in zip(L.diagonal().tolist(), F.diagonal().tolist()))
         return bool((L.diagonal(0, -2, -1) ** 2 > 1e-14 * F.diagonal(0, -2, -1)).all())
 
     def _BZtX(self) -> np.ndarray:
-        """B_l Z_l^T X_l stacked over groups, (..., g k, p)."""
-        return (self._B @ self.design.ZtX).reshape(self.shape + (-1, self.design.p))
+        """B_l Z_l^T X_l stacked over groups, (R, g k, p)."""
+        return (self._B @ self.design.ZtX).reshape(self.R, -1, self.design.p)
 
     def _Ztr(self, beta: np.ndarray) -> np.ndarray:
         des = self.design
-        return des.Zty - _mv(des.ZtX, beta[:, None, :] if self.shape else beta)
+        return des.Zty - _mv(des.ZtX, beta[:, None, :])
 
     def quad_form_resid(self, beta: np.ndarray):
         """(y - X beta)^T V^{-1} (y - X beta); r^T r from the stacked residual."""
         des = self.design
         r = des.y - _mv(des.X, beta)
-        u = (self._B @ self._Ztr(beta)[..., None]).reshape(self.shape + (-1,))
+        u = (self._B @ self._Ztr(beta)[..., None]).reshape(self.R, -1)
         return (_dot(r, r) - _dot(u, u) / self.sigma2) / self.sigma2
 
     def xt_vinv_x(self) -> np.ndarray:
@@ -593,7 +575,7 @@ class BlockSolve:
         return (self.design.XtX - T.swapaxes(-1, -2) @ T / s2) / s2
 
     def xt_vinv_y(self) -> np.ndarray:
-        u = (self._B @ self.design.Zty[..., None]).reshape(self.shape + (-1,))
+        u = (self._B @ self.design.Zty[..., None]).reshape(self.R, -1)
         s2 = self._s2[1]
         return (self.design.Xty - _mv(self._BZtX().swapaxes(-1, -2), u) / s2) / s2
 
@@ -614,7 +596,7 @@ class BlockSolve:
         return F, L
 
     def _logdet_f(self):
-        return _logdet_chol(self._f_chol[1], self.shape)
+        return _logdet_chol(self._f_chol[1])
 
     def gls_beta(self) -> np.ndarray:
         """Generalized-least-squares fixed effects F^{-1} X^T V^{-1} y."""
@@ -649,7 +631,7 @@ class BlockSolve:
         with q the quadratic form. Everything is read off Z_l^T V_l^{-1}
         [Z_l X_l y_l] and X^T V^{-1} [X y], one batched product each, with
         u_l and xvr formed as (.. y) - (.. X) beta: O(g k^2 (k + p) + g k
-        p^2 + p^3). In a batch, dd and xvr gain the points axis first.
+        p^2 + p^3). dd and xvr gain the points axis first.
         """
         des = self.design
         k, p, s2 = des.k, des.p, self._s2
@@ -660,9 +642,9 @@ class BlockSolve:
         Q = self._B @ des.ZtA                                # B_l Z_l^T [Z_l X_l y_l]
         R = (des.ZtA - Q[..., :k].swapaxes(-1, -2) @ Q / s2[3]) / s2[3]  # Z_l^T V_l^{-1} [...]
         W = R[..., k:k + p]
-        u = R[..., -1] - _mv(W, beta[:, None, :] if self.shape else beta)
+        u = R[..., -1] - _mv(W, beta[:, None, :])
         dd = (R.diagonal(0, -2, -1) - u * u).sum(axis=-2)
-        T = Q[..., k:].reshape(self.shape + (-1, p + 1))
+        T = Q[..., k:].reshape(self.R, -1, p + 1)
         M = (des.XtA - T[..., :p].swapaxes(-1, -2) @ T / s2[2]) / s2[2]  # X^T V^{-1} [X y]
         xvr = M[..., -1] - _mv(M[..., :p], beta)
         if restricted:
@@ -672,7 +654,7 @@ class BlockSolve:
         return value, dd, xvr, des.n - q - p * restricted - _dot(self.d, dd)
 
     def zt_vinv_resid(self, beta: np.ndarray) -> np.ndarray:
-        """Z_l^T V_l^{-1} (y_l - X_l beta) for every group, as rows of a (..., g, k) array."""
+        """Z_l^T V_l^{-1} (y_l - X_l beta) for every group, as rows of an (R, g, k) array."""
         des = self.design
         z = self._Ztr(beta)[..., None]
         w = self._B.swapaxes(-1, -2) @ (self._B @ z)

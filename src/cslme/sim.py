@@ -30,12 +30,12 @@ from .metrics import r_squared, rmse
 from .model import (
     NUMERICAL_FAILURES,
     BlockDesign,
-    BlockSolve,
     Dataset,
     GroupData,
     ModelSpec,
     Parameters,
     RandomEffects,
+    exp_each,
     parameter_labels,
     re_variances,
     search_bounds,
@@ -65,7 +65,11 @@ class Scenario:
             raise ValueError("need n >= g and at least two groups")
         if self.replications < 1:
             raise ValueError("replications must be positive")
-        object.__setattr__(self, "alpha", tuple(int(i) for i in self.alpha))
+        # strictly increasing and nonnegative, as ModelSpec checks, and below p
+        alpha = ModelSpec(alpha=self.alpha).alpha
+        if alpha and alpha[-1] >= self.p:
+            raise ValueError(f"alpha {alpha} out of range for p={self.p} columns")
+        object.__setattr__(self, "alpha", alpha)
         if self.truth.beta.shape != (self.p,):
             raise ValueError("truth.beta length must equal p")
         if self.truth.varsigma.shape != (len(self.alpha),):
@@ -219,8 +223,7 @@ def _replication(scenario: Scenario, methods, rep: int, pit_q: int, n_starts: in
             res = fit_method(method, data, spec, seed=rep_seed, n_starts=n_starts,
                              pit_q=pit_q)
             est = table_values(res.params, res.gamma.gamma, spec, method)
-            at_limit = res.at_limit if method in METHODS else ()
-            r2m, r2c = r_squared(res.params, data, spec, at_limit=at_limit)
+            r2m, r2c = r_squared(res.params, data, spec, at_limit=res.at_limit)
             out[method] = {
                 "estimates": est,
                 "truth": truth_vals,
@@ -228,7 +231,7 @@ def _replication(scenario: Scenario, methods, rep: int, pit_q: int, n_starts: in
                 "rmse_core": rmse(est, truth_vals, no_spread),
                 "r2_marginal": r2m,
                 "r2_conditional": r2c,
-                "at_limit": any(at_limit),
+                "at_limit": any(res.at_limit),
             }
         except NUMERICAL_FAILURES as exc:
             out[method] = {"error": f"{type(exc).__name__}: {exc}"}
@@ -413,11 +416,12 @@ def contour_grid(request: ContourRequest, dataset: Dataset, spec: ModelSpec) -> 
         for start in range(0, live.size, chunk):
             i = live[start:start + chunk]
             try:
-                out[i] = BlockSolve(design, d[i], sigma[i]).criterion(beta[i], restricted)
+                out[i] = design.solve(d[i], sigma[i]).criterion(beta[i], restricted)
             except NUMERICAL_FAILURES:  # one cell at a time; a cell that raises stays NaN
-                for j in i:
+                for cell in ([j] for j in i):
                     with suppress(*NUMERICAL_FAILURES):
-                        out[j] = design.solve(d[j], sigma[j]).criterion(beta[j], restricted)
+                        out[cell] = design.solve(d[cell], sigma[cell]).criterion(
+                            beta[cell], restricted)
     return np.column_stack([axes[0].ravel(), axes[1].ravel(), out])
 
 
@@ -451,10 +455,12 @@ def minimize_labels(dataset: Dataset, spec: ModelSpec, fixed: Parameters,
     search runs over the labeled entries of x = (beta, varsigma, log sigma)
     in the box of `model.search_bounds`: with `constrained`, beta is kept
     nonnegative as `spec` sets out, without it beta is free; varsigma is
-    always nonnegative and log sigma above the fits' floor. Labels are
-    checked as by `contour_grid`. Returns (values dict, objective value),
-    sigma on its natural scale. When no label enters V (only fixed effects
-    without a random deviation), every probe shares one `BlockSolve`.
+    always nonnegative and log sigma above the fits' floor. `x0`, one entry
+    per label, is a point of that search layout (log sigma for a `sigma`
+    label); it defaults to the labeled entries of `fixed`. Labels are
+    checked as by `contour_grid`. Each central-difference step evaluates
+    its 1 + 2m probes in one batched `BlockSolve`. Returns (values dict,
+    objective value), sigma on its natural scale.
     """
     restricted = _restricted(method)
     design = BlockDesign(dataset, spec)
@@ -464,21 +470,18 @@ def minimize_labels(dataset: Dataset, spec: ModelSpec, fixed: Parameters,
     log_sigma = point.size - 1 in idx  # sigma is searched on the log scale
     bounds = search_bounds(design, replace(spec, constrained=constrained))
 
-    def solve():
-        return design.solve(re_variances(point[:p], point[p:p + k], spec.alpha), point[-1])
-
-    fixed_sol = None if any(i >= p or i in spec.alpha for i in idx) else solve()
-
-    def fun(x):
-        point[idx] = x
+    def objective(P):
+        points = np.tile(point, (len(P), 1))
+        points[:, idx] = P
         if log_sigma:
-            point[-1] = math.exp(point[-1])
-        return (solve() if fixed_sol is None else fixed_sol).criterion(point[:p], restricted)
+            points[:, -1] = exp_each(points[:, -1])
+        beta = points[:, :p]
+        d = np.array([re_variances(b, s, spec.alpha) for b, s in zip(beta, points[:, p:p + k])])
+        return design.solve(d, points[:, -1]).criterion(beta, restricted)
 
     if x0 is None:
         x0 = np.append(point[:-1], math.log(fixed.sigma))[idx]
-    res = minimize_box(with_central_diff(lambda P: [fun(x) for x in P]),
-                       np.asarray(x0, dtype=float),
+    res = minimize_box(with_central_diff(objective), np.asarray(x0, dtype=float),
                        [bounds[i] for i in idx])
     values = {lbl: (math.exp(v) if lbl == "sigma" else float(v))
               for lbl, v in zip(labels, res.x)}

@@ -258,6 +258,16 @@ class TestSimulateCommand:
         cfg.write_text("scenario = no-such-thing\n")
         assert main(["simulate", str(cfg)]) == 1
 
+    def test_alpha_out_of_range_is_an_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n = 30\np = 3\ng = 2\nalpha = 5\n"
+                       "beta = 0.072, 1.0, 1.0\nvarsigma = 0.05\nsigma = 1.0\n"
+                       "replications = 1\nmethods = PLS\n")
+        assert main(["simulate", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "out of range for p=3" in captured.err
+        assert "Traceback" not in captured.err and "resolved config" not in captured.out
+
 
 class TestContourCommand:
     def contour_cfg(self, tmp_path, extra=""):

@@ -366,8 +366,8 @@ class TestSleepStudyStarts:
 
     def test_seed_8_starts_run_silently_as_when_run_alone(self, sleep):
         # A start at log sigma = 400 evaluates a sigma whose square overflows:
-        # one point squares Python floats, silently, and its batch with the
-        # start seed 8 starts must stay as silent
+        # alone, as a batch of one, and in its batch with the start seed 8
+        # starts, it must stay as silent as a Python float's square
         data, spec = sleep
         design = as_design(data, spec)
         starts = estimate.default_starts(design, spec, FitConfig(seed=8))
@@ -377,13 +377,13 @@ class TestSleepStudyStarts:
         log_sigmas = []
 
         def fun(x):
-            log_sigmas.extend(np.atleast_2d(x)[:, -1].tolist())
+            log_sigmas.extend(x[:, -1].tolist())
             return estimate.objective_and_gradient(design, spec, x, False)
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             together = minimize_starts(fun, starts + [overflowing], bounds)
-            solo = [minimize_box(fun, x0, bounds) for x0 in starts + [overflowing]]
+            solo = [minimize_starts(fun, [x0], bounds)[0] for x0 in starts + [overflowing]]
             res = fit(data, spec, FitConfig(seed=8))
         assert max(log_sigmas) > 0.5 * math.log(np.finfo(float).max)
         assert res.start_objectives == [(i, r.fun, r.converged) for i, r in enumerate(solo[:-1])]

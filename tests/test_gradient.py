@@ -39,8 +39,10 @@ def richardson_grad(fun, x, h0=None):
     return (16 * r2 - r1) / 15
 
 
-def assert_matches_oracle(fun, fun_and_grad, x, value_only=None, h0=None):
-    value, grad = fun_and_grad(x)
+def assert_matches_oracle(fun, batch_fun_and_grad, x, value_only=None, h0=None):
+    """`batch_fun_and_grad` at x as a batch of one: its value equals the
+    value-only objective's, its gradient the Richardson oracle's."""
+    (value,), (grad,) = batch_fun_and_grad(x[None])
     assert value == pytest.approx((value_only or fun)(x), rel=1e-12)
     oracle = richardson_grad(fun, x, h0)
     assert np.linalg.norm(grad - oracle) <= 1e-4 * np.linalg.norm(oracle)

@@ -361,15 +361,16 @@ class TestBlockSolveAgainstDense:
             Z, y, V, Vinv = self._dense(data, spec, params)
             design = BlockDesign(data, spec)
             d = sdtn_variances(params, spec)
-            sol = design.solve(d, params.sigma)
+            sol = design.solve(d[None], [params.sigma])
+            beta = params.beta[None]
 
-            assert sol.logdet_v == pytest.approx(np.linalg.slogdet(V)[1], abs=1e-9)
+            assert sol.logdet_v[0] == pytest.approx(np.linalg.slogdet(V)[1], abs=1e-9)
             r = y - X @ params.beta
-            assert sol.quad_form_resid(params.beta) == pytest.approx(
+            assert sol.quad_form_resid(beta)[0] == pytest.approx(
                 r @ Vinv @ r, rel=1e-9)
-            np.testing.assert_allclose(sol.xt_vinv_x(), X.T @ Vinv @ X, rtol=1e-8)
-            np.testing.assert_allclose(sol.xt_vinv_y(), X.T @ Vinv @ y, rtol=1e-8)
-            ztr = sol.zt_vinv_resid(params.beta)
+            np.testing.assert_allclose(sol.xt_vinv_x()[0], X.T @ Vinv @ X, rtol=1e-8)
+            np.testing.assert_allclose(sol.xt_vinv_y()[0], X.T @ Vinv @ y, rtol=1e-8)
+            ztr = sol.zt_vinv_resid(beta)[0]
             dense_ztr = Z.T @ Vinv @ r
             np.testing.assert_allclose(
                 np.concatenate(ztr), dense_ztr, rtol=1e-8, atol=1e-10)
@@ -381,33 +382,34 @@ class TestBlockSolveAgainstDense:
         X, Z, y, _ = assemble(data, spec)
         V = marginal_cov(params, spec, Z)
         Vinv = np.linalg.inv(V)
-        sol = BlockDesign(data, spec).solve(sdtn_variances(params, spec), params.sigma)
+        sol = BlockDesign(data, spec).solve(sdtn_variances(params, spec)[None], [params.sigma])
+        beta = params.beta[None]
         r = y - X @ params.beta
 
         def close(actual, dense):
             scale = np.abs(dense).max()
             np.testing.assert_allclose(actual, dense, rtol=1e-8, atol=1e-10 * scale)
 
-        assert sol.logdet_v == pytest.approx(np.linalg.slogdet(V)[1], abs=1e-9)
-        assert sol.quad_form_resid(params.beta) == pytest.approx(r @ Vinv @ r, rel=1e-9)
-        close(sol.xt_vinv_x(), X.T @ Vinv @ X)
-        close(sol.xt_vinv_y(), X.T @ Vinv @ y)
-        close(sol.zt_vinv_resid(params.beta).reshape(-1), Z.T @ Vinv @ r)
+        assert sol.logdet_v[0] == pytest.approx(np.linalg.slogdet(V)[1], abs=1e-9)
+        assert sol.quad_form_resid(beta)[0] == pytest.approx(r @ Vinv @ r, rel=1e-9)
+        close(sol.xt_vinv_x()[0], X.T @ Vinv @ X)
+        close(sol.xt_vinv_y()[0], X.T @ Vinv @ y)
+        close(sol.zt_vinv_resid(beta).reshape(-1), Z.T @ Vinv @ r)
 
         logdet_v = np.linalg.slogdet(V)[1]
         q = r @ Vinv @ r
         F = X.T @ Vinv @ X
-        assert sol.criterion(params.beta, False) == pytest.approx(q + logdet_v, abs=1e-9,
-                                                                  rel=1e-9)
+        assert sol.criterion(beta, False)[0] == pytest.approx(q + logdet_v, abs=1e-9,
+                                                              rel=1e-9)
         # the restricted term and GLS need a well-conditioned X^T V^-1 X
         # (one-row groups can leave fewer rows than columns)
         if np.linalg.cond(F) < 1e6:
-            assert sol.criterion(params.beta, True) == pytest.approx(
+            assert sol.criterion(beta, True)[0] == pytest.approx(
                 q + logdet_v + np.linalg.slogdet(F)[1], abs=1e-8, rel=1e-9)
-            close(sol.gls_beta(), np.linalg.solve(F, X.T @ Vinv @ y))
+            close(sol.gls_beta()[0], np.linalg.solve(F, X.T @ Vinv @ y))
 
-        # R points at once, the first the case's own: every value is the single
-        # points', and the batch raises where a single point raises
+        # R points at once, the first the case's own: every value is the
+        # batches of one's, and the batch raises where a batch of one raises
         rng = np.random.default_rng(data.n)
         for R in (1, 7):
             jitter = np.exp(rng.normal(0.0, 0.5, size=(R, spec.k + 2)))
@@ -419,14 +421,14 @@ class TestBlockSolveAgainstDense:
 
     @staticmethod
     def check_batch(design, d, sigma, beta):
-        batch = BlockSolve(design, d, sigma)
-        singles = [design.solve(d[r], sigma[r]) for r in range(len(sigma))]
+        batch = design.solve(d, sigma)
+        singles = [design.solve(d[[r]], sigma[[r]]) for r in range(len(sigma))]
 
         def same(value, *args):
-            """value(batch, *args) stacks value(single point r, *(a[r] for a in args))
-            bit for bit, or raises the error class of the first single point that raises."""
+            """value(batch, *args) stacks value(batch of one r, *(a[[r]] for a in args))
+            bit for bit, or raises the error class of the first batch of one that raises."""
             try:
-                expected = [value(sol, *(a[r] for a in args)) for r, sol in enumerate(singles)]
+                expected = [value(sol, *(a[[r]] for a in args)) for r, sol in enumerate(singles)]
             except NUMERICAL_FAILURES as exc:
                 with pytest.raises(type(exc)):
                     value(batch, *args)
@@ -434,12 +436,13 @@ class TestBlockSolveAgainstDense:
             actual = value(batch, *args)
             if isinstance(actual, tuple):
                 for i, part in enumerate(actual):
-                    np.testing.assert_array_equal(part, [e[i] for e in expected])
+                    np.testing.assert_array_equal(part, np.concatenate([e[i] for e in expected]))
             else:
-                np.testing.assert_array_equal(actual, expected)
+                np.testing.assert_array_equal(actual, np.concatenate(expected))
 
         assert batch.logdet_v.shape == sigma.shape
-        np.testing.assert_array_equal(batch.logdet_v, [sol.logdet_v for sol in singles])
+        np.testing.assert_array_equal(batch.logdet_v,
+                                      np.concatenate([sol.logdet_v for sol in singles]))
         same(BlockSolve.quad_form_resid, beta)
         same(BlockSolve.xt_vinv_x)
         same(BlockSolve.xt_vinv_y)
@@ -457,15 +460,15 @@ class TestBlockSolveAgainstDense:
         d, sigma = np.array([[0.3], [0.2], [0.1]]), np.array([0.9, 1e-300, 1.1])
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(ValueError):
-                design.solve(d[1], sigma[1])
+                design.solve(d[[1]], sigma[[1]])
             with pytest.raises(ValueError):
-                BlockSolve(design, d, sigma)
+                design.solve(d, sigma)
         # a duplicated column: X^T V^-1 X is singular at every point
         dup = BlockDesign(Dataset(tuple(GroupData(gd.group_id, gd.y, gd.X[:, [0, 1, 1]])
                                         for gd in data.groups)), spec)
         d, sigma, beta = d[[0, 2]], sigma[[0, 2]], np.array([[1.0, 0.5, 0.5]] * 2)
         self.check_batch(dup, d, sigma, beta)
-        batch = BlockSolve(dup, d, sigma)
+        batch = dup.solve(d, sigma)
         assert np.isfinite(batch.criterion(beta, False)).all()
         for value in (batch.gls_beta, lambda: batch.criterion(beta, True),
                       lambda: batch.criterion_partials(beta, True)):
@@ -495,15 +498,15 @@ class TestBlockSolveAgainstDense:
     def test_repeated_point_gives_a_fresh_designs_values(self, rng):
         data = make_dataset(rng, g=4, p=3)
         spec = ModelSpec(alpha=(0, 2))
-        beta = rng.normal(size=3)
+        beta = rng.normal(size=(1, 3))
         design = BlockDesign(data, spec)
-        first = (np.array([0.4, 1.3]), 0.9)
-        points = [first, (np.array([0.0, 2.1]), 1.7), (first[0].copy(), first[1])]
+        first = (np.array([[0.4, 1.3]]), [0.9])
+        points = [first, (np.array([[0.0, 2.1]]), [1.7]), (first[0].copy(), first[1])]
         for d, sigma in points:
             sol = design.solve(d, sigma)
             fresh = BlockDesign(data, spec).solve(d, sigma)
-            assert sol.logdet_v == fresh.logdet_v
-            assert sol.quad_form_resid(beta) == fresh.quad_form_resid(beta)
+            np.testing.assert_array_equal(sol.logdet_v, fresh.logdet_v)
+            np.testing.assert_array_equal(sol.quad_form_resid(beta), fresh.quad_form_resid(beta))
             np.testing.assert_array_equal(sol.xt_vinv_x(), fresh.xt_vinv_x())
             np.testing.assert_array_equal(sol.xt_vinv_y(), fresh.xt_vinv_y())
             np.testing.assert_array_equal(sol.zt_vinv_resid(beta), fresh.zt_vinv_resid(beta))
@@ -514,7 +517,7 @@ RESTRICTED_CRITERIA = {
     "reml_loglik": lambda data, spec, params: reml_loglik(
         Theta(params.varsigma, params.sigma), data, spec),
     "BlockSolve.criterion": lambda data, spec, params: BlockDesign(data, spec).solve(
-        sdtn_variances(params, spec), params.sigma).criterion(params.beta, True),
+        sdtn_variances(params, spec)[None], [params.sigma]).criterion(params.beta[None], True),
 }
 
 

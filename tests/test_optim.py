@@ -73,8 +73,17 @@ def sleep():
     return ingest(sleepstudy_path(), schema)
 
 
+def one_point(batch):
+    """The one-point form `fun(x) -> (f, grad)` of a batch objective, at a batch of one."""
+    def fun(x):
+        (f,), (grad,) = batch(x[None])
+        return f, grad
+
+    return fun
+
+
 def sleep_problem(sleep, method, seed=0):
-    """(objective taking x (m,) or (R, m), starts, bounds) of a sleep-study fit."""
+    """(objective taking X (R, m), starts, bounds) of a sleep-study fit."""
     data, spec = sleep
     if method in estimate.METHODS:
         design = as_design(data, spec)
@@ -90,12 +99,13 @@ def sleep_problem(sleep, method, seed=0):
 class TestAgainstScipy:
     @pytest.mark.parametrize("method", ["PLS", "PRLS", "ML", "REML"])
     def test_sleep_study_starts_alone_and_in_lockstep(self, sleep, method):
-        fun, starts, bounds = sleep_problem(sleep, method)
+        batch, starts, bounds = sleep_problem(sleep, method)
+        fun = one_point(batch)
         want = [scipy_box(fun, x0, bounds) for x0 in starts]
         assert_same(minimize_box(fun, starts[0], bounds), want[0])
-        (alone,) = minimize_starts(fun, starts[:1], bounds)
+        (alone,) = minimize_starts(batch, starts[:1], bounds)
         assert_same(alone, want[0])
-        together = minimize_starts(fun, starts, bounds)
+        together = minimize_starts(batch, starts, bounds)
         assert len(together) == len(starts) >= 3
         for got, ref in zip(together, want):
             assert_same(got, ref)

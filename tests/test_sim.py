@@ -146,6 +146,17 @@ class TestGenResponse:
         resid = np.concatenate(resid)
         assert stats.kstest(resid, "norm").pvalue > 0.01
 
+    @pytest.mark.parametrize("alpha, match", [((5,), r"alpha \(5,\) out of range for p=3"),
+                                              ((3,), "out of range"),
+                                              ((-1,), "nonnegative"),
+                                              ((1, 0), "strictly increasing")],
+                             ids=["above-p", "at-p", "negative", "decreasing"])
+    def test_bad_alpha_rejected_by_the_scenario(self, alpha, match):
+        truth = Parameters(beta=np.array([0.072, 1.0, 1.0]), varsigma=np.full(len(alpha), 0.05),
+                           sigma=1.0)
+        with pytest.raises(ValueError, match=match):
+            Scenario(n=30, p=3, g=2, alpha=alpha, truth=truth)
+
     def test_requires_nonnegative_truth(self):
         sc = scenario()
         bad = Parameters(beta=np.array([-0.1, 1.0, 1.0]),
@@ -552,21 +563,24 @@ class TestMinimizeLabels:
         assert con_vals["beta1"] >= 0.0
         assert con_vals["beta2"] >= 0.0
 
-    def test_fixed_v_search_builds_one_solve(self, monkeypatch):
-        # beta1 and beta2 carry no deviation (alpha = (0,)), so no probe changes V
+    @pytest.mark.parametrize("labels", [("beta1", "beta2"), ("varsigma0", "sigma"),
+                                        ("beta0", "beta2")])
+    def test_each_step_is_one_solve_of_all_its_probes(self, monkeypatch, labels):
+        # beta1 and beta2 carry no deviation (alpha = (0,)), so only their probes
+        # share V; varsigma0, sigma and beta0 move it
         sc = scenario(n=30, seed=8, beta=(0.072, 0.001, 0.001))
         spec = sc.model_spec()
         data, _ = gen_response(gen_design(sc), sc.truth, spec, seed=9)
         built = []
         init = BlockSolve.__init__
 
-        def counting(self, *args):
-            built.append(1)
-            init(self, *args)
+        def recording(self, design, d, sigma):
+            built.append(np.shape(sigma))
+            init(self, design, d, sigma)
 
-        monkeypatch.setattr(BlockSolve, "__init__", counting)
-        minimize_labels(data, spec, sc.truth, ("beta1", "beta2"))
-        assert len(built) == 1
+        monkeypatch.setattr(BlockSolve, "__init__", recording)
+        minimize_labels(data, spec, sc.truth, labels)
+        assert len(built) > 1 and set(built) == {(1 + 2 * len(labels),)}
 
     def test_unknown_label_rejected(self):
         sc = scenario()
