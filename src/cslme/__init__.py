@@ -42,17 +42,13 @@ from .model import (
 from .optim import ConvergenceError
 from .ranef import GroupQp, solve_all, solve_group
 from .sdtn import (
-    DegenerateMassError,
     SdtnParams,
-    TnParams,
     sdtn_linear_transform,
     sdtn_pdf,
     sdtn_sample,
     standardized_sum,
     std_normal_cdf,
     std_normal_pdf,
-    tn_moments,
-    tn_pdf,
     variance_factor,
 )
 from .sim import ContourRequest, Scenario, contour_grid, gen_design, gen_response, run_scenario
@@ -62,7 +58,6 @@ __all__ = [
     "ContourRequest",
     "ConvergenceError",
     "Dataset",
-    "DegenerateMassError",
     "FitConfig",
     "FitResult",
     "GroupData",
@@ -75,7 +70,6 @@ __all__ = [
     "Scenario",
     "SdtnParams",
     "Theta",
-    "TnParams",
     "approx_loglik",
     "contour_grid",
     "fit",
@@ -100,7 +94,5 @@ __all__ = [
     "standardized_sum",
     "std_normal_cdf",
     "std_normal_pdf",
-    "tn_moments",
-    "tn_pdf",
     "variance_factor",
 ]

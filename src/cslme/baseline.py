@@ -34,12 +34,13 @@ from .model import (
     RandomEffects,
     as_design,
     check_point,
+    check_sizes,
     exp_each,
     search_bounds,
     unpack,
 )
 from .estimate import jittered_starts, least_squares, multistart
-from .optim import MAX_ITER, TOL_GRAD, TOL_OBJ, minimize_box, with_central_diff
+from .optim import MAX_ITER, TOL_GRAD, TOL_OBJ, BoxResult, minimize_starts, with_central_diff
 from .ranef import solve_all
 from .sdtn import sdtn_quantile, std_normal_cdf
 
@@ -322,7 +323,8 @@ def fit_pit(dataset: Dataset, spec: ModelSpec, q: int = 2,
     least-squares coefficients with the standard scale recipe). The
     quadrature surface is multi-modal and the density products underflow
     on large groups; both behaviors are part of what this baseline is
-    meant to exhibit. Callers needing a better basin can supply `initial`.
+    meant to exhibit. Callers needing a better basin can supply `initial`,
+    with p beta entries and one varsigma entry (ValueError otherwise).
     """
     design = as_design(dataset, spec)
     check_pit_k(design.k)
@@ -334,6 +336,7 @@ def fit_pit(dataset: Dataset, spec: ModelSpec, q: int = 2,
         vs0 = 0.5 * abs(beta0[spec.alpha[0]]) + 0.1 * float(np.std(y))
         x0 = np.concatenate([beta0, [vs0], [math.log(rsd)]])
     else:
+        check_sizes(initial, design.p, design.k, "initial point")
         x0 = np.concatenate([initial.beta, initial.varsigma,
                              [math.log(initial.sigma)]])
 
@@ -341,9 +344,11 @@ def fit_pit(dataset: Dataset, spec: ModelSpec, q: int = 2,
     # the first evaluation and the returned solution must carry real mass;
     # transient probes may dip into the underflow region and back out
     pit_objective(x0, design, spec, q, strict=True)
-    res = minimize_box(with_central_diff(lambda P: pit_objective(P, design, spec, q,
-                                                                 strict=False)),
-                       x0, bounds, tol_obj=1e-10, tol_grad=1e-7)
+    (res,) = minimize_starts(with_central_diff(lambda P: pit_objective(P, design, spec, q,
+                                                                       strict=False)),
+                             [x0], bounds, tol_obj=1e-10, tol_grad=1e-7)
+    if not isinstance(res, BoxResult):
+        raise res
     pit_objective(res.x, design, spec, q, strict=True)
     params = unpack(res.x, spec)
     return BaselineFit(

@@ -219,6 +219,13 @@ class Parameters:
         check_point(self.varsigma, self.sigma, beta=self.beta)
 
 
+def check_sizes(point: Parameters, p: int, k: int, name: str):
+    """Reject a point whose beta or varsigma length does not match the model."""
+    if point.beta.shape != (p,) or point.varsigma.shape != (k,):
+        raise ValueError(f"{name} has {point.beta.size} beta and {point.varsigma.size} "
+                         f"varsigma entries, the model has p={p} and k={k}")
+
+
 @dataclass(frozen=True, slots=True)
 class RandomEffects:
     """Per-group deviations: row l holds gamma^l (g x k)."""

@@ -1,18 +1,17 @@
 """Box-constrained quasi-Newton driver shared by all fitting routines.
 
-`minimize_starts` runs L-BFGS-B (projected-gradient limited-memory
-quasi-Newton) from many starts in lockstep. L-BFGS-B is a
-reverse-communication algorithm, so each start keeps its own scipy
-`setulb` state, and every round evaluates the points the starts ask for
-in one batched call, `fun(X) -> (F, G)`. Each start takes exactly the
-steps `scipy.optimize.minimize(method="L-BFGS-B")` would take from it
-alone. `minimize_box` is the one-start case, for a one-point objective
-`fun(x) -> (f, grad)`. PLS, PRLS, ML and REML supply exact gradients; a
-value-only objective (the PIT baseline, labeled-parameter searches) is
-adapted by `with_central_diff`, which evaluates the 1 + 2m probes of a
-central-difference step in one call of a batch value function
-`values(P) -> F`. Its step rule and probe layout (`central_diff_probes`)
-are shared by every gradient check (`central_diff_grad`).
+`minimize_starts`, the one optimizer entry point, runs L-BFGS-B
+(projected-gradient limited-memory quasi-Newton) from many starts in
+lockstep. L-BFGS-B is a reverse-communication algorithm, so each start
+keeps its own scipy `setulb` state, and every round evaluates the points
+the starts ask for in one batched call, `fun(X (R, m)) -> (F (R,), G (R, m))`.
+Each start takes exactly the steps `scipy.optimize.minimize(method=
+"L-BFGS-B")` would take from it alone. PLS, PRLS, ML and REML supply exact
+gradients; a value-only objective (the PIT baseline, labeled-parameter
+searches) is adapted by `with_central_diff`, which evaluates the 1 + 2m
+probes of a central-difference step at every row in one call of a batch
+value function `values(P) -> F`. Its step rule and probe layout
+(`gradient_step`, `central_diff_probes`) are those of every gradient check.
 """
 
 from dataclasses import dataclass
@@ -47,41 +46,33 @@ def central_diff_probes(x: np.ndarray, h: np.ndarray | None = None):
     """The probes of a central-difference step at x, one per row, and the steps.
 
     Row 0 is x; rows 2i + 1 and 2i + 2 are x + h_i e_i and x - h_i e_i.
-    h defaults to `gradient_step(x)`.
+    h defaults to `gradient_step(x)`. For R points x (R, m), the probes
+    are (R, 1 + 2m, m), each point's in that layout.
     """
     x = np.asarray(x, dtype=float)
     if h is None:
         h = gradient_step(x)
-    i = np.arange(x.size)
-    probes = np.tile(x, (1 + 2 * x.size, 1))
-    probes[2 * i + 1, i] = x + h
-    probes[2 * i + 2, i] = x - h
+    m = x.shape[-1]
+    i = np.arange(m)
+    probes = np.repeat(x[..., None, :], 1 + 2 * m, axis=-2)
+    probes[..., 2 * i + 1, i] = x + h
+    probes[..., 2 * i + 2, i] = x - h
     return probes, h
 
 
-def _differences(values: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The central differences from the values at probe rows 1 to 2m."""
-    return (values[0::2] - values[1::2]) / (2.0 * h)
-
-
-def central_diff_grad(fun, x: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
-    """Central-difference gradient of a one-point `fun`, called at the probes
-    of `central_diff_probes` after x, one after another."""
-    probes, h = central_diff_probes(x, h)
-    return _differences(np.array([fun(probe) for probe in probes[1:]], dtype=float), h)
-
-
 def with_central_diff(values):
-    """Adapt a batch value function `values(P (K, m)) -> (K,)` to `(f, grad)`.
+    """Adapt a batch value function `values(P (K, m)) -> (K,)` to the batch
+    form `fun(X (R, m)) -> (F (R,), G (R, m))` of `minimize_starts`.
 
     Each call evaluates `values` once, at the 1 + 2m rows of
-    `central_diff_probes`, and takes the gradient by `central_diff_grad`'s
-    differences.
+    `central_diff_probes` of every row of X, stacked; row r's gradient is
+    (f(x_r + h_i e_i) - f(x_r - h_i e_i)) / 2h_i.
     """
-    def fun_and_grad(x):
-        probes, h = central_diff_probes(x)
-        F = np.asarray(values(probes), dtype=float)
-        return F[0], _differences(F[1:], h)
+    def fun_and_grad(X):
+        probes, h = central_diff_probes(X)
+        F = np.asarray(values(probes.reshape(-1, probes.shape[-1])), dtype=float)
+        F = F.reshape(probes.shape[:-1])
+        return F[:, 0], (F[:, 1::2] - F[:, 2::2]) / (2.0 * h)
 
     return fun_and_grad
 
@@ -241,32 +232,3 @@ def minimize_starts(fun, starts, bounds, tol_obj=TOL_OBJ, tol_grad=TOL_GRAD,
                 if failed[i] is None and runs[i].advance(box, factr, tol_grad, max_iter)]
     return [run.result(fun, lo, hi) if exc is None else exc
             for exc, run in zip(failed, runs)]
-
-
-def per_point(fun):
-    """Adapt a one-point `fun(x) -> (f, grad)` to the batch form `fun(X) -> (F, G)`
-    of `minimize_starts`, evaluating the rows of X one after another."""
-    def batch(X):
-        values, grads = zip(*(fun(x) for x in X))
-        return np.array(values, dtype=float), np.array(grads, dtype=float)
-
-    return batch
-
-
-def minimize_box(fun, x0, bounds, tol_obj=TOL_OBJ, tol_grad=TOL_GRAD,
-                 max_iter=MAX_ITER) -> BoxResult:
-    """Minimize over a box from one start; `fun(x)` returns the objective and its gradient.
-
-    The one-start case of `minimize_starts`: stops when the relative
-    objective decrease falls below tol_obj, the projected-gradient infinity
-    norm falls below tol_grad, or max_iter is reached, and returns a point
-    on the box. `fun` is called only by L-BFGS-B (its first call is at x0,
-    whose value opens the trace), unless the re-projection moves the point,
-    which costs one more call. An evaluation that raises one of
-    NUMERICAL_FAILURES raises it from here.
-    """
-    (res,) = minimize_starts(per_point(fun), [x0], bounds, tol_obj=tol_obj,
-                             tol_grad=tol_grad, max_iter=max_iter)
-    if not isinstance(res, BoxResult):
-        raise res
-    return res

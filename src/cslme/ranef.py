@@ -169,23 +169,3 @@ def solve_all(dataset: Dataset, params: Parameters, spec: ModelSpec) -> RandomEf
         gamma[ell] = sol
         at_bound[ell] = np.abs(sol) >= qp.bounds
     return RandomEffects(gamma=gamma, at_bound=at_bound)
-
-
-def joint_objective(dataset: Dataset, params: Parameters, spec: ModelSpec,
-                    gamma: np.ndarray) -> float:
-    """Stacked QP objective at a feasible gamma (inf if a zero-variance
-    coordinate carries a nonzero deviation)."""
-    qps = group_qps(dataset, params, spec)
-    gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
-    total = 0.0
-    for ell, qp in enumerate(qps):
-        x = gamma[ell]
-        dead = qp.Sigma_hat_diag == 0
-        if np.any(dead & (x != 0.0)):
-            return np.inf
-        r = qp.ytilde - qp.Ztilde @ x
-        total += float(r @ r) / qp.sigma_hat ** 2
-        live = ~dead
-        if live.any():
-            total += float(np.sum(x[live] ** 2 / qp.Sigma_hat_diag[live]))
-    return total

@@ -1,6 +1,7 @@
-"""Truncated normal and SDTN distribution kernel.
+"""SDTN distribution kernel.
 
-Densities, moments, inverse-CDF sampling and linear transforms for the
+Density, distribution and quantile functions, the variance factor,
+inverse-CDF sampling, linear transforms and standardized sums for the
 symmetric doubly truncated normal (SDTN) family: a normal with location mu
 and scale eta truncated to [mu - rho*eta, mu + rho*eta]. The truncation
 half-width is expressed in units of the scale, so a single positive ratio
@@ -28,29 +29,6 @@ SMALL_RHO = 1e-3
 SERIES_RHO = 0.1
 
 
-class DegenerateMassError(ValueError):
-    """Truncation interval carries no representable probability mass."""
-
-
-@dataclass(frozen=True)
-class TnParams:
-    """Truncated normal with location mu, scale eta and support [a, b].
-
-    a = -inf, b = +inf recovers the untruncated normal.
-    """
-
-    mu: float
-    eta: float
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError(f"scale eta must be positive, got {self.eta}")
-        if not self.a < self.b:
-            raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
-
-
 @dataclass(frozen=True)
 class SdtnParams:
     """SDTN law: truncated normal on [mu - rho*eta, mu + rho*eta]."""
@@ -72,9 +50,6 @@ class SdtnParams:
     @property
     def upper(self) -> float:
         return self.mu + self.rho * self.eta
-
-    def as_tn(self) -> TnParams:
-        return TnParams(self.mu, self.eta, self.lower, self.upper)
 
 
 def std_normal_pdf(x):
@@ -98,54 +73,6 @@ def _central_mass(rho: float) -> float:
     CDF values near 1/2 would cancel.
     """
     return float(erf(rho / _SQRT_2))
-
-
-def tn_pdf(x, p: TnParams):
-    """Truncated normal density; exactly 0 outside [a, b]."""
-    ap = (p.a - p.mu) / p.eta if np.isfinite(p.a) else -np.inf
-    bp = (p.b - p.mu) / p.eta if np.isfinite(p.b) else np.inf
-    mass = std_normal_cdf(bp) - std_normal_cdf(ap)
-    if mass <= 0.0:
-        raise DegenerateMassError(
-            f"truncation [{p.a}, {p.b}] has zero mass under N({p.mu}, {p.eta}^2)"
-        )
-    x = np.asarray(x, dtype=float)
-    xi = (x - p.mu) / p.eta
-    dens = std_normal_pdf(xi) / (p.eta * mass)
-    out = np.where((x >= p.a) & (x <= p.b), dens, 0.0)
-    return out if out.ndim else float(out)
-
-
-def tn_moments(p: TnParams):
-    """Mean and variance of a truncated normal.
-
-    Infinite bounds enter through the limits phi(+-inf) = 0 and
-    x*phi(x) -> 0.
-    """
-    if np.isfinite(p.a):
-        ap = (p.a - p.mu) / p.eta
-        phi_a = std_normal_pdf(ap)
-        aphi_a = ap * phi_a
-        cdf_a = std_normal_cdf(ap)
-    else:
-        phi_a = aphi_a = cdf_a = 0.0
-    if np.isfinite(p.b):
-        bp = (p.b - p.mu) / p.eta
-        phi_b = std_normal_pdf(bp)
-        bphi_b = bp * phi_b
-        cdf_b = std_normal_cdf(bp)
-    else:
-        phi_b = bphi_b = 0.0
-        cdf_b = 1.0
-    mass = cdf_b - cdf_a
-    if mass <= 0.0:
-        raise DegenerateMassError(
-            f"truncation [{p.a}, {p.b}] has zero mass under N({p.mu}, {p.eta}^2)"
-        )
-    ratio = (phi_a - phi_b) / mass
-    mean = p.mu + p.eta * ratio
-    var = p.eta ** 2 * (1.0 + (aphi_a - bphi_b) / mass - ratio ** 2)
-    return mean, var
 
 
 def sdtn_pdf(x, p: SdtnParams):

@@ -35,12 +35,13 @@ from .model import (
     ModelSpec,
     Parameters,
     RandomEffects,
+    check_sizes,
     exp_each,
     parameter_labels,
     re_variances,
     search_bounds,
 )
-from .optim import minimize_box, with_central_diff
+from .optim import BoxResult, minimize_starts, with_central_diff
 from .sdtn import SdtnParams, sdtn_ppf, variance_factor
 
 ALL_METHODS = ("PLS", "PRLS", "ML", "REML", "PIT")
@@ -354,16 +355,17 @@ def _restricted(objective: str) -> bool:
 def _labeled_point(fixed: Parameters, labels, spec: ModelSpec, p: int):
     """The flat point (beta, varsigma, sigma) of `fixed` and the index of each label.
 
-    Raises ValueError for a label outside `parameter_labels(spec, p)` or a
-    fixed point whose beta or varsigma length does not match the model.
+    Raises ValueError for a label outside `parameter_labels(spec, p)`, a
+    label given twice, or a fixed point whose beta or varsigma length does
+    not match the model.
     """
     valid = parameter_labels(spec, p)
     for label in labels:
         if label not in valid:
             raise ValueError(f"unknown parameter {label!r}; valid labels: {valid}")
-    if fixed.beta.shape != (p,) or fixed.varsigma.shape != (spec.k,):
-        raise ValueError(f"fixed point has {fixed.beta.size} beta and {fixed.varsigma.size} "
-                         f"varsigma entries, the model has p={p} and k={spec.k}")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"parameter labels must be distinct, got {list(labels)}")
+    check_sizes(fixed, p, spec.k, "fixed point")
     point = np.concatenate([fixed.beta, fixed.varsigma, [fixed.sigma]])
     return point, [valid.index(label) for label in labels]
 
@@ -458,7 +460,8 @@ def minimize_labels(dataset: Dataset, spec: ModelSpec, fixed: Parameters,
     always nonnegative and log sigma above the fits' floor. `x0`, one entry
     per label, is a point of that search layout (log sigma for a `sigma`
     label); it defaults to the labeled entries of `fixed`. Labels are
-    checked as by `contour_grid`. Each central-difference step evaluates
+    checked as by `contour_grid`, and an `x0` of another length than
+    `labels` raises ValueError. Each central-difference step evaluates
     its 1 + 2m probes in one batched `BlockSolve`. Returns (values dict,
     objective value), sigma on its natural scale.
     """
@@ -481,8 +484,12 @@ def minimize_labels(dataset: Dataset, spec: ModelSpec, fixed: Parameters,
 
     if x0 is None:
         x0 = np.append(point[:-1], math.log(fixed.sigma))[idx]
-    res = minimize_box(with_central_diff(objective), np.asarray(x0, dtype=float),
-                       [bounds[i] for i in idx])
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (len(labels),):
+        raise ValueError(f"x0 needs one entry per label: got {x0.size} for {len(labels)} labels")
+    (res,) = minimize_starts(with_central_diff(objective), [x0], [bounds[i] for i in idx])
+    if not isinstance(res, BoxResult):
+        raise res
     values = {lbl: (math.exp(v) if lbl == "sigma" else float(v))
               for lbl, v in zip(labels, res.x)}
     return values, float(res.fun)

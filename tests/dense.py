@@ -1,5 +1,7 @@
 """Dense test oracles: the stacked model, n x n covariance, the joint
-(beta, gamma) normal equations, and a synthetic discounted-sales panel.
+(beta, gamma) normal equations, the stacked random-effect QP objective,
+a one-point central-difference gradient and a synthetic discounted-sales
+panel.
 
 The package never forms an n x n matrix; these slow, direct forms are what
 its block-diagonal core is checked against.
@@ -11,6 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from cslme.baseline import Theta
+from cslme.optim import central_diff_probes
+from cslme.ranef import group_qps
 from cslme.model import (
     Dataset,
     ModelSpec,
@@ -91,6 +95,34 @@ def joint_system_solve(theta_hat: Theta, dataset, spec: ModelSpec):
     for j, idx in enumerate(keep):
         gamma[idx // k, idx % k] = sol[p + j]
     return beta, RandomEffects(gamma)
+
+
+def joint_objective(dataset: Dataset, params: Parameters, spec: ModelSpec,
+                    gamma: np.ndarray) -> float:
+    """Stacked QP objective at a feasible gamma (inf if a zero-variance
+    coordinate carries a nonzero deviation)."""
+    qps = group_qps(dataset, params, spec)
+    gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
+    total = 0.0
+    for ell, qp in enumerate(qps):
+        x = gamma[ell]
+        dead = qp.Sigma_hat_diag == 0
+        if np.any(dead & (x != 0.0)):
+            return np.inf
+        r = qp.ytilde - qp.Ztilde @ x
+        total += float(r @ r) / qp.sigma_hat ** 2
+        live = ~dead
+        if live.any():
+            total += float(np.sum(x[live] ** 2 / qp.Sigma_hat_diag[live]))
+    return total
+
+
+def central_diff_grad(fun, x: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
+    """Central-difference gradient of a one-point `fun`, called at the probes
+    of `optim.central_diff_probes` after x, one after another."""
+    probes, h = central_diff_probes(x, h)
+    values = np.array([fun(probe) for probe in probes[1:]], dtype=float)
+    return (values[0::2] - values[1::2]) / (2.0 * h)
 
 
 def synthetic_discount_sales(seed: int = 20170301, clusters: int = 6,

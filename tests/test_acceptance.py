@@ -29,7 +29,6 @@ from cslme.cli import InputSchema, ingest
 from cslme.datasets import sleepstudy_path
 from cslme.estimate import FitConfig, fit, pls_objective, prls_objective
 from cslme.model import BlockDesign, ModelSpec, Parameters
-from cslme.optim import central_diff_grad
 from cslme.ranef import GroupQp, kkt_residual, solve_group
 from cslme.sdtn import (
     SMALL_RHO,
@@ -51,7 +50,7 @@ from cslme.sim import (
 )
 
 from conftest import make_dataset, random_params
-from dense import assemble, joint_system_solve, marginal_cov
+from dense import assemble, central_diff_grad, joint_system_solve, marginal_cov
 from exact import sdtn_group_loglik
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from conftest import make_dataset
-from dense import assemble, joint_system_solve
+from dense import assemble, central_diff_grad, joint_system_solve
 from exact import sdtn_group_loglik
 from cslme.baseline import (
     PIT_UNDERFLOW_PENALTY,
@@ -31,7 +31,7 @@ from cslme.model import (
     ModelSpec,
     Parameters,
 )
-from cslme.optim import ConvergenceError, central_diff_grad, with_central_diff
+from cslme.optim import ConvergenceError, with_central_diff
 from cslme.sdtn import SdtnParams, sdtn_pdf
 from cslme.sim import (
     Scenario,
@@ -336,6 +336,18 @@ class TestPit:
         pit = fit_pit(data, spec, q=4, initial=initial)
         np.testing.assert_allclose(pit.beta, ml.beta, atol=0.2)
 
+    @pytest.mark.parametrize("beta, varsigma", [((0.072, 1.0, 1.0), (0.058, 0.058)),
+                                                 ((0.072, 1.0), (0.058,)),
+                                                 ((0.072, 1.0, 1.0, 1.0), ())])
+    def test_initial_of_another_shape_rejected(self, beta, varsigma):
+        sc = builtin_scenarios()["intercept-p3-n300"]
+        data, _, _ = replication_data(sc, 0)
+        initial = Parameters(beta=np.array(beta), varsigma=np.array(varsigma), sigma=1.0)
+        want = (f"initial point has {len(beta)} beta and {len(varsigma)} varsigma entries, "
+                "the model has p=3 and k=1")
+        with pytest.raises(ValueError, match=want):
+            fit_pit(data, sc.model_spec(), initial=initial)
+
     def test_underflow_diagnostic_large_groups(self):
         data, spec, truth = tiny_pit_problem(n=1040)  # 520 rows per group
         bd = BlockDesign(data, spec)
@@ -450,11 +462,25 @@ class TestPitBatch:
         def one(point):
             return pit_objective(point, design, spec, q, strict=False)
 
-        value, grad = with_central_diff(lambda P: pit_objective(P, design, spec, q,
-                                                                strict=False))(x)
+        (value,), (grad,) = with_central_diff(
+            lambda P: pit_objective(P, design, spec, q, strict=False))(x[None])
         assert float(value).hex() == float(one(x)).hex()
         want = central_diff_grad(one, x)
         assert [v.hex() for v in grad.tolist()] == [v.hex() for v in want.tolist()]
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(PIT_ROWS.filter(lambda row: row[3] < 700.0), min_size=2, max_size=6),
+           q=st.sampled_from([2, 4]))
+    def test_with_central_diff_rows_equal_each_row_alone(self, rows, q):
+        design, spec = batch_problem()
+        fun = with_central_diff(lambda P: pit_objective(P, design, spec, q, strict=False))
+        X = np.array(rows)
+        F, G = fun(X)
+        assert F.shape == (len(X),) and G.shape == X.shape
+        for i in range(len(X)):
+            (f,), (grad,) = fun(X[i:i + 1])
+            assert F[i].hex() == f.hex()
+            assert [v.hex() for v in G[i].tolist()] == [v.hex() for v in grad.tolist()]
 
 
 class TestExactSdtnLikelihood:

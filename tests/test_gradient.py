@@ -16,11 +16,10 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, random_params
-from dense import assemble
+from dense import assemble, central_diff_grad
 from cslme.baseline import Theta, criterion_and_gradient, profile_loglik, reml_loglik
 from cslme.estimate import objective_and_gradient, pls_objective, prls_objective
 from cslme.model import Q_MAX, BlockDesign, ModelSpec, to_shares, unpack_shares
-from cslme.optim import central_diff_grad
 from cslme.sdtn import SMALL_RHO
 
 # where one random-effect column sits: anywhere, at a zero coefficient, at

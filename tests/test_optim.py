@@ -20,9 +20,7 @@ from cslme.optim import (
     TOL_GRAD,
     TOL_OBJ,
     BoxResult,
-    minimize_box,
     minimize_starts,
-    per_point,
 )
 
 
@@ -73,6 +71,16 @@ def sleep():
     return ingest(sleepstudy_path(), schema)
 
 
+def per_point(fun):
+    """The batch form `fun(X) -> (F, G)` of a one-point `fun(x) -> (f, grad)`,
+    evaluating the rows of X one after another."""
+    def batch(X):
+        values, grads = zip(*(fun(x) for x in X))
+        return np.array(values, dtype=float), np.array(grads, dtype=float)
+
+    return batch
+
+
 def one_point(batch):
     """The one-point form `fun(x) -> (f, grad)` of a batch objective, at a batch of one."""
     def fun(x):
@@ -102,7 +110,6 @@ class TestAgainstScipy:
         batch, starts, bounds = sleep_problem(sleep, method)
         fun = one_point(batch)
         want = [scipy_box(fun, x0, bounds) for x0 in starts]
-        assert_same(minimize_box(fun, starts[0], bounds), want[0])
         (alone,) = minimize_starts(batch, starts[:1], bounds)
         assert_same(alone, want[0])
         together = minimize_starts(batch, starts, bounds)
@@ -131,7 +138,6 @@ class TestAgainstScipy:
         results = minimize_starts(per_point(qp), starts, bounds)
         for x0, got in zip(starts, results):
             assert_same(got, scipy_box(qp, x0, bounds))
-        assert_same(minimize_box(qp, starts[0], bounds), scipy_box(qp, starts[0], bounds))
 
     def test_iteration_cap(self):
         def rosenbrock(x):
@@ -173,7 +179,9 @@ class TestBatchIsolation:
         assert failures == [(1, "OverflowError('poisoned point')")]
         assert [i for i, _ in results] == [0, 2] and idx in (0, 2)
         for i, res in results:
-            assert_same(res, minimize_box(separable, self.STARTS[i], [(None, None)] * 2))
+            (alone,) = minimize_starts(per_point(separable), self.STARTS[i:i + 1],
+                                       [(None, None)] * 2)
+            assert_same(res, alone)
         assert rows[0] == 3 and 1 in rows  # the raising round went again point by point
 
     def test_a_start_does_not_depend_on_its_batch(self, sleep):

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, random_params
+from dense import joint_objective
 from cslme.model import Dataset, GroupData, ModelSpec, Parameters
 from cslme.ranef import (
     GroupQp,
     group_qps,
-    joint_objective,
     kkt_residual,
     solve_all,
     solve_group,

@@ -11,9 +11,7 @@ from cslme.sim import deviation_sd
 from cslme.sdtn import (
     SERIES_RHO,
     SMALL_RHO,
-    DegenerateMassError,
     SdtnParams,
-    TnParams,
     sdtn_cdf,
     sdtn_linear_transform,
     sdtn_pdf,
@@ -64,65 +62,6 @@ class TestStdNormal:
         assert np.all(np.diff(std_normal_cdf(x)) > 0)
 
 
-class TestTnPdfMoments:
-    def test_zero_outside_support(self):
-        p = TnParams(mu=0.5, eta=1.0, a=-1.0, b=2.0)
-        assert tn_pdf_at(p, -1.0001) == 0.0
-        assert tn_pdf_at(p, 2.0001) == 0.0
-
-    def test_normal_special_case(self):
-        p = TnParams(mu=0.0, eta=1.0, a=-np.inf, b=np.inf)
-        assert tn_pdf_at(p, 0.0) == pytest.approx(std_normal_pdf(0.0), abs=1e-15)
-        mean, var = tn_moments_of(p)
-        assert mean == pytest.approx(0.0, abs=1e-15)
-        assert var == pytest.approx(1.0, abs=1e-12)
-
-    def test_symmetric_interval_density_and_mass(self):
-        p = TnParams(mu=0.0, eta=1.0, a=-1.0, b=1.0)
-        expected = std_normal_pdf(0.0) / (2 * std_normal_cdf(1.0) - 1)
-        assert tn_pdf_at(p, 0.0) == pytest.approx(expected, rel=1e-14)
-        mass, err = integrate.quad(lambda t: tn_pdf_at(p, t), -1, 1)
-        assert mass == pytest.approx(1.0, abs=1e-10)
-
-    def test_symmetric_bounds_mean_is_mu(self):
-        p = TnParams(mu=1.7, eta=0.8, a=1.7 - 2 * 0.8, b=1.7 + 2 * 0.8)
-        mean, _ = tn_moments_of(p)
-        assert mean == pytest.approx(1.7, abs=1e-13)
-
-    def test_half_normal_mean_vs_rejection_sampler(self):
-        p = TnParams(mu=0.0, eta=1.0, a=0.0, b=np.inf)
-        mean, var = tn_moments_of(p)
-        assert mean == pytest.approx(math.sqrt(2 / math.pi), rel=1e-12)
-        draws = np.random.default_rng(7).normal(size=400_000)
-        kept = draws[draws >= 0.0]
-        se = kept.std() / math.sqrt(kept.size)
-        assert mean == pytest.approx(kept.mean(), abs=4 * se)
-
-    def test_degenerate_mass_error(self):
-        with pytest.raises(DegenerateMassError):
-            tn_pdf_at(TnParams(mu=0.0, eta=1.0, a=50.0, b=51.0), 50.5)
-        with pytest.raises(DegenerateMassError):
-            tn_moments_of(TnParams(mu=0.0, eta=1.0, a=50.0, b=51.0))
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            TnParams(mu=0.0, eta=-1.0, a=0.0, b=1.0)
-        with pytest.raises(ValueError):
-            TnParams(mu=0.0, eta=1.0, a=1.0, b=1.0)
-
-
-def tn_pdf_at(p, x):
-    from cslme.sdtn import tn_pdf
-
-    return tn_pdf(x, p)
-
-
-def tn_moments_of(p):
-    from cslme.sdtn import tn_moments
-
-    return tn_moments(p)
-
-
 class TestSdtnPdf:
     def test_zero_just_outside_support(self):
         p = SdtnParams(mu=1.0, eta=0.5, rho=2.0)
@@ -143,7 +82,8 @@ class TestSdtnPdf:
                            rho=float(rng.uniform(0.1, 4)))
             xs = rng.uniform(p.lower, p.upper, size=7)
             np.testing.assert_allclose(
-                sdtn_pdf(xs, p), tn_pdf_at(p.as_tn(), xs), rtol=1e-12)
+                sdtn_pdf(xs, p),
+                stats.truncnorm(-p.rho, p.rho, loc=p.mu, scale=p.eta).pdf(xs), rtol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(eta=st.floats(0.1, 3.0), rho=st.floats(0.05, 5.0), frac=st.floats(0.0, 1.0))

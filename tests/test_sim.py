@@ -1,6 +1,9 @@
+import functools
 import math
 import tracemalloc
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 from scipy import stats
@@ -17,7 +20,7 @@ from cslme.model import (
     ModelSpec,
     Parameters,
 )
-from cslme.optim import minimize_box, minimize_starts
+from cslme.optim import minimize_starts
 from cslme.sdtn import variance_factor
 from cslme.sim import (
     ALL_METHODS,
@@ -351,20 +354,17 @@ class TestFitMethod:
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_n_eval_counts_the_objective_calls(self, monkeypatch, method):
-        calls = [0]  # evaluated points: the rows of a batch, or one point
+        calls = [0]  # evaluated points: the rows of every batch
 
-        def counting(driver):
-            def run(fun, *args, **kwargs):
-                def counted(x):
-                    calls[0] += len(x) if x.ndim == 2 else 1
-                    return fun(x)
+        def counting(fun, *args, **kwargs):
+            def counted(X):
+                calls[0] += len(X)
+                return fun(X)
 
-                return driver(counted, *args, **kwargs)
+            return minimize_starts(counted, *args, **kwargs)
 
-            return run
-
-        monkeypatch.setattr(estimate, "minimize_starts", counting(minimize_starts))
-        monkeypatch.setattr(baseline, "minimize_box", counting(minimize_box))
+        monkeypatch.setattr(estimate, "minimize_starts", counting)
+        monkeypatch.setattr(baseline, "minimize_starts", counting)
         sc = scenario(n=60, seed=3)
         spec = sc.model_spec()
         data, _ = gen_response(gen_design(sc), sc.truth, spec, seed=2)
@@ -550,6 +550,24 @@ class TestContour:
         assert peak < 50e6
 
 
+@functools.cache
+def labeled_search_objective(labels, method):
+    """The batch objective `minimize_labels` hands to `minimize_starts` on
+    `merit-n30` replication 0."""
+    sc = builtin_scenarios()["merit-n30"]
+    data, _, _ = replication_data(sc, 0)
+    seen = []
+
+    def recording(fun, *args, **kwargs):
+        seen.append(fun)
+        return minimize_starts(fun, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "minimize_starts", recording)
+        minimize_labels(data, sc.model_spec(), sc.truth, labels, method=method)
+    return seen[0]
+
+
 class TestMinimizeLabels:
     def test_constrained_profile_minimization(self):
         sc = scenario(n=30, seed=8, beta=(0.072, 0.001, 0.001))
@@ -588,6 +606,43 @@ class TestMinimizeLabels:
         for label in ("beta9", "varsigma1", "bogus"):  # alpha = (0,)
             with pytest.raises(ValueError, match=f"unknown parameter '{label}'"):
                 minimize_labels(data, sc.model_spec(), sc.truth, ("beta1", label))
+
+    def test_repeated_label_rejected(self):
+        sc = builtin_scenarios()["merit-n30"]
+        data, _, _ = replication_data(sc, 0)
+        spec = sc.model_spec()
+        with pytest.raises(ValueError, match="labels must be distinct"):
+            minimize_labels(data, spec, sc.truth, ["beta1", "beta1"])
+        with pytest.raises(ValueError, match="labels must be distinct"):
+            minimize_labels(data, spec, sc.truth, ["beta0", "sigma", "beta0"])
+
+    @pytest.mark.parametrize("labels, x0", [(["beta1", "beta2"], [0.1]),
+                                            (["beta1"], [0.1, 0.2]),
+                                            (["beta1", "sigma"], [0.1, 0.2, 0.0])])
+    def test_x0_of_another_length_rejected(self, labels, x0):
+        sc = builtin_scenarios()["merit-n30"]
+        data, _, _ = replication_data(sc, 0)
+        want = f"got {len(x0)} for {len(labels)} labels"
+        with pytest.raises(ValueError, match=want):
+            minimize_labels(data, sc.model_spec(), sc.truth, labels, x0=x0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(labels=st.sampled_from([("beta1", "beta2"), ("varsigma0", "sigma"),
+                                   ("beta0", "varsigma0"), ("beta1",)]),
+           method=st.sampled_from(["PLS", "PRLS"]), seed=st.integers(0, 2 ** 32 - 1),
+           rows=st.integers(2, 5))
+    def test_batch_rows_equal_each_row_alone(self, labels, method, seed, rows):
+        fun = labeled_search_objective(labels, method)
+        # beta and varsigma in [0, 1.5], log sigma in [-1, 1]
+        X = np.random.default_rng(seed).uniform(0.0, 1.5, size=(rows, len(labels)))
+        if "sigma" in labels:
+            X[:, labels.index("sigma")] -= 0.75
+        F, G = fun(X)
+        assert F.shape == (rows,) and G.shape == X.shape
+        for i in range(rows):
+            (f,), (grad,) = fun(X[i:i + 1])
+            assert F[i].hex() == f.hex()
+            assert [v.hex() for v in G[i].tolist()] == [v.hex() for v in grad.tolist()]
 
     @pytest.mark.parametrize("constrained", [True, False])
     def test_scale_search_at_its_bound(self, constrained):
