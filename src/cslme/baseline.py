@@ -1,15 +1,26 @@
 """Unconstrained classical estimators and the quadrature (PIT) baseline.
 
-ML and REML profile the fixed effects out of a Gaussian marginal
-likelihood and maximize over the variance components theta = (varsigma,
-sigma); the fixed effects and per-group deviations are then recovered in
-closed form (generalized least squares and the usual shrinkage formula,
-equivalently the Henderson-style joint linear system). The search gets
-the criterion and its exact gradient in theta from one factorization of
-V: the criterion is half of `BlockSolve.criterion` at the GLS beta_hat
-(`BlockSolve.gls_beta`), and by the envelope theorem its partials are
-those at fixed beta (`BlockSolve.criterion_partials`), halved, with d =
-varsigma^2.
+ML and REML profile the fixed effects and the residual scale out of a
+Gaussian marginal likelihood and search only the relative variances v =
+d / sigma^2 = (varsigma / sigma)^2 >= 0, the profiled deviance of lme4
+(Bates, Maechler, Bolker & Walker 2015; Pinheiro & Bates 2000, sec. 2.2).
+With V = sigma^2 V0, V0 = I + Z diag(v) Z^T, the criterion (minus twice
+the log-likelihood) is
+
+    q0 / sigma^2 + n_r ln sigma^2 + ln|V0| (+ ln|X^T V0^{-1} X| for REML),
+
+with q0 = r^T V0^{-1} r at the generalized-least-squares beta_hat and n_r
+= n - p (REML) or n (ML). It is least at sigma^2 = q0 / n_r, floored at
+exp(`BlockDesign.log_sigma_floor`)^2 as in every other fit, which an exact
+fit (q0 = 0) reaches. One `BlockSolve` at sigma = 1 gives q0, the
+log-determinants and their partials in v at fixed beta
+(`BlockSolve.criterion_parts`); by the envelope theorem the gradient of
+the profiled criterion is dq0 / sigma^2 + dlog at the profiled sigma. The
+search minimizes half of it, the negated log-likelihood. The fixed
+effects and sigma are then read from one solve at the winning v, and the
+per-group deviations recovered in closed form at the resulting theta (the
+usual shrinkage formula, equivalently the Henderson-style joint linear
+system).
 
 The probability-integral-transform (PIT) baseline instead approximates the
 marginal likelihood of each group by Gauss-Hermite quadrature over a
@@ -35,7 +46,6 @@ from .model import (
     as_design,
     check_point,
     check_sizes,
-    exp_each,
     search_bounds,
     unpack,
 )
@@ -125,22 +135,30 @@ def _solve_at(theta: Theta, design: BlockDesign):
     return design.solve((theta.varsigma ** 2)[None], [theta.sigma])
 
 
-def criterion_and_gradient(x: np.ndarray, design: BlockDesign, criterion: str):
-    """The minimized ML or REML criterion at x = (varsigma, log sigma) and
-    its exact gradient; the value is bit-equal to -profile_loglik
-    (-reml_loglik) at theta = (|varsigma|, exp(log sigma)).
+def _profiled_sigma2(q: np.ndarray, design: BlockDesign, restricted: bool):
+    """(n_r, sigma^2 minimizing the criterion at each q0 = q): n_r = n - p
+    [restricted] and sigma^2 = max(q / n_r, exp(log_sigma_floor)^2)."""
+    dof = design.n - design.p * restricted
+    floor = math.exp(design.log_sigma_floor)
+    return dof, np.maximum(q / dof, floor * floor)
 
-    x is R points (R, m), evaluated by one batched `BlockSolve`, as in
-    `estimate.objective_and_gradient`.
+
+def criterion_and_gradient(x: np.ndarray, design: BlockDesign, criterion: str):
+    """The ML or REML criterion at relative variances x = v = d / sigma^2,
+    minimized over beta and sigma, and its exact gradient in v.
+
+    The value is -profile_loglik (-reml_loglik) at theta = (sqrt(v) sigma_hat,
+    sigma_hat), to rounding, with sigma_hat profiled as in the module
+    docstring. x is R points (R, k), evaluated by one batched `BlockSolve`
+    at sigma = 1, as in `estimate.objective_and_gradient`.
     """
-    varsigma = x[:, :-1]
-    sol = design.solve(varsigma ** 2, exp_each(x[:, -1]))
-    value, dd, _, half_dlogsigma = sol.criterion_partials(sol.gls_beta(),
-                                                          criterion == "REML")
-    grad = np.empty(x.shape)
-    grad[:, :-1] = dd * varsigma  # d_i = x_i^2, halved
-    grad[:, -1] = half_dlogsigma
-    return 0.5 * value, grad
+    restricted = criterion == "REML"
+    sol = design.solve(x, np.ones(len(x)))
+    q, logdet, dq, dlog = sol.criterion_parts(sol.gls_beta(), restricted)
+    dof, s2 = _profiled_sigma2(q, design, restricted)
+    # math.log at every point: numpy's vectorized log can be an ulp away from it
+    log_s2 = np.array([math.log(v) for v in s2.tolist()])
+    return 0.5 * (q / s2 + dof * log_s2 + logdet), 0.5 * (dq / s2[:, None] + dlog)
 
 
 def profile_beta(theta: Theta, dataset, spec: ModelSpec) -> np.ndarray:
@@ -165,33 +183,34 @@ def reml_loglik(theta: Theta, dataset, spec: ModelSpec) -> float:
 
 def gamma_closed_form(theta: Theta, dataset, spec: ModelSpec, beta: np.ndarray) -> RandomEffects:
     """Shrinkage estimate gamma_l = G Z_l^T V_l^{-1} (y_l - X_l beta) per group."""
-    return _shrinkage(theta, _solve_at(theta, as_design(dataset, spec)), beta)
-
-
-def _shrinkage(theta: Theta, sol, beta: np.ndarray) -> RandomEffects:
-    """`gamma_closed_form` from `sol`, the `BlockSolve` at theta."""
+    sol = _solve_at(theta, as_design(dataset, spec))
     return RandomEffects(theta.varsigma ** 2 * sol.zt_vinv_resid(beta[None])[0])
 
 
 def _baseline_starts(design: BlockDesign, seed: int):
-    """Deterministic starting points for the variance-component search.
+    """Deterministic starting points v = (varsigma / sigma)^2 of the search.
 
     The jitter is multiplicative on the natural-scale components
-    (varsigma, sigma); sigma is packed as log(sigma) afterwards.
+    (varsigma, sigma), from varsigma = sigma / 2 (v = 1/4), sigma the
+    least-squares residual sd; each start is then mapped to v.
     """
     resid_sd = least_squares(design)[2]
     natural = np.concatenate([np.full(design.k, 0.5 * resid_sd), [resid_sd]])
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A5A]))
-    return jittered_starts(natural, [rng, rng])  # two draws from one generator
+    # two draws from one generator; jittered_starts packs sigma as log sigma
+    return [(x[:-1] / math.exp(x[-1])) ** 2 for x in jittered_starts(natural, [rng, rng])]
 
 
 def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML",
                       seed: int = 0) -> BaselineFit:
     """Maximize the ML or REML criterion over theta, then recover beta, gamma.
 
-    The search runs over (varsigma, log sigma) with varsigma kept
-    nonnegative by projection; a small deterministic multi-start, run by
-    `estimate.multistart`, guards against poor initial points.
+    The search runs over the relative variances v = (varsigma / sigma)^2 in
+    [0, inf)^k, with beta and sigma profiled out (`criterion_and_gradient`);
+    a small deterministic multi-start, run by `estimate.multistart`, guards
+    against poor initial points. One solve at the winning v gives beta and
+    sigma, and varsigma = sqrt(v) sigma; gamma is `gamma_closed_form` at
+    the resulting theta.
     """
     criterion = criterion.upper()
     if criterion not in ("ML", "REML"):
@@ -203,16 +222,20 @@ def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML"
     def objective(x):
         return criterion_and_gradient(x, design, criterion)
 
-    bounds = search_bounds(design, spec)[design.p:]
-    _, res, results, _ = multistart(objective, _baseline_starts(design, seed), bounds,
+    _, res, results, _ = multistart(objective, _baseline_starts(design, seed),
+                                    [(0.0, None)] * design.k,
                                     tol_obj=TOL_OBJ, tol_grad=TOL_GRAD, max_iter=MAX_ITER)
-    theta = Theta(res.x[:-1], math.exp(res.x[-1]))
-    sol = _solve_at(theta, design)  # beta and gamma share one factorization
-    beta = sol.gls_beta()[0]
+    sol = design.solve(res.x[None], [1.0])  # V0 = V / sigma^2 at the winner
+    beta = sol.gls_beta()
+    _, s2 = _profiled_sigma2(sol.quad_form_resid(beta), design, criterion == "REML")
+    sigma = math.sqrt(s2[0])
+    theta = Theta(np.sqrt(res.x) * sigma, sigma)
     return BaselineFit(
         theta=theta,
-        beta=beta,
-        gamma=_shrinkage(theta, sol, beta),
+        beta=beta[0],
+        # from theta itself, so that a fit document's (beta, varsigma, sigma)
+        # give back its deviations bit for bit
+        gamma=gamma_closed_form(theta, design, spec, beta[0]),
         loglik=-res.fun,  # the minimized criterion is the negated log-likelihood
         criterion=criterion,
         converged=res.converged,

@@ -389,7 +389,7 @@ def cmd_fit(args) -> int:
 def _run_fit_method(args, method, schema, dataset, spec, run_config) -> int:
     res = fit_method(method, dataset, spec, seed=args.seed, n_starts=args.starts,
                      pit_q=args.pit_q)
-    diagnostics = {"converged": res.converged, "n_iter": res.n_iter}
+    diagnostics = {"converged": res.converged, "n_iter": res.n_iter, "n_eval": res.n_eval}
     if method in METHODS:
         objective, loglik = res.objective, None
         diagnostics.update(

@@ -19,7 +19,10 @@ estimator: r^T V^{-1} r + ln|V|, plus ln|X^T V^{-1} X| when restricted.
 PLS/PRLS evaluate it at the sign-constrained beta, ML/REML at the GLS
 beta (`BlockSolve.gls_beta`), which reads the same Cholesky factor of
 X^T V^{-1} X. `BlockSolve.criterion_partials` adds the partial derivatives
-an exact gradient needs, for O(g k^2 (k + p) + g k p^2 + p^3) more.
+an exact gradient needs, for O(g k^2 (k + p) + g k p^2 + p^3) more;
+`BlockSolve.criterion_parts` gives the quadratic form and the
+log-determinants apart, with their partials in d, for the ML/REML search
+that profiles sigma out.
 
 A `BlockSolve` holds R points (d, sigma) along a leading points axis, as
 a contour grid, one lockstep round of a fit's starts or one
@@ -30,9 +33,9 @@ values do not depend on the batch; one point is a batch of one. A batch
 raises if any of its points cannot be evaluated.
 
 Two search-point layouts live here, each once. PIT, contour grids and
-labeled searches use x = (beta, varsigma, log sigma), and ML/REML its tail
-(varsigma, log sigma): `parameter_labels` names its entries,
-`search_bounds` gives its box and `unpack` reads it back as `Parameters`.
+labeled searches use x = (beta, varsigma, log sigma): `parameter_labels`
+names its entries, `search_bounds` gives its box and `unpack` reads it
+back as `Parameters`.
 PLS/PRLS search x = (beta, q, log sigma) with q_i = d_i / beta_{alpha_i}^2
 in [0, Q_MAX], which keeps the uniform limit varsigma -> inf (q -> 1/3) on
 the box: `share_bounds` gives its box, `to_shares` maps a varsigma point to
@@ -314,7 +317,7 @@ class BlockDesign:
     def g(self) -> int:
         return len(self.Xs)
 
-    @property
+    @cached_property
     def log_sigma_floor(self) -> float:
         """Lower bound on log sigma shared by every fit: log max(1e-6 sd(y), 1e-12)."""
         return math.log(max(1e-6 * float(np.std(self.y)), 1e-12))
@@ -646,19 +649,51 @@ class BlockSolve:
         value = q + self.logdet_v
         if restricted:
             value = value + self._logdet_f()
-        Q = self._B @ des.ZtA                                # B_l Z_l^T [Z_l X_l y_l]
-        R = (des.ZtA - Q[..., :k].swapaxes(-1, -2) @ Q / s2[3]) / s2[3]  # Z_l^T V_l^{-1} [...]
-        W = R[..., k:k + p]
-        u = R[..., -1] - _mv(W, beta[:, None, :])
+        Q, R, W, u = self._z_products(beta)
         dd = (R.diagonal(0, -2, -1) - u * u).sum(axis=-2)
         T = Q[..., k:].reshape(self.R, -1, p + 1)
         M = (des.XtA - T[..., :p].swapaxes(-1, -2) @ T / s2[2]) / s2[2]  # X^T V^{-1} [X y]
         xvr = M[..., -1] - _mv(M[..., :p], beta)
         if restricted:
-            Wt = W.swapaxes(-3, -2)                      # (..., k, g, p)
-            Finv = np.linalg.inv(self._f_chol[0])[..., None, :, :]
-            dd = dd - (Wt.swapaxes(-1, -2) @ Wt * Finv).sum(axis=(-2, -1))
+            dd = dd - self._f_term(W)
         return value, dd, xvr, des.n - q - p * restricted - _dot(self.d, dd)
+
+    def criterion_parts(self, beta: np.ndarray, restricted: bool):
+        """`criterion`'s quadratic form and log-determinants apart, with their
+        derivatives in d at fixed beta and sigma, from this one factorization.
+
+        Returns (q, logdet, dq, dlog): q = r^T V^{-1} r, logdet = ln|V|, plus
+        ln|X^T V^{-1} X| if `restricted`, dq[i] = -sum_l u_li^2 and dlog[i] =
+        sum_l (Z_l^T V_l^{-1} Z_l)_ii, less sum_l (W_l F^{-1} W_l^T)_ii if
+        `restricted`, in the notation of `criterion_partials`. The two parts
+        scale differently with sigma, which the ML/REML search profiles out
+        (`baseline.criterion_and_gradient`). dq and dlog gain the points axis
+        first.
+        """
+        q = self.quad_form_resid(beta)
+        logdet = self.logdet_v + self._logdet_f() if restricted else self.logdet_v
+        _, R, W, u = self._z_products(beta)
+        dlog = R.diagonal(0, -2, -1).sum(axis=-2)
+        if restricted:
+            dlog = dlog - self._f_term(W)
+        return q, logdet, -(u * u).sum(axis=-2), dlog
+
+    def _z_products(self, beta: np.ndarray):
+        """(Q, R, W, u) per group: Q_l = B_l Z_l^T [Z_l X_l y_l], R_l = Z_l^T
+        V_l^{-1} [Z_l X_l y_l], its block W_l = Z_l^T V_l^{-1} X_l and u_l =
+        Z_l^T V_l^{-1} (y_l - X_l beta)."""
+        des, s2 = self.design, self._s2
+        k = des.k
+        Q = self._B @ des.ZtA
+        R = (des.ZtA - Q[..., :k].swapaxes(-1, -2) @ Q / s2[3]) / s2[3]
+        W = R[..., k:k + des.p]
+        return Q, R, W, R[..., -1] - _mv(W, beta[:, None, :])
+
+    def _f_term(self, W: np.ndarray) -> np.ndarray:
+        """sum_l (W_l F^{-1} W_l^T)_ii: minus the derivative of ln|F| in d_i."""
+        Wt = W.swapaxes(-3, -2)                          # (..., k, g, p)
+        Finv = np.linalg.inv(self._f_chol[0])[..., None, :, :]
+        return (Wt.swapaxes(-1, -2) @ Wt * Finv).sum(axis=(-2, -1))
 
     def zt_vinv_resid(self, beta: np.ndarray) -> np.ndarray:
         """Z_l^T V_l^{-1} (y_l - X_l beta) for every group, as rows of an (R, g, k) array."""

@@ -10,6 +10,7 @@ from scipy import integrate
 from conftest import make_dataset
 from dense import assemble, central_diff_grad, joint_system_solve
 from exact import sdtn_group_loglik
+from cslme import estimate
 from cslme.baseline import (
     PIT_UNDERFLOW_PENALTY,
     QuadratureUnderflowError,
@@ -205,6 +206,81 @@ class TestFitUnconstrained:
         np.testing.assert_allclose(beta_js, beta_cf, rtol=1e-8)
         np.testing.assert_allclose(gamma_js.gamma, gamma_cf.gamma, rtol=1e-8,
                                    atol=1e-10)
+
+
+@functools.cache
+def sleep_and_replications():
+    """(label, data, unconstrained spec): the sleep study with random intercept
+    and slope, and 10 `intercept-p3-n300` replications."""
+    from cslme.cli import InputSchema, ingest
+    from cslme.datasets import sleepstudy_path
+
+    schema = InputSchema(group_column="Subject", response_column="Reaction",
+                         feature_columns=("Days",),
+                         random_effect_columns=("intercept", "Days"))
+    data, spec = ingest(sleepstudy_path(), schema)
+    cases = [("sleepstudy", data, ModelSpec(alpha=spec.alpha, constrained=False))]
+    sc = builtin_scenarios()["intercept-p3-n300"]
+    for rep in range(10):
+        data, _, _ = replication_data(sc, rep)
+        cases.append((f"rep{rep}", data, ModelSpec(alpha=sc.alpha, constrained=False)))
+    return cases
+
+
+class TestProfiledSearch:
+    """ML/REML search v = (varsigma / sigma)^2 with beta and sigma profiled out."""
+
+    @pytest.mark.parametrize("criterion", ["ML", "REML"])
+    def test_exact_fit_ends_at_the_sigma_floor(self, rng, criterion):
+        # y in the column space of X: q0 = 0, and sigma_hat is the floor, not 0
+        data = make_dataset(rng, g=4, sizes=[2, 2, 2, 2], p=2)
+        b = np.array([1.5, -0.4])
+        exact = Dataset(tuple(GroupData(gd.group_id, gd.X @ b, gd.X) for gd in data.groups))
+        spec = ModelSpec(alpha=(0,), constrained=False)
+        res = fit_unconstrained(exact, spec, criterion)
+        assert np.isfinite(res.theta.varsigma).all() and math.isfinite(res.loglik)
+        assert res.theta.sigma == math.exp(BlockDesign(exact, spec).log_sigma_floor)
+        np.testing.assert_allclose(res.beta, b, rtol=1e-8)
+
+    @pytest.mark.parametrize("criterion", ["ML", "REML"])
+    def test_loglik_is_the_criterion_at_theta(self, criterion):
+        loglik = profile_loglik if criterion == "ML" else reml_loglik
+        for label, data, spec in sleep_and_replications():
+            res = fit_unconstrained(data, spec, criterion)
+            assert res.loglik == pytest.approx(loglik(res.theta, data, spec), rel=1e-10), label
+
+    @pytest.mark.parametrize("criterion", ["ML", "REML"])
+    def test_one_solve_per_round(self, monkeypatch, criterion):
+        # one BlockSolve per round of the search, one at the winning v for beta
+        # and sigma, and one at theta for gamma (`gamma_closed_form`)
+        rounds, solves = [], []
+        real_minimize, real_solve = estimate.minimize_starts, BlockDesign.solve
+
+        def counted_minimize(fun, *args, **kwargs):
+            def counted(X):
+                rounds.append(len(X))
+                return fun(X)
+            return real_minimize(counted, *args, **kwargs)
+
+        def counted_solve(design, *args):
+            solves.append(1)
+            return real_solve(design, *args)
+
+        monkeypatch.setattr(estimate, "minimize_starts", counted_minimize)
+        monkeypatch.setattr(BlockDesign, "solve", counted_solve)
+        for label, data, spec in sleep_and_replications():
+            rounds.clear()
+            solves.clear()
+            res = fit_unconstrained(data, spec, criterion)
+            assert sum(rounds) == res.n_eval, label
+            assert len(solves) == len(rounds) + 2, label
+
+    def test_sleep_study_evaluations(self):
+        # at start seed 0, the (varsigma, log sigma) search took 102 (ML) and 109 (REML)
+        _, data, spec = sleep_and_replications()[0]
+        for criterion, before in (("ML", 102), ("REML", 109)):
+            res = fit_unconstrained(data, spec, criterion, seed=0)
+            assert res.converged and res.n_eval <= before // 2, criterion
 
 
 class TestJointSystem:

@@ -149,13 +149,13 @@ class TestFitCommand:
         assert "row 6: non-finite value 'NaN' in 'Reaction'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method, keys", [
-        ("PLS", ["converged", "n_iter", "start_index", "start_objectives",
+        ("PLS", ["converged", "n_iter", "n_eval", "start_index", "start_objectives",
                  "objective_trace"]),
-        ("PRLS", ["converged", "n_iter", "start_index", "start_objectives",
+        ("PRLS", ["converged", "n_iter", "n_eval", "start_index", "start_objectives",
                   "objective_trace"]),
-        ("ML", ["converged", "n_iter"]),
-        ("REML", ["converged", "n_iter"]),
-        ("PIT", ["converged", "n_iter", "quadrature_order"]),
+        ("ML", ["converged", "n_iter", "n_eval"]),
+        ("REML", ["converged", "n_iter", "n_eval"]),
+        ("PIT", ["converged", "n_iter", "n_eval", "quadrature_order"]),
     ])
     def test_diagnostics_keys_per_method(self, tmp_path, method, keys):
         out = tmp_path / "fit.json"

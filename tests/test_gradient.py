@@ -5,7 +5,11 @@ The oracle is the Richardson-extrapolated central difference of criterion
 it to 1e-4 relative, and their values must equal the value-only
 objectives. PLS/PRLS search x = (beta, q, log sigma) with d = beta_alpha^2
 q; their oracle is the dense n x n criterion at that d, which stays smooth
-across both bounds of q, so the differences may step past them.
+across both bounds of q, so the differences may step past them. ML/REML
+search the relative variances v = d / sigma^2 >= 0 with sigma profiled
+out; their oracle is `profile_loglik` (`reml_loglik`) at the profiled
+sigma, which cannot step below v = 0, so it takes forward differences
+there.
 """
 
 import math
@@ -19,7 +23,15 @@ from conftest import make_dataset, random_params
 from dense import assemble, central_diff_grad
 from cslme.baseline import Theta, criterion_and_gradient, profile_loglik, reml_loglik
 from cslme.estimate import objective_and_gradient, pls_objective, prls_objective
-from cslme.model import Q_MAX, BlockDesign, ModelSpec, to_shares, unpack_shares
+from cslme.model import (
+    Q_MAX,
+    BlockDesign,
+    Dataset,
+    GroupData,
+    ModelSpec,
+    to_shares,
+    unpack_shares,
+)
 from cslme.sdtn import SMALL_RHO
 
 # where one random-effect column sits: anywhere, at a zero coefficient, at
@@ -103,6 +115,68 @@ def gradient_cases(draw):
     return data, spec, x, i if kind == "q_max" else None
 
 
+def profiled_sigma2(data, spec, restricted):
+    """sigma^2(v) minimizing the ML (REML) criterion over sigma at relative
+    variances v, from the dense V0 = I + Z diag(v) Z^T: q0 / (n - p
+    [restricted]), q0 the GLS residual's r^T V0^{-1} r, floored at
+    exp(log_sigma_floor)^2."""
+    X, Z, y, _ = assemble(data, spec)
+    floor = math.exp(BlockDesign(data, spec).log_sigma_floor)
+
+    def sigma2(v):
+        V0 = (Z * np.tile(v, data.g)) @ Z.T + np.eye(len(y))
+        Vinv_X = np.linalg.solve(V0, X)
+        r = y - X @ np.linalg.solve(X.T @ Vinv_X, Vinv_X.T @ y)
+        q0 = float(r @ np.linalg.solve(V0, r))
+        return max(q0 / (data.n - data.p * restricted), floor * floor)
+
+    return sigma2
+
+
+def richardson_partials(fun, x, h0, forward):
+    """The gradient of `fun` at x from differences at steps h0, h0/2 and h0/4,
+    Richardson-extrapolated: central ones (error O(h^6)), or forward ones
+    (O(h^3)) on the coordinates where `forward` is set."""
+    grad = np.empty(x.size)
+    for i in range(x.size):
+        def diff(h):
+            e = np.zeros(x.size)
+            e[i] = h
+            if forward[i]:
+                return (fun(x + e) - fun(x)) / h
+            return (fun(x + e) - fun(x - e)) / (2.0 * h)
+
+        d1, d2, d4 = (diff(h0[i] / m) for m in (1, 2, 4))
+        grad[i] = ((8 * d4 - 6 * d2 + d1) / 3 if forward[i]
+                   else (64 * d4 - 20 * d2 + d1) / 45)
+    return grad
+
+
+@st.composite
+def profiled_cases(draw):
+    """Ragged and one-row groups, k in {1, 2, 3}, relative variances v with
+    some entries 0 and, in a near-exact fit, the sigma floor binding.
+
+    Returns (data, spec, v, whether the floor binds at v)."""
+    at_floor = draw(st.booleans())
+    k = draw(st.integers(1, 3))
+    p = draw(st.integers(max(k, 1 + at_floor), 4))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    sizes[0] += max(0, p + 2 - sum(sizes))  # X^T V^-1 X stays nonsingular
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    data = make_dataset(rng, g=len(sizes), sizes=sizes, p=p)
+    if at_floor:  # y = X b + noise: sigma_hat is about 1e-11 sd(y), the floor 1e-6 sd(y)
+        b = np.concatenate([rng.normal(size=p - 1), [1.0]])  # X b is not constant
+        scale = 1e-11 * float(np.std(np.concatenate([gd.X @ b for gd in data.groups])))
+        data = Dataset(tuple(GroupData(gd.group_id, gd.X @ b + scale * rng.normal(size=gd.n),
+                                       gd.X) for gd in data.groups))
+    spec = ModelSpec(alpha=tuple(sorted(rng.choice(p, size=k, replace=False))),
+                     constrained=False)
+    v = rng.gamma(2.0, 0.3, size=k)
+    v[draw(st.lists(st.booleans(), min_size=k, max_size=k))] = 0.0
+    return data, spec, v, at_floor
+
+
 class TestExactGradient:
     @settings(max_examples=60, deadline=None)
     @given(case=gradient_cases(), restricted=st.booleans())
@@ -125,20 +199,29 @@ class TestExactGradient:
             lambda z: objective_and_gradient(design, spec, z, restricted), x,
             value_only=read_back, h0=share_steps(x, p, k))
 
-    @settings(max_examples=40, deadline=None)
-    @given(case=gradient_cases(), criterion=st.sampled_from(("ML", "REML")))
+    @settings(max_examples=60, deadline=None)
+    @given(case=profiled_cases(), criterion=st.sampled_from(("ML", "REML")))
     def test_ml_reml_match_richardson(self, case, criterion):
-        data, spec, x, _ = case
-        spec = ModelSpec(alpha=spec.alpha, constrained=False)
+        data, spec, v, at_floor = case
         design = BlockDesign(data, spec)
-        loglik = profile_loglik if criterion == "ML" else reml_loglik
+        restricted = criterion == "REML"
+        sigma2 = profiled_sigma2(data, spec, restricted)
+        floor = math.exp(design.log_sigma_floor)
+        assert (sigma2(v) == floor * floor) is at_floor
+        loglik = reml_loglik if restricted else profile_loglik
 
-        def fun(x):
-            return -loglik(Theta(np.abs(x[:-1]), math.exp(x[-1])), design, spec)
+        def fun(v):
+            sigma = math.sqrt(sigma2(v))
+            return -loglik(Theta(np.sqrt(v) * sigma, sigma), design, spec)
 
-        x = x[data.p:]
-        assert_matches_oracle(
-            fun, lambda z: criterion_and_gradient(z, design, criterion), x)
+        (value,), (grad,) = criterion_and_gradient(v[None], design, criterion)
+        assert value == pytest.approx(fun(v), rel=1e-12)
+        h0 = 1e-4 * np.maximum(v, 1.0)
+        oracle = richardson_partials(fun, v, h0, forward=v < h0)
+        # plus the oracle's rounding, about 3e-11 |value|: with one group the fixed
+        # effects absorb the deviations, and the REML criterion is flat in v
+        assert (np.linalg.norm(grad - oracle)
+                <= 1e-4 * np.linalg.norm(oracle) + 1e-9 * (1.0 + abs(value)))
 
     def test_unconstrained_negative_coefficient(self, rng):
         # d = beta^2 q: the chain rule carries the coefficients' signs

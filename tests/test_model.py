@@ -407,6 +407,12 @@ class TestBlockSolveAgainstDense:
             assert sol.criterion(beta, True)[0] == pytest.approx(
                 q + logdet_v + np.linalg.slogdet(F)[1], abs=1e-8, rel=1e-9)
             close(sol.gls_beta()[0], np.linalg.solve(F, X.T @ Vinv @ y))
+        # criterion_parts splits criterion_partials' value and partials in d in two
+        for restricted in (False, True) if np.linalg.cond(F) < 1e6 else (False,):
+            value, dd, _, _ = sol.criterion_partials(beta, restricted)
+            q, logdet, dq, dlog = sol.criterion_parts(beta, restricted)
+            assert q[0] + logdet[0] == pytest.approx(value[0], abs=1e-9, rel=1e-12)
+            close(dq + dlog, dd)
 
         # R points at once, the first the case's own: every value is the
         # batches of one's, and the batch raises where a batch of one raises
@@ -451,6 +457,7 @@ class TestBlockSolveAgainstDense:
         for restricted in (False, True):
             same(lambda sol, b: sol.criterion(b, restricted), beta)
             same(lambda sol, b: sol.criterion_partials(b, restricted), beta)
+            same(lambda sol, b: sol.criterion_parts(b, restricted), beta)
 
     def test_batch_raises_where_a_point_raises(self, rng):
         data = make_dataset(rng, g=4, p=2)
@@ -471,7 +478,8 @@ class TestBlockSolveAgainstDense:
         batch = dup.solve(d, sigma)
         assert np.isfinite(batch.criterion(beta, False)).all()
         for value in (batch.gls_beta, lambda: batch.criterion(beta, True),
-                      lambda: batch.criterion_partials(beta, True)):
+                      lambda: batch.criterion_partials(beta, True),
+                      lambda: batch.criterion_parts(beta, True)):
             with pytest.raises(SingularDesignError):
                 value()
 

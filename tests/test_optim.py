@@ -14,7 +14,7 @@ import pytest
 from scipy.optimize import minimize
 
 from cslme import baseline, estimate, optim
-from cslme.model import as_design, search_bounds, share_bounds
+from cslme.model import as_design, share_bounds
 from cslme.optim import (
     MAX_ITER,
     TOL_GRAD,
@@ -91,7 +91,8 @@ def one_point(batch):
 
 
 def sleep_problem(sleep, method, seed=0):
-    """(objective taking X (R, m), starts, bounds) of a sleep-study fit."""
+    """(objective taking X (R, m), starts, bounds) of a sleep-study fit; ML/REML
+    search the relative variances v = (varsigma / sigma)^2 >= 0."""
     data, spec = sleep
     if method in estimate.METHODS:
         design = as_design(data, spec)
@@ -101,7 +102,7 @@ def sleep_problem(sleep, method, seed=0):
     spec = replace(spec, constrained=False)
     design = as_design(data, spec)
     return (lambda x: baseline.criterion_and_gradient(x, design, method),
-            baseline._baseline_starts(design, seed), search_bounds(design, spec)[design.p:])
+            baseline._baseline_starts(design, seed), [(0.0, None)] * design.k)
 
 
 class TestAgainstScipy:
