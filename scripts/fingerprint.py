@@ -20,6 +20,13 @@ bit-equal floats:
   `prls_objective`, `approx_loglik`, `profile_loglik`, `reml_loglik`,
   `profile_beta`, `gamma_closed_form`) at the seed-0 sleep-study PLS,
   PRLS, ML and REML fitted points;
+- the covariance core at those four points: the PLS/PRLS search objective
+  and its gradient (`estimate.objective_and_gradient`) at the point in
+  (beta, q, log sigma), the ML/REML profiled criterion and its gradient
+  (`baseline.criterion_and_gradient`) at the point in v = (varsigma /
+  sigma)^2, and the `BlockSolve` values `criterion_parts` (both
+  `restricted` flags), `gls_beta` and `zt_vinv_resid` at (d, sigma), so
+  that a rounding move in the core shows where it starts;
 - `minimize_labels` on 4 `merit-n30` replications, PLS and PRLS, over
   (beta1, beta2) constrained and free and over label sets that enter V,
   (varsigma0, sigma) and (beta0, varsigma0).
@@ -32,13 +39,22 @@ It uses only the public API, so it runs against any checkout:
 """
 
 from dataclasses import replace
+import math
 
 import numpy as np
 
-from cslme.baseline import Theta, gamma_closed_form, profile_beta, profile_loglik, reml_loglik
+from cslme.baseline import (
+    Theta,
+    criterion_and_gradient,
+    gamma_closed_form,
+    profile_beta,
+    profile_loglik,
+    reml_loglik,
+)
 from cslme.cli import InputSchema, ingest
 from cslme.datasets import sleepstudy_path
-from cslme.estimate import approx_loglik, pls_objective, prls_objective
+from cslme.estimate import approx_loglik, objective_and_gradient, pls_objective, prls_objective
+from cslme.model import BlockDesign, re_variances, to_shares
 from cslme.sim import (
     ALL_METHODS,
     ContourRequest,
@@ -155,6 +171,31 @@ def point_values():
         beta = profile_beta(theta, data, spec)
         emit_all(f"{label}.profile_beta", beta)
         emit_all(f"{label}.gamma_closed_form", gamma_closed_form(theta, data, spec, beta).gamma)
+        core_values(label, data, spec, params)
+
+
+def core_values(label, data, spec, params):
+    design = BlockDesign(data, spec)
+    x = to_shares(np.concatenate([params.beta, params.varsigma, [math.log(params.sigma)]]),
+                  spec)
+    for method, restricted in (("PLS", False), ("PRLS", True)):
+        value, grad = objective_and_gradient(design, spec, x[None], restricted)
+        emit_all(f"{label}.objective_and_gradient.{method}.value", value)
+        emit_all(f"{label}.objective_and_gradient.{method}.grad", grad)
+    v = (params.varsigma / params.sigma) ** 2
+    for criterion in ("ML", "REML"):
+        value, grad = criterion_and_gradient(v[None], design, criterion)
+        emit_all(f"{label}.criterion_and_gradient.{criterion}.value", value)
+        emit_all(f"{label}.criterion_and_gradient.{criterion}.grad", grad)
+    sol = design.solve(re_variances(params.beta, params.varsigma, spec.alpha)[None],
+                       [params.sigma])
+    beta = params.beta[None]
+    for restricted in (False, True):
+        for name, part in zip(("q", "logdet", "dq", "dlog"),
+                              sol.criterion_parts(beta, restricted)):
+            emit_all(f"{label}.criterion_parts.{restricted}.{name}", part)
+    emit_all(f"{label}.gls_beta", sol.gls_beta())
+    emit_all(f"{label}.zt_vinv_resid", sol.zt_vinv_resid(beta))
 
 
 def labeled_searches():
