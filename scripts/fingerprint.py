@@ -20,9 +20,11 @@ bit-equal floats:
   `prls_objective`, `approx_loglik`, `profile_loglik`, `reml_loglik`,
   `profile_beta`, `gamma_closed_form`) at the seed-0 sleep-study PLS,
   PRLS, ML and REML fitted points;
-- the covariance core at those four points: the PLS/PRLS search objective
-  and its gradient (`estimate.objective_and_gradient`) at the point in
-  (beta, q, log sigma), the ML/REML profiled criterion and its gradient
+- the covariance core at those four points, each rounded to 6 significant
+  digits so that a fit's own rounding-level move does not move it: the
+  PLS/PRLS search objective and its gradient
+  (`estimate.objective_and_gradient`) at the point in (beta, q, log sigma),
+  the ML/REML profiled criterion and its gradient
   (`baseline.criterion_and_gradient`) at the point in v = (varsigma /
   sigma)^2, and the `BlockSolve` values `criterion_parts` (both
   `restricted` flags), `gls_beta` and `zt_vinv_resid` at (d, sigma), so
@@ -175,27 +177,26 @@ def point_values():
 
 
 def core_values(label, data, spec, params):
+    beta, varsigma, (sigma,) = (np.array([float(f"{v:.6g}") for v in np.ravel(a)])
+                                for a in (params.beta, params.varsigma, params.sigma))
     design = BlockDesign(data, spec)
-    x = to_shares(np.concatenate([params.beta, params.varsigma, [math.log(params.sigma)]]),
-                  spec)
+    x = to_shares(np.concatenate([beta, varsigma, [math.log(sigma)]]), spec)
     for method, restricted in (("PLS", False), ("PRLS", True)):
         value, grad = objective_and_gradient(design, spec, x[None], restricted)
         emit_all(f"{label}.objective_and_gradient.{method}.value", value)
         emit_all(f"{label}.objective_and_gradient.{method}.grad", grad)
-    v = (params.varsigma / params.sigma) ** 2
+    v = (varsigma / sigma) ** 2
     for criterion in ("ML", "REML"):
         value, grad = criterion_and_gradient(v[None], design, criterion)
         emit_all(f"{label}.criterion_and_gradient.{criterion}.value", value)
         emit_all(f"{label}.criterion_and_gradient.{criterion}.grad", grad)
-    sol = design.solve(re_variances(params.beta, params.varsigma, spec.alpha)[None],
-                       [params.sigma])
-    beta = params.beta[None]
+    sol = design.solve(re_variances(beta, varsigma, spec.alpha)[None], [sigma])
     for restricted in (False, True):
         for name, part in zip(("q", "logdet", "dq", "dlog"),
-                              sol.criterion_parts(beta, restricted)):
+                              sol.criterion_parts(beta[None], restricted)):
             emit_all(f"{label}.criterion_parts.{restricted}.{name}", part)
     emit_all(f"{label}.gls_beta", sol.gls_beta())
-    emit_all(f"{label}.zt_vinv_resid", sol.zt_vinv_resid(beta))
+    emit_all(f"{label}.zt_vinv_resid", sol.zt_vinv_resid(beta[None]))
 
 
 def labeled_searches():

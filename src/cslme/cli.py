@@ -72,6 +72,16 @@ class InputSchema:
         object.__setattr__(self, "feature_columns", tuple(self.feature_columns))
         object.__setattr__(self, "random_effect_columns",
                            tuple(self.random_effect_columns))
+        roles = {}
+        for role, col in (("group", self.group_column), ("response", self.response_column),
+                          *(("feature", c) for c in self.feature_columns)):
+            if col in roles:
+                raise SchemaError(f"{role} column {col!r} is listed twice" if roles[col] == role
+                                  else f"column {col!r} is both the {roles[col]} and a {role}")
+            roles[col] = role
+        for i, col in enumerate(self.random_effect_columns):
+            if col in self.random_effect_columns[:i]:
+                raise SchemaError(f"random-effect column {col!r} is listed twice")
         for col in self.random_effect_columns:
             if col == "intercept":
                 if not self.intercept:
@@ -192,46 +202,113 @@ def read_config(path) -> dict:
     return out
 
 
-def _cfg_float_list(cfg, key):
-    return [float(v) for v in cfg[key].replace(",", " ").split()]
+def _words(raw: str) -> list:
+    return raw.replace(",", " ").split()
 
 
-def _cfg_int_list(cfg, key):
-    return [int(v) for v in cfg[key].replace(",", " ").split()]
+# How each config value is read: (parse, what a value must be). A parse
+# failure raises ValueError or KeyError.
+_INT = (int, "an integer")
+_FLOAT = (float, "a number")
+_INTS = (lambda raw: [int(v) for v in _words(raw)], "a list of integers")
+_FLOATS = (lambda raw: [float(v) for v in _words(raw)], "a list of numbers")
+_BOOL = (lambda raw: {"true": True, "yes": True, "1": True,
+                      "false": False, "no": False, "0": False}[raw.lower()],
+         "one of true/false/yes/no/1/0")
+_NAMES = (lambda raw: [v.strip() for v in raw.split(",")], "a list of names")
 
 
-def _cfg_parameters(cfg) -> Parameters:
-    return Parameters(beta=np.asarray(_cfg_float_list(cfg, "beta")),
-                      varsigma=np.asarray(_cfg_float_list(cfg, "varsigma")),
-                      sigma=float(cfg["sigma"]))
+def _methods(raw: str) -> tuple:
+    methods = tuple(m.strip().upper() for m in raw.split(","))
+    if not set(methods) <= set(ALL_METHODS):
+        raise ValueError(raw)
+    return methods
 
 
-def _scenario_from_config(cfg: dict) -> Scenario:
+_METHODS = (_methods, f"a list of methods from {', '.join(ALL_METHODS)}")
+_OBJECTIVE = (lambda raw: {m: m for m in METHODS}[raw.upper()], f"one of {', '.join(METHODS)}")
+
+# the parameter point (beta, varsigma, sigma): a scenario's truth or a contour's fixed point
+_POINT_KEYS = ("beta", "varsigma", "sigma")
+# the keys that describe a scenario: a built-in's name, or the model itself
+_BUILTIN_KEYS = ("scenario", "seed")
+_EXPLICIT_KEYS = ("n", "p", "g", "alpha", *_POINT_KEYS, "intercept", "seed")
+
+
+@dataclass(frozen=True)
+class Config:
+    """A config file's `key = value` entries, read by key.
+
+    A key the command does not use (`check_keys`), a missing required key
+    and a value that does not parse (`get`) raise SchemaError naming the
+    file, the key and the raw value.
+    """
+
+    path: str
+    entries: dict
+
+    @classmethod
+    def read(cls, path) -> "Config":
+        return cls(str(path), read_config(path))
+
+    def __contains__(self, key) -> bool:
+        return key in self.entries
+
+    def scenario_keys(self) -> tuple:
+        return _BUILTIN_KEYS if "scenario" in self else _EXPLICIT_KEYS
+
+    def check_keys(self, command: str, used):
+        used = tuple(dict.fromkeys(used))
+        for key, raw in self.entries.items():
+            if key not in used:
+                raise SchemaError(f"{self.path}: key {key!r} (= {raw!r}) is not used by "
+                                  f"{command} here; it reads {', '.join(used)}")
+
+    def get(self, key, reader, default=None, required=False):
+        if key not in self.entries:
+            if required:
+                raise SchemaError(f"{self.path}: missing key {key!r}")
+            return default
+        raw = self.entries[key]
+        parse, kind = reader
+        try:
+            return parse(raw)
+        except (ValueError, KeyError):
+            raise SchemaError(f"{self.path}: {key} = {raw!r} is not {kind}") from None
+
+    def parameters(self) -> Parameters:
+        """The point (beta, varsigma, sigma) that the config's keys name."""
+        beta, varsigma = (np.asarray(self.get(key, _FLOATS, required=True))
+                          for key in ("beta", "varsigma"))
+        sigma = self.get("sigma", _FLOAT, required=True)
+        try:
+            return Parameters(beta=beta, varsigma=varsigma, sigma=sigma)
+        except ValueError as exc:
+            raise SchemaError(f"{self.path}: {exc}") from None
+
+
+def _scenario_from_config(cfg: Config) -> Scenario:
     if "scenario" in cfg:
-        name = cfg["scenario"]
+        name = cfg.entries["scenario"]
         registry = builtin_scenarios()
         if name not in registry:
             raise SchemaError(
-                f"unknown built-in scenario {name!r}; available: {sorted(registry)}"
+                f"{cfg.path}: unknown built-in scenario {name!r}; available: {sorted(registry)}"
             )
-        base = registry[name]
-        return replace(base, replications=int(cfg.get("replications", base.replications)),
-                       seed=int(cfg.get("seed", base.seed)))
+        base, fields = registry[name], {}
+    else:
+        base, fields = None, dict(
+            n=cfg.get("n", _INT, required=True), p=cfg.get("p", _INT, required=True),
+            g=cfg.get("g", _INT, required=True),
+            alpha=tuple(cfg.get("alpha", _INTS, required=True)),
+            truth=cfg.parameters(), intercept=cfg.get("intercept", _BOOL, True))
+    for key in ("replications", "seed"):
+        if key in cfg:
+            fields[key] = cfg.get(key, _INT)
     try:
-        truth = _cfg_parameters(cfg)
-        scenario = Scenario(
-            n=int(cfg["n"]), p=int(cfg["p"]), g=int(cfg["g"]),
-            alpha=tuple(_cfg_int_list(cfg, "alpha")),
-            truth=truth,
-            replications=int(cfg.get("replications", 200)),
-            seed=int(cfg.get("seed", 0)),
-            intercept=cfg.get("intercept", "true").lower() in ("1", "true", "yes"),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"scenario config missing key {exc.args[0]!r}") from None
+        return Scenario(**fields) if base is None else replace(base, **fields)
     except ValueError as exc:
-        raise SchemaError(f"invalid scenario config: {exc}") from None
-    return scenario
+        raise SchemaError(f"{cfg.path}: invalid scenario config: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +508,16 @@ def _print_fit_summary(doc):
 
 
 def cmd_simulate(args) -> int:
-    cfg = read_config(args.config)
+    cfg = Config.read(args.config)
+    cfg.check_keys("simulate", cfg.scenario_keys() + ("replications", "methods", "pit_q",
+                                                      "starts"))
     scenario = _scenario_from_config(cfg)
-    methods = tuple(
-        m.strip().upper() for m in cfg.get("methods", "PLS,PRLS,REML").split(",")
-    )
-    pit_q = int(cfg.get("pit_q", 2))
-    n_starts = int(cfg.get("starts", 5))
+    methods = cfg.get("methods", _METHODS, ("PLS", "PRLS", "REML"))
+    pit_q = cfg.get("pit_q", _INT, 2)
+    n_starts = cfg.get("starts", _INT, 5)
     resolved = {
         "n": scenario.n, "p": scenario.p, "g": scenario.g,
-        "alpha": list(scenario.alpha),
+        "alpha": list(scenario.alpha), "intercept": scenario.intercept,
         "beta": [float(b) for b in scenario.truth.beta],
         "varsigma": [float(v) for v in scenario.truth.varsigma],
         "sigma": float(scenario.truth.sigma),
@@ -455,17 +532,21 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_contour(args) -> int:
-    cfg = read_config(args.config)
-    for key in ("objective", "vary", "range1", "range2"):
-        if key not in cfg:
-            raise SchemaError(f"contour config missing key {key!r}")
-    vary = tuple(v.strip() for v in cfg["vary"].split(","))
+    cfg = Config.read(args.config)
+    cfg.check_keys("contour", ("objective", "vary", "range1", "range2", "levels", "level_tol")
+                   + _POINT_KEYS + (() if args.data else cfg.scenario_keys() + ("data_rep",)))
+    objective = cfg.get("objective", _OBJECTIVE, required=True)
+    vary = tuple(cfg.get("vary", _NAMES, required=True))
     ranges = []
     for key in ("range1", "range2"):
-        parts = _cfg_float_list(cfg, key)
+        parts = cfg.get(key, _FLOATS, required=True)
         if len(parts) != 3:
-            raise SchemaError(f"{key} must be 'lo, hi, steps'")
+            raise SchemaError(f"{cfg.path}: {key} = {cfg.entries[key]!r} is not "
+                              "'lo, hi, steps'")
         ranges.append(tuple(parts))  # ContourRequest checks the step count
+    fixed = cfg.parameters()
+    levels = cfg.get("levels", _FLOATS)
+    level_tol = cfg.get("level_tol", _FLOAT, 0.01)
 
     if args.data:
         if not (args.group_col and args.response_col and args.features):
@@ -476,20 +557,14 @@ def cmd_contour(args) -> int:
     else:
         scenario = _scenario_from_config(cfg)
         spec = scenario.model_spec()
-        dataset, _, _ = replication_data(scenario, int(cfg.get("data_rep", 0)))
+        dataset, _, _ = replication_data(scenario, cfg.get("data_rep", _INT, 0))
 
-    try:
-        fixed = _cfg_parameters(cfg)
-    except KeyError as exc:
-        raise SchemaError(f"contour config missing key {exc.args[0]!r}") from None
-    request = ContourRequest(objective=cfg["objective"].upper(), vary=vary,
-                             ranges=tuple(ranges), fixed=fixed)
+    request = ContourRequest(objective=objective, vary=vary, ranges=tuple(ranges), fixed=fixed)
     grid = contour_grid(request, dataset, spec)
     write_csv(args.out, contour_rows(grid, vary))
 
-    if "levels" in cfg:
-        side_rows = level_rows(grid, vary, _cfg_float_list(cfg, "levels"),
-                               float(cfg.get("level_tol", 0.01)))
+    if levels is not None:
+        side_rows = level_rows(grid, vary, levels, level_tol)
         side_out = None
         if args.out not in (None, "-"):
             side_out = str(args.out) + ".levels.csv"

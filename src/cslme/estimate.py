@@ -26,10 +26,12 @@ read-back varsigma (about 2.8e7 |beta_alpha|) is a finite stand-in.
 
 Each optimizer call returns the objective and its exact gradient in
 (beta, q, log sigma) at every start's pending point from one batched
-factorization of V (`objective_and_gradient`): the value and its partials
-in the random-effect variances d, in beta and in log sigma come from
-`BlockSolve.criterion_partials`, and d = beta_alpha^2 q is one array
-operation, with dd/dq = beta_alpha^2 and dd/dbeta_alpha = 2 beta_alpha q.
+factorization of V (`objective_and_gradient`). The value and its partial
+in the random-effect variances d come from `BlockSolve.criterion_parts`,
+the partial in beta from X^T V^{-1} r (`BlockSolve.xt_vinv_resid`), and
+the partial in log sigma follows from them, as V is homogeneous of degree
+1 in (d, sigma^2). d = beta_alpha^2 q is one array operation, with dd/dq =
+beta_alpha^2 and dd/dbeta_alpha = 2 beta_alpha q.
 """
 
 from dataclasses import dataclass, field
@@ -108,19 +110,23 @@ def objective_and_gradient(design: BlockDesign, spec: ModelSpec, x: np.ndarray,
 
     x is (R, m), evaluated by one batched `BlockSolve`, with values (R,)
     and gradients (R, m). The value is `BlockSolve.criterion` at d =
-    beta_alpha^2 q, and a point's value and gradient do not depend on the
-    batch.
+    beta_alpha^2 q, bit for bit, and a point's value and gradient do not
+    depend on the batch.
     """
     p, k = design.p, spec.k
     alpha = list(spec.alpha)
     beta, q, b = x[:, :p], x[:, p:p + k], x[:, alpha]
-    sol = design.solve(b * b * q, exp_each(x[:, -1]))
-    value, dd, xvr, half_dlogsigma = sol.criterion_partials(beta, restricted)
+    d = b * b * q
+    sol = design.solve(d, exp_each(x[:, -1]))
+    quad, logdet, dq, dlog = sol.criterion_parts(beta, restricted)
+    dd = dq + dlog
     grad = np.empty(x.shape)
-    grad[:, :p] = -2.0 * xvr
+    grad[:, :p] = -2.0 * sol.xt_vinv_resid(beta)
     grad[:, alpha] += dd * (2.0 * b * q)
     grad[:, p:p + k] = dd * (b * b)
-    grad[:, -1] = 2.0 * half_dlogsigma
+    # V is homogeneous of degree 1 in (d, sigma^2)
+    grad[:, -1] = 2.0 * (design.n - quad - p * restricted - (d * dd).sum(axis=1))
+    value = quad + logdet
     return value, grad
 
 
@@ -149,7 +155,7 @@ def approx_loglik(params: Parameters, dataset, spec: ModelSpec) -> float:
 def _check_full_rank(design: BlockDesign):
     """Raise SingularDesignError naming the first column of X collinear with
     those before it, by `BlockSolve._pivots_ok`'s rule on X^T X."""
-    F = design.XtX
+    F = design.XtA[:, :-1]
     for j in range(1, design.p + 1):
         try:
             ok = BlockSolve._pivots_ok(F[:j, :j], np.linalg.cholesky(F[:j, :j]))

@@ -8,21 +8,21 @@ deviations; the per-group random-effect design is Z_l = X_l[:, alpha].
 The marginal covariance of the stacked response is V = Z Lambda Z^T +
 sigma^2 I with Lambda diagonal, so V is block diagonal by group. All
 determinant/solve work goes through the g small k x k capacitance matrices
-(Woodbury / Sylvester), never the full n x n matrix. BlockDesign forms the
-per-group cross-products once, in O(n (p + k)^2); each (d, sigma)
-evaluation is then one batched factorization of the capacitance matrices
-and batched contractions, O(g k^3 + g k p), plus one O(n p) mat-vec for a
-residual.
+(Woodbury / Sylvester), never the full n x n matrix. BlockDesign forms two
+cross-products once, in O(n (p + k)^2): Z_l^T [Z_l X_l y_l] per group and
+X^T [X y]. Each (d, sigma) evaluation is then one batched factorization of
+the capacitance matrices, one batched product of their factors with
+Z_l^T [Z_l X_l y_l] and contractions of it, O(g k^3 + g k p), plus one
+O(n p) mat-vec for a residual.
 
 `BlockSolve.criterion` is the one Gaussian criterion behind every
 estimator: r^T V^{-1} r + ln|V|, plus ln|X^T V^{-1} X| when restricted.
 PLS/PRLS evaluate it at the sign-constrained beta, ML/REML at the GLS
 beta (`BlockSolve.gls_beta`), which reads the same Cholesky factor of
-X^T V^{-1} X. `BlockSolve.criterion_partials` adds the partial derivatives
-an exact gradient needs, for O(g k^2 (k + p) + g k p^2 + p^3) more;
-`BlockSolve.criterion_parts` gives the quadratic form and the
-log-determinants apart, with their partials in d, for the ML/REML search
-that profiles sigma out.
+X^T V^{-1} X. `BlockSolve.criterion_parts` gives the quadratic form and
+the log-determinants apart, with their partials in d, for O(g k^2 (k + p)
++ g k p^2 + p^3) more: the ML/REML search that profiles sigma out weighs
+the parts apart, and the PLS/PRLS gradient adds them.
 
 A `BlockSolve` holds R points (d, sigma) along a leading points axis, as
 a contour grid, one lockstep round of a fit's starts or one
@@ -273,13 +273,13 @@ def sdtn_variances(params: Parameters, spec: ModelSpec) -> np.ndarray:
 class BlockDesign:
     """Stacked data and per-group cross-products for block-diagonal V work.
 
-    Set-up forms, once per dataset, the stacked X and y, the totals X^T X
-    and X^T y and the per-group cross-products Z_l^T Z_l (g, k, k),
-    Z_l^T X_l (g, k, p) and Z_l^T y_l (g, k): O(n (p + k)^2). Each
-    (d, sigma) evaluation then factorizes the g capacitance matrices
-    M_l = I + S Z_l^T Z_l S / sigma^2, S = diag(sqrt(d)), in one batched
-    call and works from the cross-products alone: O(g k^3 + g k p), plus
-    one O(n p) mat-vec for a residual quadratic form.
+    Set-up forms, once per dataset, the stacked X and y and two
+    cross-products of A = [Z X y]: ZtA, Z_l^T A_l per group (g, k, k + p +
+    1), and XtA, X^T [X y] (p, p + 1): O(n (p + k)^2). Each (d, sigma)
+    evaluation then factorizes the g capacitance matrices M_l = I + S
+    Z_l^T Z_l S / sigma^2, S = diag(sqrt(d)), in one batched call and works
+    from the cross-products alone: O(g k^3 + g k p), plus one O(n p)
+    mat-vec for a residual quadratic form.
     """
 
     def __init__(self, dataset: Dataset, spec: ModelSpec):
@@ -296,21 +296,12 @@ class BlockDesign:
         self.Zs = [gd.X[:, cols] for gd in dataset.groups]
         self.X = np.vstack(self.Xs)
         self.n = self.X.shape[0]
-        Z = self.X[:, cols]
-        starts = np.cumsum([0] + [gd.n for gd in dataset.groups[:-1]])
-
-        def per_group(rows):
-            return np.add.reduceat(rows, starts, axis=0)
-
-        self.ZtZ = per_group(Z[:, :, None] * Z[:, None, :])
-        self.ZtX = per_group(Z[:, :, None] * self.X[:, None, :])
-        self.XtX = self.X.T @ self.X
         self.y = np.concatenate(self.ys)
-        self.Zty = per_group(Z * self.y[:, None])
-        self.Xty = self.X.T @ self.y
-        # the same, side by side, for the gradient: Z_l^T [Z_l X_l y_l], X^T [X y]
-        self.ZtA = np.concatenate([self.ZtZ, self.ZtX, self.Zty[:, :, None]], axis=2)
-        self.XtA = np.column_stack([self.XtX, self.Xty])
+        # [Z X y] row by row, and its per-group and total cross-products
+        A = np.column_stack([self.X[:, cols], self.X, self.y])
+        starts = np.cumsum([0] + [gd.n for gd in dataset.groups[:-1]])
+        self.ZtA = np.add.reduceat(A[:, :self.k, None] * A[:, None, :], starts, axis=0)
+        self.XtA = self.X.T @ A[:, self.k:]
         self.eye = np.eye(self.k)
 
     @property
@@ -512,8 +503,10 @@ class BlockSolve:
     Every value gains the points axis first: (R,) values, (R, p) vectors
     (beta is (R, p)). With M_l = L_l L_l^T and B_l = L_l^{-1} S, the
     Woodbury identity gives V_l^{-1} = (I - Z_l B_l^T B_l Z_l^T / sigma^2)
-    / sigma^2, so every product below is a batched contraction of the
-    design's cross-products.
+    / sigma^2. So every value is read off one batched product, Q_l = B_l
+    Z_l^T [Z_l X_l y_l], formed once: Z_l^T V_l^{-1} [Z_l X_l y_l], X^T
+    V^{-1} [X y] and the quadratic form's B_l Z_l^T r_l are contractions
+    of Q with the design's cross-products.
 
     A batch raises if any of its points has sigma^2 underflowing to 0
     (ValueError), a finite capacitance matrix that does not factor
@@ -539,7 +532,6 @@ class BlockSolve:
             raise ValueError(f"sigma must be positive, got {sigma}")
         self.design = design
         self.R = len(sigma)
-        self.d = d
         # sigma^2, overflowing to inf silently as a Python float does, and
         # shaped to divide arrays with 0, 1, 2 or 3 core axes
         with np.errstate(over="ignore"):
@@ -547,8 +539,8 @@ class BlockSolve:
         self._s2 = [self.sigma2.reshape((self.R,) + (1,) * i) for i in range(4)]
         s = np.sqrt(d)
         L = np.linalg.cholesky(
-            design.eye + design.ZtZ * (s[:, None, :, None] * s[:, None, None, :]
-                                       / self._s2[3]))
+            design.eye + design.ZtA[..., :design.k] * (s[:, None, :, None]
+                                                        * s[:, None, None, :] / self._s2[3]))
         # math.log at every point: numpy's vectorized log can be an ulp away from it
         log_s2 = np.array([math.log(v) for v in self.sigma2.tolist()])
         self.logdet_v = design.n * log_s2 + _logdet_chol(L)
@@ -564,30 +556,44 @@ class BlockSolve:
         """
         return bool((L.diagonal(0, -2, -1) ** 2 > 1e-14 * F.diagonal(0, -2, -1)).all())
 
-    def _BZtX(self) -> np.ndarray:
-        """B_l Z_l^T X_l stacked over groups, (R, g k, p)."""
-        return (self._B @ self.design.ZtX).reshape(self.R, -1, self.design.p)
+    @cached_property
+    def _Q(self) -> np.ndarray:
+        """Q_l = B_l Z_l^T [Z_l X_l y_l], (R, g, k, k + p + 1): the one product
+        with the factors that every value below is read off."""
+        return self._B @ self.design.ZtA
 
-    def _Ztr(self, beta: np.ndarray) -> np.ndarray:
-        des = self.design
-        return des.Zty - _mv(des.ZtX, beta[:, None, :])
+    @cached_property
+    def _ZVA(self) -> np.ndarray:
+        """Z_l^T V_l^{-1} [Z_l X_l y_l] = (Z_l^T A_l - Q_l[:, :k]^T Q_l / sigma^2)
+        / sigma^2, (R, g, k, k + p + 1)."""
+        Q, s2 = self._Q, self._s2[3]
+        return (self.design.ZtA - Q[..., :self.design.k].swapaxes(-1, -2) @ Q / s2) / s2
+
+    @cached_property
+    def _XVA(self) -> np.ndarray:
+        """X^T V^{-1} [X y] = (X^T [X y] - T^T T / sigma^2) / sigma^2 with T the
+        X and y columns of Q stacked over groups, (R, p, p + 1)."""
+        des, s2 = self.design, self._s2[2]
+        T = self._Q[..., des.k:].reshape(self.R, -1, des.p + 1)
+        return (des.XtA - T[..., :des.p].swapaxes(-1, -2) @ T / s2) / s2
 
     def quad_form_resid(self, beta: np.ndarray):
         """(y - X beta)^T V^{-1} (y - X beta); r^T r from the stacked residual."""
         des = self.design
         r = des.y - _mv(des.X, beta)
-        u = (self._B @ self._Ztr(beta)[..., None]).reshape(self.R, -1)
+        Q = self._Q
+        u = (Q[..., -1] - _mv(Q[..., des.k:-1], beta[:, None, :])).reshape(self.R, -1)
         return (_dot(r, r) - _dot(u, u) / self.sigma2) / self.sigma2
 
     def xt_vinv_x(self) -> np.ndarray:
-        T = self._BZtX()
-        s2 = self._s2[2]
-        return (self.design.XtX - T.swapaxes(-1, -2) @ T / s2) / s2
+        return self._XVA[..., :-1].copy()
 
     def xt_vinv_y(self) -> np.ndarray:
-        u = (self._B @ self.design.Zty[..., None]).reshape(self.R, -1)
-        s2 = self._s2[1]
-        return (self.design.Xty - _mv(self._BZtX().swapaxes(-1, -2), u) / s2) / s2
+        return self._XVA[..., -1].copy()
+
+    def xt_vinv_resid(self, beta: np.ndarray) -> np.ndarray:
+        """X^T V^{-1} (y - X beta), (R, p)."""
+        return self._XVA[..., -1] - _mv(self._XVA[..., :-1], beta)
 
     @cached_property
     def _f_chol(self):
@@ -605,8 +611,9 @@ class BlockSolve:
             raise SingularDesignError("X^T V^{-1} X is singular")
         return F, L
 
-    def _logdet_f(self):
-        return _logdet_chol(self._f_chol[1])
+    def _logdet(self, restricted: bool):
+        """ln|V|, plus ln|X^T V^{-1} X| if `restricted`."""
+        return self.logdet_v + _logdet_chol(self._f_chol[1]) if restricted else self.logdet_v
 
     def gls_beta(self) -> np.ndarray:
         """Generalized-least-squares fixed effects F^{-1} X^T V^{-1} y."""
@@ -619,85 +626,33 @@ class BlockSolve:
         The PLS (PRLS) objective at beta; at beta = gls_beta() it is -2
         times the profile (restricted) log-likelihood, up to constants.
         """
-        value = self.quad_form_resid(beta) + self.logdet_v
-        if restricted:
-            value = value + self._logdet_f()
-        return value
-
-    def criterion_partials(self, beta: np.ndarray, restricted: bool):
-        """`criterion` and its partial derivatives, from this one factorization.
-
-        Returns (value, dd, xvr, half_dlogsigma). dd[i], the derivative in
-        d_i at fixed beta and sigma, is sum_l [(Z_l^T V_l^{-1} Z_l)_ii -
-        u_li^2] with u_l = Z_l^T V_l^{-1} r_l; if `restricted` it also
-        carries the derivative of ln|F|, -sum_l (W_l F^{-1} W_l^T)_ii with
-        W_l = Z_l^T V_l^{-1} X_l. xvr = X^T V^{-1} r, so the derivative in
-        beta at fixed V is -2 xvr. V is homogeneous of degree 1 in (d,
-        sigma^2), so the derivative in log sigma at fixed beta and d is
-        twice
-
-            half_dlogsigma = n - q - p [restricted] - sum_i d_i dd_i,
-
-        with q the quadratic form. Everything is read off Z_l^T V_l^{-1}
-        [Z_l X_l y_l] and X^T V^{-1} [X y], one batched product each, with
-        u_l and xvr formed as (.. y) - (.. X) beta: O(g k^2 (k + p) + g k
-        p^2 + p^3). dd and xvr gain the points axis first.
-        """
-        des = self.design
-        k, p, s2 = des.k, des.p, self._s2
-        q = self.quad_form_resid(beta)
-        value = q + self.logdet_v
-        if restricted:
-            value = value + self._logdet_f()
-        Q, R, W, u = self._z_products(beta)
-        dd = (R.diagonal(0, -2, -1) - u * u).sum(axis=-2)
-        T = Q[..., k:].reshape(self.R, -1, p + 1)
-        M = (des.XtA - T[..., :p].swapaxes(-1, -2) @ T / s2[2]) / s2[2]  # X^T V^{-1} [X y]
-        xvr = M[..., -1] - _mv(M[..., :p], beta)
-        if restricted:
-            dd = dd - self._f_term(W)
-        return value, dd, xvr, des.n - q - p * restricted - _dot(self.d, dd)
+        return self.quad_form_resid(beta) + self._logdet(restricted)
 
     def criterion_parts(self, beta: np.ndarray, restricted: bool):
         """`criterion`'s quadratic form and log-determinants apart, with their
         derivatives in d at fixed beta and sigma, from this one factorization.
 
         Returns (q, logdet, dq, dlog): q = r^T V^{-1} r, logdet = ln|V|, plus
-        ln|X^T V^{-1} X| if `restricted`, dq[i] = -sum_l u_li^2 and dlog[i] =
-        sum_l (Z_l^T V_l^{-1} Z_l)_ii, less sum_l (W_l F^{-1} W_l^T)_ii if
-        `restricted`, in the notation of `criterion_partials`. The two parts
-        scale differently with sigma, which the ML/REML search profiles out
-        (`baseline.criterion_and_gradient`). dq and dlog gain the points axis
-        first.
+        ln|F| if `restricted`, F = X^T V^{-1} X; dq[i] = -sum_l u_li^2 with
+        u_l = Z_l^T V_l^{-1} r_l, and dlog[i] = sum_l (Z_l^T V_l^{-1} Z_l)_ii,
+        less sum_l (W_l F^{-1} W_l^T)_ii with W_l = Z_l^T V_l^{-1} X_l if
+        `restricted`. The two parts scale differently with sigma, which the
+        ML/REML search profiles out (`baseline.criterion_and_gradient`);
+        PLS/PRLS add them (`estimate.objective_and_gradient`). Each is read
+        off Z_l^T V_l^{-1} [Z_l X_l y_l]: O(g k^2 (k + p) + g k p^2 + p^3).
+        dq and dlog gain the points axis first.
         """
+        k = self.design.k
         q = self.quad_form_resid(beta)
-        logdet = self.logdet_v + self._logdet_f() if restricted else self.logdet_v
-        _, R, W, u = self._z_products(beta)
-        dlog = R.diagonal(0, -2, -1).sum(axis=-2)
+        u = self.zt_vinv_resid(beta)
+        dlog = self._ZVA[..., :k].diagonal(0, -2, -1).sum(axis=-2)
         if restricted:
-            dlog = dlog - self._f_term(W)
-        return q, logdet, -(u * u).sum(axis=-2), dlog
-
-    def _z_products(self, beta: np.ndarray):
-        """(Q, R, W, u) per group: Q_l = B_l Z_l^T [Z_l X_l y_l], R_l = Z_l^T
-        V_l^{-1} [Z_l X_l y_l], its block W_l = Z_l^T V_l^{-1} X_l and u_l =
-        Z_l^T V_l^{-1} (y_l - X_l beta)."""
-        des, s2 = self.design, self._s2
-        k = des.k
-        Q = self._B @ des.ZtA
-        R = (des.ZtA - Q[..., :k].swapaxes(-1, -2) @ Q / s2[3]) / s2[3]
-        W = R[..., k:k + des.p]
-        return Q, R, W, R[..., -1] - _mv(W, beta[:, None, :])
-
-    def _f_term(self, W: np.ndarray) -> np.ndarray:
-        """sum_l (W_l F^{-1} W_l^T)_ii: minus the derivative of ln|F| in d_i."""
-        Wt = W.swapaxes(-3, -2)                          # (..., k, g, p)
-        Finv = np.linalg.inv(self._f_chol[0])[..., None, :, :]
-        return (Wt.swapaxes(-1, -2) @ Wt * Finv).sum(axis=(-2, -1))
+            Wt = self._ZVA[..., k:-1].swapaxes(-3, -2)           # (R, k, g, p)
+            Finv = np.linalg.inv(self._f_chol[0])[..., None, :, :]
+            dlog = dlog - (Wt.swapaxes(-1, -2) @ Wt * Finv).sum(axis=(-2, -1))
+        return q, self._logdet(restricted), -(u * u).sum(axis=-2), dlog
 
     def zt_vinv_resid(self, beta: np.ndarray) -> np.ndarray:
         """Z_l^T V_l^{-1} (y_l - X_l beta) for every group, as rows of an (R, g, k) array."""
-        des = self.design
-        z = self._Ztr(beta)[..., None]
-        w = self._B.swapaxes(-1, -2) @ (self._B @ z)
-        return (z - des.ZtZ @ w / self._s2[3])[..., 0] / self._s2[2]
+        ZVA, k = self._ZVA, self.design.k
+        return ZVA[..., -1] - _mv(ZVA[..., k:-1], beta[:, None, :])

@@ -35,6 +35,20 @@ class TestIngest:
         with pytest.raises(SchemaError, match="2 groups"):
             ingest(path, schema)
 
+    @pytest.mark.parametrize("features, random_effects, message", [
+        ("Days,Days", "intercept", "feature column 'Days' is listed twice"),
+        ("Days", "Days,Days", "random-effect column 'Days' is listed twice"),
+        ("Reaction", "intercept", "column 'Reaction' is both the response and a feature"),
+    ])
+    def test_one_role_per_column(self, tmp_path, capsys, features, random_effects, message):
+        out = tmp_path / "fit.json"
+        code = main(["fit", str(sleepstudy_path()), "--group-col", "Subject",
+                     "--response-col", "Reaction", "--features", features,
+                     "--random-effects", random_effects, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_missing_value_names_row(self, tmp_path):
         path = write_csv(tmp_path / "bad.csv", "y,x,g\n1,2,a\n,4,b\n")
         schema = InputSchema("g", "y", ("x",))
@@ -338,6 +352,46 @@ class TestConfigParser:
         cfg.write_text("just some text\n")
         with pytest.raises(SchemaError, match="c.cfg:1"):
             read_config(cfg)
+
+
+SIM_CFG = "scenario = intercept-p3-n300\nreplications = 1\nmethods = PLS\n"
+MODEL_CFG = ("n = 40\np = 2\ng = 2\nalpha = 0\nbeta = 0.5, 1.0\nvarsigma = 0.2\n"
+             "sigma = 1.0\nreplications = 1\nmethods = PLS\n")
+CONTOUR_CFG = ("objective = PLS\nvary = beta1, beta2\nrange1 = 0, 2, 3\nrange2 = 0, 2, 3\n"
+               "scenario = intercept-p3-n300\nbeta = 0.072, 1.0, 1.0\nvarsigma = 0.058\n"
+               "sigma = 1.0\n")
+
+
+class TestConfigKeysAndValues:
+    @pytest.mark.parametrize("command, text, key, raw", [
+        ("simulate", SIM_CFG + "replicatons = 1\n", "replicatons", "1"),
+        ("simulate", SIM_CFG + "n = 5000\n", "n", "5000"),
+        ("simulate", MODEL_CFG + "intercept = ture\n", "intercept", "ture"),
+        ("simulate", SIM_CFG + "pit_q = two\n", "pit_q", "two"),
+        ("simulate", SIM_CFG.replace("PLS", "PLS, FOO"), "methods", "PLS, FOO"),
+        ("contour", CONTOUR_CFG.replace("range2 = 0, 2, 3", "range2 = 0.5, 1, x"), "range2",
+         "0.5, 1, x"),
+        ("contour", CONTOUR_CFG + "data_rep = q\n", "data_rep", "q"),
+        ("contour", CONTOUR_CFG.replace("PLS", "XLS"), "objective", "XLS"),
+        ("contour", CONTOUR_CFG + "replications = 3\n", "replications", "3"),
+    ])
+    def test_names_file_key_and_value(self, tmp_path, capsys, command, text, key, raw):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main([command, str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {cfg}: ")
+        assert repr(key) in captured.err or f"{key} = " in captured.err
+        assert repr(raw) in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("raw, intercept", [("no", False), ("1", True)])
+    def test_intercept_is_resolved(self, tmp_path, capsys, raw, intercept):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MODEL_CFG + f"intercept = {raw}\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "table.csv")]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert json.loads(line.removeprefix("resolved config: "))["intercept"] is intercept
 
 
 class TestNumericalFailureExit:

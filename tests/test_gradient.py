@@ -198,6 +198,10 @@ class TestExactGradient:
             dense_share_criterion(data, spec, restricted),
             lambda z: objective_and_gradient(design, spec, z, restricted), x,
             value_only=read_back, h0=share_steps(x, p, k))
+        # the value is BlockSolve.criterion at d = beta_alpha^2 q, bit for bit
+        (value,), _ = objective_and_gradient(design, spec, x[None], restricted)
+        sol = design.solve((x[list(spec.alpha)] ** 2 * x[p:p + k])[None], [math.exp(x[-1])])
+        assert value == sol.criterion(x[None, :p], restricted)[0]
 
     @settings(max_examples=60, deadline=None)
     @given(case=profiled_cases(), criterion=st.sampled_from(("ML", "REML")))

@@ -407,12 +407,21 @@ class TestBlockSolveAgainstDense:
             assert sol.criterion(beta, True)[0] == pytest.approx(
                 q + logdet_v + np.linalg.slogdet(F)[1], abs=1e-8, rel=1e-9)
             close(sol.gls_beta()[0], np.linalg.solve(F, X.T @ Vinv @ y))
-        # criterion_parts splits criterion_partials' value and partials in d in two
+        close(sol.xt_vinv_resid(beta)[0], X.T @ Vinv @ r)
+        # criterion_parts splits the criterion in two, and dq + dlog is its
+        # partial in d_i: tr(V^-1 D_i) - r^T V^-1 D_i V^-1 r, less tr(F^-1 X^T
+        # V^-1 D_i V^-1 X) if restricted, with D_i = dV/dd_i = Z_i Z_i^T
+        Zs = [Z[:, i::spec.k] for i in range(spec.k)]
+        VinvD = [Vinv @ Zi @ Zi.T for Zi in Zs]
         for restricted in (False, True) if np.linalg.cond(F) < 1e6 else (False,):
-            value, dd, _, _ = sol.criterion_partials(beta, restricted)
-            q, logdet, dq, dlog = sol.criterion_parts(beta, restricted)
-            assert q[0] + logdet[0] == pytest.approx(value[0], abs=1e-9, rel=1e-12)
-            close(dq + dlog, dd)
+            quad, logdet, dq, dlog = sol.criterion_parts(beta, restricted)
+            assert quad[0] + logdet[0] == pytest.approx(
+                sol.criterion(beta, restricted)[0], abs=1e-9, rel=1e-12)
+            dense = [np.trace(VD) - r @ VD @ Vinv @ r for VD in VinvD]
+            if restricted:
+                dense = [v - np.trace(np.linalg.solve(F, X.T @ VD @ Vinv @ X))
+                         for v, VD in zip(dense, VinvD)]
+            close((dq + dlog)[0], dense)
 
         # R points at once, the first the case's own: every value is the
         # batches of one's, and the batch raises where a batch of one raises
@@ -452,11 +461,11 @@ class TestBlockSolveAgainstDense:
         same(BlockSolve.quad_form_resid, beta)
         same(BlockSolve.xt_vinv_x)
         same(BlockSolve.xt_vinv_y)
+        same(BlockSolve.xt_vinv_resid, beta)
         same(BlockSolve.zt_vinv_resid, beta)
         same(BlockSolve.gls_beta)
         for restricted in (False, True):
             same(lambda sol, b: sol.criterion(b, restricted), beta)
-            same(lambda sol, b: sol.criterion_partials(b, restricted), beta)
             same(lambda sol, b: sol.criterion_parts(b, restricted), beta)
 
     def test_batch_raises_where_a_point_raises(self, rng):
@@ -478,7 +487,6 @@ class TestBlockSolveAgainstDense:
         batch = dup.solve(d, sigma)
         assert np.isfinite(batch.criterion(beta, False)).all()
         for value in (batch.gls_beta, lambda: batch.criterion(beta, True),
-                      lambda: batch.criterion_partials(beta, True),
                       lambda: batch.criterion_parts(beta, True)):
             with pytest.raises(SingularDesignError):
                 value()
@@ -517,6 +525,7 @@ class TestBlockSolveAgainstDense:
             np.testing.assert_array_equal(sol.quad_form_resid(beta), fresh.quad_form_resid(beta))
             np.testing.assert_array_equal(sol.xt_vinv_x(), fresh.xt_vinv_x())
             np.testing.assert_array_equal(sol.xt_vinv_y(), fresh.xt_vinv_y())
+            np.testing.assert_array_equal(sol.xt_vinv_resid(beta), fresh.xt_vinv_resid(beta))
             np.testing.assert_array_equal(sol.zt_vinv_resid(beta), fresh.zt_vinv_resid(beta))
 
 
