@@ -117,6 +117,7 @@ class BaselineFit:
     n_iter: int = 0
     trace: np.ndarray | None = None
     n_eval: int = 0  # (f, grad) calls, summed over the starts that finished
+    pg_norm: float = math.nan  # the winner's projected-gradient infinity norm
 
     @property
     def at_limit(self) -> tuple:
@@ -242,6 +243,7 @@ def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML"
         n_iter=res.n_iter,
         trace=res.trace,
         n_eval=sum(r.nfev for _, r in results),
+        pg_norm=res.pg_norm,
     )
 
 
@@ -304,7 +306,7 @@ def pit_objective(x: np.ndarray, design: BlockDesign, spec: ModelSpec, q: int,
 
     log_max, sums = [], []  # per group, (R,): the best node and the scaled node sum
     for ell in range(design.g):
-        resid = design.ys[ell] - np.array([design.Xs[ell] @ beta for beta in B])
+        resid = design.ys[ell] - (design.Xs[ell] @ B[..., None])[..., 0]
         # log-product over rows for each point and node: (R, n_l, Q) summed over rows
         dev = resid[:, :, None] - design.Zs[ell][:, :1] * gammas[:, None, :]
         log_prod = np.sum(log_norm - 0.5 * (dev / sigma) ** 2, axis=1)
@@ -384,4 +386,5 @@ def fit_pit(dataset: Dataset, spec: ModelSpec, q: int = 2,
         n_iter=res.n_iter,
         trace=res.trace,
         n_eval=res.nfev,
+        pg_norm=res.pg_norm,
     )

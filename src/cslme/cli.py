@@ -10,7 +10,11 @@ ranef     recompute per-group deviations from a saved fit document, as its
 
 Exit codes: 0 success, 1 input/config error, 2 numerical failure: a fit
 that did not converge or raised one of `model.NUMERICAL_FAILURES` (`fit`
-still writes its result document, with diagnostics).
+still writes its result document, with diagnostics). A PLS/PRLS fit has
+converged when its winning start is certified: projected Newton
+(`optim.minimize_newton`) ended it at a projected gradient of at most
+`optim.TOL_GRAD`. ML, REML and PIT report L-BFGS-B's own stopping test
+(`optim.minimize_starts`).
 
 Config files are flat `key = value` text; `#` starts a comment. All JSON
 numbers round-trip losslessly; stdout summaries are rounded to 3 decimals.

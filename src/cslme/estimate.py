@@ -8,33 +8,38 @@ penalized least squares (PLS) objective keeps them explicit:
 minimized over beta >= 0, varsigma >= 0, with Lambda carrying the
 truncation-deflated random-effect variances. The penalized restricted
 least squares (PRLS) variant adds ln|X^T V^{-1} X|. Both are minimized by
-a projected limited-memory quasi-Newton method and a small deterministic
+projected Newton on the exact Hessian and a small deterministic
 multi-start; the lowest-objective start wins, ties broken by start index.
-`multistart` runs the starts in lockstep (`optim.minimize_starts`), for
-the ML/REML baselines too.
+`multistart` runs the starts in lockstep, by `optim.minimize_newton` for an
+objective that returns Hessians and by `optim.minimize_starts` (L-BFGS-B)
+for one that returns gradients only, the ML/REML baselines.
 
 The search runs in x = (beta, q, log sigma), not in varsigma: q_i = d_i /
 beta_{alpha_i}^2 = vf(rho_i) / rho_i^2 is the deviation's variance over its
 squared half-width, boxed to [0, Q_MAX] with Q_MAX one ulp below the
 uniform limit 1/3 (`model.share_bounds`). In varsigma, d flattens to second
-order as varsigma -> inf, and L-BFGS-B crawls up that ridge toward a point
+order as varsigma -> inf, and a search crawls up that ridge toward a point
 the box cannot reach; in q that limit is a bound. The starts are mapped
 from varsigma to q once (`model.to_shares`), and the winner's varsigma is
 read back once (`model.unpack_shares`). A column that ends at q = Q_MAX has
 its minimizer at varsigma = +inf: `FitResult.at_limit` flags it, and its
 read-back varsigma (about 2.8e7 |beta_alpha|) is a finite stand-in.
 
-Each optimizer call returns the objective and its exact gradient in
-(beta, q, log sigma) at every start's pending point from one batched
-factorization of V (`objective_and_gradient`). The value and its partial
-in the random-effect variances d come from `BlockSolve.criterion_parts`,
-the partial in beta from X^T V^{-1} r (`BlockSolve.xt_vinv_resid`), and
-the partial in log sigma follows from them, as V is homogeneous of degree
-1 in (d, sigma^2). d = beta_alpha^2 q is one array operation, with dd/dq =
-beta_alpha^2 and dd/dbeta_alpha = 2 beta_alpha q.
+Each optimizer call returns the objective, its exact gradient and its
+exact Hessian in (beta, q, log sigma) at every start's trial point from one
+batched factorization of V (`objective_gradient_hessian`). The value and
+its partial in the random-effect variances d come from
+`BlockSolve.criterion_parts`, the partial in beta from X^T V^{-1} r
+(`BlockSolve.xt_vinv_resid`), and the partial in log sigma follows from
+them, as V is homogeneous of degree 1 in (d, sigma^2). The Hessian in
+(beta, d, log sigma) comes from `BlockSolve.criterion_hessian`. d =
+beta_alpha^2 q is one array operation, with dd/dq = beta_alpha^2 and
+dd/dbeta_alpha = 2 beta_alpha q, so the chain to q needs no derivative of
+the variance factor.
 """
 
 from dataclasses import dataclass, field
+import functools
 import math
 
 import numpy as np
@@ -61,6 +66,7 @@ from .optim import (
     TOL_OBJ,
     BoxResult,
     ConvergenceError,
+    minimize_newton,
     minimize_starts,
 )
 from . import ranef as _ranef
@@ -96,8 +102,10 @@ class FitResult:
     converged: bool
     method: str = "PLS"
     n_iter: int = 0
-    n_eval: int = 0  # (f, grad) calls, summed over the starts that finished
+    n_eval: int = 0  # (f, grad, hess) calls, summed over the starts that finished
+    pg_norm: float = math.nan  # the winner's projected-gradient infinity norm
     start_objectives: list = field(default_factory=list)
+    start_pg_norms: list = field(default_factory=list)  # (index, norm) per finished start
     failed_starts: list = field(default_factory=list)
     # per random column: the scale is at the uniform limit varsigma -> inf and
     # params.varsigma holds a finite stand-in (`model.at_uniform_limit`)
@@ -113,21 +121,71 @@ def objective_and_gradient(design: BlockDesign, spec: ModelSpec, x: np.ndarray,
     beta_alpha^2 q, bit for bit, and a point's value and gradient do not
     depend on the batch.
     """
+    return _evaluate(design, spec, x, restricted, hessian=False)
+
+
+def objective_gradient_hessian(design: BlockDesign, spec: ModelSpec, x: np.ndarray,
+                               restricted: bool):
+    """`objective_and_gradient`'s values and gradients, bit for bit, and the
+    exact Hessians (R, m, m) at R points x = (beta, q, log sigma).
+
+    `BlockSolve.criterion_hessian` gives the Hessian H in y = (beta, d,
+    log sigma); with J = dy/dx it is J^T H J plus each partial in d times
+    its second derivatives, d^2 d_i / dbeta_{alpha_i}^2 = 2 q_i and d^2 d_i /
+    dbeta_{alpha_i} dq_i = 2 beta_{alpha_i}, made exactly symmetric.
+    """
+    return _evaluate(design, spec, x, restricted, hessian=True)
+
+
+def _evaluate(design, spec, x, restricted, hessian):
+    """The values and gradients at R points x, and their Hessians if `hessian`."""
     p, k = design.p, spec.k
     alpha = list(spec.alpha)
     beta, q, b = x[:, :p], x[:, p:p + k], x[:, alpha]
-    d = b * b * q
+    dd_dq, dd_db = b * b, 2.0 * b * q  # d = beta_alpha^2 q
+    d = dd_dq * q
     sol = design.solve(d, exp_each(x[:, -1]))
-    quad, logdet, dq, dlog = sol.criterion_parts(beta, restricted)
+    if hessian:
+        quad, logdet, dq, dlog, H = sol.criterion_hessian(beta, restricted)
+    else:
+        quad, logdet, dq, dlog = sol.criterion_parts(beta, restricted)
     dd = dq + dlog
     grad = np.empty(x.shape)
     grad[:, :p] = -2.0 * sol.xt_vinv_resid(beta)
-    grad[:, alpha] += dd * (2.0 * b * q)
-    grad[:, p:p + k] = dd * (b * b)
+    grad[:, alpha] += dd * dd_db
+    grad[:, p:p + k] = dd * dd_dq
     # V is homogeneous of degree 1 in (d, sigma^2)
     grad[:, -1] = 2.0 * (design.n - quad - p * restricted - (d * dd).sum(axis=1))
     value = quad + logdet
-    return value, grad
+    if not hessian:
+        return value, grad
+    ones, chain, curve = _chain_layout(p, tuple(alpha))
+    J = np.zeros((len(x), (p + k + 1) ** 2))
+    J[:, ones] = 1.0
+    J[:, chain] = np.concatenate([dd_db, dd_dq], axis=1)
+    J = J.reshape(len(x), p + k + 1, -1)
+    hess = J.swapaxes(-1, -2) @ H @ J
+    w = 2.0 * dd
+    wb = w * b
+    hess.reshape(len(x), -1)[:, curve] += np.concatenate([w * q, wb, wb], axis=1)
+    return value, grad, 0.5 * (hess + hess.swapaxes(-1, -2))
+
+
+@functools.cache
+def _chain_layout(p: int, alpha: tuple):
+    """Flat indices into an m x m matrix, m = p + k + 1, of the entries of J =
+    d(beta, d, log sigma) / d(beta, q, log sigma): its unit entries (the beta
+    diagonal and (log sigma, log sigma)) and its (d_i, beta_{alpha_i}) and
+    (d_i, q_i) entries; then of the second-derivative terms
+    (beta_{alpha_i}, beta_{alpha_i}), (beta_{alpha_i}, q_i) and (q_i,
+    beta_{alpha_i})."""
+    k = len(alpha)
+    m = p + k + 1
+    a, dq = np.array(alpha, dtype=int), p + np.arange(k)
+    ones = np.append(np.arange(p) * (m + 1), m * m - 1)
+    chain = np.concatenate([dq * m + a, dq * (m + 1)])
+    curve = np.concatenate([a * (m + 1), a * m + dq, dq * m + a])
+    return ones, chain, curve
 
 
 def _objective(params: Parameters, dataset, spec: ModelSpec, restricted: bool) -> float:
@@ -205,9 +263,10 @@ def default_starts(design: BlockDesign, spec: ModelSpec, config: FitConfig) -> l
     return [to_shares(x, spec) for x in starts]
 
 
-def multistart(fun, starts, bounds, tol_obj, tol_grad, max_iter):
+def multistart(fun, starts, bounds, tol_obj, tol_grad, max_iter, hessian=False):
     """Minimize `fun(X) -> (F, G)` from every start in lockstep
-    (`optim.minimize_starts`) and keep the lowest objective.
+    (`optim.minimize_starts`), or `fun(X) -> (F, G, H)` if `hessian`
+    (`optim.minimize_newton`), and keep the lowest objective.
 
     A start whose evaluation raises one of NUMERICAL_FAILURES is recorded as
     (index, repr) and dropped; the other starts run on. A later start wins
@@ -218,8 +277,12 @@ def multistart(fun, starts, bounds, tol_obj, tol_grad, max_iter):
     """
     results: list[tuple[int, BoxResult]] = []
     failures = []
-    for idx, res in enumerate(minimize_starts(fun, starts, bounds, tol_obj=tol_obj,
-                                              tol_grad=tol_grad, max_iter=max_iter)):
+    if hessian:
+        runs = minimize_newton(fun, starts, bounds, tol_grad=tol_grad, max_iter=max_iter)
+    else:
+        runs = minimize_starts(fun, starts, bounds, tol_obj=tol_obj, tol_grad=tol_grad,
+                               max_iter=max_iter)
+    for idx, res in enumerate(runs):
         if isinstance(res, BoxResult):
             results.append((idx, res))
         else:
@@ -234,10 +297,12 @@ def multistart(fun, starts, bounds, tol_obj, tol_grad, max_iter):
 
 
 def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> FitResult:
-    """Multi-start constrained minimization of the PLS or PRLS objective.
+    """Multi-start constrained minimization of the PLS or PRLS objective by
+    projected Newton (`optim.minimize_newton`).
 
     Returns the lowest-objective start with the fitted deviations
-    attached. Every returned parameter satisfies its bound exactly
+    attached; `converged` says whether its projected gradient is at most
+    `optim.TOL_GRAD`. Every returned parameter satisfies its bound exactly
     (projection, not tolerance). A column of X collinear with those before
     it raises SingularDesignError before any start runs.
     """
@@ -250,11 +315,11 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
     restricted = config.method == "PRLS"
 
     def objective(x):
-        return objective_and_gradient(design, spec, x, restricted)
+        return objective_gradient_hessian(design, spec, x, restricted)
 
     best_idx, best, results, failures = multistart(
         objective, default_starts(design, spec, config), share_bounds(design, spec),
-        TOL_OBJ, TOL_GRAD, MAX_ITER)
+        TOL_OBJ, TOL_GRAD, MAX_ITER, hessian=True)
     params = unpack_shares(best.x, spec)
     return FitResult(
         params=params,
@@ -266,7 +331,9 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
         method=config.method,
         n_iter=best.n_iter,
         n_eval=sum(res.nfev for _, res in results),
+        pg_norm=best.pg_norm,
         start_objectives=[(idx, res.fun, res.converged) for idx, res in results],
+        start_pg_norms=[(idx, res.pg_norm) for idx, res in results],
         failed_starts=failures,
         at_limit=at_uniform_limit(best.x, spec),
     )

@@ -23,6 +23,9 @@ X^T V^{-1} X. `BlockSolve.criterion_parts` gives the quadratic form and
 the log-determinants apart, with their partials in d, for O(g k^2 (k + p)
 + g k p^2 + p^3) more: the ML/REML search that profiles sigma out weighs
 the parts apart, and the PLS/PRLS gradient adds them.
+`BlockSolve.criterion_hessian` gives the parts with the criterion's
+Hessian in (beta, d, log sigma), for O(g k^2 p + k^2 p^3) more, which the
+PLS/PRLS Newton search takes.
 
 A `BlockSolve` holds R points (d, sigma) along a leading points axis, as
 a contour grid, one lockstep round of a fit's starts or one
@@ -531,6 +534,7 @@ class BlockSolve:
         if not np.all(sigma > 0):
             raise ValueError(f"sigma must be positive, got {sigma}")
         self.design = design
+        self.d = d
         self.R = len(sigma)
         # sigma^2, overflowing to inf silently as a Python float does, and
         # shaped to divide arrays with 0, 1, 2 or 3 core axes
@@ -642,15 +646,66 @@ class BlockSolve:
         off Z_l^T V_l^{-1} [Z_l X_l y_l]: O(g k^2 (k + p) + g k p^2 + p^3).
         dq and dlog gain the points axis first.
         """
+        return self._parts(beta, restricted)[:4]
+
+    @cached_property
+    def _f_inv(self) -> np.ndarray:
+        """F^{-1}, (R, p, p), shared by the partials and the Hessian."""
+        return np.linalg.inv(self._f_chol[0])
+
+    def _parts(self, beta: np.ndarray, restricted: bool):
+        """`criterion_parts`' four arrays, then u (R, g, k) and, if
+        `restricted`, A_i = sum_l w_li w_li^T (R, k, p, p), w_li the i-th
+        row of W_l; else None."""
         k = self.design.k
         q = self.quad_form_resid(beta)
         u = self.zt_vinv_resid(beta)
         dlog = self._ZVA[..., :k].diagonal(0, -2, -1).sum(axis=-2)
+        A = None
         if restricted:
             Wt = self._ZVA[..., k:-1].swapaxes(-3, -2)           # (R, k, g, p)
-            Finv = np.linalg.inv(self._f_chol[0])[..., None, :, :]
-            dlog = dlog - (Wt.swapaxes(-1, -2) @ Wt * Finv).sum(axis=(-2, -1))
-        return q, self._logdet(restricted), -(u * u).sum(axis=-2), dlog
+            A = Wt.swapaxes(-1, -2) @ Wt
+            dlog = dlog - (A * self._f_inv[..., None, :, :]).sum(axis=(-2, -1))
+        return q, self._logdet(restricted), -(u * u).sum(axis=-2), dlog, u, A
+
+    def criterion_hessian(self, beta: np.ndarray, restricted: bool):
+        """`criterion_parts`' four arrays and the Hessian of `criterion` in
+        (beta, d, log sigma), (R, p + k + 1, p + k + 1), from this one
+        factorization.
+
+        With M_l = Z_l^T V_l^{-1} Z_l, u_l and W_l as in `criterion_parts`:
+        the d-d block is sum_l (2 u_li u_lj - M_lij) M_lij, plus, if
+        `restricted`, 2 sum_l M_lij w_li^T F^{-1} w_lj - tr(F^{-1} A_i F^{-1}
+        A_j) with A_i = sum_l w_li w_li^T; the beta-d block is 2 sum_l u_li
+        w_li and the beta-beta block 2F. The log sigma row follows from the
+        others, as V is homogeneous of degree 1 in theta = (d, sigma^2):
+        with f = `criterion`, q its quadratic form and subscripts for
+        partials, sum_j theta_j f_ji = -f_i - q_i for i in theta and -q_i
+        for i in beta. So no V^{-2} term is formed: the row's entry i is 2
+        h_i with h_i = sigma^2 f_{sigma^2 i}, and its diagonal 4 (q + d^T dq
+        - d^T h_d). The row is finite where sigma^2 overflows. Symmetric to
+        rounding: O(g k^2 p + k^2 p^3) on top of `criterion_parts`.
+        """
+        q, logdet, dq, dlog, u, A = self._parts(beta, restricted)
+        p, k, d = self.design.p, self.design.k, self.d
+        M, W = self._ZVA[..., :k], self._ZVA[..., k:-1]
+        H = np.empty((self.R, p + k + 1, p + k + 1))
+        H[:, :p, :p] = 2.0 * self._XVA[..., :-1]
+        H[:, p:-1, :p] = 2.0 * (u[..., None] * W).sum(axis=1)
+        H[:, :p, p:-1] = H[:, p:-1, :p].swapaxes(-1, -2)
+        hdd = H[:, p:-1, p:-1]
+        hdd[...] = ((2.0 * u[..., :, None] * u[..., None, :] - M) * M).sum(axis=1)
+        if restricted:
+            Finv = self._f_inv[:, None]
+            C = Finv @ A                                          # F^{-1} A_i
+            hdd += (2.0 * (M * (W @ Finv @ W.swapaxes(-1, -2))).sum(axis=1)
+                    - (C[:, :, None] * C.swapaxes(-1, -2)[:, None]).sum(axis=(-2, -1)))
+        # h_i = sigma^2 f_{sigma^2 i} = -sum_j d_j f_ji - q_i (- f_i for i in d)
+        rhs = np.concatenate([2.0 * self.xt_vinv_resid(beta), -2.0 * dq - dlog], axis=1)
+        h = rhs - _mv(H[:, p:-1, :-1].swapaxes(-1, -2), d)
+        H[:, -1, :-1] = H[:, :-1, -1] = 2.0 * h
+        H[:, -1, -1] = 4.0 * (q + _dot(d, dq - h[:, p:]))
+        return q, logdet, dq, dlog, H
 
     def zt_vinv_resid(self, beta: np.ndarray) -> np.ndarray:
         """Z_l^T V_l^{-1} (y_l - X_l beta) for every group, as rows of an (R, g, k) array."""

@@ -1,17 +1,30 @@
-"""Box-constrained quasi-Newton driver shared by all fitting routines.
+"""Box-constrained drivers shared by all fitting routines, each running
+many starts in lockstep.
 
-`minimize_starts`, the one optimizer entry point, runs L-BFGS-B
-(projected-gradient limited-memory quasi-Newton) from many starts in
-lockstep. L-BFGS-B is a reverse-communication algorithm, so each start
-keeps its own scipy `setulb` state, and every round evaluates the points
-the starts ask for in one batched call, `fun(X (R, m)) -> (F (R,), G (R, m))`.
-Each start takes exactly the steps `scipy.optimize.minimize(method=
-"L-BFGS-B")` would take from it alone. PLS, PRLS, ML and REML supply exact
-gradients; a value-only objective (the PIT baseline, labeled-parameter
-searches) is adapted by `with_central_diff`, which evaluates the 1 + 2m
-probes of a central-difference step at every row in one call of a batch
-value function `values(P) -> F`. Its step rule and probe layout
-(`gradient_step`, `central_diff_probes`) are those of every gradient check.
+`minimize_newton` runs projected Newton (Bertsekas 1982) on objectives
+that return exact Hessians, the PLS/PRLS fits: every round computes the
+steps of all its starts in one batched `eigh` and evaluates all their
+trial points in one batched call, `fun(X (R, m)) -> (F (R,), G (R, m),
+H (R, m, m))`, and `converged` means a projected gradient of at most
+`TOL_GRAD`.
+
+`minimize_starts` runs L-BFGS-B (projected-gradient limited-memory
+quasi-Newton) on objectives that return gradients only: ML, REML, PIT and
+labeled-parameter searches. L-BFGS-B is a reverse-communication algorithm,
+so each start keeps its own scipy `setulb` state, and every round
+evaluates the points the starts ask for in one batched call, `fun(X (R,
+m)) -> (F (R,), G (R, m))`. Each start takes exactly the steps
+`scipy.optimize.minimize(method="L-BFGS-B")` would take from it alone.
+ML and REML supply exact gradients; a value-only objective (the PIT
+baseline, labeled-parameter searches) is adapted by `with_central_diff`,
+which evaluates the 1 + 2m probes of a central-difference step at every
+row in one call of a batch value function `values(P) -> F`. Its step
+rule and probe layout (`gradient_step`, `central_diff_probes`) are those
+of every gradient check.
+
+Both drivers return one `BoxResult` per start, or the error its first
+evaluation raised, and record the projected gradient's infinity norm at
+its end (`projected_gradient`).
 """
 
 from dataclasses import dataclass
@@ -85,7 +98,19 @@ class BoxResult:
     converged: bool
     n_iter: int
     message: str
-    nfev: int  # points evaluated, each for (f, grad)
+    nfev: int  # points evaluated, each for (f, grad) or (f, grad, hess)
+    pg_norm: float  # the projected gradient's infinity norm at x (`projected_gradient`)
+
+
+def projected_gradient(x: np.ndarray, g: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The infinity norm of x - clip(x - g, lo, hi) along the last axis: 0
+    exactly where x is first-order optimal in the box [lo, hi]."""
+    return np.abs(x - _clip(x - g, lo, hi)).max(axis=-1)
+
+
+def _clip(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """np.clip(x, lo, hi), at a third of its call overhead on small arrays."""
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 # scipy.optimize.minimize's L-BFGS-B settings: stored corrections, line-search
@@ -153,12 +178,12 @@ class _Lbfgsb:
     def result(self, fun, lo: np.ndarray, hi: np.ndarray):
         """The BoxResult at the last iterate re-projected onto [lo, hi]; where
         that moves it, `fun` is evaluated there, which may fail instead."""
-        x, value, nfev = np.clip(self.x, lo, hi), float(self.f), self.nfev
+        x, value, grad, nfev = np.clip(self.x, lo, hi), float(self.f), self.g, self.nfev
         if not np.array_equal(x, self.x):
             (got,) = _evaluate(fun, x[None])
             if not isinstance(got, tuple):
                 return got
-            value, nfev = float(got[0]), nfev + 1
+            value, grad, nfev = float(got[0]), got[1], nfev + 1
         return BoxResult(
             x=x,
             fun=value,
@@ -167,20 +192,21 @@ class _Lbfgsb:
             n_iter=self.nit,
             message=f"{status_messages[self.task[0]]}: {task_messages[self.task[1]]}",
             nfev=nfev,
+            pg_norm=float(projected_gradient(x, grad, lo, hi)),
         )
 
 
 def _evaluate(fun, X: np.ndarray) -> list:
-    """`fun` at the rows of X: per row (f, grad), or the member of
-    NUMERICAL_FAILURES its evaluation raised. A batch that raises is
-    evaluated again one row at a time."""
+    """`fun` at the rows of X: per row the tuple of its outputs, (f, grad) or
+    (f, grad, hess), or the member of NUMERICAL_FAILURES its evaluation
+    raised. A batch that raises is evaluated again one row at a time."""
     try:
-        F, G = fun(X)
+        F, *rest = fun(X)
     except NUMERICAL_FAILURES as exc:
         if len(X) == 1:
             return [exc]
         return [_evaluate(fun, X[i:i + 1])[0] for i in range(len(X))]
-    return list(zip(F.tolist(), G))
+    return list(zip(F.tolist(), *rest))
 
 
 def _box(bounds):
@@ -232,3 +258,179 @@ def minimize_starts(fun, starts, bounds, tol_obj=TOL_OBJ, tol_grad=TOL_GRAD,
                 if failed[i] is None and runs[i].advance(box, factr, tol_grad, max_iter)]
     return [run.result(fun, lo, hi) if exc is None else exc
             for exc, run in zip(failed, runs)]
+
+
+# The projected-Newton driver's settings: the sufficient-decrease fraction of
+# the Armijo test, the range of the step's cut per rejected trial, the widest
+# band of the epsilon-active set, the floors of |eigenvalue| relative to the
+# largest and, for an indefinite Hessian, to the most negative one (a partial
+# Levenberg-Marquardt shift, which keeps the steps along nearly flat
+# directions short where the model is not convex), and the change of an
+# objective value, relative to max(|f|, 1) as in L-BFGS-B's own test, taken
+# as rounding (f sums terms that can be much larger than f, so its rounding
+# can exceed that of |f| by a hundredfold)
+ARMIJO = 1e-4
+BACKTRACK = (0.1, 0.5)
+ACTIVE_BAND = 1e-3
+EIG_FLOOR = 1e-12
+INDEFINITE_FLOOR = 1e-2
+ROUNDING = 1e-12
+
+
+def _evaluate_stacked(fun, X: np.ndarray):
+    """(F, G, H) of `fun` at the rows of X and, per row, None or the member of
+    NUMERICAL_FAILURES its evaluation raised, where that row's values are
+    NaN. A batch that raises is evaluated again one row at a time."""
+    try:
+        return (*fun(X), [None] * len(X))
+    except NUMERICAL_FAILURES:
+        got = [_evaluate(fun, X[i:i + 1])[0] for i in range(len(X))]
+    m = X.shape[1]
+    F, G, H = np.full(len(X), np.nan), np.full(X.shape, np.nan), np.full((len(X), m, m), np.nan)
+    for i, row in enumerate(got):
+        if isinstance(row, tuple):
+            F[i], G[i], H[i] = row
+    return F, G, H, [None if isinstance(row, tuple) else row for row in got]
+
+
+def _finite(F, G, H) -> np.ndarray:
+    """Per row, whether its value, gradient and Hessian are all finite."""
+    return np.isfinite(F) & np.isfinite(G).all(axis=1) & np.isfinite(H).all(axis=(1, 2))
+
+
+def _newton_steps(X, G, H, pg, lo, hi):
+    """Each row's projected-Newton step (Bertsekas 1982) at x with gradient g
+    and Hessian H.
+
+    The epsilon-active set holds the coordinates within eps = min(pg,
+    ACTIVE_BAND) of a bound that a move against g would cross, and whose
+    own Newton step -g_i / |H_ii| would cross it too: a coordinate whose
+    curvature holds it off the bound stays free. Their rows and columns of
+    H are cut to the diagonal |H_ii|, so one batched `eigh`
+    gives every row's modified Newton step -V |Lambda|^{-1} V^T g, the
+    eigenvalues in absolute value and floored at EIG_FLOOR of the largest
+    and, where the free block of H is indefinite, at INDEFINITE_FLOOR of
+    its most negative one: on the free set a Newton step wherever H is
+    positive definite there, on the active set a gradient step scaled by
+    1 / |H_ii|.
+    """
+    i = np.arange(X.shape[1])
+    diag = H[:, i, i]
+    Y = X - np.minimum(pg, ACTIVE_BAND)[:, None] * np.sign(G)
+    with np.errstate(divide="ignore", invalid="ignore"):  # H_ii = 0: no Newton step
+        Z = X - G / np.abs(diag)
+    active = ((Y < lo) & (Z < lo)) | ((Y > hi) & (Z > hi))
+    if active.any():
+        diag = np.where(active, np.abs(diag), diag)
+        H = np.where(active[:, :, None] | active[:, None, :], 0.0, H)
+        H[:, i, i] = diag
+    lam, V = np.linalg.eigh(H)
+    floor = np.maximum(EIG_FLOOR * np.abs(lam).max(axis=1), -INDEFINITE_FLOOR * lam[:, 0])
+    lam = np.maximum(np.abs(lam), floor[:, None])
+    return -(V @ ((V.swapaxes(-1, -2) @ G[..., None]) / lam[..., None]))[..., 0]
+
+
+def minimize_newton(fun, starts, bounds, tol_grad=TOL_GRAD, max_iter=MAX_ITER) -> list:
+    """Minimize over a box from every start in lockstep by projected Newton;
+    `fun(X)` maps points X (R, m) to their objectives F (R,), gradients G
+    (R, m) and Hessians H (R, m, m).
+
+    Each iteration takes `_newton_steps` and backtracks along the projection
+    arc x(a) = clip(x + a s) from a = 1 until the Armijo test f(x(a)) <=
+    f(x) + ARMIJO min(0, g^T (x(a) - x)) holds (Bertsekas, SIAM J. Control
+    Optim. 20(2), 1982); a rejected trial cuts a by the minimizer of the
+    quadratic through f(x), that slope and f(x(a)), kept within BACKTRACK.
+    A round computes the steps of every start that needs one in one
+    batched `eigh` and evaluates every live start's trial point in one call
+    of `fun`. A start stops
+    - converged, when the projected gradient's infinity norm at x is at
+      most tol_grad; `converged` means exactly that;
+    - when the decrease a trial predicts, |g^T (x(a) - x)|, is below
+      ROUNDING max(|f(x)|, 1) and the trial does not lower the projected
+      gradient within that rounding of f(x): the Newton decrement is below
+      rounding, and no further step can be verified;
+    - after max_iter iterations.
+    A trial point that raises one of NUMERICAL_FAILURES, or whose values are
+    not all finite, is a rejected step.
+
+    Returns one entry per start, as `minimize_starts` does: its BoxResult,
+    or the member of NUMERICAL_FAILURES its first point raised. A start
+    whose first values are not all finite stops there, not converged. Every
+    step is element-wise or per row, so a start's result does not depend on
+    the other starts, as long as `fun`'s values at a point do not depend on
+    the batch.
+    """
+    lo, hi, _ = _box(bounds)
+    X = _clip(np.array(starts, dtype=float), lo, hi)
+    F, G, H, errors = _evaluate_stacked(fun, X)
+    pg = projected_gradient(X, G, lo, hi)
+    traces = [[f] for f in F.tolist()]
+    results = list(errors)  # each start's BoxResult, once it stops
+    # the live starts, one row each: start index, point, values, iterations,
+    # evaluations, the step and its length, and whether the step is due
+    finite = _finite(F, G, H)
+    for i in np.flatnonzero(~finite).tolist():
+        if errors[i] is None:
+            results[i] = BoxResult(x=X[i], fun=float(F[i]), trace=np.array(traces[i]),
+                                   converged=False, n_iter=0, nfev=1, pg_norm=float(pg[i]),
+                                   message="ABNORMAL: THE OBJECTIVE IS NOT FINITE AT THE START")
+    ids = np.flatnonzero(finite)
+    X, F, G, H, pg = X[ids], F[ids], G[ids], H[ids], pg[ids]
+    nit, nfev = np.zeros(len(ids), dtype=int), np.ones(len(ids), dtype=int)
+    S, a, fresh = np.zeros(X.shape), np.ones(len(ids)), np.ones(len(ids), dtype=bool)
+
+    def stop(rows, message):
+        """Record the starts at `rows` as stopped with `message`."""
+        for r in np.flatnonzero(rows).tolist():
+            i = int(ids[r])
+            results[i] = BoxResult(
+                x=X[r].copy(), fun=float(F[r]), trace=np.array(traces[i]),
+                converged=message.startswith("CONVERGENCE"), n_iter=int(nit[r]),
+                message=message, nfev=int(nfev[r]), pg_norm=float(pg[r]))
+
+    while ids.size:
+        if fresh.any():
+            done = fresh & (pg <= tol_grad)
+            ending = done | (fresh & (nit >= max_iter))
+            if ending.any():
+                stop(done, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= TOL_GRAD")
+                stop(ending & ~done, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT")
+                ids, X, F, G, H, pg, nit, nfev, S, a, fresh = (
+                    v[~ending] for v in (ids, X, F, G, H, pg, nit, nfev, S, a, fresh))
+                if not ids.size:
+                    break
+            if fresh.all():
+                S, a = _newton_steps(X, G, H, pg, lo, hi), np.ones(len(ids))
+            elif fresh.any():
+                S[fresh], a[fresh] = _newton_steps(X[fresh], G[fresh], H[fresh], pg[fresh],
+                                                   lo, hi), 1.0
+        T = _clip(X + a[:, None] * S, lo, hi)
+        Ft, Gt, Ht, _ = _evaluate_stacked(fun, T)
+        nfev += 1
+        slope = ((T - X) * G).sum(axis=1)
+        pgt = projected_gradient(T, Gt, lo, hi)
+        ok = _finite(Ft, Gt, Ht) & (Ft <= F + ARMIJO * np.minimum(slope, 0.0))
+        noise = ROUNDING * np.maximum(np.abs(F), 1.0)
+        tiny = np.abs(slope) <= noise
+        if tiny.any():
+            ok = np.where(tiny, _finite(Ft, Gt, Ht) & (Ft <= F + noise) & (pgt < pg), ok)
+        nit += ok
+        fresh = ok
+        if ok.all():
+            for i, f in zip(ids.tolist(), Ft.tolist()):
+                traces[i].append(f)
+            X, F, G, H, pg = T, Ft, Gt, Ht, pgt
+            continue
+        for i, f in zip(ids[ok].tolist(), Ft[ok].tolist()):
+            traces[i].append(f)
+        X, F, pg = np.where(ok[:, None], T, X), np.where(ok, Ft, F), np.where(ok, pgt, pg)
+        G, H = np.where(ok[:, None], Gt, G), np.where(ok[:, None, None], Ht, H)
+        curve = 2.0 * (Ft - F - slope)  # > 0 at a finite rejected trial
+        a *= np.clip(np.divide(-slope, curve, out=np.zeros(len(a)), where=curve > 0.0),
+                     *BACKTRACK)
+        stuck = ~ok & tiny
+        if stuck.any():
+            stop(stuck, "STOP: THE NEWTON DECREMENT IS BELOW ROUNDING")
+            ids, X, F, G, H, pg, nit, nfev, S, a, fresh = (
+                v[~stuck] for v in (ids, X, F, G, H, pg, nit, nfev, S, a, fresh))
+    return results

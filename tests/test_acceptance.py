@@ -189,18 +189,26 @@ def test_criterion_05_sleep_study_reproduction():
     assert overall_slope == 0.0
     assert pls.gamma.at_bound[idx335, 1]
 
-    # reported, not gated: the evaluation counts of both constrained fits and
-    # how far their worst start ends above the winner (machine-independent)
+    # reported, not gated: the evaluation counts of both constrained fits, how
+    # far their worst start ends above the winner (machine-independent) and
+    # the projected-gradient infinity norm at every PLS/PRLS start's end and
+    # at the ML and REML winners
     prls = fit(data, spec, FitConfig(method="PRLS", seed=0))
+    ml = fit_unconstrained(data, ModelSpec(alpha=spec.alpha, constrained=False), "ML")
 
     def worst_gap(res):
         return max(value for _, value, _ in res.start_objectives) - res.objective
+
+    def norms(res):
+        return ", ".join(f"{norm:.1e}" for _, norm in res.start_pg_norms)
 
     budget.done(detail=f"REML beta {reml.beta.round(3)}, PLS beta "
                        f"{pls.params.beta.round(3)}, subject 335 slope "
                        f"{overall_slope}; start seed 0: n_eval PLS {pls.n_eval}, "
                        f"PRLS {prls.n_eval}; worst start above the winner: PLS "
-                       f"{worst_gap(pls):.1e}, PRLS {worst_gap(prls):.1e}")
+                       f"{worst_gap(pls):.1e}, PRLS {worst_gap(prls):.1e}; projected "
+                       f"gradient per start: PLS {norms(pls)}, PRLS {norms(prls)}; "
+                       f"ML {ml.pg_norm:.1e}, REML {reml.pg_norm:.1e}")
 
 
 def test_criterion_06_simulation_regime():

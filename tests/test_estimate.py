@@ -26,9 +26,11 @@ from cslme.model import (
     share_bounds,
 )
 from cslme.optim import (
+    TOL_GRAD,
     TOL_OBJ,
     ConvergenceError,
     gradient_step,
+    minimize_newton,
     minimize_starts,
     with_central_diff,
 )
@@ -172,7 +174,7 @@ class TestFit:
         def raising(*args):
             raise error("a program error")
 
-        monkeypatch.setattr(estimate, "objective_and_gradient", raising)
+        monkeypatch.setattr(estimate, "objective_gradient_hessian", raising)
         with pytest.raises(error, match="a program error"):
             fit(make_dataset(rng, g=3, p=2), ModelSpec(alpha=(0,)), FitConfig(n_starts=2))
 
@@ -324,12 +326,15 @@ class TestMultistart:
 
 
 class TestSleepStudyStarts:
-    """Every start of every start seed reaches the same optimum.
+    """Every start of every start seed reaches the same optimum, certified.
 
     Central-difference gradients stopped PRLS at start seeds 1, 2, 4 and 9
     on the flat valley in the slope scale, up to 2.0e-4 above the others;
     the search in varsigma left single starts up to 9.2 above their seed's
-    winner. The search in q has no such valley.
+    winner. The search in q has no such valley. L-BFGS-B stopped every
+    start on its relative-decrease test with projected gradients up to
+    7e-3; projected Newton ends each one at most TOL_GRAD from first-order
+    optimality.
     """
 
     @pytest.fixture(scope="class")
@@ -351,6 +356,9 @@ class TestSleepStudyStarts:
         for res in fits:
             assert res.failed_starts == [] and len(res.start_objectives) == 5
             assert max(value for _, value, _ in res.start_objectives) - res.objective <= 1e-5
+            # every start certified: converged means a projected gradient <= TOL_GRAD
+            assert all(converged for *_, converged in res.start_objectives)
+            assert max(norm for _, norm in res.start_pg_norms) <= TOL_GRAD
         if method == "PLS":
             idx335 = data.group_ids.index("335")
             for res in fits:
@@ -358,6 +366,20 @@ class TestSleepStudyStarts:
                 for est, ref in zip(res.params.beta, (250.389, 10.789)):
                     assert abs(est - ref) <= 0.03 * abs(ref)
                 assert res.params.beta[1] + res.gamma.gamma[idx335, 1] == 0.0
+
+    @pytest.mark.parametrize("method", ["PLS", "PRLS"])
+    def test_objective_near_zero_certifies_every_start(self, sleep, method):
+        # y scaled by c shifts the objective by (n - p [PRLS]) ln c^2; at the c
+        # that puts the optimum at 0, f's rounding is set by its terms (about
+        # 1400), not by |f|, and every start must still end certified
+        data, spec = sleep
+        shift = fit(data, spec, FitConfig(method=method)).objective
+        c = math.exp(-0.5 * shift / (data.n - data.p * (method == "PRLS")))
+        scaled = Dataset(tuple(GroupData(gd.group_id, c * gd.y, gd.X) for gd in data.groups))
+        for seed in range(5):
+            res = fit(scaled, spec, FitConfig(method=method, seed=seed))
+            assert abs(res.objective) < 1e-9
+            assert all(converged for *_, converged in res.start_objectives)
 
     def test_seed_8_starts_run_silently_as_when_run_alone(self, sleep):
         # A start at log sigma = 400 evaluates a sigma whose square overflows:
@@ -373,21 +395,22 @@ class TestSleepStudyStarts:
 
         def fun(x):
             log_sigmas.extend(x[:, -1].tolist())
-            return estimate.objective_and_gradient(design, spec, x, False)
+            return estimate.objective_gradient_hessian(design, spec, x, False)
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            together = minimize_starts(fun, starts + [overflowing], bounds)
-            solo = [minimize_starts(fun, [x0], bounds)[0] for x0 in starts + [overflowing]]
+            together = minimize_newton(fun, starts + [overflowing], bounds)
+            solo = [minimize_newton(fun, [x0], bounds)[0] for x0 in starts + [overflowing]]
             res = fit(data, spec, FitConfig(seed=8))
         assert max(log_sigmas) > 0.5 * math.log(np.finfo(float).max)
         assert res.start_objectives == [(i, r.fun, r.converged) for i, r in enumerate(solo[:-1])]
         assert res.failed_starts == []
+        assert solo[-1].fun == math.inf and not solo[-1].converged
         for got, want in zip(together, solo):
             np.testing.assert_array_equal(got.x, want.x)
             np.testing.assert_array_equal(got.trace, want.trace)
-            assert (got.fun, got.nfev, got.n_iter, got.message) == \
-                (want.fun, want.nfev, want.n_iter, want.message)
+            assert (got.fun, got.nfev, got.n_iter, got.message, got.pg_norm) == \
+                (want.fun, want.nfev, want.n_iter, want.message, want.pg_norm)
 
 
 class TestGradient:

@@ -1,4 +1,5 @@
-"""Exact (f, grad f) of PLS, PRLS, ML and REML against the Richardson oracle.
+"""Exact (f, grad f) of PLS, PRLS, ML and REML, and the exact PLS/PRLS
+Hessian, against the Richardson oracle.
 
 The oracle is the Richardson-extrapolated central difference of criterion
 10, applied to value-only objectives; the exact gradients must agree with
@@ -9,7 +10,9 @@ across both bounds of q, so the differences may step past them. ML/REML
 search the relative variances v = d / sigma^2 >= 0 with sigma profiled
 out; their oracle is `profile_loglik` (`reml_loglik`) at the profiled
 sigma, which cannot step below v = 0, so it takes forward differences
-there.
+there. The PLS/PRLS Hessian is checked against Richardson differences of
+the exact gradient, forward ones in q near q = 0, as the exact gradient
+is not defined at d = beta_alpha^2 q < 0.
 """
 
 import math
@@ -22,7 +25,12 @@ import pytest
 from conftest import make_dataset, random_params
 from dense import assemble, central_diff_grad
 from cslme.baseline import Theta, criterion_and_gradient, profile_loglik, reml_loglik
-from cslme.estimate import objective_and_gradient, pls_objective, prls_objective
+from cslme.estimate import (
+    objective_and_gradient,
+    objective_gradient_hessian,
+    pls_objective,
+    prls_objective,
+)
 from cslme.model import (
     Q_MAX,
     BlockDesign,
@@ -136,8 +144,9 @@ def profiled_sigma2(data, spec, restricted):
 def richardson_partials(fun, x, h0, forward):
     """The gradient of `fun` at x from differences at steps h0, h0/2 and h0/4,
     Richardson-extrapolated: central ones (error O(h^6)), or forward ones
-    (O(h^3)) on the coordinates where `forward` is set."""
-    grad = np.empty(x.size)
+    (O(h^3)) on the coordinates where `forward` is set. For an array-valued
+    `fun`, row i holds the partials in x_i of its entries."""
+    grad = [None] * x.size
     for i in range(x.size):
         def diff(h):
             e = np.zeros(x.size)
@@ -149,7 +158,7 @@ def richardson_partials(fun, x, h0, forward):
         d1, d2, d4 = (diff(h0[i] / m) for m in (1, 2, 4))
         grad[i] = ((8 * d4 - 6 * d2 + d1) / 3 if forward[i]
                    else (64 * d4 - 20 * d2 + d1) / 45)
-    return grad
+    return np.array(grad)
 
 
 @st.composite
@@ -226,6 +235,33 @@ class TestExactGradient:
         # effects absorb the deviations, and the REML criterion is flat in v
         assert (np.linalg.norm(grad - oracle)
                 <= 1e-4 * np.linalg.norm(oracle) + 1e-9 * (1.0 + abs(value)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=gradient_cases(), restricted=st.booleans())
+    def test_pls_prls_hessian_matches_richardson(self, case, restricted):
+        data, spec, x, top = case
+        design = BlockDesign(data, spec)
+        p, k = data.p, spec.k
+        x = to_shares(x, spec)
+        if top is not None:
+            x[p + top] = Q_MAX
+
+        def gradient(z):
+            return objective_and_gradient(design, spec, z[None], restricted)[1][0]
+
+        value, grad, (hess,) = objective_gradient_hessian(design, spec, x[None], restricted)
+        # the values and gradients of objective_and_gradient, bit for bit
+        assert np.array_equal(value, objective_and_gradient(design, spec, x[None], restricted)[0])
+        assert np.array_equal(grad[0], gradient(x))
+        assert np.array_equal(hess, hess.T)
+        # d = beta_alpha^2 q < 0 raises: forward differences where a step
+        # would cross q = 0, at a smaller step, as they err by O(h^3)
+        h0 = share_steps(x, p, k)
+        forward = np.zeros(x.size, dtype=bool)
+        forward[p:p + k] = x[p:p + k] < h0[p:p + k]
+        h0[forward] = 1e-6
+        oracle = richardson_partials(gradient, x, h0, forward)
+        assert np.linalg.norm(hess - oracle) <= 1e-6 * np.linalg.norm(oracle)
 
     def test_unconstrained_negative_coefficient(self, rng):
         # d = beta^2 q: the chain rule carries the coefficients' signs

@@ -1,9 +1,15 @@
-"""The lockstep L-BFGS-B driver against scipy.optimize.minimize, its oracle.
+"""The two lockstep box drivers against their oracles.
 
 `minimize_starts` steps scipy's private `setulb` itself; every start's
 BoxResult must equal, bit for bit, what `minimize(method="L-BFGS-B")`
 gives on the same start, so a change in scipy's L-BFGS-B shows here.
+`minimize_newton`, the projected-Newton driver of the PLS/PRLS fits, must
+match the active-set QP `ranef._box_qp` on strictly convex box QPs, run
+each start as it runs alone, and treat a trial point that raises as a
+rejected step.
 """
+
+import math
 
 from dataclasses import replace
 
@@ -20,8 +26,10 @@ from cslme.optim import (
     TOL_GRAD,
     TOL_OBJ,
     BoxResult,
+    minimize_newton,
     minimize_starts,
 )
+from cslme.ranef import _box_qp
 
 
 def scipy_box(fun, x0, bounds, tol_obj=TOL_OBJ, tol_grad=TOL_GRAD, max_iter=MAX_ITER):
@@ -45,19 +53,20 @@ def scipy_box(fun, x0, bounds, tol_obj=TOL_OBJ, tol_grad=TOL_GRAD, max_iter=MAX_
                    method="L-BFGS-B", bounds=bounds, callback=track,
                    options={"maxiter": max_iter, "ftol": tol_obj, "gtol": tol_grad})
     x = np.clip(res.x, lo, hi)
-    value, nfev = float(res.fun), int(res.nfev)
+    value, grad, nfev = float(res.fun), res.jac, int(res.nfev)
     if not np.array_equal(x, res.x):
-        value, nfev = float(fun(x)[0]), nfev + 1
-    return BoxResult(x=x, fun=value, trace=np.asarray(trace), converged=bool(res.success),
-                     n_iter=int(res.nit), message=str(res.message), nfev=nfev)
+        (value, grad), nfev = fun(x), nfev + 1
+    return BoxResult(x=x, fun=float(value), trace=np.asarray(trace),
+                     converged=bool(res.success), n_iter=int(res.nit), message=str(res.message),
+                     nfev=nfev, pg_norm=float(np.abs(x - np.clip(x - grad, lo, hi)).max()))
 
 
 def assert_same(got, want):
     assert isinstance(got, BoxResult), got
     np.testing.assert_array_equal(got.x, want.x)
     np.testing.assert_array_equal(got.trace, want.trace)
-    assert (got.fun, got.n_iter, got.nfev, got.message, got.converged) == \
-        (want.fun, want.n_iter, want.nfev, want.message, want.converged)
+    assert (got.fun, got.n_iter, got.nfev, got.message, got.converged, got.pg_norm) == \
+        (want.fun, want.n_iter, want.nfev, want.message, want.converged, want.pg_norm)
 
 
 @pytest.fixture(scope="module")
@@ -207,3 +216,153 @@ def test_a_point_off_the_box_is_re_projected_and_evaluated_there():
         raise FloatingPointError("no value here")
 
     assert isinstance(run.result(raising, lo, hi), FloatingPointError)
+
+
+def per_point_hessian(fun):
+    """The batch form `fun(X) -> (F, G, H)` of a one-point `fun(x) -> (f, grad,
+    hess)`, evaluating the rows of X one after another."""
+    def batch(X):
+        values, grads, hessians = zip(*(fun(x) for x in X))
+        return (np.array(values, dtype=float), np.array(grads, dtype=float),
+                np.array(hessians, dtype=float))
+
+    return batch
+
+
+def box_qp_case(seed, kinds):
+    """A strictly convex QP 0.5 x'Ax + b'x over a box with the bound `kinds`,
+    as (A, b, lo, hi, bounds, four starts, some outside the box)."""
+    rng = np.random.default_rng(seed)
+    m = len(kinds)
+    M = rng.normal(size=(m, m))
+    A, b = M @ M.T + 0.1 * np.eye(m), 3.0 * rng.normal(size=m)
+    low, width = rng.normal(size=m), rng.uniform(0.1, 3.0, size=m)
+    lo = np.array([low[i] if kind in ("both", "lower") else -np.inf
+                   for i, kind in enumerate(kinds)])
+    hi = np.array([low[i] + width[i] if kind in ("both", "upper") else np.inf
+                   for i, kind in enumerate(kinds)])
+    bounds = [(None if math.isinf(a) else a, None if math.isinf(z) else z)
+              for a, z in zip(lo, hi)]
+    return A, b, lo, hi, bounds, 3.0 * rng.normal(size=(4, m))
+
+
+class TestNewton:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kinds=st.lists(st.sampled_from(["both", "lower", "upper", "free"]),
+                          min_size=1, max_size=5))
+    def test_convex_box_qps_match_the_active_set_oracle(self, seed, kinds):
+        A, b, lo, hi, bounds, starts = box_qp_case(seed, kinds)
+
+        def qp(X):
+            G = X @ A + b
+            return 0.5 * ((G + b) * X).sum(axis=1), G, np.broadcast_to(A, (len(X),) + A.shape)
+
+        want = _box_qp(A, -b, lo, hi)
+        for got in minimize_newton(qp, starts, bounds):
+            assert got.converged and got.pg_norm <= TOL_GRAD, got.message
+            assert np.abs(got.x - want).max() <= 1e-10 * (1.0 + np.abs(want).max())
+            np.testing.assert_array_equal(got.x == lo, want == lo)
+            np.testing.assert_array_equal(got.x == hi, want == hi)
+
+    @pytest.mark.parametrize("method", ["PLS", "PRLS"])
+    def test_lockstep_equals_each_start_alone(self, sleep, method):
+        data, spec = sleep
+        design = as_design(data, spec)
+        starts = estimate.default_starts(design, spec, estimate.FitConfig(method, seed=3))
+
+        def fun(X):
+            return estimate.objective_gradient_hessian(design, spec, X, method == "PRLS")
+
+        bounds = share_bounds(design, spec)
+        together = minimize_newton(fun, starts, bounds)
+        for i, got in enumerate(together):
+            assert got.converged and got.pg_norm <= TOL_GRAD
+            assert got.message == "CONVERGENCE: NORM OF PROJECTED GRADIENT <= TOL_GRAD"
+            assert_same(minimize_newton(fun, starts[i:i + 1], bounds)[0], got)
+        for subset in ([4, 1], [3, 0, 2]):
+            for i, got in zip(subset, minimize_newton(fun, [starts[i] for i in subset], bounds)):
+                assert_same(got, together[i])
+
+    def test_a_raising_trial_is_a_rejected_step(self):
+        # f = sqrt(1 + x^2): from x = 2 the Newton step overshoots to x = -8,
+        # and every point below -5 raises; a start there fails at its first point
+        def fun(x):
+            if x[0] < -5.0:
+                raise OverflowError("no value below -5")
+            f = math.sqrt(1.0 + x[0] ** 2)
+            return f, x / f, np.array([[f ** -3]])
+
+        seen = []
+
+        def batch(X):
+            seen.extend(X[:, 0].tolist())
+            return per_point_hessian(fun)(X)
+
+        starts = [np.array([2.0]), np.array([-6.0])]
+        got, failed = minimize_newton(batch, starts, [(None, None)])
+        assert isinstance(failed, OverflowError)
+        assert min(seen) < -6.0  # the first trial of the start at 2
+        assert got.converged and abs(got.x[0]) <= TOL_GRAD and got.nfev > got.n_iter + 1
+        assert_same(minimize_newton(batch, starts[:1], [(None, None)])[0], got)
+
+    def test_a_first_point_that_is_not_finite_stops_the_start(self):
+        def fun(x):
+            return (math.inf if x[0] > 1.0 else x[0] ** 2), 2.0 * x, np.array([[2.0]])
+
+        bad, good = minimize_newton(per_point_hessian(fun), [np.array([3.0]), np.array([0.5])],
+                                    [(None, None)])
+        assert (bad.fun, bad.nfev, bad.n_iter, bad.converged) == (math.inf, 1, 0, False)
+        assert bad.message == "ABNORMAL: THE OBJECTIVE IS NOT FINITE AT THE START"
+        assert good.converged and good.x[0] == 0.0
+
+    def test_the_decrement_below_rounding_stops_a_start(self):
+        # f = 1e3 + y^2 + 1e-9 |y|, y = x - 0.3: |f'| >= 1e-9 everywhere, so
+        # tol_grad = 1e-10 cannot be met, and the start stops once no step
+        # can be verified
+        def fun(x):
+            y = x[0] - 0.3
+            sign = 1.0 if y >= 0.0 else -1.0
+            return 1e3 + y * y + 1e-9 * abs(y), np.array([2.0 * y + 1e-9 * sign]), np.eye(1) * 2.0
+
+        (got,) = minimize_newton(per_point_hessian(fun), [np.array([2.0])], [(None, None)],
+                                 tol_grad=1e-10)
+        assert not got.converged and got.pg_norm <= 2e-9 and abs(got.x[0] - 0.3) <= 1e-9
+        assert got.message == "STOP: THE NEWTON DECREMENT IS BELOW ROUNDING"
+
+    def test_an_active_coordinate_does_not_damp_the_free_steps(self):
+        # x_0 sits at its lower bound, pushed out by f, with curvature -1e6
+        # there; the free x_1 still takes its Newton step to 1 at once
+        def fun(x):
+            return (-5e5 * x[0] ** 2 + 10.0 * x[0] + (x[1] - 1.0) ** 2,
+                    np.array([10.0 - 1e6 * x[0], 2.0 * (x[1] - 1.0)]),
+                    np.diag([-1e6, 2.0]))
+
+        (got,) = minimize_newton(per_point_hessian(fun), [np.array([0.0, 5.0])],
+                                 [(0.0, 1e-6), (None, None)])
+        assert got.converged and got.n_iter == 1
+        np.testing.assert_array_equal(got.x, [0.0, 1.0])
+
+    def test_a_coordinate_its_curvature_holds_off_the_bound_stays_free(self):
+        # x_0 starts within the active band of its bound 0, pushed toward it,
+        # but its own Newton step stops at 9e-5: it stays free, so the first
+        # step is the QP's exact minimizer (1e-4, 5)
+        A = np.array([[1e4, 1.0], [1.0, 1.0]])
+        b = -A @ np.array([1e-4, 5.0])
+
+        def qp(X):
+            G = X @ A + b
+            return 0.5 * ((G + b) * X).sum(axis=1), G, np.broadcast_to(A, (len(X), 2, 2))
+
+        (got,) = minimize_newton(qp, [np.array([5e-4, 5.1])], [(0.0, None), (None, None)])
+        assert got.converged and got.n_iter == 1
+        np.testing.assert_allclose(got.x, [1e-4, 5.0], rtol=1e-12)
+
+    def test_iteration_cap(self):
+        def fun(x):
+            return math.cosh(x[0]), np.array([math.sinh(x[0])]), np.array([[math.cosh(x[0])]])
+
+        (got,) = minimize_newton(per_point_hessian(fun), [np.array([3.0])], [(None, None)],
+                                 max_iter=2)
+        assert got.n_iter == 2 and not got.converged and len(got.trace) == 3
+        assert got.message == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"

@@ -20,7 +20,7 @@ from cslme.model import (
     ModelSpec,
     Parameters,
 )
-from cslme.optim import minimize_starts
+from cslme.optim import minimize_newton, minimize_starts
 from cslme.sdtn import variance_factor
 from cslme.sim import (
     ALL_METHODS,
@@ -356,15 +356,19 @@ class TestFitMethod:
     def test_n_eval_counts_the_objective_calls(self, monkeypatch, method):
         calls = [0]  # evaluated points: the rows of every batch
 
-        def counting(fun, *args, **kwargs):
-            def counted(X):
-                calls[0] += len(X)
-                return fun(X)
+        def counting(minimize):
+            def counted_minimize(fun, *args, **kwargs):
+                def counted(X):
+                    calls[0] += len(X)
+                    return fun(X)
 
-            return minimize_starts(counted, *args, **kwargs)
+                return minimize(counted, *args, **kwargs)
 
-        monkeypatch.setattr(estimate, "minimize_starts", counting)
-        monkeypatch.setattr(baseline, "minimize_starts", counting)
+            return counted_minimize
+
+        monkeypatch.setattr(estimate, "minimize_starts", counting(minimize_starts))
+        monkeypatch.setattr(estimate, "minimize_newton", counting(minimize_newton))
+        monkeypatch.setattr(baseline, "minimize_starts", counting(minimize_starts))
         sc = scenario(n=60, seed=3)
         spec = sc.model_spec()
         data, _ = gen_response(gen_design(sc), sc.truth, spec, seed=2)
