@@ -22,18 +22,20 @@ bit-equal floats:
   PRLS, ML and REML fitted points;
 - the covariance core at those four points, each rounded to 6 significant
   digits so that a fit's own rounding-level move does not move it: the
-  PLS/PRLS search objective and its gradient
-  (`estimate.objective_and_gradient`) at the point in (beta, q, log sigma),
-  the ML/REML profiled criterion and its gradient
-  (`baseline.criterion_and_gradient`) at the point in v = (varsigma /
-  sigma)^2, and the `BlockSolve` values `criterion_parts` (both
-  `restricted` flags), `gls_beta` and `zt_vinv_resid` at (d, sigma), so
-  that a rounding move in the core shows where it starts;
+  PLS/PRLS search objective and its gradient at the point in (beta, q,
+  log sigma), from `estimate.objective_gradient_hessian` but labeled
+  `objective_and_gradient`, the function it replaced, so that the lines
+  of older checkouts still compare; the ML/REML profiled criterion and
+  its gradient (`baseline.criterion_and_gradient`) at the point in v =
+  (varsigma / sigma)^2; and the `BlockSolve` values `criterion_parts`
+  (both `restricted` flags), `gls_beta` and `zt_vinv_resid` at (d,
+  sigma), so that a rounding move in the core shows where it starts;
 - `minimize_labels` on 4 `merit-n30` replications, PLS and PRLS, over
   (beta1, beta2) constrained and free and over label sets that enter V,
   (varsigma0, sigma) and (beta0, varsigma0).
 
-It uses only the public API, so it runs against any checkout:
+It uses only the public API, so it runs against any checkout that has
+`estimate.objective_gradient_hessian`:
 
     PYTHONPATH=src python scripts/fingerprint.py > after.txt
     PYTHONPATH=<other checkout>/src python scripts/fingerprint.py > before.txt
@@ -55,7 +57,12 @@ from cslme.baseline import (
 )
 from cslme.cli import InputSchema, ingest
 from cslme.datasets import sleepstudy_path
-from cslme.estimate import approx_loglik, objective_and_gradient, pls_objective, prls_objective
+from cslme.estimate import (
+    approx_loglik,
+    objective_gradient_hessian,
+    pls_objective,
+    prls_objective,
+)
 from cslme.model import BlockDesign, re_variances, to_shares
 from cslme.sim import (
     ALL_METHODS,
@@ -182,7 +189,7 @@ def core_values(label, data, spec, params):
     design = BlockDesign(data, spec)
     x = to_shares(np.concatenate([beta, varsigma, [math.log(sigma)]]), spec)
     for method, restricted in (("PLS", False), ("PRLS", True)):
-        value, grad = objective_and_gradient(design, spec, x[None], restricted)
+        value, grad, _ = objective_gradient_hessian(design, spec, x[None], restricted)
         emit_all(f"{label}.objective_and_gradient.{method}.value", value)
         emit_all(f"{label}.objective_and_gradient.{method}.grad", grad)
     v = (varsigma / sigma) ** 2

@@ -50,7 +50,7 @@ from .model import (
     unpack,
 )
 from .estimate import jittered_starts, least_squares, multistart
-from .optim import MAX_ITER, TOL_GRAD, TOL_OBJ, BoxResult, minimize_starts, with_central_diff
+from .optim import BoxResult, minimize_starts, with_central_diff
 from .ranef import solve_all
 from .sdtn import sdtn_quantile, std_normal_cdf
 
@@ -150,8 +150,8 @@ def criterion_and_gradient(x: np.ndarray, design: BlockDesign, criterion: str):
 
     The value is -profile_loglik (-reml_loglik) at theta = (sqrt(v) sigma_hat,
     sigma_hat), to rounding, with sigma_hat profiled as in the module
-    docstring. x is R points (R, k), evaluated by one batched `BlockSolve`
-    at sigma = 1, as in `estimate.objective_and_gradient`.
+    docstring. x is R points (R, k), evaluated by one batched `BlockSolve` at
+    sigma = 1, as `estimate.objective_gradient_hessian` batches PLS/PRLS.
     """
     restricted = criterion == "REML"
     sol = design.solve(x, np.ones(len(x)))
@@ -208,7 +208,8 @@ def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML"
 
     The search runs over the relative variances v = (varsigma / sigma)^2 in
     [0, inf)^k, with beta and sigma profiled out (`criterion_and_gradient`);
-    a small deterministic multi-start, run by `estimate.multistart`, guards
+    a small deterministic multi-start, run in lockstep by
+    `optim.minimize_starts` and won by `estimate.multistart`, guards
     against poor initial points. One solve at the winning v gives beta and
     sigma, and varsigma = sqrt(v) sigma; gamma is `gamma_closed_form` at
     the resulting theta.
@@ -223,9 +224,8 @@ def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML"
     def objective(x):
         return criterion_and_gradient(x, design, criterion)
 
-    _, res, results, _ = multistart(objective, _baseline_starts(design, seed),
-                                    [(0.0, None)] * design.k,
-                                    tol_obj=TOL_OBJ, tol_grad=TOL_GRAD, max_iter=MAX_ITER)
+    _, res, results, _ = multistart(minimize_starts(
+        objective, _baseline_starts(design, seed), [(0.0, None)] * design.k))
     sol = design.solve(res.x[None], [1.0])  # V0 = V / sigma^2 at the winner
     beta = sol.gls_beta()
     _, s2 = _profiled_sigma2(sol.quad_form_resid(beta), design, criterion == "REML")

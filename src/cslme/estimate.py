@@ -9,10 +9,10 @@ minimized over beta >= 0, varsigma >= 0, with Lambda carrying the
 truncation-deflated random-effect variances. The penalized restricted
 least squares (PRLS) variant adds ln|X^T V^{-1} X|. Both are minimized by
 projected Newton on the exact Hessian and a small deterministic
-multi-start; the lowest-objective start wins, ties broken by start index.
-`multistart` runs the starts in lockstep, by `optim.minimize_newton` for an
-objective that returns Hessians and by `optim.minimize_starts` (L-BFGS-B)
-for one that returns gradients only, the ML/REML baselines.
+multi-start, run in lockstep by `optim.minimize_newton`. `multistart`
+picks the winner of a driver's starts, here and for the ML/REML baselines
+(`optim.minimize_starts`): the lowest finite objective, near-ties to the
+earlier start.
 
 The search runs in x = (beta, q, log sigma), not in varsigma: q_i = d_i /
 beta_{alpha_i}^2 = vf(rho_i) / rho_i^2 is the deviation's variance over its
@@ -27,19 +27,17 @@ read-back varsigma (about 2.8e7 |beta_alpha|) is a finite stand-in.
 
 Each optimizer call returns the objective, its exact gradient and its
 exact Hessian in (beta, q, log sigma) at every start's trial point from one
-batched factorization of V (`objective_gradient_hessian`). The value and
-its partial in the random-effect variances d come from
-`BlockSolve.criterion_parts`, the partial in beta from X^T V^{-1} r
-(`BlockSolve.xt_vinv_resid`), and the partial in log sigma follows from
-them, as V is homogeneous of degree 1 in (d, sigma^2). The Hessian in
-(beta, d, log sigma) comes from `BlockSolve.criterion_hessian`. d =
-beta_alpha^2 q is one array operation, with dd/dq = beta_alpha^2 and
-dd/dbeta_alpha = 2 beta_alpha q, so the chain to q needs no derivative of
-the variance factor.
+batched factorization of V (`objective_gradient_hessian`, the one PLS/PRLS
+objective). The value, its partial in the random-effect variances d and the
+Hessian in (beta, d, log sigma) come from `BlockSolve.criterion_hessian`,
+the partial in beta from X^T V^{-1} r (`BlockSolve.xt_vinv_resid`), and the
+partial in log sigma follows from them, as V is homogeneous of degree 1 in
+(d, sigma^2). d = beta_alpha^2 q is one array operation, with dd/dq =
+beta_alpha^2 and dd/dbeta_alpha = 2 beta_alpha q, so the chain to q needs
+no derivative of the variance factor.
 """
 
 from dataclasses import dataclass, field
-import functools
 import math
 
 import numpy as np
@@ -60,15 +58,7 @@ from .model import (
     to_shares,
     unpack_shares,
 )
-from .optim import (
-    MAX_ITER,
-    TOL_GRAD,
-    TOL_OBJ,
-    BoxResult,
-    ConvergenceError,
-    minimize_newton,
-    minimize_starts,
-)
+from .optim import TOL_OBJ, BoxResult, ConvergenceError, minimize_newton
 from . import ranef as _ranef
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -112,43 +102,26 @@ class FitResult:
     at_limit: tuple = ()
 
 
-def objective_and_gradient(design: BlockDesign, spec: ModelSpec, x: np.ndarray,
-                           restricted: bool):
-    """PLS (or PRLS) values and exact gradients at R points x = (beta, q, log sigma).
-
-    x is (R, m), evaluated by one batched `BlockSolve`, with values (R,)
-    and gradients (R, m). The value is `BlockSolve.criterion` at d =
-    beta_alpha^2 q, bit for bit, and a point's value and gradient do not
-    depend on the batch.
-    """
-    return _evaluate(design, spec, x, restricted, hessian=False)
-
-
 def objective_gradient_hessian(design: BlockDesign, spec: ModelSpec, x: np.ndarray,
                                restricted: bool):
-    """`objective_and_gradient`'s values and gradients, bit for bit, and the
-    exact Hessians (R, m, m) at R points x = (beta, q, log sigma).
+    """PLS (or PRLS) values (R,), exact gradients (R, m) and exact Hessians
+    (R, m, m) at R points x = (beta, q, log sigma), from one batched
+    `BlockSolve`.
 
+    The value is `BlockSolve.criterion` at d = beta_alpha^2 q, bit for bit,
+    and a point's values do not depend on the batch.
     `BlockSolve.criterion_hessian` gives the Hessian H in y = (beta, d,
     log sigma); with J = dy/dx it is J^T H J plus each partial in d times
     its second derivatives, d^2 d_i / dbeta_{alpha_i}^2 = 2 q_i and d^2 d_i /
     dbeta_{alpha_i} dq_i = 2 beta_{alpha_i}, made exactly symmetric.
     """
-    return _evaluate(design, spec, x, restricted, hessian=True)
-
-
-def _evaluate(design, spec, x, restricted, hessian):
-    """The values and gradients at R points x, and their Hessians if `hessian`."""
     p, k = design.p, spec.k
-    alpha = list(spec.alpha)
+    alpha = np.array(spec.alpha)
     beta, q, b = x[:, :p], x[:, p:p + k], x[:, alpha]
     dd_dq, dd_db = b * b, 2.0 * b * q  # d = beta_alpha^2 q
     d = dd_dq * q
     sol = design.solve(d, exp_each(x[:, -1]))
-    if hessian:
-        quad, logdet, dq, dlog, H = sol.criterion_hessian(beta, restricted)
-    else:
-        quad, logdet, dq, dlog = sol.criterion_parts(beta, restricted)
+    quad, logdet, dq, dlog, H = sol.criterion_hessian(beta, restricted)
     dd = dq + dlog
     grad = np.empty(x.shape)
     grad[:, :p] = -2.0 * sol.xt_vinv_resid(beta)
@@ -156,36 +129,19 @@ def _evaluate(design, spec, x, restricted, hessian):
     grad[:, p:p + k] = dd * dd_dq
     # V is homogeneous of degree 1 in (d, sigma^2)
     grad[:, -1] = 2.0 * (design.n - quad - p * restricted - (d * dd).sum(axis=1))
-    value = quad + logdet
-    if not hessian:
-        return value, grad
-    ones, chain, curve = _chain_layout(p, tuple(alpha))
-    J = np.zeros((len(x), (p + k + 1) ** 2))
-    J[:, ones] = 1.0
-    J[:, chain] = np.concatenate([dd_db, dd_dq], axis=1)
-    J = J.reshape(len(x), p + k + 1, -1)
+    # J: rows (beta, d, log sigma), columns (beta, q, log sigma); row d_i = column q_i
+    i = np.arange(p, p + k)
+    J = np.empty((len(x), p + k + 1, p + k + 1))
+    J[:] = np.eye(p + k + 1)
+    J[:, i, alpha] = dd_db
+    J[:, i, i] = dd_dq
     hess = J.swapaxes(-1, -2) @ H @ J
     w = 2.0 * dd
     wb = w * b
-    hess.reshape(len(x), -1)[:, curve] += np.concatenate([w * q, wb, wb], axis=1)
-    return value, grad, 0.5 * (hess + hess.swapaxes(-1, -2))
-
-
-@functools.cache
-def _chain_layout(p: int, alpha: tuple):
-    """Flat indices into an m x m matrix, m = p + k + 1, of the entries of J =
-    d(beta, d, log sigma) / d(beta, q, log sigma): its unit entries (the beta
-    diagonal and (log sigma, log sigma)) and its (d_i, beta_{alpha_i}) and
-    (d_i, q_i) entries; then of the second-derivative terms
-    (beta_{alpha_i}, beta_{alpha_i}), (beta_{alpha_i}, q_i) and (q_i,
-    beta_{alpha_i})."""
-    k = len(alpha)
-    m = p + k + 1
-    a, dq = np.array(alpha, dtype=int), p + np.arange(k)
-    ones = np.append(np.arange(p) * (m + 1), m * m - 1)
-    chain = np.concatenate([dq * m + a, dq * (m + 1)])
-    curve = np.concatenate([a * (m + 1), a * m + dq, dq * m + a])
-    return ones, chain, curve
+    hess[:, alpha, alpha] += w * q
+    hess[:, alpha, i] += wb
+    hess[:, i, alpha] += wb
+    return quad + logdet, grad, 0.5 * (hess + hess.swapaxes(-1, -2))
 
 
 def _objective(params: Parameters, dataset, spec: ModelSpec, restricted: bool) -> float:
@@ -263,35 +219,29 @@ def default_starts(design: BlockDesign, spec: ModelSpec, config: FitConfig) -> l
     return [to_shares(x, spec) for x in starts]
 
 
-def multistart(fun, starts, bounds, tol_obj, tol_grad, max_iter, hessian=False):
-    """Minimize `fun(X) -> (F, G)` from every start in lockstep
-    (`optim.minimize_starts`), or `fun(X) -> (F, G, H)` if `hessian`
-    (`optim.minimize_newton`), and keep the lowest objective.
+def multistart(runs):
+    """Pick the winner among one driver's per-start results, each a BoxResult
+    or the error its start raised (`optim.minimize_newton`,
+    `optim.minimize_starts`).
 
-    A start whose evaluation raises one of NUMERICAL_FAILURES is recorded as
-    (index, repr) and dropped; the other starts run on. A later start wins
-    only if its objective is lower by more than tol_obj, so near-ties go to
-    the earlier start. Returns (winning index, its BoxResult, [(index,
-    BoxResult)] of every finished start, failures); raises ConvergenceError
-    listing every start if none finishes.
+    A start that raised is recorded as (index, repr). Only finite objectives
+    are ranked, and a later start wins only if its objective is lower by
+    more than `optim.TOL_OBJ`, so near-ties go to the earlier start. Returns
+    (winning index, its BoxResult, [(index, BoxResult)] of every finished
+    start, failures); raises ConvergenceError listing every start if none
+    ends at a finite objective.
     """
-    results: list[tuple[int, BoxResult]] = []
-    failures = []
-    if hessian:
-        runs = minimize_newton(fun, starts, bounds, tol_grad=tol_grad, max_iter=max_iter)
-    else:
-        runs = minimize_starts(fun, starts, bounds, tol_obj=tol_obj, tol_grad=tol_grad,
-                               max_iter=max_iter)
-    for idx, res in enumerate(runs):
-        if isinstance(res, BoxResult):
-            results.append((idx, res))
-        else:
-            failures.append((idx, repr(res)))
-    if not results:
-        raise ConvergenceError(f"all {len(failures)} starts failed", diagnostics=failures)
-    best_idx, best = results[0]
-    for idx, res in results[1:]:
-        if res.fun < best.fun - tol_obj:
+    results = [(idx, res) for idx, res in enumerate(runs) if isinstance(res, BoxResult)]
+    failures = [(idx, repr(res)) for idx, res in enumerate(runs)
+                if not isinstance(res, BoxResult)]
+    ranked = [(idx, res) for idx, res in results if math.isfinite(res.fun)]
+    if not ranked:
+        every = sorted(failures + [(idx, f"objective {res.fun!r}: {res.message}")
+                                   for idx, res in results])
+        raise ConvergenceError(f"all {len(every)} starts failed", diagnostics=every)
+    best_idx, best = ranked[0]
+    for idx, res in ranked[1:]:
+        if res.fun < best.fun - TOL_OBJ:
             best_idx, best = idx, res
     return best_idx, best, results, failures
 
@@ -317,9 +267,8 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
     def objective(x):
         return objective_gradient_hessian(design, spec, x, restricted)
 
-    best_idx, best, results, failures = multistart(
-        objective, default_starts(design, spec, config), share_bounds(design, spec),
-        TOL_OBJ, TOL_GRAD, MAX_ITER, hessian=True)
+    best_idx, best, results, failures = multistart(minimize_newton(
+        objective, default_starts(design, spec, config), share_bounds(design, spec)))
     params = unpack_shares(best.x, spec)
     return FitResult(
         params=params,

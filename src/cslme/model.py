@@ -642,7 +642,7 @@ class BlockSolve:
         less sum_l (W_l F^{-1} W_l^T)_ii with W_l = Z_l^T V_l^{-1} X_l if
         `restricted`. The two parts scale differently with sigma, which the
         ML/REML search profiles out (`baseline.criterion_and_gradient`);
-        PLS/PRLS add them (`estimate.objective_and_gradient`). Each is read
+        PLS/PRLS add them (`estimate.objective_gradient_hessian`). Each is read
         off Z_l^T V_l^{-1} [Z_l X_l y_l]: O(g k^2 (k + p) + g k p^2 + p^3).
         dq and dlog gain the points axis first.
         """

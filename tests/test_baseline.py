@@ -10,7 +10,7 @@ from scipy import integrate
 from conftest import make_dataset
 from dense import assemble, central_diff_grad, joint_system_solve
 from exact import sdtn_group_loglik
-from cslme import estimate
+from cslme import baseline
 from cslme.baseline import (
     PIT_UNDERFLOW_PENALTY,
     QuadratureUnderflowError,
@@ -254,7 +254,7 @@ class TestProfiledSearch:
         # one BlockSolve per round of the search, one at the winning v for beta
         # and sigma, and one at theta for gamma (`gamma_closed_form`)
         rounds, solves = [], []
-        real_minimize, real_solve = estimate.minimize_starts, BlockDesign.solve
+        real_minimize, real_solve = baseline.minimize_starts, BlockDesign.solve
 
         def counted_minimize(fun, *args, **kwargs):
             def counted(X):
@@ -266,7 +266,7 @@ class TestProfiledSearch:
             solves.append(1)
             return real_solve(design, *args)
 
-        monkeypatch.setattr(estimate, "minimize_starts", counted_minimize)
+        monkeypatch.setattr(baseline, "minimize_starts", counted_minimize)
         monkeypatch.setattr(BlockDesign, "solve", counted_solve)
         for label, data, spec in sleep_and_replications():
             rounds.clear()

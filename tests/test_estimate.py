@@ -8,6 +8,7 @@ from conftest import make_dataset, random_params
 from dense import assemble, central_diff_grad, joint_objective, marginal_cov
 from cslme import estimate
 from cslme.estimate import (
+    METHODS,
     FitConfig,
     approx_loglik,
     fit,
@@ -28,13 +29,14 @@ from cslme.model import (
 from cslme.optim import (
     TOL_GRAD,
     TOL_OBJ,
+    BoxResult,
     ConvergenceError,
     gradient_step,
     minimize_newton,
     minimize_starts,
     with_central_diff,
 )
-from cslme.sim import Scenario, gen_design, gen_response
+from cslme.sim import Scenario, builtin_scenarios, gen_design, gen_response, replication_data
 
 
 def dense_pls(params, dataset, spec):
@@ -246,11 +248,6 @@ class TestFit:
             fit(data, spec, FitConfig(method=method))
 
 
-def two_basins(offset):
-    """Minimum 0 at x = 1 and minimum `offset` at x = -1."""
-    return lambda x: min((x[0] - 1.0) ** 2, (x[0] + 1.0) ** 2 + offset)
-
-
 class TestMinimizeBox:
     def test_nfev_counts_every_call(self):
         calls = []
@@ -294,35 +291,62 @@ class TestMinimizeBox:
             grad, central_diff_grad(lambda probe: float(np.sum(probe ** 3)), x))
 
 
+def finished(fun, message="CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"):
+    """A start's BoxResult that ended at objective `fun`."""
+    return BoxResult(x=np.zeros(1), fun=fun, trace=np.array([fun]), converged=True,
+                     n_iter=1, message=message, nfev=1, pg_norm=0.0)
+
+
 class TestMultistart:
-    # start 0 descends to x = 1, start 1 to x = -1
-    STARTS = [np.array([2.0]), np.array([-2.0])]
-    BOUNDS = [(None, None)]
-
-    def run(self, fun):
-        return multistart(with_central_diff(lambda P: [fun(x) for x in P]),
-                          self.STARTS, self.BOUNDS, tol_obj=1e-6, tol_grad=1e-10, max_iter=200)
-
     def test_near_tie_goes_to_earlier_start(self):
-        idx, best, results, failures = self.run(two_basins(-0.5e-6))
-        assert idx == 0 and best.x[0] == pytest.approx(1.0, abs=1e-4)
-        assert [i for i, _ in results] == [0, 1] and failures == []
-        assert results[1][1].fun < best.fun  # lower, but within tol_obj
+        runs = [finished(1.0), finished(1.0 - 0.5 * TOL_OBJ)]
+        idx, best, results, failures = multistart(runs)
+        assert idx == 0 and best is runs[0] and failures == []
+        assert results == [(0, runs[0]), (1, runs[1])]
+        assert runs[1].fun < best.fun  # lower, but within TOL_OBJ
 
     def test_lower_by_more_than_tol_obj_wins(self):
-        idx, best, _, _ = self.run(two_basins(-1e-5))
-        assert idx == 1 and best.x[0] == pytest.approx(-1.0, abs=1e-4)
+        runs = [finished(1.0), finished(1.0 - 10.0 * TOL_OBJ)]
+        idx, best, _, _ = multistart(runs)
+        assert idx == 1 and best is runs[1]
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+    def test_non_finite_objective_never_wins(self, bad):
+        runs = [finished(bad), OverflowError("poisoned point"), finished(2.0), finished(bad)]
+        idx, best, results, failures = multistart(runs)
+        assert idx == 2 and best is runs[2]
+        assert [i for i, _ in results] == [0, 2, 3]  # finished, so counted, but not ranked
+        assert failures == [(1, "OverflowError('poisoned point')")]
+
+    def test_no_finite_objective_lists_every_start(self):
+        runs = [finished(-math.inf, "ABNORMAL: THE OBJECTIVE IS NOT FINITE AT THE START"),
+                np.linalg.LinAlgError("not positive definite"), finished(math.nan)]
+        with pytest.raises(ConvergenceError, match="all 3 starts failed") as info:
+            multistart(runs)
+        assert info.value.diagnostics == [
+            (0, "objective -inf: ABNORMAL: THE OBJECTIVE IS NOT FINITE AT THE START"),
+            (1, "LinAlgError('not positive definite')"),
+            (2, "objective nan: CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL")]
 
     @pytest.mark.parametrize("error", [*NUMERICAL_FAILURES, SingularDesignError,
                                        ConvergenceError])
     def test_every_start_failing_lists_each(self, error):
-        def fun(x):
-            raise error("no value here")
-
         with pytest.raises(ConvergenceError, match="all 2 starts failed") as info:
-            self.run(fun)
+            multistart([error("no value here"), error("no value here")])
         assert [i for i, _ in info.value.diagnostics] == [0, 1]
         assert all(msg.startswith(error.__name__) for _, msg in info.value.diagnostics)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_overflowing_response_raises(self, method):
+        # u'u overflows before its division by sigma^2: every start's first value is -inf
+        scenario = builtin_scenarios()["intercept-p3-n300"]
+        data, _, seed = replication_data(scenario, 0)
+        data = Dataset(tuple(GroupData(gd.group_id, gd.y * 1e100, gd.X) for gd in data.groups))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ConvergenceError, match="all 5 starts failed") as info:
+                fit(data, scenario.model_spec(), FitConfig(method=method, seed=seed))
+        assert all(msg.startswith("objective -inf") for _, msg in info.value.diagnostics)
 
 
 class TestSleepStudyStarts:

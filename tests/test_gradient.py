@@ -25,12 +25,7 @@ import pytest
 from conftest import make_dataset, random_params
 from dense import assemble, central_diff_grad
 from cslme.baseline import Theta, criterion_and_gradient, profile_loglik, reml_loglik
-from cslme.estimate import (
-    objective_and_gradient,
-    objective_gradient_hessian,
-    pls_objective,
-    prls_objective,
-)
+from cslme.estimate import objective_gradient_hessian, pls_objective, prls_objective
 from cslme.model import (
     Q_MAX,
     BlockDesign,
@@ -205,10 +200,10 @@ class TestExactGradient:
 
         assert_matches_oracle(
             dense_share_criterion(data, spec, restricted),
-            lambda z: objective_and_gradient(design, spec, z, restricted), x,
+            lambda z: objective_gradient_hessian(design, spec, z, restricted)[:2], x,
             value_only=read_back, h0=share_steps(x, p, k))
         # the value is BlockSolve.criterion at d = beta_alpha^2 q, bit for bit
-        (value,), _ = objective_and_gradient(design, spec, x[None], restricted)
+        (value,), *_ = objective_gradient_hessian(design, spec, x[None], restricted)
         sol = design.solve((x[list(spec.alpha)] ** 2 * x[p:p + k])[None], [math.exp(x[-1])])
         assert value == sol.criterion(x[None, :p], restricted)[0]
 
@@ -247,12 +242,9 @@ class TestExactGradient:
             x[p + top] = Q_MAX
 
         def gradient(z):
-            return objective_and_gradient(design, spec, z[None], restricted)[1][0]
+            return objective_gradient_hessian(design, spec, z[None], restricted)[1][0]
 
-        value, grad, (hess,) = objective_gradient_hessian(design, spec, x[None], restricted)
-        # the values and gradients of objective_and_gradient, bit for bit
-        assert np.array_equal(value, objective_and_gradient(design, spec, x[None], restricted)[0])
-        assert np.array_equal(grad[0], gradient(x))
+        (hess,) = objective_gradient_hessian(design, spec, x[None], restricted)[2]
         assert np.array_equal(hess, hess.T)
         # d = beta_alpha^2 q < 0 raises: forward differences where a step
         # would cross q = 0, at a smaller step, as they err by O(h^3)
@@ -271,6 +263,6 @@ class TestExactGradient:
         x = np.array([-0.7, -1.1, 0.4, 0.3, 0.05, -0.2])
         assert_matches_oracle(
             dense_share_criterion(data, spec, False),
-            lambda z: objective_and_gradient(design, spec, z, False), x,
+            lambda z: objective_gradient_hessian(design, spec, z, False)[:2], x,
             value_only=lambda z: pls_objective(unpack_shares(z, spec), design, spec),
             h0=share_steps(x, 3, 2))

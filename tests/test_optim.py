@@ -106,7 +106,8 @@ def sleep_problem(sleep, method, seed=0):
     if method in estimate.METHODS:
         design = as_design(data, spec)
         starts = estimate.default_starts(design, spec, estimate.FitConfig(method, seed=seed))
-        return (lambda x: estimate.objective_and_gradient(design, spec, x, method == "PRLS"),
+        return (lambda x: estimate.objective_gradient_hessian(design, spec, x,
+                                                              method == "PRLS")[:2],
                 starts, share_bounds(design, spec))
     spec = replace(spec, constrained=False)
     design = as_design(data, spec)
@@ -185,7 +186,7 @@ class TestBatchIsolation:
             return per_point(separable)(X)
 
         idx, best, results, failures = estimate.multistart(
-            batch, self.STARTS, [(None, None)] * 2, TOL_OBJ, TOL_GRAD, MAX_ITER)
+            minimize_starts(batch, self.STARTS, [(None, None)] * 2))
         assert failures == [(1, "OverflowError('poisoned point')")]
         assert [i for i, _ in results] == [0, 2] and idx in (0, 2)
         for i, res in results:

@@ -366,7 +366,6 @@ class TestFitMethod:
 
             return counted_minimize
 
-        monkeypatch.setattr(estimate, "minimize_starts", counting(minimize_starts))
         monkeypatch.setattr(estimate, "minimize_newton", counting(minimize_newton))
         monkeypatch.setattr(baseline, "minimize_starts", counting(minimize_starts))
         sc = scenario(n=60, seed=3)
