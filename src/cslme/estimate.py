@@ -250,7 +250,7 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
     """Multi-start constrained minimization of the PLS or PRLS objective by
     projected Newton (`optim.minimize_newton`).
 
-    Returns the lowest-objective start with the fitted deviations
+    Returns the winning start (`multistart`) with the fitted deviations
     attached; `converged` says whether its projected gradient is at most
     `optim.TOL_GRAD`. Every returned parameter satisfies its bound exactly
     (projection, not tolerance). A column of X collinear with those before
