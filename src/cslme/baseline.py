@@ -52,7 +52,7 @@ from .model import (
 from .estimate import jittered_starts, least_squares, multistart
 from .optim import BoxResult, minimize_starts, with_central_diff
 from .ranef import solve_all
-from .sdtn import sdtn_quantile, std_normal_cdf
+from .sdtn import per_entry, sdtn_quantile, std_normal_cdf
 
 LOG_DOUBLE_MIN = math.log(np.finfo(float).tiny)
 
@@ -157,9 +157,8 @@ def criterion_and_gradient(x: np.ndarray, design: BlockDesign, criterion: str):
     sol = design.solve(x, np.ones(len(x)))
     q, logdet, dq, dlog = sol.criterion_parts(sol.gls_beta(), restricted)
     dof, s2 = _profiled_sigma2(q, design, restricted)
-    # math.log at every point: numpy's vectorized log can be an ulp away from it
-    log_s2 = np.array([math.log(v) for v in s2.tolist()])
-    return 0.5 * (q / s2 + dof * log_s2 + logdet), 0.5 * (dq / s2[:, None] + dlog)
+    return (0.5 * (q / s2 + dof * per_entry(math.log)(s2) + logdet),
+            0.5 * (dq / s2[:, None] + dlog))
 
 
 def profile_beta(theta: Theta, dataset, spec: ModelSpec) -> np.ndarray:

@@ -52,13 +52,13 @@ from .model import (
     SingularDesignError,
     as_design,
     at_uniform_limit,
-    exp_each,
     re_variances,
     share_bounds,
     to_shares,
     unpack_shares,
 )
 from .optim import TOL_OBJ, BoxResult, ConvergenceError, minimize_newton
+from .sdtn import per_entry
 from . import ranef as _ranef
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -120,7 +120,7 @@ def objective_gradient_hessian(design: BlockDesign, spec: ModelSpec, x: np.ndarr
     beta, q, b = x[:, :p], x[:, p:p + k], x[:, alpha]
     dd_dq, dd_db = b * b, 2.0 * b * q  # d = beta_alpha^2 q
     d = dd_dq * q
-    sol = design.solve(d, exp_each(x[:, -1]))
+    sol = design.solve(d, per_entry(math.exp)(x[:, -1]))
     quad, logdet, dq, dlog, H = sol.criterion_hessian(beta, restricted)
     dd = dq + dlog
     grad = np.empty(x.shape)
@@ -216,7 +216,7 @@ def default_starts(design: BlockDesign, spec: ModelSpec, config: FitConfig) -> l
     natural = np.concatenate([beta0, vs0, [resid_sd]])
     starts = jittered_starts(natural, (np.random.default_rng(np.random.SeedSequence(
         [config.seed, s])) for s in range(1, config.n_starts)))
-    return [to_shares(x, spec) for x in starts]
+    return list(to_shares(np.array(starts), spec))
 
 
 def multistart(runs):

@@ -52,7 +52,7 @@ import math
 
 import numpy as np
 
-from .sdtn import SMALL_RHO, variance_factor
+from .sdtn import SMALL_RHO, per_entry, variance_factor
 
 
 class DimensionMismatchError(ValueError):
@@ -246,25 +246,26 @@ class RandomEffects:
 
 
 def re_variances(beta: np.ndarray, varsigma: np.ndarray, alpha) -> np.ndarray:
-    """SDTN random-effect variances from raw coefficient/scale arrays.
+    """SDTN random-effect variances from raw coefficient/scale arrays: (k,)
+    at beta (p,) and varsigma (k,), (R, k) at (R, p) and (R, k), row by row.
 
     Entry i is varsigma_i^2 * variance_factor(|beta_{alpha_i}| / |varsigma_i|).
     The absolute values keep the ratio defined at optimizer probe points
     that step slightly past a boundary. Zero scale or zero coefficient
-    gives an exactly zero variance (degenerate random effect).
+    gives an exactly zero variance (degenerate random effect); a ratio that
+    underflows to 0 gives NaN, as inf * 0 does where varsigma^2 overflows.
     """
-    alpha = tuple(alpha)
-    if len(alpha) != len(varsigma):
-        raise DimensionMismatchError(
-            f"varsigma has {len(varsigma)} entries, alpha has {len(alpha)}"
-        )
-    out = np.zeros(len(alpha))
-    for i, col in enumerate(alpha):
-        s = abs(float(varsigma[i]))
-        b = abs(float(beta[col]))
-        if s == 0.0 or b == 0.0:
-            continue
-        out[i] = s * s * variance_factor(b / s)
+    b = np.abs(np.asarray(beta, dtype=float)[..., list(alpha)])
+    s = np.abs(np.asarray(varsigma, dtype=float))
+    if s.shape != b.shape:
+        raise DimensionMismatchError(f"varsigma has shape {s.shape}, "
+                                     f"alpha picks beta entries of shape {b.shape}")
+    out = np.zeros(s.shape)
+    live = (s != 0.0) & (b != 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf * 0 is NaN
+        s, rho = s[live], b[live] / s[live]
+        pos = rho > 0.0
+        out[live] = np.where(pos, s * s, np.nan) * variance_factor(np.where(pos, rho, 1.0))
     return out
 
 
@@ -357,9 +358,7 @@ def unpack(x: np.ndarray, spec: ModelSpec) -> Parameters:
     k = spec.k
     p = x.size - k - 1
     varsigma = x[p:p + k].copy()
-    for i, col in enumerate(spec.alpha):
-        if x[col] == 0.0:
-            varsigma[i] = 0.0
+    varsigma[x[list(spec.alpha)] == 0.0] = 0.0
     return Parameters(beta=x[:p], varsigma=varsigma, sigma=math.exp(x[-1]))
 
 
@@ -374,8 +373,9 @@ Q_MAX = float(np.nextafter(1.0 / 3.0, 0.0))
 _Q_SERIES = 1.0 / 3.0 - 2.0 * SMALL_RHO * SMALL_RHO / 45.0
 
 
-def variance_share(rho: float) -> float:
-    """q = variance_factor(rho) / rho^2 at a ratio rho = |beta| / varsigma >= 0.
+@per_entry
+def variance_share(rho):
+    """q = variance_factor(rho) / rho^2 at each ratio rho = |beta| / varsigma >= 0 (`per_entry`).
 
     q falls monotonically from 1/3 (rho = 0, capped at Q_MAX) to 0 (rho =
     inf); below SMALL_RHO it is the two-term series 1/3 - 2 rho^2/45.
@@ -422,20 +422,19 @@ def share_bounds(design: BlockDesign, spec: ModelSpec) -> list:
 
 
 def to_shares(x: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    """The point (beta, q, log sigma) of x = (beta, varsigma, log sigma).
+    """The point (beta, q, log sigma) of x = (beta, varsigma, log sigma); rows of (R, m) each.
 
     q_i = variance_share(|beta_{alpha_i}| / varsigma_i); a zero coefficient
     maps to Q_MAX, a zero scale (with a nonzero coefficient) to 0.
     """
     k = spec.k
-    p = x.size - k - 1
+    p = x.shape[-1] - k - 1
     out = np.array(x, dtype=float)
-    for i, col in enumerate(spec.alpha):
-        b, s = abs(float(x[col])), float(x[p + i])
-        if b == 0.0:
-            out[p + i] = Q_MAX
-        else:
-            out[p + i] = variance_share(b / s) if s > 0.0 else 0.0
+    b, s = np.abs(x[..., list(spec.alpha)]), x[..., p:p + k]
+    live = (b != 0.0) & (s > 0.0)
+    out[..., p:p + k] = np.where(b == 0.0, Q_MAX, 0.0)
+    with np.errstate(over="ignore"):
+        out[..., p:p + k][live] = variance_share(b[live] / s[live])
     return out
 
 
@@ -449,11 +448,9 @@ def unpack_shares(x: np.ndarray, spec: ModelSpec) -> Parameters:
     """
     k = spec.k
     p = x.size - k - 1
-    varsigma = np.zeros(k)
-    for i, col in enumerate(spec.alpha):
-        b, q = abs(float(x[col])), float(x[p + i])
-        if b > 0.0 and q > 0.0:
-            varsigma[i] = b / share_ratio(q)
+    b, q, varsigma = np.abs(x[list(spec.alpha)]), x[p:p + k], np.zeros(k)
+    live = (b > 0.0) & (q > 0.0)
+    varsigma[live] = b[live] / per_entry(share_ratio)(q[live])
     return Parameters(beta=x[:p], varsigma=varsigma, sigma=math.exp(x[-1]))
 
 
@@ -466,12 +463,6 @@ def at_uniform_limit(x: np.ndarray, spec: ModelSpec) -> tuple:
     """
     p = x.size - spec.k - 1
     return tuple(bool(x[p + i] >= Q_MAX and x[col] != 0.0) for i, col in enumerate(spec.alpha))
-
-
-def exp_each(log_sigma: np.ndarray) -> np.ndarray:
-    """math.exp at every entry of a 1-d array: numpy's vectorized exp can be
-    an ulp away from it."""
-    return np.array([math.exp(v) for v in log_sigma.tolist()])
 
 
 # The helpers below make the same BLAS or LAPACK call at every point of a
@@ -515,7 +506,7 @@ class BlockSolve:
     (ValueError), a finite capacitance matrix that does not factor
     (LinAlgError) or, for a value that needs it, a singular X^T V^{-1} X
     (SingularDesignError). A point whose capacitance matrix has NaN or inf
-    entries (d or d / sigma^2 overflowing), or whose sigma^2 overflows to
+    entries (d NaN, or d or d / sigma^2 overflowing), or whose sigma^2 overflows to
     inf, raises nothing: `np.linalg.cholesky` factors such a matrix into
     non-finite factors instead of raising, and ln|V| is non-finite, so the
     values there are non-finite and an optimizer's line search backs off
@@ -545,9 +536,7 @@ class BlockSolve:
         L = np.linalg.cholesky(
             design.eye + design.ZtA[..., :design.k] * (s[:, None, :, None]
                                                         * s[:, None, None, :] / self._s2[3]))
-        # math.log at every point: numpy's vectorized log can be an ulp away from it
-        log_s2 = np.array([math.log(v) for v in self.sigma2.tolist()])
-        self.logdet_v = design.n * log_s2 + _logdet_chol(L)
+        self.logdet_v = design.n * per_entry(math.log)(self.sigma2) + _logdet_chol(L)
         self._B = np.linalg.inv(L) * s[:, None, None, :]
 
     @staticmethod

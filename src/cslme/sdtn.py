@@ -13,6 +13,7 @@ generator state.
 """
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -31,15 +32,15 @@ SERIES_RHO = 0.1
 
 @dataclass(frozen=True)
 class SdtnParams:
-    """SDTN law: truncated normal on [mu - rho*eta, mu + rho*eta]."""
+    """SDTN law: truncated normal on [mu - rho*eta, mu + rho*eta]; rho may be +inf."""
 
     mu: float
     eta: float
     rho: float
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError(f"scale eta must be positive, got {self.eta}")
+        if not (math.isfinite(self.mu) and math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"need a finite mu and a finite eta > 0, got {self.mu}, {self.eta}")
         if not self.rho > 0:
             raise ValueError(f"truncation ratio rho must be positive, got {self.rho}")
 
@@ -110,16 +111,33 @@ def sdtn_quantile(q, mu, eta, rho):
 
 
 def sdtn_ppf(q, p: SdtnParams):
-    """SDTN quantile function (inverse CDF) for q in [0, 1]."""
+    """SDTN quantile function (inverse CDF) for q in [0, 1]; a NaN level is rejected."""
     q = np.asarray(q, dtype=float)
-    if np.any((q < 0.0) | (q > 1.0)):
+    if not np.all((q >= 0.0) & (q <= 1.0)):
         raise ValueError("quantile levels must lie in [0, 1]")
     out = sdtn_quantile(q, p.mu, p.eta, p.rho)
     return out if out.ndim else float(out)
 
 
-def variance_factor(rho: float) -> float:
-    """Variance deflation of an SDTN relative to eta^2.
+@functools.cache  # one wrapper per f, so per_entry(math.log)(x) in a hot loop stays cheap
+def per_entry(f):
+    """f(float) -> float made to take a float, or an array of any shape (f at
+    each entry, in that shape, bit-equal to its scalar call): numpy's exp, log
+    and erf can be an ulp away from `math`'s, so `math` values reach arrays here."""
+
+    @functools.wraps(f)
+    def each(x):
+        if isinstance(x, (float, int)):
+            return f(float(x))
+        a = np.asarray(x, dtype=float)
+        return np.array([f(v) for v in a.ravel().tolist()]).reshape(a.shape)
+
+    return each
+
+
+@per_entry
+def variance_factor(rho):
+    """Variance deflation of an SDTN relative to eta^2, at each rho (`per_entry`).
 
     Closed form 1 - 2*rho*phi(rho)/(2*Phi(rho)-1). Near rho = 0 that is 1
     minus a number close to 1, which leaves a relative error of about
@@ -135,7 +153,6 @@ def variance_factor(rho: float) -> float:
         raise ValueError(f"truncation ratio rho must be positive, got {rho}")
     if rho < SERIES_RHO:
         return _variance_factor_series(rho)
-    # scalar math: value-only objectives call this once per random column per point
     tail = math.exp(-0.5 * rho * rho)
     if tail == 0.0:
         return 1.0
@@ -210,7 +227,7 @@ def standardized_sum(laws, samples, weights=None) -> np.ndarray:
         if w.shape != (len(laws),):
             raise ValueError("one weight per law required")
     mus = np.array([p.mu for p in laws])
-    variances = np.array([sdtn_variance(p) for p in laws])
+    variances = np.array([p.eta ** 2 for p in laws]) * variance_factor([p.rho for p in laws])
     t_n = math.sqrt(float(np.sum(w ** 2 * variances)))
     if t_n == 0.0:
         raise ValueError("all laws are degenerate: zero total variance")

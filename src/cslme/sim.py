@@ -36,13 +36,12 @@ from .model import (
     Parameters,
     RandomEffects,
     check_sizes,
-    exp_each,
     parameter_labels,
     re_variances,
     search_bounds,
 )
 from .optim import BoxResult, minimize_starts, with_central_diff
-from .sdtn import SdtnParams, sdtn_ppf, variance_factor
+from .sdtn import SdtnParams, per_entry, sdtn_ppf, variance_factor
 
 ALL_METHODS = ("PLS", "PRLS", "ML", "REML", "PIT")
 NORMAL_METHODS = ("ML", "REML")  # unconstrained, with normal deviations
@@ -384,13 +383,13 @@ def contour_grid(request: ContourRequest, dataset: Dataset, spec: ModelSpec) -> 
     (k) lengths; a bad request raises ValueError before any cell is
     evaluated. The grid is then held as (cells, p) beta, (cells, k)
     varsigma and (cells,) sigma arrays and evaluated in chunks of
-    CONTOUR_CHUNK // n cells, one batched `BlockSolve` each; the
-    random-effect variances come from `re_variances`, cell by cell. A
-    chunk that raises is evaluated again one cell at a time. A cell is NaN
-    exactly where the per-point `pls_objective`/`prls_objective` raises:
-    sigma <= 0, sigma^2 or a ratio |beta| / varsigma that underflows to 0,
-    a negative varsigma, a capacitance matrix that does not factor, or
-    (PRLS) a singular X^T V^{-1} X; every other cell equals it bit for bit.
+    CONTOUR_CHUNK // n cells, one batched `BlockSolve` each; the (cells, k)
+    random-effect variances come from one `re_variances` call over the grid.
+    A chunk that raises is evaluated again one cell at a time. A cell is NaN
+    exactly where the per-point `pls_objective`/`prls_objective` is NaN or
+    raises: sigma <= 0, sigma^2 or |beta| / varsigma underflowing to 0, a
+    negative varsigma, a capacitance matrix that does not factor, or (PRLS)
+    a singular X^T V^{-1} X; every other cell equals it bit for bit.
     """
     restricted = _restricted(request.objective)
     p, k = dataset.p, spec.k
@@ -404,17 +403,12 @@ def contour_grid(request: ContourRequest, dataset: Dataset, spec: ModelSpec) -> 
     for i, values in zip(idx, axes):
         points[:, i] = values.ravel()
     beta, varsigma, sigma = points[:, :p], points[:, p:p + k], points[:, -1]
-    ok = (sigma > 0) & (sigma * sigma > 0) & ~(varsigma < 0).any(axis=1)
-    d = np.zeros((cells, k))
-    for i in np.flatnonzero(ok):
-        try:
-            d[i] = re_variances(beta[i], varsigma[i], spec.alpha)
-        except ValueError:  # |beta| / varsigma underflows to 0
-            ok[i] = False
-    live = np.flatnonzero(ok)
     out = np.full(cells, np.nan)
     chunk = max(1, CONTOUR_CHUNK // design.n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d = re_variances(beta, varsigma, spec.alpha)  # a NaN variance gives a NaN cell
+        live = np.flatnonzero((sigma > 0) & (sigma * sigma > 0)
+                              & ~(varsigma < 0).any(axis=1) & ~np.isnan(d).any(axis=1))
         for start in range(0, live.size, chunk):
             i = live[start:start + chunk]
             try:
@@ -477,9 +471,9 @@ def minimize_labels(dataset: Dataset, spec: ModelSpec, fixed: Parameters,
         points = np.tile(point, (len(P), 1))
         points[:, idx] = P
         if log_sigma:
-            points[:, -1] = exp_each(points[:, -1])
+            points[:, -1] = per_entry(math.exp)(points[:, -1])
         beta = points[:, :p]
-        d = np.array([re_variances(b, s, spec.alpha) for b, s in zip(beta, points[:, p:p + k])])
+        d = re_variances(beta, points[:, p:p + k], spec.alpha)
         return design.solve(d, points[:, -1]).criterion(beta, restricted)
 
     if x0 is None:

@@ -1,4 +1,5 @@
 from dataclasses import replace
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,7 @@ from cslme.model import (
     unpack_shares,
     variance_share,
 )
-from cslme.sdtn import SMALL_RHO, SdtnParams, sdtn_pdf
+from cslme.sdtn import SMALL_RHO, SdtnParams, sdtn_pdf, variance_factor
 from cslme.sim import Scenario, gen_design, gen_response
 
 
@@ -154,7 +155,8 @@ class TestShareLayout:
 
     def test_share_falls_from_one_third_to_zero(self):
         rho = np.logspace(-9, 3, 400)
-        q = np.array([variance_share(r) for r in rho])
+        q = variance_share(rho)
+        assert q.tolist() == [variance_share(r) for r in rho.tolist()]
         # flat only where it is capped at Q_MAX (2 rho^2/45 below an ulp of 1/3)
         assert np.all(np.diff(q) <= 0.0) and np.all(np.diff(q[rho > 1e-7]) < 0.0)
         assert variance_share(0.0) == Q_MAX == q[0] and variance_share(np.inf) == 0.0
@@ -201,6 +203,9 @@ class TestShareLayout:
         x = np.array([0.0, 2.0, 0.5, 0.0, 0.3])
         shares = to_shares(x, spec)
         np.testing.assert_array_equal(shares, [0.0, 2.0, Q_MAX, 0.0, 0.3])
+        # R points map row by row; varsigma1 = 1e-310 overflows the ratio to inf
+        rows = np.array([x, [1.0, 2.0, 0.3, 1e-310, 0.3]])
+        np.testing.assert_array_equal(to_shares(rows, spec), [to_shares(r, spec) for r in rows])
         np.testing.assert_array_equal(unpack_shares(shares, spec).varsigma, [0.0, 0.0])
         # at Q_MAX the scale reads back finite, and the variance is beta^2 / 3
         top = unpack_shares(np.array([1.0, 2.0, 0.1, Q_MAX, 0.0]), spec)
@@ -261,6 +266,31 @@ class TestLambdaDiag:
         d = sdtn_variances(params, spec)
         assert d[0] == 0.0
         assert d[1] > 0.0
+
+    def test_rows_equal_the_per_column_loop(self, rng):
+        def loop(beta, varsigma, alpha):  # the scalar rule, column by column
+            out = []
+            for i, col in enumerate(alpha):
+                s, b = abs(float(varsigma[i])), abs(float(beta[col]))
+                out.append(0.0 if s == 0.0 or b == 0.0 else
+                           math.nan if b / s == 0.0 else s * s * variance_factor(b / s))
+            return out
+
+        alpha = (0, 2)
+        beta, varsigma = rng.uniform(0.01, 3.0, (12, 3)), rng.uniform(0.01, 3.0, (12, 2))
+        beta[1, 0], varsigma[2, 1], varsigma[3, 0] = 0.0, 0.0, 1e-310  # zero, zero, rho = inf
+        beta[4, 2], varsigma[4, 1] = 1e-320, 1e10  # |beta| / varsigma underflows to 0
+        varsigma[5, 0], beta[6, 0], varsigma[7, 1] = 1e200, -1.2, -0.7  # inf * 0, signs
+        varsigma[8] = 1e-3 * beta[8, list(alpha)]  # rho = 1000: the tail underflows
+        varsigma[9] = 20.0 * beta[9, list(alpha)]  # rho = 0.05: the series branch
+        d = re_variances(beta, varsigma, alpha)
+        assert d.shape == (12, 2)
+        for row, b, s in zip(d, beta, varsigma):
+            assert [v.hex() for v in row.tolist()] == [v.hex() for v in loop(b, s, alpha)]
+            assert [v.hex() for v in re_variances(b, s, alpha).tolist()] == \
+                [v.hex() for v in row.tolist()]
+        assert np.isnan(d[4, 1]) and np.isnan(d[5, 0])
+        assert not np.isnan(np.delete(d, [4, 5], axis=0)).any()
 
     def test_wide_truncation_recovers_scale(self):
         params = Parameters(beta=np.array([40.0]), varsigma=np.array([1.0]), sigma=1.0)

@@ -32,6 +32,20 @@ law_st = st.builds(
 )
 
 
+class TestSdtnParams:
+    @pytest.mark.parametrize("mu, eta", [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf),
+                                         (0.0, math.nan)])
+    def test_rejects_a_non_finite_location_or_scale(self, mu, eta):
+        with pytest.raises(ValueError, match="finite"):
+            SdtnParams(mu, eta, 1.0)
+
+    def test_infinite_ratio_allowed(self):
+        # |beta| / varsigma overflows to +inf at a subnormal varsigma
+        law = SdtnParams(0.0, 1e-310, math.inf)
+        assert (law.lower, law.upper) == (-math.inf, math.inf)
+        assert np.isfinite(sdtn_ppf([0.25, 0.75], law)).all()
+
+
 class TestStdNormal:
     def test_pdf_at_zero(self):
         assert std_normal_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-15)
@@ -174,6 +188,24 @@ class TestVarianceFactor:
             variance_factor(0.0)
         with pytest.raises(ValueError):
             variance_factor(-1.0)
+        for bad in (0.0, -0.0, -1.0, -math.inf, math.nan):
+            for rho in (np.array([1.0, bad, 2.0]), np.array([[1.0, 2.0], [3.0, bad]])):
+                with pytest.raises(ValueError, match="rho must be positive"):
+                    variance_factor(rho)
+
+    def test_array_equals_each_scalar_call_bit_for_bit(self):
+        lo, hi = 30.0, 40.0  # hi ends as the first rho where exp(-rho^2/2) underflows
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if math.exp(-0.5 * mid * mid) == 0.0 else (mid, hi)
+        rho = np.array([SERIES_RHO, np.nextafter(SERIES_RHO, 0.0), hi, lo, 1e200, math.inf,
+                        SMALL_RHO, 1.0, 1e-8])
+        for shaped in (rho, rho.reshape(3, 3), rho[:1], rho[:0].reshape(0, 2)):
+            out = variance_factor(shaped)
+            assert out.shape == shaped.shape
+            assert [v.hex() for v in out.ravel().tolist()] == \
+                [variance_factor(r).hex() for r in shaped.ravel().tolist()]
+        assert variance_factor(hi) == 1.0 and type(variance_factor(hi)) is float
 
 
 class TestSampler:
@@ -195,6 +227,13 @@ class TestSampler:
         x = sdtn_sample(p, 100_000, seed=5)
         ks = stats.kstest(x, lambda t: sdtn_cdf(t, p))
         assert ks.statistic < 0.01
+
+    def test_ppf_rejects_nan_and_out_of_range_levels(self):
+        law = SdtnParams(0.0, 1.0, 1.0)
+        for q in ([0.5, math.nan], math.nan, [-0.1, 0.5], 1.5):
+            with pytest.raises(ValueError, match=r"quantile levels must lie in \[0, 1\]"):
+                sdtn_ppf(q, law)
+        assert np.isfinite(sdtn_ppf([0.0, 0.5, 1.0], law)).all()
 
     def test_ppf_cdf_roundtrip(self, rng):
         p = SdtnParams(mu=1.0, eta=0.7, rho=1.8)
