@@ -10,10 +10,11 @@ sigma^2 I with Lambda diagonal, so V is block diagonal by group. All
 determinant/solve work goes through the g small k x k capacitance matrices
 (Woodbury / Sylvester), never the full n x n matrix. BlockDesign forms two
 cross-products once, in O(n (p + k)^2): Z_l^T [Z_l X_l y_l] per group and
-X^T [X y]. Each (d, sigma) evaluation is then one batched factorization of
-the capacitance matrices, one batched product of their factors with
-Z_l^T [Z_l X_l y_l] and contractions of it, O(g k^3 + g k p), plus one
-O(n p) mat-vec for a residual.
+X^T [X y]. Each (d, sigma) evaluation is then one batched Cholesky
+factorization of the capacitance matrices, one batched forward
+substitution that inverts the factors (`_tril_inv`; no LU per block), one
+batched product of the inverses with Z_l^T [Z_l X_l y_l] and contractions
+of it, O(g k^3 + g k p), plus one O(n p) mat-vec for a residual.
 
 `BlockSolve.criterion` is the one Gaussian criterion behind every
 estimator: r^T V^{-1} r + ln|V|, plus ln|X^T V^{-1} X| when restricted.
@@ -33,7 +34,11 @@ central-difference step evaluates: one batched factorization of the R g
 capacitance matrices, and every value, X^T V^{-1} X and its factor
 included, per point. Every point gets the same products, so a point's
 values do not depend on the batch; one point is a batch of one. A batch
-raises if any of its points cannot be evaluated.
+raises if any of its points cannot be evaluated. A point whose capacitance
+matrix has NaN or inf entries is not such a point: `np.linalg.cholesky`
+factors the matrix into NaN entries or inf pivots instead of raising,
+`_tril_inv` carries them on as IEEE arithmetic does, and ln|V| there is
+NaN or +inf.
 
 Two search-point layouts live here, each once. PIT, contour grids and
 labeled searches use x = (beta, varsigma, log sigma): `parameter_labels`
@@ -483,6 +488,28 @@ def _solve(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, v[..., None])[..., 0]
 
 
+def _tril_inv(L: np.ndarray) -> np.ndarray:
+    """L^{-1} for every lower-triangular matrix of a stack L (..., m, m), by
+    forward substitution over the whole stack at once.
+
+    With r = 1 / diag(L), row i of X = L^{-1} is r_i e_i - r_i L[i, :i]
+    X[:i, :i]: one reciprocal and m - 1 batched products, and exact zeros
+    above the diagonal. At m = 1 it is 1 / l exactly. Non-finite entries
+    propagate as IEEE arithmetic has them, with no warning: an inf pivot
+    gives 0 where it enters (the limit of the inverse), a zero pivot inf,
+    and a NaN at L[i, j] makes X NaN in rows i.. and columns ..j.
+    """
+    m = L.shape[-1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r = 1.0 / L.diagonal(0, -2, -1)
+        X = np.zeros(L.shape)
+        X[..., 0, 0] = r[..., 0]
+        for i in range(1, m):
+            X[..., i, :i] = -r[..., i, None] * (L[..., i, None, :i] @ X[..., :i, :i])[..., 0, :]
+            X[..., i, i] = r[..., i]
+    return X
+
+
 def _logdet_chol(L: np.ndarray) -> np.ndarray:
     """ln|L L^T| at each point of a stack of Cholesky factors L (R, ..., m, m),
     summed over all of a point's factors."""
@@ -507,11 +534,14 @@ class BlockSolve:
     (LinAlgError) or, for a value that needs it, a singular X^T V^{-1} X
     (SingularDesignError). A point whose capacitance matrix has NaN or inf
     entries (d NaN, or d or d / sigma^2 overflowing), or whose sigma^2 overflows to
-    inf, raises nothing: `np.linalg.cholesky` factors such a matrix into
-    non-finite factors instead of raising, and ln|V| is non-finite, so the
-    values there are non-finite and an optimizer's line search backs off
-    such a probe. Only the values that factor X^T V^{-1} X (restricted
-    ones, `gls_beta`) may then raise, as SingularDesignError on its pivots.
+    inf, raises nothing. `np.linalg.cholesky` factors such a matrix into NaN
+    entries or inf pivots instead of raising, and `_tril_inv` inverts the
+    factors by IEEE arithmetic: an inf pivot gives 0 where it enters, a
+    zero pivot inf, and a NaN spreads to the rows below. ln|V| there is
+    NaN or +inf, so the criterion is non-finite and an optimizer's line
+    search backs off such a probe. Only the values that factor X^T V^{-1} X
+    (restricted ones, `gls_beta`) may then raise, as SingularDesignError
+    on its pivots.
     """
 
     def __init__(self, design: BlockDesign, d: np.ndarray, sigma: np.ndarray):
@@ -537,7 +567,7 @@ class BlockSolve:
             design.eye + design.ZtA[..., :design.k] * (s[:, None, :, None]
                                                         * s[:, None, None, :] / self._s2[3]))
         self.logdet_v = design.n * per_entry(math.log)(self.sigma2) + _logdet_chol(L)
-        self._B = np.linalg.inv(L) * s[:, None, None, :]
+        self._B = _tril_inv(L) * s[:, None, None, :]
 
     @staticmethod
     def _pivots_ok(F: np.ndarray, L: np.ndarray) -> bool:

@@ -163,13 +163,16 @@ def replication_data(scenario: Scenario, rep: int):
 
 def deviation_sd(method, beta_i: float, varsigma_i: float) -> float:
     """Standard deviation of one deviation: |varsigma_i| for NORMAL_METHODS;
-    for other methods and the truth (None), that of the SDTN law tied to beta_i."""
+    for other methods and the truth (None), that of the SDTN law tied to
+    beta_i. As in `re_variances`, it is 0 at a zero scale or coefficient and
+    NaN where |beta_i| / varsigma_i underflows to 0."""
     s, b = abs(float(varsigma_i)), abs(float(beta_i))
     if method in NORMAL_METHODS:
         return s
     if s == 0.0 or b == 0.0:
         return 0.0
-    return s * math.sqrt(variance_factor(b / s))
+    rho = b / s
+    return s * math.sqrt(variance_factor(rho)) if rho > 0.0 else math.nan
 
 
 def table_values(params: Parameters, gamma, spec: ModelSpec, method=None) -> dict:

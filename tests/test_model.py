@@ -1,5 +1,6 @@
 from dataclasses import replace
 import math
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from cslme.model import (
     Parameters,
     SingularDesignError,
     Q_MAX,
+    _tril_inv,
     at_uniform_limit,
     parameter_labels,
     re_variances,
@@ -557,6 +559,85 @@ class TestBlockSolveAgainstDense:
             np.testing.assert_array_equal(sol.xt_vinv_y(), fresh.xt_vinv_y())
             np.testing.assert_array_equal(sol.xt_vinv_resid(beta), fresh.xt_vinv_resid(beta))
             np.testing.assert_array_equal(sol.zt_vinv_resid(beta), fresh.zt_vinv_resid(beta))
+
+
+def spd_factors(rng, n, m, cond=None):
+    """Cholesky factors (n, m, m) of random SPD matrices: I + A A^T with A
+    standard normal, or, given `cond`, Q diag(eigenvalues from 1 down to
+    1 / cond) Q^T with Q a random orthogonal matrix."""
+    if cond is None:
+        A = rng.normal(size=(n, m, m + 2))
+        return np.linalg.cholesky(np.eye(m) + A @ A.swapaxes(-1, -2))
+    Q = np.linalg.qr(rng.normal(size=(n, m, m)))[0]
+    lam = np.logspace(0.0, -math.log10(cond), m)
+    return np.linalg.cholesky((Q * lam) @ Q.swapaxes(-1, -2))
+
+
+class TestTrilInv:
+    """`_tril_inv`, the forward substitution that inverts `BlockSolve`'s
+    capacitance factors, against LAPACK's LU inverse, np.linalg.inv."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_the_lu_inverse_with_exact_zeros_above(self, rng, m):
+        L = spd_factors(rng, 2000, m)
+        X, ref = _tril_inv(L), np.linalg.inv(L)
+        # relative to each matrix's largest entry: LU leaves rounding-level
+        # entries above the diagonal
+        assert (np.abs(X - ref).max(axis=(1, 2)) <= 1e-12 * np.abs(ref).max(axis=(1, 2))).all()
+        upper = X[:, np.triu(np.ones((m, m), dtype=bool), 1)]
+        assert (upper == 0.0).all() and not np.signbit(upper).any()
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e8])
+    def test_residual_up_to_condition_1e8(self, rng, m, cond):
+        L = spd_factors(rng, 500, m, cond)
+        assert np.abs(L @ _tril_inv(L) - np.eye(m)).max() <= 1e-10
+
+    def test_one_by_one_is_the_reciprocal(self, rng):
+        L = spd_factors(rng, 2000, 1)
+        assert _tril_inv(L).tobytes() == (1.0 / L).tobytes()
+
+    def test_rows_do_not_depend_on_the_batch(self, rng):
+        # a 24 x 24 sleep-study contour grid: 576 points of 18 groups, k = 2
+        L = spd_factors(rng, 576 * 18, 2).reshape(576, 18, 2, 2)
+        rows = np.concatenate([_tril_inv(L[i:i + 1]) for i in range(len(L))])
+        assert _tril_inv(L).tobytes() == rows.tobytes()
+
+    def test_non_finite_factors_propagate_without_a_warning(self, rng):
+        # np.linalg.cholesky factors a matrix with NaN or inf entries into
+        # NaN factors or inf pivots instead of raising. A NaN at L[i, j]
+        # makes every entry of rows i.. in columns ..j NaN. Without a NaN,
+        # the substitution takes the limit as the inf pivots grow: LU's
+        # partial pivoting meets inf / inf there and may return NaN, so the
+        # oracle is the LU inverse with each inf replaced by 1e200, and
+        # wherever the LU inverse of L itself is finite it must agree.
+        counts = {"nan": 0, "inf": 0}
+        for m in (1, 2, 3, 4):
+            for _ in range(300):
+                A = rng.normal(size=(m, m + 2))
+                M = np.eye(m) + A @ A.T
+                i, j = rng.integers(0, m, 2)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    M[i, j] = M[j, i] = rng.choice([np.nan, np.inf, -np.inf])
+                    try:
+                        L = np.linalg.cholesky(M)
+                    except np.linalg.LinAlgError:
+                        continue
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    X = _tril_inv(L)
+                for r, c in np.argwhere(np.isnan(L)):
+                    assert np.isnan(X[r:, :c + 1]).all()
+                if np.isnan(L).any():
+                    counts["nan"] += 1
+                    continue
+                counts["inf"] += 1
+                big = np.linalg.inv(np.where(np.isinf(L), np.copysign(1e200, L), L))
+                with np.errstate(invalid="ignore"):
+                    lu = np.linalg.inv(L)
+                for ref in (big, lu) if np.isfinite(lu).all() else (big,):
+                    assert np.abs(X - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        assert counts["nan"] > 100 and counts["inf"] > 100
 
 
 RESTRICTED_CRITERIA = {

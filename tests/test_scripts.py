@@ -93,3 +93,42 @@ def test_fingerprint_prints_one_hex_float_per_label():
         "PLS", "PRLS", "ML", "REML", "PIT"}
     grid = [v for label, v in values.items() if label.startswith("contour.")]
     assert any(math.isnan(v) for v in grid) and any(math.isfinite(v) for v in grid)
+
+
+def test_fingerprint_diff_lists_sections_and_non_float_changes(tmp_path):
+    one, third = (1.0).hex(), (1.0 / 3.0).hex()
+    before = tmp_path / "before.txt"
+    after = tmp_path / "after.txt"
+    before.write_text(
+        f"fit.PLS.seed0.beta[0] {one}\n"
+        f"fit.PLS.seed0.sigma {third}\n"
+        "fit.PLS.seed0.n_eval 43\n"
+        f"fit.PLS.seed0.start0.converged {one}\n"
+        f"fit.ML.seed0.sigma {third}\n"
+        "fit.ML.rep1.failed ConvergenceError: all 3 starts failed\n"
+        f"grid.PLS.x-y[0] {one}\n")
+    after.write_text(
+        f"fit.PLS.seed0.beta[0] {(1.0 + 2.0 ** -40).hex()}\n"
+        f"fit.PLS.seed0.sigma {(1.0 / 3.0 * (1.0 - 2.0 ** -30)).hex()}\n"
+        "fit.PLS.seed0.n_eval 41\n"
+        f"fit.PLS.seed0.start0.converged {(0.0).hex()}\n"
+        f"fit.ML.seed0.sigma {third}\n"
+        f"grid.PLS.x-y[0] {float('nan').hex()}\n"
+        f"grid.PLS.x-y[1] {one}\n")
+    proc = run_script("fingerprint_diff.py", str(before), str(after))
+    rel = f"{2.0 ** -30:.2g}"
+    assert proc.stdout.splitlines() == [
+        "section   moved/total  max rel move",
+        f"fit.PLS           4/4  {rel}",
+        "fit.ML            1/2  0",
+        "grid.PLS          2/2  0",
+        "5 changed lines that are not float moves",
+        "- fit.PLS.seed0.n_eval 43",
+        "+ fit.PLS.seed0.n_eval 41",
+        f"- fit.PLS.seed0.start0.converged {one}",
+        f"+ fit.PLS.seed0.start0.converged {(0.0).hex()}",
+        "- fit.ML.rep1.failed ConvergenceError: all 3 starts failed",
+        f"- grid.PLS.x-y[0] {one}",
+        "+ grid.PLS.x-y[0] nan",
+        f"+ grid.PLS.x-y[1] {one}",
+    ]

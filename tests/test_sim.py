@@ -19,6 +19,7 @@ from cslme.model import (
     GroupData,
     ModelSpec,
     Parameters,
+    re_variances,
 )
 from cslme.optim import minimize_newton, minimize_starts
 from cslme.sdtn import variance_factor
@@ -193,6 +194,17 @@ class TestTables:
             vals = table_values(self.point, np.zeros((2, 1)), spec, method)
             assert vals["s_gamma0"] == 0.2
         assert table_values(self.point, np.zeros((2, 1)), spec, "PRLS")["s_gamma0"] < 0.2
+
+    def test_underflowing_ratio_reports_nan(self):
+        # |beta| / varsigma underflows to 0: NaN, by the rule of re_variances
+        assert np.isnan(re_variances([1e-320], [1e10], (0,))).all()
+        assert math.isnan(deviation_sd("PLS", 1e-320, 1e10))
+        assert math.isnan(deviation_sd(None, -1e-320, 1e10))
+        assert deviation_sd("REML", 1e-320, 1e10) == 1e10
+        point = replace(self.point, beta=np.array([1e-320, 1.0, 2.0]),
+                        varsigma=np.array([1e10]))
+        vals = table_values(point, np.zeros((2, 1)), ModelSpec(alpha=(0,)), "PRLS")
+        assert math.isnan(vals["s_gamma0"]) and vals["sigma"] == 0.9
 
 
 class TestRunScenario:
