@@ -32,10 +32,16 @@ bit-equal floats:
   sigma), so that a rounding move in the core shows where it starts;
 - `minimize_labels` on 4 `merit-n30` replications, PLS and PRLS, over
   (beta1, beta2) constrained and free and over label sets that enter V,
-  (varsigma0, sigma) and (beta0, varsigma0).
+  (varsigma0, sigma) and (beta0, varsigma0);
+- every start of `optim.minimize_newton` in the sleep-study PLS and PRLS
+  searches at start seeds 0-4, with the response as given and times 1e-6
+  (`newton-y1`, `newton-y1e-06`): its stop message, iteration and
+  evaluation counts, converged flag, objective and projected-gradient
+  norm, or the error it raised. At y times 1e-6 some starts stop on the
+  Newton decrement below rounding, a stop no fit above reaches.
 
 It uses only the public API, so it runs against any checkout that has
-`estimate.objective_gradient_hessian`:
+`estimate.objective_gradient_hessian` and `optim.minimize_newton`:
 
     PYTHONPATH=src python scripts/fingerprint.py > after.txt
     PYTHONPATH=<other checkout>/src python scripts/fingerprint.py > before.txt
@@ -58,12 +64,15 @@ from cslme.baseline import (
 from cslme.cli import InputSchema, ingest
 from cslme.datasets import sleepstudy_path
 from cslme.estimate import (
+    FitConfig,
     approx_loglik,
+    default_starts,
     objective_gradient_hessian,
     pls_objective,
     prls_objective,
 )
-from cslme.model import BlockDesign, re_variances, to_shares
+from cslme.model import BlockDesign, Dataset, GroupData, re_variances, share_bounds, to_shares
+from cslme.optim import BoxResult, minimize_newton
 from cslme.sim import (
     ALL_METHODS,
     ContourRequest,
@@ -224,6 +233,28 @@ def labeled_searches():
                 emit(f"{label}.objective", value)
 
 
+def newton_starts():
+    data, spec = sleepstudy()
+    for scale in (1.0, 1e-6):
+        scaled = Dataset(tuple(GroupData(gd.group_id, gd.y * scale, gd.X) for gd in data.groups))
+        design = BlockDesign(scaled, spec)
+        bounds = share_bounds(design, spec)
+        for method in ("PLS", "PRLS"):
+            def fun(X):
+                return objective_gradient_hessian(design, spec, X, method == "PRLS")
+
+            for seed in range(5):
+                starts = default_starts(design, spec, FitConfig(method=method, seed=seed))
+                for idx, res in enumerate(minimize_newton(fun, starts, bounds)):
+                    label = f"newton-y{scale:g}.{method}.seed{seed}.start{idx}"
+                    if not isinstance(res, BoxResult):
+                        print(f"{label}.failed {type(res).__name__}: {res}")
+                        continue
+                    print(f"{label}.message {res.message}")
+                    for name in ("n_iter", "nfev", "converged", "fun", "pg_norm"):
+                        emit(f"{label}.{name}", getattr(res, name))
+
+
 def main():
     sleepstudy_fits()
     scenario_estimates()
@@ -231,6 +262,7 @@ def main():
     contour_grids()
     point_values()
     labeled_searches()
+    newton_starts()
 
 
 if __name__ == "__main__":

@@ -43,7 +43,6 @@ from .model import (
     NumericalError,
     Parameters,
     RandomEffects,
-    as_design,
     check_point,
     check_sizes,
     search_bounds,
@@ -161,29 +160,35 @@ def criterion_and_gradient(x: np.ndarray, design: BlockDesign, criterion: str):
             0.5 * (dq / s2[:, None] + dlog))
 
 
-def profile_beta(theta: Theta, dataset, spec: ModelSpec) -> np.ndarray:
+def profile_beta(theta: Theta, dataset: Dataset, spec: ModelSpec) -> np.ndarray:
     """Generalized-least-squares fixed effects at theta."""
-    return _solve_at(theta, as_design(dataset, spec)).gls_beta()[0]
+    return _solve_at(theta, BlockDesign(dataset, spec)).gls_beta()[0]
 
 
-def _loglik(theta: Theta, dataset, spec: ModelSpec, restricted: bool) -> float:
-    sol = _solve_at(theta, as_design(dataset, spec))
+def _loglik(theta: Theta, dataset: Dataset, spec: ModelSpec, restricted: bool) -> float:
+    sol = _solve_at(theta, BlockDesign(dataset, spec))
     return float(-0.5 * sol.criterion(sol.gls_beta(), restricted)[0])
 
 
-def profile_loglik(theta: Theta, dataset, spec: ModelSpec) -> float:
+def profile_loglik(theta: Theta, dataset: Dataset, spec: ModelSpec) -> float:
     """Profile Gaussian log-likelihood at theta, fixed effects profiled out."""
     return _loglik(theta, dataset, spec, restricted=False)
 
 
-def reml_loglik(theta: Theta, dataset, spec: ModelSpec) -> float:
+def reml_loglik(theta: Theta, dataset: Dataset, spec: ModelSpec) -> float:
     """Restricted log-likelihood: profile value minus half logdet(X^T V^{-1} X)."""
     return _loglik(theta, dataset, spec, restricted=True)
 
 
-def gamma_closed_form(theta: Theta, dataset, spec: ModelSpec, beta: np.ndarray) -> RandomEffects:
+def gamma_closed_form(theta: Theta, dataset: Dataset, spec: ModelSpec,
+                      beta: np.ndarray) -> RandomEffects:
     """Shrinkage estimate gamma_l = G Z_l^T V_l^{-1} (y_l - X_l beta) per group."""
-    sol = _solve_at(theta, as_design(dataset, spec))
+    return _gamma_at(theta, BlockDesign(dataset, spec), beta)
+
+
+def _gamma_at(theta: Theta, design: BlockDesign, beta: np.ndarray) -> RandomEffects:
+    """`gamma_closed_form` on a design already formed."""
+    sol = _solve_at(theta, design)
     return RandomEffects(theta.varsigma ** 2 * sol.zt_vinv_resid(beta[None])[0])
 
 
@@ -216,7 +221,7 @@ def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML"
     criterion = criterion.upper()
     if criterion not in ("ML", "REML"):
         raise ValueError(f"criterion must be ML or REML, got {criterion!r}")
-    design = as_design(dataset, spec)
+    design = BlockDesign(dataset, spec)
     if design.k < 1:
         raise ValueError("at least one random-effect column is required")
 
@@ -235,7 +240,7 @@ def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML"
         beta=beta[0],
         # from theta itself, so that a fit document's (beta, varsigma, sigma)
         # give back its deviations bit for bit
-        gamma=gamma_closed_form(theta, design, spec, beta[0]),
+        gamma=_gamma_at(theta, design, beta[0]),
         loglik=-res.fun,  # the minimized criterion is the negated log-likelihood
         criterion=criterion,
         converged=res.converged,
@@ -260,16 +265,6 @@ def gh_nodes(q: int):
 
 PIT_UNDERFLOW_PENALTY = 1e30
 _LOG_NORM = -0.5 * math.log(2.0 * math.pi)
-
-
-def _scale(log_sigma: float):
-    """(sigma, log normal constant -log(sqrt(2 pi) sigma), None) at one row by
-    scalar math, or (nan, nan, the error math raises there)."""
-    try:
-        sigma = math.exp(log_sigma)
-        return sigma, _LOG_NORM - math.log(sigma), None
-    except (OverflowError, ValueError) as exc:
-        return math.nan, math.nan, exc
 
 
 def pit_objective(x: np.ndarray, design: BlockDesign, spec: ModelSpec, q: int,
@@ -300,8 +295,16 @@ def pit_objective(x: np.ndarray, design: BlockDesign, spec: ModelSpec, q: int,
         rho = np.divide(b, varsigma, out=np.zeros_like(b), where=varsigma > 0.0)
     # rho = 0 puts every quantile at exactly 0
     gammas = sdtn_quantile(std_normal_cdf(d), 0.0, varsigma[:, None], rho[:, None])
-    sigma, log_norm, errors = zip(*map(_scale, X[:, p + 1].tolist()))
-    sigma, log_norm = np.array(sigma)[:, None, None], np.array(log_norm)[:, None, None]
+    try:  # sigma and the log normal constant -log(sqrt(2 pi) sigma), by scalar math
+        sigma = per_entry(math.exp)(X[:, p + 1])
+        log_norm = _LOG_NORM - per_entry(math.log)(sigma)
+    except (OverflowError, ValueError):
+        if len(X) == 1:
+            raise
+        # the rows alone, in order: the first failing row raises its own error
+        return np.array([pit_objective(row, design, spec, q, strict)
+                         for row in X]).reshape(np.shape(x)[:-1])
+    sigma, log_norm = sigma[:, None, None], log_norm[:, None, None]
 
     log_max, sums = [], []  # per group, (R,): the best node and the scaled node sum
     for ell in range(design.g):
@@ -314,21 +317,17 @@ def pit_objective(x: np.ndarray, design: BlockDesign, spec: ModelSpec, q: int,
         shift = np.maximum(top, LOG_DOUBLE_MIN)  # top, except where the group underflows
         sums.append(np.sum(w * np.exp(log_prod - shift[:, None]), axis=1))
 
-    values = []
-    for error, tops, node_sums in zip(errors, np.transpose(log_max).tolist(),
-                                      np.transpose(sums).tolist()):
-        if error is not None:
-            raise error
-        total = 0.0
-        for ell, (top, node_sum) in enumerate(zip(tops, node_sums)):
-            if top < LOG_DOUBLE_MIN:
-                if strict:
-                    raise QuadratureUnderflowError(design.group_ids[ell], top)
-                total = PIT_UNDERFLOW_PENALTY
-                break
-            total += -(top + math.log(node_sum))
-        values.append(total)
-    return np.array(values).reshape(np.shape(x)[:-1])[()]
+    log_max, sums = np.transpose(log_max), np.transpose(sums)  # (R, g)
+    under = log_max < LOG_DOUBLE_MIN
+    if strict and under.any():  # the first underflowing group of the first such row
+        r, ell = np.argwhere(under)[0]
+        raise QuadratureUnderflowError(design.group_ids[ell], float(log_max[r, ell]))
+    terms = -(log_max + per_entry(math.log)(np.where(under, 1.0, sums)))
+    values = np.zeros(len(X))
+    for term in terms.T:  # group by group, as a row's terms add up in order
+        values += term
+    values[under.any(axis=1)] = PIT_UNDERFLOW_PENALTY
+    return values.reshape(np.shape(x)[:-1])[()]
 
 
 def check_pit_k(k: int):
@@ -350,7 +349,7 @@ def fit_pit(dataset: Dataset, spec: ModelSpec, q: int = 2,
     meant to exhibit. Callers needing a better basin can supply `initial`,
     with p beta entries and one varsigma entry (ValueError otherwise).
     """
-    design = as_design(dataset, spec)
+    design = BlockDesign(dataset, spec)
     check_pit_k(design.k)
     y, X = design.y, design.X
     if initial is None:

@@ -182,8 +182,7 @@ def _ingest(path, schema: InputSchema):
         X = np.column_stack([np.ones(len(y)), feats]) if schema.intercept else feats
         groups.append(GroupData(group_id=gid, y=y, X=X))
     dataset = Dataset(tuple(groups))
-    spec = ModelSpec(alpha=schema.alpha(), intercept=schema.intercept,
-                     constrained=True)
+    spec = ModelSpec(alpha=schema.alpha())
     return dataset, spec
 
 
@@ -344,7 +343,7 @@ def _fit_document(method, schema, spec, dataset, params, gamma, at_limit, diagno
             "columns": cols,
             "alpha": alpha,
             "random_effect_columns": [cols[i] for i in alpha],
-            "intercept": spec.intercept,
+            "intercept": schema.intercept,
             "constrained": spec.constrained and method not in NORMAL_METHODS,
             "n_groups": dataset.g,
             "n_rows": dataset.n,
@@ -600,8 +599,7 @@ def cmd_ranef(args) -> int:
         )
     params = Parameters(beta=beta, varsigma=varsigma, sigma=sigma)
     if method in NORMAL_METHODS:  # the fit's shrinkage estimate, never at a bound
-        gamma = gamma_closed_form(Theta(varsigma, sigma), dataset,
-                                  replace(spec, constrained=False), beta).gamma
+        gamma = gamma_closed_form(Theta(varsigma, sigma), dataset, spec, beta).gamma
         effects = RandomEffects(gamma, at_bound=np.zeros_like(gamma, dtype=bool))
     else:
         effects = solve_all(dataset, params, spec)

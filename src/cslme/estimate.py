@@ -50,7 +50,6 @@ from .model import (
     Parameters,
     RandomEffects,
     SingularDesignError,
-    as_design,
     at_uniform_limit,
     re_variances,
     share_bounds,
@@ -144,8 +143,8 @@ def objective_gradient_hessian(design: BlockDesign, spec: ModelSpec, x: np.ndarr
     return quad + logdet, grad, 0.5 * (hess + hess.swapaxes(-1, -2))
 
 
-def _objective(params: Parameters, dataset, spec: ModelSpec, restricted: bool) -> float:
-    design = as_design(dataset, spec)
+def _objective(params: Parameters, dataset: Dataset, spec: ModelSpec, restricted: bool) -> float:
+    design = BlockDesign(dataset, spec)
     d = re_variances(params.beta, params.varsigma, spec.alpha)
     sol = design.solve(d[None], [params.sigma])
     return float(sol.criterion(params.beta[None], restricted)[0])
@@ -258,7 +257,7 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
     """
     if config is None:
         config = FitConfig()
-    design = as_design(dataset, spec)
+    design = BlockDesign(dataset, spec)
     if spec.k < 1:
         raise ValueError("at least one random-effect column is required")
     _check_full_rank(design)

@@ -160,40 +160,53 @@ def check_response(dataset: Dataset):
                              "dataset cannot be fitted or evaluated")
 
 
+def _indices(name: str, values) -> tuple:
+    """`values` as a tuple of ints; ValueError for an entry that is not a
+    nonnegative integer, or one given twice."""
+    values = tuple(values)
+    try:
+        ints = tuple(int(v) for v in values)
+    except (TypeError, ValueError, OverflowError):  # None, "a", nan, inf
+        ints = None
+    if ints != values or min(ints, default=0) < 0:
+        raise ValueError(f"{name} indices must be nonnegative integers, got {values}")
+    if len(set(ints)) < len(ints):
+        raise ValueError(f"{name} lists an index twice: {ints}")
+    return ints
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Model structure: random-effect columns and constraint mode.
 
     alpha holds 0-based, strictly increasing column indices that receive
     random effects. When `constrained` is set, every fixed effect is kept
-    nonnegative except columns listed in `unconstrained_columns`.
+    nonnegative except columns listed in `unconstrained_columns`. Both
+    hold nonnegative integers, none twice; `validate_against` checks them
+    against the column count p.
     """
 
     alpha: tuple
-    intercept: bool = True
     constrained: bool = True
     unconstrained_columns: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        alpha = tuple(int(i) for i in self.alpha)
+        alpha = _indices("alpha", self.alpha)
         if any(b <= a for a, b in zip(alpha, alpha[1:])):
             raise ValueError(f"alpha must be strictly increasing, got {alpha}")
-        if alpha and alpha[0] < 0:
-            raise ValueError(f"alpha indices must be nonnegative, got {alpha}")
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(
-            self, "unconstrained_columns", tuple(int(i) for i in self.unconstrained_columns)
-        )
+        object.__setattr__(self, "unconstrained_columns",
+                           _indices("unconstrained_columns", self.unconstrained_columns))
 
     @property
     def k(self) -> int:
         return len(self.alpha)
 
     def validate_against(self, dataset: Dataset):
-        if self.alpha and self.alpha[-1] >= dataset.p:
-            raise ValueError(
-                f"alpha {self.alpha} out of range for p={dataset.p} columns"
-            )
+        for name, cols in (("alpha", self.alpha),
+                           ("unconstrained_columns", self.unconstrained_columns)):
+            if cols and max(cols) >= dataset.p:
+                raise ValueError(f"{name} {cols} out of range for p={dataset.p} columns")
 
 
 def check_point(varsigma: np.ndarray, sigma, beta: np.ndarray | None = None):
@@ -294,7 +307,6 @@ class BlockDesign:
     def __init__(self, dataset: Dataset, spec: ModelSpec):
         spec.validate_against(dataset)
         check_response(dataset)
-        self.spec = spec
         self.p = dataset.p
         self.k = spec.k
         self.group_ids = dataset.group_ids
@@ -325,13 +337,6 @@ class BlockDesign:
     def solve(self, re_var: np.ndarray, sigma: np.ndarray) -> "BlockSolve":
         """The `BlockSolve` at R points: re_var (R, k) and sigma (R,)."""
         return BlockSolve(self, np.array(re_var, dtype=float), np.asarray(sigma, dtype=float))
-
-
-def as_design(dataset, spec: ModelSpec) -> BlockDesign:
-    """The BlockDesign of `dataset`, which may already be one."""
-    if isinstance(dataset, BlockDesign):
-        return dataset
-    return BlockDesign(dataset, spec)
 
 
 # The search point x = (beta, varsigma, log sigma): its labels, box and read-back.

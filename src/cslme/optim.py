@@ -320,10 +320,9 @@ def _newton_steps(X, G, H, pg, lo, hi):
     with np.errstate(divide="ignore", invalid="ignore"):  # H_ii = 0: no Newton step
         Z = X - G / np.abs(diag)
     active = ((Y < lo) & (Z < lo)) | ((Y > hi) & (Z > hi))
-    if active.any():
-        diag = np.where(active, np.abs(diag), diag)
-        H = np.where(active[:, :, None] | active[:, None, :], 0.0, H)
-        H[:, i, i] = diag
+    diag = np.where(active, np.abs(diag), diag)
+    H = np.where(active[:, :, None] | active[:, None, :], 0.0, H)
+    H[:, i, i] = diag
     lam, V = np.linalg.eigh(H)
     floor = np.maximum(EIG_FLOOR * np.abs(lam).max(axis=1), -INDEFINITE_FLOOR * lam[:, 0])
     lam = np.maximum(np.abs(lam), floor[:, None])
@@ -349,88 +348,74 @@ def minimize_newton(fun, starts, bounds, tol_grad=TOL_GRAD, max_iter=MAX_ITER) -
       ROUNDING max(|f(x)|, 1) and the trial does not lower the projected
       gradient within that rounding of f(x): the Newton decrement is below
       rounding, and no further step can be verified;
-    - after max_iter iterations.
+    - after max_iter iterations;
+    - at its first point, not converged, when the values there are not all
+      finite.
     A trial point that raises one of NUMERICAL_FAILURES, or whose values are
     not all finite, is a rejected step.
 
+    A stop is recorded in one place, and there are no fast paths: each live
+    start carries a stop code, 0 while it runs, the top of a round turns the
+    coded starts into BoxResults and drops them from the live arrays, and
+    every round takes the same masked steps.
+
     Returns one entry per start, as `minimize_starts` does: its BoxResult,
-    or the member of NUMERICAL_FAILURES its first point raised. A start
-    whose first values are not all finite stops there, not converged. Every
-    step is element-wise or per row, so a start's result does not depend on
-    the other starts, as long as `fun`'s values at a point do not depend on
-    the batch.
+    or the member of NUMERICAL_FAILURES its first point raised. Every step
+    is element-wise or per row, so a start's result does not depend on the
+    other starts, as long as `fun`'s values at a point do not depend on the
+    batch.
     """
+    messages = (None, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= TOL_GRAD",
+                "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT",
+                "STOP: THE NEWTON DECREMENT IS BELOW ROUNDING",
+                "ABNORMAL: THE OBJECTIVE IS NOT FINITE AT THE START")
     lo, hi, _ = _box(bounds)
     X = _clip(np.array(starts, dtype=float), lo, hi)
-    F, G, H, errors = _evaluate_stacked(fun, X)
+    # per start: the error its first point raised, or None until its BoxResult
+    F, G, H, results = _evaluate_stacked(fun, X)
     pg = projected_gradient(X, G, lo, hi)
     traces = [[f] for f in F.tolist()]
-    results = list(errors)  # each start's BoxResult, once it stops
     # the live starts, one row each: start index, point, values, iterations,
-    # evaluations, the step and its length, and whether the step is due
-    finite = _finite(F, G, H)
-    for i in np.flatnonzero(~finite).tolist():
-        if errors[i] is None:
-            results[i] = BoxResult(x=X[i], fun=float(F[i]), trace=np.array(traces[i]),
-                                   converged=False, n_iter=0, nfev=1, pg_norm=float(pg[i]),
-                                   message="ABNORMAL: THE OBJECTIVE IS NOT FINITE AT THE START")
-    ids = np.flatnonzero(finite)
+    # evaluations, the step and its length, whether a new step is due and the
+    # stop code, an index into `messages`
+    ids = np.flatnonzero([exc is None for exc in results])
     X, F, G, H, pg = X[ids], F[ids], G[ids], H[ids], pg[ids]
     nit, nfev = np.zeros(len(ids), dtype=int), np.ones(len(ids), dtype=int)
-    S, a, fresh = np.zeros(X.shape), np.ones(len(ids)), np.ones(len(ids), dtype=bool)
-
-    def stop(rows, message):
-        """Record the starts at `rows` as stopped with `message`."""
-        for r in np.flatnonzero(rows).tolist():
-            i = int(ids[r])
-            results[i] = BoxResult(
-                x=X[r].copy(), fun=float(F[r]), trace=np.array(traces[i]),
-                converged=message.startswith("CONVERGENCE"), n_iter=int(nit[r]),
-                message=message, nfev=int(nfev[r]), pg_norm=float(pg[r]))
-
-    while ids.size:
-        if fresh.any():
-            done = fresh & (pg <= tol_grad)
-            ending = done | (fresh & (nit >= max_iter))
-            if ending.any():
-                stop(done, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= TOL_GRAD")
-                stop(ending & ~done, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT")
-                ids, X, F, G, H, pg, nit, nfev, S, a, fresh = (
-                    v[~ending] for v in (ids, X, F, G, H, pg, nit, nfev, S, a, fresh))
-                if not ids.size:
-                    break
-            if fresh.all():
-                S, a = _newton_steps(X, G, H, pg, lo, hi), np.ones(len(ids))
-            elif fresh.any():
-                S[fresh], a[fresh] = _newton_steps(X[fresh], G[fresh], H[fresh], pg[fresh],
-                                                   lo, hi), 1.0
+    code = np.where(_finite(F, G, H), 0, 4)
+    S, a, fresh = np.zeros(X.shape), np.ones(len(ids)), code == 0
+    while True:
+        code = np.where(fresh, np.where(pg <= tol_grad, 1, np.where(nit >= max_iter, 2, 0)),
+                        code)
+        if code.any():
+            for r in np.flatnonzero(code).tolist():
+                i, c = int(ids[r]), int(code[r])
+                results[i] = BoxResult(
+                    x=X[r].copy(), fun=float(F[r]), trace=np.array(traces[i]),
+                    converged=c == 1, n_iter=int(nit[r]), message=messages[c],
+                    nfev=int(nfev[r]), pg_norm=float(pg[r]))
+            live = code == 0
+            ids, X, F, G, H, pg, nit, nfev, S, a, fresh, code = (
+                v[live] for v in (ids, X, F, G, H, pg, nit, nfev, S, a, fresh, code))
+        if not ids.size:
+            return results
+        S[fresh], a[fresh] = _newton_steps(X[fresh], G[fresh], H[fresh], pg[fresh], lo, hi), 1.0
         T = _clip(X + a[:, None] * S, lo, hi)
         Ft, Gt, Ht, _ = _evaluate_stacked(fun, T)
         nfev += 1
         slope = ((T - X) * G).sum(axis=1)
         pgt = projected_gradient(T, Gt, lo, hi)
-        ok = _finite(Ft, Gt, Ht) & (Ft <= F + ARMIJO * np.minimum(slope, 0.0))
         noise = ROUNDING * np.maximum(np.abs(F), 1.0)
         tiny = np.abs(slope) <= noise
-        if tiny.any():
-            ok = np.where(tiny, _finite(Ft, Gt, Ht) & (Ft <= F + noise) & (pgt < pg), ok)
+        finite = _finite(Ft, Gt, Ht)
+        ok = np.where(tiny, finite & (Ft <= F + noise) & (pgt < pg),
+                      finite & (Ft <= F + ARMIJO * np.minimum(slope, 0.0)))
         nit += ok
         fresh = ok
-        if ok.all():
-            for i, f in zip(ids.tolist(), Ft.tolist()):
-                traces[i].append(f)
-            X, F, G, H, pg = T, Ft, Gt, Ht, pgt
-            continue
         for i, f in zip(ids[ok].tolist(), Ft[ok].tolist()):
             traces[i].append(f)
         X, F, pg = np.where(ok[:, None], T, X), np.where(ok, Ft, F), np.where(ok, pgt, pg)
         G, H = np.where(ok[:, None], Gt, G), np.where(ok[:, None, None], Ht, H)
         curve = 2.0 * (Ft - F - slope)  # > 0 at a finite rejected trial
-        a *= np.clip(np.divide(-slope, curve, out=np.zeros(len(a)), where=curve > 0.0),
-                     *BACKTRACK)
-        stuck = ~ok & tiny
-        if stuck.any():
-            stop(stuck, "STOP: THE NEWTON DECREMENT IS BELOW ROUNDING")
-            ids, X, F, G, H, pg, nit, nfev, S, a, fresh = (
-                v[~stuck] for v in (ids, X, F, G, H, pg, nit, nfev, S, a, fresh))
-    return results
+        a *= _clip(np.divide(-slope, curve, out=np.zeros(len(a)), where=curve > 0.0),
+                   *BACKTRACK)
+        code = np.where(~ok & tiny, 3, 0)

@@ -76,7 +76,7 @@ class Scenario:
             raise ValueError("truth.varsigma length must equal |alpha|")
 
     def model_spec(self) -> ModelSpec:
-        return ModelSpec(alpha=self.alpha, intercept=self.intercept)
+        return ModelSpec(alpha=self.alpha)
 
 
 @dataclass(frozen=True)
@@ -197,17 +197,16 @@ def fit_method(method: str, dataset: Dataset, spec: ModelSpec, seed: int = 0,
                n_starts: int = 5, pit_q: int = 2):
     """Fit `dataset` with one of ALL_METHODS; the result has `.params` and `.gamma`.
 
-    PLS/PRLS fit under `spec` as given and NORMAL_METHODS with
-    constrained=False. `seed` picks the multi-start jitter of
-    PLS/PRLS/ML/REML, `n_starts` the PLS/PRLS start count and `pit_q` the
-    PIT quadrature order.
+    PLS/PRLS and PIT fit under `spec` as given; NORMAL_METHODS are
+    unconstrained and do not read `spec.constrained`. `seed` picks the
+    multi-start jitter of PLS/PRLS/ML/REML, `n_starts` the PLS/PRLS start
+    count and `pit_q` the PIT quadrature order.
     """
     method = method.upper()
     if method in METHODS:
         return fit(dataset, spec, FitConfig(method=method, n_starts=n_starts, seed=seed))
     if method in NORMAL_METHODS:
-        return fit_unconstrained(dataset, replace(spec, constrained=False),
-                                 criterion=method, seed=seed)
+        return fit_unconstrained(dataset, spec, criterion=method, seed=seed)
     if method == "PIT":
         return fit_pit(dataset, spec, q=pit_q)
     raise ValueError(f"unknown method {method!r}; choose from {ALL_METHODS}")

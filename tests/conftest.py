@@ -36,6 +36,6 @@ def rng():
 def small_problem(rng):
     """Dataset, spec and feasible parameters for oracle comparisons."""
     dataset = make_dataset(rng, g=3, p=3)
-    spec = ModelSpec(alpha=(0, 2), intercept=True, constrained=True)
+    spec = ModelSpec(alpha=(0, 2), constrained=True)
     params = random_params(rng, p=3, alpha=spec.alpha)
     return dataset, spec, params

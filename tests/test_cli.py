@@ -184,6 +184,15 @@ class TestFitCommand:
         # no scale of these fits is at the uniform limit
         assert doc["parameters"]["varsigma_at_limit"] == [False] * len(raneff.split(","))
 
+    @pytest.mark.parametrize("flag, intercept", [([], True), (["--no-intercept"], False)])
+    def test_spec_reports_the_schemas_intercept_flag(self, tmp_path, flag, intercept):
+        out = tmp_path / "fit.json"
+        args = [*SLEEP_SCHEMA_ARGS[:-1], "Days", *flag]
+        assert main(["fit", str(sleepstudy_path()), *args, "--out", str(out)]) == 0
+        spec = json.loads(out.read_text())["spec"]
+        assert spec["intercept"] is intercept
+        assert spec["columns"] == ["intercept", "Days"][not intercept:]
+
 
 class TestRanefRoundTrip:
     def test_gamma_reproduced_bit_for_bit(self, tmp_path):

@@ -18,12 +18,12 @@ from cslme.estimate import (
 )
 from cslme.model import (
     NUMERICAL_FAILURES,
+    BlockDesign,
     Dataset,
     GroupData,
     ModelSpec,
     Parameters,
     SingularDesignError,
-    as_design,
     share_bounds,
 )
 from cslme.optim import (
@@ -228,8 +228,7 @@ class TestFit:
         data, spec, _ = simulate(sc)
         cfg = FitConfig(method="PLS", seed=2)
         constrained = fit(data, spec, cfg)
-        free_spec = ModelSpec(alpha=spec.alpha, intercept=spec.intercept,
-                              constrained=False)
+        free_spec = ModelSpec(alpha=spec.alpha, constrained=False)
         free = fit(data, free_spec, cfg)
         assert np.all(free.params.beta > 0)
         assert constrained.objective == pytest.approx(
@@ -410,7 +409,7 @@ class TestSleepStudyStarts:
         # alone, as a batch of one, and in its batch with the start seed 8
         # starts, it must stay as silent as a Python float's square
         data, spec = sleep
-        design = as_design(data, spec)
+        design = BlockDesign(data, spec)
         starts = estimate.default_starts(design, spec, FitConfig(seed=8))
         overflowing = starts[1].copy()
         overflowing[-1] = 400.0

@@ -196,7 +196,7 @@ class TestExactGradient:
 
         def read_back(z):
             # the read-back varsigma reproduces d, so the value-only objective agrees
-            return value_only(unpack_shares(z, spec), design, spec)
+            return value_only(unpack_shares(z, spec), data, spec)
 
         assert_matches_oracle(
             dense_share_criterion(data, spec, restricted),
@@ -220,7 +220,7 @@ class TestExactGradient:
 
         def fun(v):
             sigma = math.sqrt(sigma2(v))
-            return -loglik(Theta(np.sqrt(v) * sigma, sigma), design, spec)
+            return -loglik(Theta(np.sqrt(v) * sigma, sigma), data, spec)
 
         (value,), (grad,) = criterion_and_gradient(v[None], design, criterion)
         assert value == pytest.approx(fun(v), rel=1e-12)
@@ -264,5 +264,5 @@ class TestExactGradient:
         assert_matches_oracle(
             dense_share_criterion(data, spec, False),
             lambda z: objective_gradient_hessian(design, spec, z, False)[:2], x,
-            value_only=lambda z: pls_objective(unpack_shares(z, spec), design, spec),
+            value_only=lambda z: pls_objective(unpack_shares(z, spec), data, spec),
             h0=share_steps(x, 3, 2))

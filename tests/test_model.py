@@ -11,7 +11,7 @@ from scipy import integrate
 from conftest import make_dataset, random_params
 from dense import assemble, lambda_diag, marginal_cov
 from cslme.baseline import Theta, reml_loglik
-from cslme.estimate import pls_objective, prls_objective
+from cslme.estimate import fit, pls_objective, prls_objective
 from cslme.model import (
     NUMERICAL_FAILURES,
     BlockDesign,
@@ -65,6 +65,36 @@ class TestTypes:
     def test_alpha_must_increase(self):
         with pytest.raises(ValueError):
             ModelSpec(alpha=(2, 1))
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"alpha": (0.5, 1.9)}, r"alpha indices must be nonnegative integers, got \(0.5, 1.9\)"),
+        ({"alpha": (-1,)}, "alpha indices must be nonnegative integers"),
+        ({"alpha": (1, 1)}, r"alpha lists an index twice: \(1, 1\)"),
+        ({"alpha": (0,), "unconstrained_columns": (1.5,)},
+         r"unconstrained_columns indices must be nonnegative integers, got \(1.5,\)"),
+        ({"alpha": (0,), "unconstrained_columns": (-1,)},
+         "unconstrained_columns indices must be nonnegative integers"),
+        ({"alpha": (0,), "unconstrained_columns": (2, 2)},
+         r"unconstrained_columns lists an index twice: \(2, 2\)"),
+    ], ids=["alpha-fraction", "alpha-negative", "alpha-repeated", "free-fraction",
+            "free-negative", "free-repeated"])
+    def test_spec_rejects_a_bad_index(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            ModelSpec(**fields)
+
+    def test_integral_indices_are_kept_as_ints(self):
+        spec = ModelSpec(alpha=(np.int64(0), 2.0), unconstrained_columns=[1])
+        assert spec.alpha == (0, 2) and spec.unconstrained_columns == (1,)
+        assert all(type(i) is int for i in spec.alpha + spec.unconstrained_columns)
+
+    def test_unconstrained_column_out_of_range_is_rejected_before_a_fit(self, rng):
+        data = make_dataset(rng, g=3, p=3)
+        spec = ModelSpec(alpha=(0,), unconstrained_columns=(1, 5))
+        with pytest.raises(ValueError, match=r"unconstrained_columns \(1, 5\) out of range "
+                                             "for p=3 columns"):
+            spec.validate_against(data)
+        with pytest.raises(ValueError, match="unconstrained_columns"):
+            fit(data, spec)
 
     def test_parameters_validation(self):
         with pytest.raises(ValueError):

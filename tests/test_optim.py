@@ -11,8 +11,6 @@ rejected step.
 
 import math
 
-from dataclasses import replace
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
@@ -20,7 +18,7 @@ import pytest
 from scipy.optimize import minimize
 
 from cslme import baseline, estimate, optim
-from cslme.model import as_design, share_bounds
+from cslme.model import BlockDesign, share_bounds
 from cslme.optim import (
     MAX_ITER,
     TOL_GRAD,
@@ -104,13 +102,12 @@ def sleep_problem(sleep, method, seed=0):
     search the relative variances v = (varsigma / sigma)^2 >= 0."""
     data, spec = sleep
     if method in estimate.METHODS:
-        design = as_design(data, spec)
+        design = BlockDesign(data, spec)
         starts = estimate.default_starts(design, spec, estimate.FitConfig(method, seed=seed))
         return (lambda x: estimate.objective_gradient_hessian(design, spec, x,
                                                               method == "PRLS")[:2],
                 starts, share_bounds(design, spec))
-    spec = replace(spec, constrained=False)
-    design = as_design(data, spec)
+    design = BlockDesign(data, spec)
     return (lambda x: baseline.criterion_and_gradient(x, design, method),
             baseline._baseline_starts(design, seed), [(0.0, None)] * design.k)
 
@@ -269,7 +266,7 @@ class TestNewton:
     @pytest.mark.parametrize("method", ["PLS", "PRLS"])
     def test_lockstep_equals_each_start_alone(self, sleep, method):
         data, spec = sleep
-        design = as_design(data, spec)
+        design = BlockDesign(data, spec)
         starts = estimate.default_starts(design, spec, estimate.FitConfig(method, seed=3))
 
         def fun(X):
@@ -358,6 +355,43 @@ class TestNewton:
         (got,) = minimize_newton(qp, [np.array([5e-4, 5.1])], [(0.0, None), (None, None)])
         assert got.converged and got.n_iter == 1
         np.testing.assert_allclose(got.x, [1e-4, 5.0], rtol=1e-12)
+
+    def test_every_way_a_start_ends_in_one_batch_as_alone(self):
+        # one objective in five regions, one start in each: a quadratic that
+        # one step solves, cosh(t) that needs more than max_iter steps,
+        # 1e3 + t^2 + 1e-9 |t| whose kink keeps |f'| >= 1e-9 > tol_grad, inf
+        # and a region that raises
+        def fun(x):
+            t = x[0]
+            if t > 5000.0:
+                raise OverflowError("no value above 5000")
+            if t < -100.0:
+                return math.inf, np.zeros(1), np.ones((1, 1))
+            if t < 500.0:
+                return (t - 1.0) ** 2, np.array([2.0 * (t - 1.0)]), np.array([[2.0]])
+            if t < 1500.0:
+                t -= 1000.0
+                return math.cosh(t), np.array([math.sinh(t)]), np.array([[math.cosh(t)]])
+            t -= 2000.0
+            sign = 1.0 if t >= 0.0 else -1.0
+            return 1e3 + t * t + 1e-9 * abs(t), np.array([2.0 * t + 1e-9 * sign]), np.eye(1) * 2.0
+
+        batch = per_point_hessian(fun)
+        starts = [np.array([t]) for t in (3.0, 1003.0, 2002.0, -200.0, 6000.0)]
+        got = minimize_newton(batch, starts, [(None, None)], tol_grad=1e-10, max_iter=3)
+        assert [res.message for res in got[:4]] == [
+            "CONVERGENCE: NORM OF PROJECTED GRADIENT <= TOL_GRAD",
+            "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT",
+            "STOP: THE NEWTON DECREMENT IS BELOW ROUNDING",
+            "ABNORMAL: THE OBJECTIVE IS NOT FINITE AT THE START"]
+        assert isinstance(got[4], OverflowError)
+        for start, res in zip(starts, got):
+            (alone,) = minimize_newton(batch, [start], [(None, None)], tol_grad=1e-10,
+                                       max_iter=3)
+            if isinstance(res, BoxResult):
+                assert_same(res, alone)
+            else:
+                assert type(alone) is type(res) and str(alone) == str(res)
 
     def test_iteration_cap(self):
         def fun(x):

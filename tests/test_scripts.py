@@ -87,10 +87,15 @@ def test_fingerprint_prints_one_hex_float_per_label():
         label, value = line.split(" ", 1)
         if label.endswith(".n_eval"):
             assert int(value) > 0
+        elif label.endswith(".message"):
+            values[label] = value
         elif not label.endswith(".failed"):
             values[label] = float.fromhex(value)
     assert {label.split(".")[1] for label in labels if label.startswith("sleepstudy.")} == {
         "PLS", "PRLS", "ML", "REML", "PIT"}
+    stops = {value for label, value in values.items() if label.endswith(".message")}
+    assert stops == {"CONVERGENCE: NORM OF PROJECTED GRADIENT <= TOL_GRAD",
+                     "STOP: THE NEWTON DECREMENT IS BELOW ROUNDING"}
     grid = [v for label, v in values.items() if label.startswith("contour.")]
     assert any(math.isnan(v) for v in grid) and any(math.isfinite(v) for v in grid)
 
