@@ -226,8 +226,8 @@ def labeled_searches():
                                         (("varsigma0", "sigma"), True),
                                         (("beta0", "varsigma0"), True)):
                 label = f"merit-n30.rep{rep}.{method}.{'-'.join(labels)}.{constrained}"
-                values, value = minimize_labels(data, spec, scenario.truth, labels,
-                                                method=method, constrained=constrained)
+                values, value = minimize_labels(data, replace(spec, constrained=constrained),
+                                                scenario.truth, labels, method=method)
                 for name, v in values.items():
                     emit(f"{label}.{name}", v)
                 emit(f"{label}.objective", value)

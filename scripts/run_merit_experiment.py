@@ -38,11 +38,10 @@ def main():
     data, _, _ = replication_data(sc, args.rep)
 
     plug_in = pls_objective(truth, data, spec)
-    free_vals, free_obj = minimize_labels(data, spec, truth, ("beta1", "beta2"),
-                                          constrained=False)
+    free_vals, free_obj = minimize_labels(data, replace(spec, constrained=False), truth,
+                                          ("beta1", "beta2"))
     start = [max(free_vals["beta1"], 0.0), max(free_vals["beta2"], 0.0)]
-    con_vals, con_obj = minimize_labels(data, spec, truth, ("beta1", "beta2"),
-                                        constrained=True, x0=start)
+    con_vals, con_obj = minimize_labels(data, spec, truth, ("beta1", "beta2"), x0=start)
 
     print(f"{'':42s}{'beta1':>10s}{'beta2':>10s}{'objective':>12s}")
     print(f"{'True parameters plugged in':42s}{truth.beta[1]:10.3f}"

@@ -290,7 +290,8 @@ def pit_objective(x: np.ndarray, design: BlockDesign, spec: ModelSpec, q: int,
     B = X[:, :p]
     d, w = gh_nodes(q)
     varsigma = np.abs(X[:, p])
-    b = np.abs(B[:, spec.alpha[0]])
+    col = spec.alpha[0]
+    b = np.abs(B[:, col])
     with np.errstate(over="ignore"):  # as in float division, b / tiny varsigma is inf
         rho = np.divide(b, varsigma, out=np.zeros_like(b), where=varsigma > 0.0)
     # rho = 0 puts every quantile at exactly 0
@@ -307,10 +308,11 @@ def pit_objective(x: np.ndarray, design: BlockDesign, spec: ModelSpec, q: int,
     sigma, log_norm = sigma[:, None, None], log_norm[:, None, None]
 
     log_max, sums = [], []  # per group, (R,): the best node and the scaled node sum
-    for ell in range(design.g):
-        resid = design.ys[ell] - (design.Xs[ell] @ B[..., None])[..., 0]
+    for lo, hi in zip(design.offsets[:-1], design.offsets[1:]):
+        X_l = design.X[lo:hi]
+        resid = design.y[lo:hi] - (X_l @ B[..., None])[..., 0]
         # log-product over rows for each point and node: (R, n_l, Q) summed over rows
-        dev = resid[:, :, None] - design.Zs[ell][:, :1] * gammas[:, None, :]
+        dev = resid[:, :, None] - X_l[:, col:col + 1] * gammas[:, None, :]
         log_prod = np.sum(log_norm - 0.5 * (dev / sigma) ** 2, axis=1)
         top = np.max(log_prod, axis=1)
         log_max.append(top)

@@ -199,18 +199,15 @@ def jittered_starts(natural: np.ndarray, rngs) -> list:
 def default_starts(design: BlockDesign, spec: ModelSpec, config: FitConfig) -> list:
     """Deterministic multi-start points x = (beta, q, log sigma).
 
-    Start 0: least-squares coefficients clamped to the constraint cone,
-    varsigma = 0.5*|beta_ols| on the random columns + 0.1*sd(y), sigma =
-    residual sd. Remaining starts apply multiplicative log-normal jitter
-    (sd 0.5) to every component, seeded from config.seed. Each start's
-    varsigma is then mapped to q (`model.to_shares`).
+    Start 0: least-squares coefficients clamped to the lower bounds of
+    `model.share_bounds`, varsigma = 0.5*|beta_ols| on the random columns +
+    0.1*sd(y), sigma = residual sd. Remaining starts apply multiplicative
+    log-normal jitter (sd 0.5) to every component, seeded from config.seed.
+    Each start's varsigma is then mapped to q (`model.to_shares`).
     """
     beta_ols, sd_y, resid_sd = least_squares(design)
-    beta0 = beta_ols.copy()
-    if spec.constrained:
-        clamp = np.ones(design.p, dtype=bool)
-        clamp[list(spec.unconstrained_columns)] = False
-        beta0[clamp] = np.maximum(beta0[clamp], 0.0)
+    beta0 = np.maximum(beta_ols, [-np.inf if lo is None else lo
+                                  for lo, _ in share_bounds(design, spec)[:design.p]])
     vs0 = 0.5 * np.abs(beta_ols[list(spec.alpha)]) + 0.1 * sd_y
     natural = np.concatenate([beta0, vs0, [resid_sd]])
     starts = jittered_starts(natural, (np.random.default_rng(np.random.SeedSequence(

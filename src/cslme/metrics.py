@@ -48,6 +48,7 @@ def r_squared(params: Parameters, dataset: Dataset, spec: ModelSpec,
     limit (`FitResult.at_limit`); with any flagged, the raw pair is (0.0,
     1.0), whatever finite stand-in params.varsigma holds.
     """
+    spec.validate_against(dataset)
     y_hat = np.concatenate([gd.X @ params.beta for gd in dataset.groups])
     var_fixed = float(np.mean((y_hat - np.mean(y_hat)) ** 2))
     if effective:

@@ -88,29 +88,31 @@ def _require_finite(group_id, name: str, a: np.ndarray):
 
 @dataclass(frozen=True)
 class GroupData:
-    """One group's response and fixed-effect design (n_l rows), all finite."""
+    """One group's response and fixed-effect design (n_l rows), both
+    required and finite: every group can be fitted and evaluated."""
 
     group_id: object
-    y: np.ndarray | None
+    y: np.ndarray
     X: np.ndarray
 
     def __post_init__(self):
+        if self.y is None:
+            raise ValueError(f"group {self.group_id}: no response")
         X = np.asarray(self.X, dtype=float)
         if X.ndim != 2 or X.shape[0] < 1:
             raise DimensionMismatchError(
                 f"group {self.group_id}: design must be a nonempty 2-d array"
             )
         _require_finite(self.group_id, "design", X)
+        y = np.asarray(self.y, dtype=float)
+        if y.shape != (X.shape[0],):
+            raise DimensionMismatchError(
+                f"group {self.group_id}: y has length {y.shape}, design has "
+                f"{X.shape[0]} rows"
+            )
+        _require_finite(self.group_id, "response", y)
         object.__setattr__(self, "X", X)
-        if self.y is not None:
-            y = np.asarray(self.y, dtype=float)
-            if y.shape != (X.shape[0],):
-                raise DimensionMismatchError(
-                    f"group {self.group_id}: y has length {y.shape}, design has "
-                    f"{X.shape[0]} rows"
-                )
-            _require_finite(self.group_id, "response", y)
-            object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", y)
 
     @property
     def n(self) -> int:
@@ -150,14 +152,6 @@ class Dataset:
     @property
     def group_ids(self) -> list:
         return [gd.group_id for gd in self.groups]
-
-
-def check_response(dataset: Dataset):
-    """Raise ValueError naming the first group without a response (`sim.gen_design`)."""
-    for gd in dataset.groups:
-        if gd.y is None:
-            raise ValueError(f"group {gd.group_id}: no response; a design-only "
-                             "dataset cannot be fitted or evaluated")
 
 
 def _indices(name: str, values) -> tuple:
@@ -203,6 +197,10 @@ class ModelSpec:
         return len(self.alpha)
 
     def validate_against(self, dataset: Dataset):
+        """Raise TypeError unless `dataset` is a Dataset, and ValueError for
+        a column index out of range; every entry point calls it first."""
+        if not isinstance(dataset, Dataset):
+            raise TypeError(f"expected a Dataset, got {type(dataset).__name__}")
         for name, cols in (("alpha", self.alpha),
                            ("unconstrained_columns", self.unconstrained_columns)):
             if cols and max(cols) >= dataset.p:
@@ -295,39 +293,35 @@ def sdtn_variances(params: Parameters, spec: ModelSpec) -> np.ndarray:
 class BlockDesign:
     """Stacked data and per-group cross-products for block-diagonal V work.
 
-    Set-up forms, once per dataset, the stacked X and y and two
-    cross-products of A = [Z X y]: ZtA, Z_l^T A_l per group (g, k, k + p +
-    1), and XtA, X^T [X y] (p, p + 1): O(n (p + k)^2). Each (d, sigma)
-    evaluation then factorizes the g capacitance matrices M_l = I + S
-    Z_l^T Z_l S / sigma^2, S = diag(sqrt(d)), in one batched call and works
-    from the cross-products alone: O(g k^3 + g k p), plus one O(n p)
-    mat-vec for a residual quadratic form.
+    Set-up forms, once per dataset, the stacked X and y, the g + 1 row
+    boundaries `offsets` of the groups (group l is rows offsets[l] to
+    offsets[l + 1]) and two cross-products of A = [Z X y]: ZtA, Z_l^T A_l
+    per group (g, k, k + p + 1), and XtA, X^T [X y] (p, p + 1): O(n (p +
+    k)^2). Each (d, sigma) evaluation then factorizes the g capacitance
+    matrices M_l = I + S Z_l^T Z_l S / sigma^2, S = diag(sqrt(d)), in one
+    batched call and works from the cross-products alone: O(g k^3 + g k p),
+    plus one O(n p) mat-vec for a residual quadratic form.
     """
 
     def __init__(self, dataset: Dataset, spec: ModelSpec):
         spec.validate_against(dataset)
-        check_response(dataset)
         self.p = dataset.p
         self.k = spec.k
         self.group_ids = dataset.group_ids
-        cols = list(spec.alpha)
-        # per-group views, for the per-group quadrature of the PIT baseline
-        self.ys = [gd.y for gd in dataset.groups]
-        self.Xs = [gd.X for gd in dataset.groups]
-        self.Zs = [gd.X[:, cols] for gd in dataset.groups]
-        self.X = np.vstack(self.Xs)
+        self.X = np.vstack([gd.X for gd in dataset.groups])
         self.n = self.X.shape[0]
-        self.y = np.concatenate(self.ys)
+        self.y = np.concatenate([gd.y for gd in dataset.groups])
+        self.offsets = np.cumsum([0] + [gd.n for gd in dataset.groups])
         # [Z X y] row by row, and its per-group and total cross-products
-        A = np.column_stack([self.X[:, cols], self.X, self.y])
-        starts = np.cumsum([0] + [gd.n for gd in dataset.groups[:-1]])
-        self.ZtA = np.add.reduceat(A[:, :self.k, None] * A[:, None, :], starts, axis=0)
+        A = np.column_stack([self.X[:, list(spec.alpha)], self.X, self.y])
+        self.ZtA = np.add.reduceat(A[:, :self.k, None] * A[:, None, :], self.offsets[:-1],
+                                   axis=0)
         self.XtA = self.X.T @ A[:, self.k:]
         self.eye = np.eye(self.k)
 
     @property
     def g(self) -> int:
-        return len(self.Xs)
+        return len(self.group_ids)
 
     @cached_property
     def log_sigma_floor(self) -> float:

@@ -180,10 +180,10 @@ class _Lbfgsb:
         that moves it, `fun` is evaluated there, which may fail instead."""
         x, value, grad, nfev = np.clip(self.x, lo, hi), float(self.f), self.g, self.nfev
         if not np.array_equal(x, self.x):
-            (got,) = _evaluate(fun, x[None])
-            if not isinstance(got, tuple):
-                return got
-            value, grad, nfev = float(got[0]), got[1], nfev + 1
+            F, G, (exc,) = _evaluate(fun, x[None], 2)
+            if exc is not None:
+                return exc
+            value, grad, nfev = float(F[0]), G[0], nfev + 1
         return BoxResult(
             x=x,
             fun=value,
@@ -196,17 +196,26 @@ class _Lbfgsb:
         )
 
 
-def _evaluate(fun, X: np.ndarray) -> list:
-    """`fun` at the rows of X: per row the tuple of its outputs, (f, grad) or
-    (f, grad, hess), or the member of NUMERICAL_FAILURES its evaluation
-    raised. A batch that raises is evaluated again one row at a time."""
+def _evaluate(fun, X: np.ndarray, n_out: int):
+    """`fun`'s n_out outputs at the rows of X, stacked, output j with j
+    trailing axes of X's width: (F, G) or (F, G, H). Then, per row, None or
+    the member of NUMERICAL_FAILURES its evaluation raised, where that row's
+    outputs are NaN. A batch of several rows that raises is evaluated again
+    one row at a time."""
     try:
-        F, *rest = fun(X)
+        return (*fun(X), [None] * len(X))
     except NUMERICAL_FAILURES as exc:
-        if len(X) == 1:
-            return [exc]
-        return [_evaluate(fun, X[i:i + 1])[0] for i in range(len(X))]
-    return list(zip(F.tolist(), *rest))
+        failure = exc
+    out = [np.full((len(X),) + X.shape[1:] * j, np.nan) for j in range(n_out)]
+    if len(X) == 1:
+        return (*out, [failure])
+    errors = []
+    for i in range(len(X)):
+        *row, (exc,) = _evaluate(fun, X[i:i + 1], n_out)
+        for a, v in zip(out, row):
+            a[i] = v[0]
+        errors.append(exc)
+    return (*out, errors)
 
 
 def _box(bounds):
@@ -249,11 +258,12 @@ def minimize_starts(fun, starts, bounds, tol_obj=TOL_OBJ, tol_grad=TOL_GRAD,
     failed = [None] * len(runs)  # the error of each start that failed
     want = list(range(len(runs)))  # the starts waiting for an evaluation
     while want:
-        for i, got in zip(want, _evaluate(fun, np.array([runs[i].x for i in want]))):
-            if isinstance(got, tuple):
-                runs[i].take(*got)
+        F, G, errors = _evaluate(fun, np.array([runs[i].x for i in want]), 2)
+        for i, f, grad, exc in zip(want, F.tolist(), G, errors):
+            if exc is None:
+                runs[i].take(f, grad)
             else:
-                failed[i] = got
+                failed[i] = exc
         want = [i for i in want
                 if failed[i] is None and runs[i].advance(box, factr, tol_grad, max_iter)]
     return [run.result(fun, lo, hi) if exc is None else exc
@@ -275,22 +285,6 @@ ACTIVE_BAND = 1e-3
 EIG_FLOOR = 1e-12
 INDEFINITE_FLOOR = 1e-2
 ROUNDING = 1e-12
-
-
-def _evaluate_stacked(fun, X: np.ndarray):
-    """(F, G, H) of `fun` at the rows of X and, per row, None or the member of
-    NUMERICAL_FAILURES its evaluation raised, where that row's values are
-    NaN. A batch that raises is evaluated again one row at a time."""
-    try:
-        return (*fun(X), [None] * len(X))
-    except NUMERICAL_FAILURES:
-        got = [_evaluate(fun, X[i:i + 1])[0] for i in range(len(X))]
-    m = X.shape[1]
-    F, G, H = np.full(len(X), np.nan), np.full(X.shape, np.nan), np.full((len(X), m, m), np.nan)
-    for i, row in enumerate(got):
-        if isinstance(row, tuple):
-            F[i], G[i], H[i] = row
-    return F, G, H, [None if isinstance(row, tuple) else row for row in got]
 
 
 def _finite(F, G, H) -> np.ndarray:
@@ -372,7 +366,7 @@ def minimize_newton(fun, starts, bounds, tol_grad=TOL_GRAD, max_iter=MAX_ITER) -
     lo, hi, _ = _box(bounds)
     X = _clip(np.array(starts, dtype=float), lo, hi)
     # per start: the error its first point raised, or None until its BoxResult
-    F, G, H, results = _evaluate_stacked(fun, X)
+    F, G, H, results = _evaluate(fun, X, 3)
     pg = projected_gradient(X, G, lo, hi)
     traces = [[f] for f in F.tolist()]
     # the live starts, one row each: start index, point, values, iterations,
@@ -400,7 +394,7 @@ def minimize_newton(fun, starts, bounds, tol_grad=TOL_GRAD, max_iter=MAX_ITER) -
             return results
         S[fresh], a[fresh] = _newton_steps(X[fresh], G[fresh], H[fresh], pg[fresh], lo, hi), 1.0
         T = _clip(X + a[:, None] * S, lo, hi)
-        Ft, Gt, Ht, _ = _evaluate_stacked(fun, T)
+        Ft, Gt, Ht, _ = _evaluate(fun, T, 3)
         nfev += 1
         slope = ((T - X) * G).sum(axis=1)
         pgt = projected_gradient(T, Gt, lo, hi)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, ModelSpec, Parameters, RandomEffects, check_response
+from .model import Dataset, ModelSpec, Parameters, RandomEffects
 from .optim import ConvergenceError
 
 
@@ -139,7 +139,6 @@ def kkt_residual(qp: GroupQp, gamma: np.ndarray) -> float:
 def group_qps(dataset: Dataset, params: Parameters, spec: ModelSpec) -> list:
     """Build each group's QP from fitted parameters."""
     spec.validate_against(dataset)
-    check_response(dataset)
     cols = list(spec.alpha)
     bounds = np.abs(params.beta[cols])
     qps = []

@@ -179,7 +179,7 @@ def _variance_factor_series(rho: float) -> float:
 
 def sdtn_variance(p: SdtnParams) -> float:
     """Variance of an SDTN law: eta^2 * variance_factor(rho)."""
-    return p.eta ** 2 * variance_factor(p.rho)
+    return p.eta * p.eta * variance_factor(p.rho)
 
 
 def sdtn_sample(p: SdtnParams, count: int, seed) -> np.ndarray:
@@ -227,7 +227,7 @@ def standardized_sum(laws, samples, weights=None) -> np.ndarray:
         if w.shape != (len(laws),):
             raise ValueError("one weight per law required")
     mus = np.array([p.mu for p in laws])
-    variances = np.array([p.eta ** 2 for p in laws]) * variance_factor([p.rho for p in laws])
+    variances = np.array([p.eta * p.eta for p in laws]) * variance_factor([p.rho for p in laws])
     t_n = math.sqrt(float(np.sum(w ** 2 * variances)))
     if t_n == 0.0:
         raise ValueError("all laws are degenerate: zero total variance")

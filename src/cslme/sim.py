@@ -17,7 +17,7 @@ way; a search keeps to the box of `model.search_bounds`.
 """
 
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 import math
 import os
@@ -111,30 +111,31 @@ def group_sizes(n: int, g: int) -> list:
     return [base + (1 if ell < rem else 0) for ell in range(g)]
 
 
-def gen_design(scenario: Scenario, seed=None) -> Dataset:
-    """Design-only dataset: Gamma(2,1) columns, optional leading intercept."""
+def gen_design(scenario: Scenario, seed=None) -> tuple:
+    """The per-group design matrices, a tuple of g arrays in group order:
+    Gamma(2,1) columns, with a leading intercept column if the scenario has one."""
     rng = np.random.default_rng(scenario.seed if seed is None else seed)
-    sizes = group_sizes(scenario.n, scenario.g)
     n_random_cols = scenario.p - (1 if scenario.intercept else 0)
-    groups = []
-    for ell, n_ell in enumerate(sizes):
+    designs = []
+    for n_ell in group_sizes(scenario.n, scenario.g):
         cols = rng.gamma(shape=2.0, scale=1.0, size=(n_ell, n_random_cols))
-        X = np.column_stack([np.ones(n_ell), cols]) if scenario.intercept else cols
-        groups.append(GroupData(group_id=ell + 1, y=None, X=X))
-    return Dataset(tuple(groups))
+        designs.append(np.column_stack([np.ones(n_ell), cols]) if scenario.intercept else cols)
+    return tuple(designs)
 
 
-def gen_response(design: Dataset, truth: Parameters, spec: ModelSpec, seed):
-    """Attach SDTN random effects and normal errors to a generated design.
+def gen_response(designs, truth: Parameters, spec: ModelSpec, seed):
+    """Draw SDTN random effects and normal errors for the per-group design
+    matrices of `gen_design`.
 
-    Returns (completed dataset, per-group deviation truth). Every
-    generated overall coefficient beta_i + gamma_{l,i} is nonnegative
-    because the deviation support is [-beta_i, beta_i].
+    Returns (dataset, per-group deviation truth); the dataset's groups are
+    numbered 1..g in the order of `designs`. Every generated overall
+    coefficient beta_i + gamma_{l,i} is nonnegative because the deviation
+    support is [-beta_i, beta_i].
     """
     if np.any(truth.beta[list(spec.alpha)] < 0):
         raise ValueError("generating fixed effects on random columns must be >= 0")
     rng = np.random.default_rng(seed)
-    g, k = design.g, spec.k
+    g, k = len(designs), spec.k
     gamma = np.zeros((g, k))
     for i, col in enumerate(spec.alpha):
         s = float(truth.varsigma[i])
@@ -144,10 +145,10 @@ def gen_response(design: Dataset, truth: Parameters, spec: ModelSpec, seed):
         law = SdtnParams(0.0, s, b / s)
         gamma[:, i] = sdtn_ppf(rng.random(g), law)
     groups = []
-    for ell, gd in enumerate(design.groups):
-        mean = gd.X @ truth.beta + gd.X[:, list(spec.alpha)] @ gamma[ell]
-        y = mean + rng.normal(0.0, truth.sigma, size=gd.n)
-        groups.append(GroupData(group_id=gd.group_id, y=y, X=gd.X))
+    for ell, X in enumerate(designs):
+        mean = X @ truth.beta + X[:, list(spec.alpha)] @ gamma[ell]
+        y = mean + rng.normal(0.0, truth.sigma, size=X.shape[0])
+        groups.append(GroupData(group_id=ell + 1, y=y, X=X))
     return Dataset(tuple(groups)), RandomEffects(gamma)
 
 
@@ -213,7 +214,7 @@ def fit_method(method: str, dataset: Dataset, spec: ModelSpec, seed: int = 0,
 
 
 def _replication(scenario: Scenario, methods, rep: int, pit_q: int, n_starts: int):
-    """Run one replication; returns (rep, per-method record or error string)."""
+    """Run one replication; returns its per-method record or error string."""
     data, gamma_truth, rep_seed = replication_data(scenario, rep)
     spec = scenario.model_spec()
     truth_vals = table_values(scenario.truth, gamma_truth.gamma, spec)
@@ -237,7 +238,7 @@ def _replication(scenario: Scenario, methods, rep: int, pit_q: int, n_starts: in
             }
         except NUMERICAL_FAILURES as exc:
             out[method] = {"error": f"{type(exc).__name__}: {exc}"}
-    return rep, out
+    return out
 
 
 def worker_count() -> int:
@@ -328,10 +329,9 @@ def run_scenario(scenario: Scenario, methods=("PLS", "PRLS", "REML"),
     else:
         results = [_replication(scenario, methods, rep, pit_q, n_starts)
                    for rep in reps]
-    results.sort(key=lambda pair: pair[0])
     records = {m: [] for m in methods}
     failures = {m: [] for m in methods}
-    for rep, out in results:
+    for rep, out in enumerate(results):
         for m in methods:
             if "error" in out[m]:
                 failures[m].append((rep, out[m]["error"]))
@@ -445,15 +445,15 @@ def level_rows(grid: np.ndarray, vary, levels, tol: float) -> list:
 
 
 def minimize_labels(dataset: Dataset, spec: ModelSpec, fixed: Parameters,
-                    labels, method: str = "PLS", constrained: bool = True,
-                    x0=None):
+                    labels, method: str = "PLS", x0=None):
     """Minimize the chosen objective over a subset of labeled parameters.
 
     All parameters outside `labels` stay at their `fixed` values. The
     search runs over the labeled entries of x = (beta, varsigma, log sigma)
-    in the box of `model.search_bounds`: with `constrained`, beta is kept
-    nonnegative as `spec` sets out, without it beta is free; varsigma is
-    always nonnegative and log sigma above the fits' floor. `x0`, one entry
+    in the box of `model.search_bounds`: beta is kept nonnegative as `spec`
+    sets out (free with `spec.constrained` unset, as by `replace(spec,
+    constrained=False)`); varsigma is always nonnegative and log sigma above
+    the fits' floor. `x0`, one entry
     per label, is a point of that search layout (log sigma for a `sigma`
     label); it defaults to the labeled entries of `fixed`. Labels are
     checked as by `contour_grid`, and an `x0` of another length than
@@ -467,7 +467,7 @@ def minimize_labels(dataset: Dataset, spec: ModelSpec, fixed: Parameters,
     labels = list(labels)
     point, idx = _labeled_point(fixed, labels, spec, p)
     log_sigma = point.size - 1 in idx  # sigma is searched on the log scale
-    bounds = search_bounds(design, replace(spec, constrained=constrained))
+    bounds = search_bounds(design, spec)
 
     def objective(P):
         points = np.tile(point, (len(P), 1))

@@ -36,8 +36,7 @@ def assemble(dataset: Dataset, spec: ModelSpec):
     k, g = spec.k, dataset.g
     n, p = dataset.n, dataset.p
     X = np.vstack([gd.X for gd in dataset.groups])
-    have_y = all(gd.y is not None for gd in dataset.groups)
-    y = np.concatenate([gd.y for gd in dataset.groups]) if have_y else None
+    y = np.concatenate([gd.y for gd in dataset.groups])
     Z = np.zeros((n, k * g))
     offsets = np.zeros(g + 1, dtype=int)
     row = 0

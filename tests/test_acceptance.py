@@ -284,12 +284,12 @@ def test_criterion_07_merit_of_constraints_regime():
         d_seed, r_seed = ss.spawn(2)
         data, _ = gen_response(gen_design(sc, seed=d_seed), truth, spec, r_seed)
         free_vals, free_obj = minimize_labels(
-            data, spec, truth, ("beta1", "beta2"), constrained=False)
+            data, replace(spec, constrained=False), truth, ("beta1", "beta2"))
         if free_vals["beta1"] >= 0.0:
             continue
         start = [max(free_vals["beta1"], 0.0), max(free_vals["beta2"], 0.0)]
         con_vals, con_obj = minimize_labels(
-            data, spec, truth, ("beta1", "beta2"), constrained=True, x0=start)
+            data, spec, truth, ("beta1", "beta2"), x0=start)
         clamped_ok = clamped_ok and (con_vals["beta1"] == 0.0)
         truth_ok = truth_ok and con_obj <= pls_objective(truth, data, spec)
         gap = con_obj - free_obj

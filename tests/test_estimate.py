@@ -476,12 +476,11 @@ class TestConstraintOverrides:
                       truth=Parameters(beta=np.array([1.0, 0.0, 1.0]),
                                        varsigma=np.array([0.1]), sigma=0.5),
                       seed=3)
-        design = gen_design(sc, seed=1)
         groups = []
         gen = np.random.default_rng(9)
-        for gd in design.groups:
-            y = gd.X @ np.array([1.0, -0.8, 1.0]) + gen.normal(0, 0.5, gd.n)
-            groups.append(GroupData(gd.group_id, y, gd.X))
+        for ell, X in enumerate(gen_design(sc, seed=1)):
+            y = X @ np.array([1.0, -0.8, 1.0]) + gen.normal(0, 0.5, len(X))
+            groups.append(GroupData(ell + 1, y, X))
         data = Dataset(tuple(groups))
 
         spec_all = ModelSpec(alpha=(0,), constrained=True)

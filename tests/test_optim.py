@@ -301,6 +301,7 @@ class TestNewton:
         got, failed = minimize_newton(batch, starts, [(None, None)])
         assert isinstance(failed, OverflowError)
         assert min(seen) < -6.0  # the first trial of the start at 2
+        assert seen.count(min(seen)) == 1  # a one-row batch that raises is not run again
         assert got.converged and abs(got.x[0]) <= TOL_GRAD and got.nfev > got.n_iter + 1
         assert_same(minimize_newton(batch, starts[:1], [(None, None)])[0], got)
 

@@ -7,13 +7,15 @@ from pathlib import Path
 import subprocess
 import sys
 
+import pytest
+
 from cslme.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def run_script(name, *args, **env_vars):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env_vars)
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -78,8 +80,18 @@ def test_run_table_scenarios_matches_cslme_simulate(tmp_path, monkeypatch):
     assert cli_out.read_bytes() == (tmp_path / "intercept-p3-n300.csv").read_bytes()
 
 
-def test_fingerprint_prints_one_hex_float_per_label():
-    lines = run_script("fingerprint.py").stdout.splitlines()
+@pytest.fixture(scope="module")
+def fingerprint():
+    """The output of scripts/fingerprint.py at CSLME_THREADS=1."""
+    return run_script("fingerprint.py", CSLME_THREADS="1").stdout
+
+
+def test_fingerprint_does_not_depend_on_the_worker_count(fingerprint):
+    assert run_script("fingerprint.py", CSLME_THREADS="2").stdout == fingerprint
+
+
+def test_fingerprint_prints_one_hex_float_per_label(fingerprint):
+    lines = fingerprint.splitlines()
     labels = [line.split(" ", 1)[0] for line in lines]
     assert len(set(labels)) == len(labels)
     values = {}

@@ -12,8 +12,10 @@ from dataclasses import replace
 
 from cslme import baseline, estimate, ranef, sim
 from cslme.baseline import fit_pit, fit_unconstrained
+from cslme.metrics import r_squared
 from cslme.model import (
     NUMERICAL_FAILURES,
+    BlockDesign,
     BlockSolve,
     Dataset,
     GroupData,
@@ -62,27 +64,30 @@ def scenario(n=300, seed=1, replications=1, beta=(0.072, 1.0, 1.0), vs=(0.058,))
 class TestGenDesign:
     def test_gamma_column_moments(self):
         sc = scenario(n=100_000, seed=2)
-        data = gen_design(sc)
-        col = np.concatenate([gd.X[:, 1] for gd in data.groups])
+        col = np.concatenate([X[:, 1] for X in gen_design(sc)])
         assert col.mean() == pytest.approx(2.0, abs=3 * math.sqrt(2 / 1e5))
         assert col.var() == pytest.approx(2.0, rel=0.05)
         assert np.all(col > 0)
 
     def test_intercept_column(self):
-        data = gen_design(scenario(n=50))
-        for gd in data.groups:
-            np.testing.assert_array_equal(gd.X[:, 0], 1.0)
+        for X in gen_design(scenario(n=50)):
+            np.testing.assert_array_equal(X[:, 0], 1.0)
 
     def test_deterministic(self):
         a = gen_design(scenario(n=200, seed=9))
         b = gen_design(scenario(n=200, seed=9))
-        for ga, gb in zip(a.groups, b.groups):
-            np.testing.assert_array_equal(ga.X, gb.X)
+        for Xa, Xb in zip(a, b, strict=True):
+            np.testing.assert_array_equal(Xa, Xb)
 
     def test_group_allocation(self):
         assert group_sizes(10, 3) == [4, 3, 3]
         assert group_sizes(9, 3) == [3, 3, 3]
         assert group_sizes(7, 2) == [4, 3]
+
+    def test_group_without_response_rejected(self):
+        X = gen_design(scenario(n=40))[0]
+        with pytest.raises(ValueError, match="group 1: no response"):
+            GroupData(group_id=1, y=None, X=X)
 
     @pytest.mark.parametrize("fit_call", [
         lambda d, sc: fit(d, sc.model_spec()),
@@ -90,11 +95,17 @@ class TestGenDesign:
         lambda d, sc: fit_pit(d, sc.model_spec()),
         lambda d, sc: pls_objective(sc.truth, d, sc.model_spec()),
         lambda d, sc: ranef.solve_all(d, sc.truth, sc.model_spec()),
-    ], ids=["fit", "fit_unconstrained", "fit_pit", "pls_objective", "solve_all"])
-    def test_design_only_dataset_rejected(self, fit_call):
+        lambda d, sc: r_squared(sc.truth, d, sc.model_spec()),
+        lambda d, sc: contour_grid(ContourRequest("PLS", ("beta0", "beta1"),
+                                                  ((0.0, 1.0, 2), (0.0, 1.0, 2)), sc.truth),
+                                   d, sc.model_spec()),
+    ], ids=["fit", "fit_unconstrained", "fit_pit", "pls_objective", "solve_all",
+            "r_squared", "contour_grid"])
+    def test_block_design_rejected(self, fit_call):
         sc = scenario(n=40)
-        with pytest.raises(ValueError, match="group 1: no response"):
-            fit_call(gen_design(sc), sc)
+        data, _ = gen_response(gen_design(sc), sc.truth, sc.model_spec(), seed=1)
+        with pytest.raises(TypeError, match="expected a Dataset, got BlockDesign"):
+            fit_call(BlockDesign(data, sc.model_spec()), sc)
 
 
 class TestReplicationData:
@@ -271,9 +282,7 @@ class TestRunScenario:
         natural_design = sim.gen_design
 
         def duplicated_column(scenario, seed=None):
-            design = natural_design(scenario, seed)
-            return Dataset(tuple(GroupData(gd.group_id, None, gd.X[:, [0, 1, 1]])
-                                 for gd in design.groups))
+            return tuple(X[:, [0, 1, 1]] for X in natural_design(scenario, seed))
 
         monkeypatch.setattr(sim, "gen_design", duplicated_column)
         res = run_scenario(scenario(n=60, replications=2, seed=4), methods=("ML", "REML"))
@@ -589,9 +598,9 @@ class TestMinimizeLabels:
         spec = sc.model_spec()
         data, _ = gen_response(gen_design(sc), sc.truth, spec, seed=9)
         free_vals, free_obj = minimize_labels(
-            data, spec, sc.truth, ("beta1", "beta2"), constrained=False)
-        con_vals, con_obj = minimize_labels(
-            data, spec, sc.truth, ("beta1", "beta2"), constrained=True)
+            data, replace(spec, constrained=False), sc.truth, ("beta1", "beta2"))
+        con_vals, con_obj = minimize_labels(data, spec, sc.truth, ("beta1", "beta2"))
+        assert free_vals["beta2"] < 0.0  # the spec's own sign constraint, not a default
         assert con_obj >= free_obj - 1e-9
         assert con_vals["beta1"] >= 0.0
         assert con_vals["beta2"] >= 0.0
@@ -668,8 +677,8 @@ class TestMinimizeLabels:
         for seed in range(12):
             sc = replace(base, seed=seed)
             data, _ = gen_response(gen_design(sc), sc.truth, spec, seed)
-            values, value = minimize_labels(data, spec, sc.truth, ("varsigma0",),
-                                            constrained=constrained)
+            values, value = minimize_labels(data, replace(spec, constrained=constrained),
+                                            sc.truth, ("varsigma0",))
             assert values["varsigma0"] >= 0.0 and np.isfinite(value)
 
     def test_sigma_label_reads_back_on_natural_scale(self):
@@ -699,8 +708,8 @@ class TestNoIntercept:
                            sigma=1.0)
         sc = Scenario(n=60, p=2, g=2, alpha=(0,), truth=truth, seed=4,
                       intercept=False)
-        data = gen_design(sc)
-        assert data.p == 2
-        col0 = np.concatenate([gd.X[:, 0] for gd in data.groups])
+        designs = gen_design(sc)
+        assert [X.shape[1] for X in designs] == [2, 2]
+        col0 = np.concatenate([X[:, 0] for X in designs])
         assert not np.allclose(col0, 1.0)
         assert np.all(col0 > 0)
