@@ -5,9 +5,13 @@ One `label hex` line per number, `float.hex` so that equal lines mean
 bit-equal floats:
 - the sleep-study PLS, PRLS, ML and REML fits at start seeds 0-9 and the
   PIT fit (a random intercept only): every parameter, every deviation,
-  the objective or log-likelihood and the evaluation count, and for
-  PLS/PRLS every start's objective and converged flag (1 or 0) and each
-  failed start's message;
+  the objective or log-likelihood and the evaluation count; for PLS/PRLS
+  every start's objective and converged flag (1 or 0) and each failed
+  start's message; for ML/REML the relative variances v = (varsigma /
+  sigma)^2 the fit's deviations are formed from
+  (`BaselineFit.relative_variances`; (varsigma / sigma)^2 in a checkout
+  whose fits do not record it) and the number of `BlockDesign.solve`
+  calls the fit made;
 - every estimate of `run_scenario` on 4 `intercept-p3-n300` replications
   (all five methods) and on 2 `full-p3-n500` replications (all but PIT),
   and each failed replication's message;
@@ -101,12 +105,27 @@ def sleepstudy():
     return ingest(sleepstudy_path(), schema)
 
 
+def counted_solves(fit):
+    """fit()'s result and the number of `BlockDesign.solve` calls it made."""
+    real, calls = BlockDesign.solve, []
+
+    def counted(design, *args):
+        calls.append(1)
+        return real(design, *args)
+
+    BlockDesign.solve = counted
+    try:
+        return fit(), len(calls)
+    finally:
+        BlockDesign.solve = real
+
+
 def sleepstudy_fits():
     data, spec = sleepstudy()
     for method in ALL_METHODS:
         model = replace(spec, alpha=(0,)) if method == "PIT" else spec
         for seed in range(1 if method == "PIT" else 10):
-            res = fit_method(method, data, model, seed=seed)
+            res, solves = counted_solves(lambda: fit_method(method, data, model, seed=seed))
             label = f"sleepstudy.{method}.seed{seed}"
             emit_all(f"{label}.beta", res.params.beta)
             emit_all(f"{label}.varsigma", res.params.varsigma)
@@ -117,6 +136,12 @@ def sleepstudy_fits():
             else:
                 emit(f"{label}.loglik", res.loglik)
             print(f"{label}.n_eval {res.n_eval}")
+            if method in ("ML", "REML"):
+                v = getattr(res, "relative_variances", None)
+                if v is None:
+                    v = (res.params.varsigma / res.params.sigma) ** 2
+                emit_all(f"{label}.relative_variances", v)
+                emit(f"{label}.solves", solves)
             for idx, value, converged in getattr(res, "start_objectives", ()):
                 emit(f"{label}.start{idx}.objective", value)
                 emit(f"{label}.start{idx}.converged", converged)

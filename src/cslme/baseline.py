@@ -16,11 +16,14 @@ fit (q0 = 0) reaches. One `BlockSolve` at sigma = 1 gives q0, the
 log-determinants and their partials in v at fixed beta
 (`BlockSolve.criterion_parts`); by the envelope theorem the gradient of
 the profiled criterion is dq0 / sigma^2 + dlog at the profiled sigma. The
-search minimizes half of it, the negated log-likelihood. The fixed
-effects and sigma are then read from one solve at the winning v, and the
-per-group deviations recovered in closed form at the resulting theta (the
-usual shrinkage formula, equivalently the Henderson-style joint linear
-system).
+search minimizes half of it, the negated log-likelihood. Each evaluation
+also forms the fit at its point: beta_hat, sigma_hat^2 and u_l = Z_l^T
+V0_l^{-1} (y_l - X_l beta_hat). Every point a search returns is one it
+evaluated, so the winner's own evaluation gives the whole fit, with no
+solve after the search: varsigma = sqrt(v) sigma_hat and the per-group
+deviations gamma_l = v * u_l, which is the usual shrinkage formula
+varsigma^2 Z_l^T V_l^{-1} r_l (equivalently the Henderson-style joint
+linear system), as V = sigma^2 V0.
 
 The probability-integral-transform (PIT) baseline instead approximates the
 marginal likelihood of each group by Gauss-Hermite quadrature over a
@@ -48,7 +51,7 @@ from .model import (
     search_bounds,
     unpack,
 )
-from .estimate import jittered_starts, least_squares, multistart
+from .estimate import jittered_starts, multistart
 from .optim import BoxResult, minimize_starts, with_central_diff
 from .ranef import solve_all
 from .sdtn import per_entry, sdtn_quantile, std_normal_cdf
@@ -117,6 +120,9 @@ class BaselineFit:
     trace: np.ndarray | None = None
     n_eval: int = 0  # (f, grad) calls, summed over the starts that finished
     pg_norm: float = math.nan  # the winner's projected-gradient infinity norm
+    # ML/REML: the winning v = (varsigma / sigma)^2, from which the deviations
+    # are formed (`shrinkage_gamma`); None for PIT
+    relative_variances: np.ndarray | None = None
 
     @property
     def at_limit(self) -> tuple:
@@ -143,6 +149,18 @@ def _profiled_sigma2(q: np.ndarray, design: BlockDesign, restricted: bool):
     return dof, np.maximum(q / dof, floor * floor)
 
 
+def _profiled_fit(x: np.ndarray, design: BlockDesign, restricted: bool):
+    """`criterion_and_gradient`'s two arrays at the R points x (R, k), then
+    the fit each point stands for: beta_hat (R, p), sigma_hat^2 (R,) and u_l
+    = Z_l^T V0_l^{-1} (y_l - X_l beta_hat) (R, g, k), all from its one solve."""
+    sol = design.solve(x, np.ones(len(x)))
+    beta = sol.gls_beta()
+    q, logdet, dq, dlog, u, _ = sol._parts(beta, restricted)
+    dof, s2 = _profiled_sigma2(q, design, restricted)
+    return (0.5 * (q / s2 + dof * per_entry(math.log)(s2) + logdet),
+            0.5 * (dq / s2[:, None] + dlog), beta, s2, u)
+
+
 def criterion_and_gradient(x: np.ndarray, design: BlockDesign, criterion: str):
     """The ML or REML criterion at relative variances x = v = d / sigma^2,
     minimized over beta and sigma, and its exact gradient in v.
@@ -152,12 +170,7 @@ def criterion_and_gradient(x: np.ndarray, design: BlockDesign, criterion: str):
     docstring. x is R points (R, k), evaluated by one batched `BlockSolve` at
     sigma = 1, as `estimate.objective_gradient_hessian` batches PLS/PRLS.
     """
-    restricted = criterion == "REML"
-    sol = design.solve(x, np.ones(len(x)))
-    q, logdet, dq, dlog = sol.criterion_parts(sol.gls_beta(), restricted)
-    dof, s2 = _profiled_sigma2(q, design, restricted)
-    return (0.5 * (q / s2 + dof * per_entry(math.log)(s2) + logdet),
-            0.5 * (dq / s2[:, None] + dlog))
+    return _profiled_fit(x, design, criterion == "REML")[:2]
 
 
 def profile_beta(theta: Theta, dataset: Dataset, spec: ModelSpec) -> np.ndarray:
@@ -182,25 +195,37 @@ def reml_loglik(theta: Theta, dataset: Dataset, spec: ModelSpec) -> float:
 
 def gamma_closed_form(theta: Theta, dataset: Dataset, spec: ModelSpec,
                       beta: np.ndarray) -> RandomEffects:
-    """Shrinkage estimate gamma_l = G Z_l^T V_l^{-1} (y_l - X_l beta) per group."""
-    return _gamma_at(theta, BlockDesign(dataset, spec), beta)
+    """Shrinkage estimate gamma_l = G Z_l^T V_l^{-1} (y_l - X_l beta) per group.
+
+    It is `shrinkage_gamma` at v = (varsigma / sigma)^2, as V = sigma^2 V0.
+    """
+    ratio = theta.varsigma / theta.sigma
+    return shrinkage_gamma(ratio * ratio, dataset, spec, beta)
 
 
-def _gamma_at(theta: Theta, design: BlockDesign, beta: np.ndarray) -> RandomEffects:
-    """`gamma_closed_form` on a design already formed."""
-    sol = _solve_at(theta, design)
-    return RandomEffects(theta.varsigma ** 2 * sol.zt_vinv_resid(beta[None])[0])
+def shrinkage_gamma(v: np.ndarray, dataset: Dataset, spec: ModelSpec,
+                    beta: np.ndarray) -> RandomEffects:
+    """gamma_l = v * Z_l^T V0_l^{-1} (y_l - X_l beta) per group at relative
+    variances v, V0 = I + Z diag(v) Z^T, from one solve at sigma = 1.
+
+    The recipe of an ML/REML fit's deviations: at a fit's own v and beta
+    (`BaselineFit.relative_variances`, `beta`) it gives back its gamma bit
+    for bit.
+    """
+    v = np.asarray(v, dtype=float)
+    sol = BlockDesign(dataset, spec).solve(v[None], np.ones(1))
+    return RandomEffects(v * sol.zt_vinv_resid(np.asarray(beta, dtype=float)[None])[0])
 
 
 def _baseline_starts(design: BlockDesign, seed: int):
     """Deterministic starting points v = (varsigma / sigma)^2 of the search.
 
     The jitter is multiplicative on the natural-scale components
-    (varsigma, sigma), from varsigma = sigma / 2 (v = 1/4), sigma the
-    least-squares residual sd; each start is then mapped to v.
+    (varsigma, sigma), from varsigma = 1/2 and sigma = 1 (v = 1/4); each
+    start is then mapped to v. The scale of the data would cancel from v,
+    so none is computed.
     """
-    resid_sd = least_squares(design)[2]
-    natural = np.concatenate([np.full(design.k, 0.5 * resid_sd), [resid_sd]])
+    natural = np.append(np.full(design.k, 0.5), 1.0)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A5A]))
     # two draws from one generator; jittered_starts packs sigma as log sigma
     return [(x[:-1] / math.exp(x[-1])) ** 2 for x in jittered_starts(natural, [rng, rng])]
@@ -212,11 +237,14 @@ def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML"
 
     The search runs over the relative variances v = (varsigma / sigma)^2 in
     [0, inf)^k, with beta and sigma profiled out (`criterion_and_gradient`);
-    a small deterministic multi-start, run in lockstep by
+    a small deterministic multi-start around v = 1/4, run in lockstep by
     `optim.minimize_starts` and won by `estimate.multistart`, guards
-    against poor initial points. One solve at the winning v gives beta and
-    sigma, and varsigma = sqrt(v) sigma; gamma is `gamma_closed_form` at
-    the resulting theta.
+    against poor initial points. A fit costs exactly its search, one
+    `BlockSolve` per round: each evaluation keeps the beta_hat, sigma_hat^2
+    and u = Z^T V0^{-1} r rows of its points, and the winning point's rows
+    give beta and sigma, varsigma = sqrt(v) sigma and gamma = v * u (the
+    `shrinkage_gamma` recipe, equal to `gamma_closed_form` at theta to
+    rounding).
     """
     criterion = criterion.upper()
     if criterion not in ("ML", "REML"):
@@ -224,23 +252,24 @@ def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML"
     design = BlockDesign(dataset, spec)
     if design.k < 1:
         raise ValueError("at least one random-effect column is required")
+    restricted = criterion == "REML"
+    fits = {}  # per evaluated point (a tuple, so -0.0 keys 0.0): its fit rows
 
     def objective(x):
-        return criterion_and_gradient(x, design, criterion)
+        value, grad, *rows = _profiled_fit(x, design, restricted)
+        fits.update(zip(map(tuple, x.tolist()), zip(*rows)))
+        return value, grad
 
     _, res, results, _ = multistart(minimize_starts(
         objective, _baseline_starts(design, seed), [(0.0, None)] * design.k))
-    sol = design.solve(res.x[None], [1.0])  # V0 = V / sigma^2 at the winner
-    beta = sol.gls_beta()
-    _, s2 = _profiled_sigma2(sol.quad_form_resid(beta), design, criterion == "REML")
-    sigma = math.sqrt(s2[0])
-    theta = Theta(np.sqrt(res.x) * sigma, sigma)
+    # a point the search evaluated: setulb's last or restored iterate, or
+    # the re-projected point that `optim` evaluates
+    beta, s2, u = fits[tuple(res.x.tolist())]
+    sigma = math.sqrt(s2)
     return BaselineFit(
-        theta=theta,
-        beta=beta[0],
-        # from theta itself, so that a fit document's (beta, varsigma, sigma)
-        # give back its deviations bit for bit
-        gamma=_gamma_at(theta, design, beta[0]),
+        theta=Theta(np.sqrt(res.x) * sigma, sigma),
+        beta=beta,
+        gamma=RandomEffects(res.x * u),  # the `shrinkage_gamma` recipe
         loglik=-res.fun,  # the minimized criterion is the negated log-likelihood
         criterion=criterion,
         converged=res.converged,
@@ -248,6 +277,7 @@ def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML"
         trace=res.trace,
         n_eval=sum(r.nfev for _, r in results),
         pg_norm=res.pg_norm,
+        relative_variances=res.x,
     )
 
 

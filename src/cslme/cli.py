@@ -6,7 +6,8 @@ fit       fit one model to a long-format CSV, write a JSON/CSV result doc
 simulate  run a scenario config through the Monte-Carlo harness
 contour   evaluate a PLS/PRLS objective on a 2-d parameter grid
 ranef     recompute per-group deviations from a saved fit document, as its
-          method does (box QP; closed-form shrinkage for ML/REML)
+          method does (box QP; closed-form shrinkage at the document's
+          `relative_variances` for ML/REML)
 
 Exit codes: 0 success, 1 input/config error, 2 numerical failure: a fit
 that did not converge or raised one of `model.NUMERICAL_FAILURES` (`fit`
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .baseline import Theta, gamma_closed_form
+from .baseline import shrinkage_gamma
 from .estimate import METHODS
 from .metrics import r_squared
 from .model import NUMERICAL_FAILURES, Dataset, GroupData, ModelSpec, Parameters, RandomEffects
@@ -487,6 +488,8 @@ def _run_fit_method(args, method, schema, dataset, spec, run_config) -> int:
 
     doc = _fit_document(method, schema, spec, dataset, res.params, res.gamma, res.at_limit,
                         diagnostics, objective, loglik, args.seed, run_config)
+    if method in NORMAL_METHODS:  # the v = (varsigma / sigma)^2 `cslme ranef` reads
+        doc["parameters"]["relative_variances"] = [float(v) for v in res.relative_variances]
     _write_document(doc, args.out, args.format)
     if args.out not in (None, "-"):
         _print_fit_summary(doc)
@@ -575,19 +578,39 @@ def cmd_contour(args) -> int:
     return 0
 
 
+def _relative_variances(parameters: dict, method: str, k: int, path) -> np.ndarray:
+    """An ML/REML fit document's `parameters.relative_variances`: k finite
+    values v >= 0, from which its deviations were formed."""
+    try:
+        v = np.asarray(parameters["relative_variances"], dtype=float)
+    except KeyError:
+        raise SchemaError(f"fit document {path}: an {method} fit needs "
+                          "parameters.relative_variances") from None
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"fit document {path}: parameters.relative_variances: {exc}") from None
+    if v.shape != (k,) or not (np.isfinite(v) & (v >= 0.0)).all():
+        raise SchemaError(f"fit document {path}: parameters.relative_variances must be "
+                          f"{k} finite values >= 0, got {parameters['relative_variances']!r}")
+    return v
+
+
 def cmd_ranef(args) -> int:
     schema = _schema_from_args(args)
     dataset, spec = ingest(args.data, schema)
     try:
         with open(args.params, encoding="utf-8") as fh:
             doc = json.load(fh)
-        beta = np.asarray(doc["parameters"]["beta"], dtype=float)
-        varsigma = np.asarray(doc["parameters"]["varsigma"], dtype=float)
-        sigma = float(doc["parameters"]["sigma"])
+        parameters = doc["parameters"]
+        beta = np.asarray(parameters["beta"], dtype=float)
+        varsigma = np.asarray(parameters["varsigma"], dtype=float)
+        sigma = float(parameters["sigma"])
         doc_alpha = tuple(doc["spec"]["alpha"])
         method = doc["spec"]["method"]
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise SchemaError(f"cannot read fit document {args.params}: {exc}") from None
+    if method not in ALL_METHODS:
+        raise SchemaError(f"fit document {args.params}: unknown method {method!r}, "
+                          f"expected one of {', '.join(ALL_METHODS)}")
     if doc_alpha != spec.alpha or beta.size != dataset.p:
         raise SchemaError(
             f"fit document (alpha={doc_alpha}, p={beta.size}) does not match the "
@@ -599,7 +622,8 @@ def cmd_ranef(args) -> int:
         )
     params = Parameters(beta=beta, varsigma=varsigma, sigma=sigma)
     if method in NORMAL_METHODS:  # the fit's shrinkage estimate, never at a bound
-        gamma = gamma_closed_form(Theta(varsigma, sigma), dataset, spec, beta).gamma
+        gamma = shrinkage_gamma(_relative_variances(parameters, method, spec.k, args.params),
+                                dataset, spec, beta).gamma
         effects = RandomEffects(gamma, at_bound=np.zeros_like(gamma, dtype=bool))
     else:
         effects = solve_all(dataset, params, spec)

@@ -57,7 +57,7 @@ def r_squared(params: Parameters, dataset: Dataset, spec: ModelSpec,
         return 0.0, 1.0
     else:
         var_random = float(np.sum(params.varsigma ** 2))
-    total = var_fixed + var_random + params.sigma ** 2
+    total = var_fixed + var_random + params.sigma * params.sigma
     if total <= 0.0:
         raise ValueError("total model variance is zero")
     marginal = var_fixed / total

@@ -107,7 +107,7 @@ def solve_group(qp: GroupQp) -> np.ndarray:
     Z = qp.Ztilde[:, live]
     b = qp.bounds[live]
     s2 = qp.Sigma_hat_diag[live]
-    r2 = qp.sigma_hat ** 2
+    r2 = qp.sigma_hat * qp.sigma_hat
     H = 2.0 * (Z.T @ Z / r2 + np.diag(1.0 / s2))
     c = 2.0 * (Z.T @ qp.ytilde) / r2
     gamma[live] = _box_qp(H, c, -b, b)
@@ -122,7 +122,7 @@ def kkt_residual(qp: GroupQp, gamma: np.ndarray) -> float:
     Z = qp.Ztilde[:, live]
     b = qp.bounds[live]
     s2 = qp.Sigma_hat_diag[live]
-    r2 = qp.sigma_hat ** 2
+    r2 = qp.sigma_hat * qp.sigma_hat
     x = gamma[live]
     g = 2.0 * (Z.T @ (Z @ x - qp.ytilde)) / r2 + 2.0 * x / s2
     res = 0.0

@@ -10,7 +10,7 @@ from scipy import integrate
 from conftest import make_dataset
 from dense import assemble, central_diff_grad, joint_system_solve
 from exact import sdtn_group_loglik
-from cslme import baseline
+from cslme import baseline, estimate
 from cslme.baseline import (
     PIT_UNDERFLOW_PENALTY,
     QuadratureUnderflowError,
@@ -23,6 +23,7 @@ from cslme.baseline import (
     profile_beta,
     profile_loglik,
     reml_loglik,
+    shrinkage_gamma,
 )
 from cslme.model import (
     NUMERICAL_FAILURES,
@@ -251,29 +252,52 @@ class TestProfiledSearch:
 
     @pytest.mark.parametrize("criterion", ["ML", "REML"])
     def test_one_solve_per_round(self, monkeypatch, criterion):
-        # one BlockSolve per round of the search, one at the winning v for beta
-        # and sigma, and one at theta for gamma (`gamma_closed_form`)
-        rounds, solves = [], []
+        # one BlockSolve per round of the search, and none before or after:
+        # the winner's own evaluation gives beta, sigma and gamma
+        events = []
         real_minimize, real_solve = baseline.minimize_starts, BlockDesign.solve
 
         def counted_minimize(fun, *args, **kwargs):
             def counted(X):
-                rounds.append(len(X))
+                events.append(("round", len(X)))
                 return fun(X)
             return real_minimize(counted, *args, **kwargs)
 
         def counted_solve(design, *args):
-            solves.append(1)
+            events.append(("solve", 0))
             return real_solve(design, *args)
 
         monkeypatch.setattr(baseline, "minimize_starts", counted_minimize)
         monkeypatch.setattr(BlockDesign, "solve", counted_solve)
         for label, data, spec in sleep_and_replications():
-            rounds.clear()
-            solves.clear()
+            events.clear()
             res = fit_unconstrained(data, spec, criterion)
-            assert sum(rounds) == res.n_eval, label
-            assert len(solves) == len(rounds) + 2, label
+            kinds = [kind for kind, _ in events]
+            assert kinds == ["round", "solve"] * (len(kinds) // 2), label
+            assert sum(size for _, size in events) == res.n_eval, label
+
+    @pytest.mark.parametrize("criterion", ["ML", "REML"])
+    def test_no_least_squares(self, monkeypatch, criterion):
+        # the starts are jittered around v = 1/4 and need no scale of the data
+        def refuse(*args, **kwargs):
+            raise AssertionError("least-squares solve")
+
+        monkeypatch.setattr(estimate, "least_squares", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        for label, data, spec in sleep_and_replications()[:3]:
+            assert fit_unconstrained(data, spec, criterion).converged, label
+
+    @pytest.mark.parametrize("criterion", ["ML", "REML"])
+    def test_gamma_is_the_closed_form_at_theta(self, criterion):
+        for label, data, spec in sleep_and_replications():
+            res = fit_unconstrained(data, spec, criterion)
+            np.testing.assert_allclose(
+                res.gamma.gamma, gamma_closed_form(res.theta, data, spec, res.beta).gamma,
+                rtol=1e-12, err_msg=label)
+            # and bit for bit from the fit's own relative variances
+            np.testing.assert_array_equal(
+                res.gamma.gamma,
+                shrinkage_gamma(res.relative_variances, data, spec, res.beta).gamma)
 
     def test_sleep_study_evaluations(self):
         # at start seed 0, the (varsigma, log sigma) search took 102 (ML) and 109 (REML)

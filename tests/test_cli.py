@@ -229,6 +229,36 @@ class TestRanefRoundTrip:
         assert "beta[1] must be finite" in capsys.readouterr().err
         assert not ranef_out.exists()
 
+    def test_unknown_method_rejected(self, tmp_path, capsys):
+        # a method outside the five is named, not fitted as the box QP
+        fit_out = tmp_path / "fit.json"
+        main(["fit", str(sleepstudy_path()), *SLEEP_SCHEMA_ARGS,
+              "--method", "PLS", "--seed", "0", "--out", str(fit_out)])
+        doc = json.loads(fit_out.read_text())
+        doc["spec"]["method"] = "OLS"
+        fit_out.write_text(json.dumps(doc))
+        ranef_out = tmp_path / "ranef.csv"
+        code = main(["ranef", str(sleepstudy_path()), *SLEEP_SCHEMA_ARGS,
+                     "--params", str(fit_out), "--out", str(ranef_out)])
+        assert code == 1
+        assert "unknown method 'OLS'" in capsys.readouterr().err
+        assert not ranef_out.exists()
+
+    @pytest.mark.parametrize("method", ["ML", "REML"])
+    def test_normal_fit_needs_its_relative_variances(self, tmp_path, capsys, method):
+        fit_out = tmp_path / "fit.json"
+        main(["fit", str(sleepstudy_path()), *SLEEP_SCHEMA_ARGS,
+              "--method", method, "--seed", "0", "--out", str(fit_out)])
+        doc = json.loads(fit_out.read_text())
+        del doc["parameters"]["relative_variances"]
+        fit_out.write_text(json.dumps(doc))
+        ranef_out = tmp_path / "ranef.csv"
+        code = main(["ranef", str(sleepstudy_path()), *SLEEP_SCHEMA_ARGS,
+                     "--params", str(fit_out), "--out", str(ranef_out)])
+        assert code == 1
+        assert "parameters.relative_variances" in capsys.readouterr().err
+        assert not ranef_out.exists()
+
     def test_mismatched_document_rejected(self, tmp_path, capsys):
         fit_out = tmp_path / "fit.json"
         main(["fit", str(sleepstudy_path()), *SLEEP_SCHEMA_ARGS,

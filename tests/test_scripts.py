@@ -105,6 +105,10 @@ def test_fingerprint_prints_one_hex_float_per_label(fingerprint):
             values[label] = float.fromhex(value)
     assert {label.split(".")[1] for label in labels if label.startswith("sleepstudy.")} == {
         "PLS", "PRLS", "ML", "REML", "PIT"}
+    for method in ("ML", "REML"):  # v and the solve count of every fit
+        for seed in range(10):
+            label = f"sleepstudy.{method}.seed{seed}"
+            assert {f"{label}.relative_variances[1]", f"{label}.solves"} <= set(values)
     stops = {value for label, value in values.items() if label.endswith(".message")}
     assert stops == {"CONVERGENCE: NORM OF PROJECTED GRADIENT <= TOL_GRAD",
                      "STOP: THE NEWTON DECREMENT IS BELOW ROUNDING"}
