@@ -13,12 +13,12 @@ with q0 = r^T V0^{-1} r at the generalized-least-squares beta_hat and n_r
 = n - p (REML) or n (ML). It is least at sigma^2 = q0 / n_r, floored at
 exp(`BlockDesign.log_sigma_floor`)^2 as in every other fit, which an exact
 fit (q0 = 0) reaches. One `BlockSolve` at sigma = 1 gives q0, the
-log-determinants and their partials in v at fixed beta
-(`BlockSolve.criterion_parts`); by the envelope theorem the gradient of
-the profiled criterion is dq0 / sigma^2 + dlog at the profiled sigma. The
-search minimizes half of it, the negated log-likelihood. Each evaluation
-also forms the fit at its point: beta_hat, sigma_hat^2 and u_l = Z_l^T
-V0_l^{-1} (y_l - X_l beta_hat). Every point a search returns is one it
+log-determinants, their partials in v at fixed beta and the rows u_l =
+Z_l^T V0_l^{-1} (y_l - X_l beta_hat) (`BlockSolve.criterion_parts`); by
+the envelope theorem the gradient of the profiled criterion is dq0 /
+sigma^2 + dlog at the profiled sigma. The search minimizes half of it,
+the negated log-likelihood. Each evaluation also forms the fit at its
+point: beta_hat, sigma_hat^2 and u_l. Every point a search returns is one it
 evaluated, so the winner's own evaluation gives the whole fit, with no
 solve after the search: varsigma = sqrt(v) sigma_hat and the per-group
 deviations gamma_l = v * u_l, which is the usual shrinkage formula
@@ -155,7 +155,7 @@ def _profiled_fit(x: np.ndarray, design: BlockDesign, restricted: bool):
     = Z_l^T V0_l^{-1} (y_l - X_l beta_hat) (R, g, k), all from its one solve."""
     sol = design.solve(x, np.ones(len(x)))
     beta = sol.gls_beta()
-    q, logdet, dq, dlog, u, _ = sol._parts(beta, restricted)
+    q, logdet, dq, dlog, u = sol.criterion_parts(beta, restricted)
     dof, s2 = _profiled_sigma2(q, design, restricted)
     return (0.5 * (q / s2 + dof * per_entry(math.log)(s2) + logdet),
             0.5 * (dq / s2[:, None] + dlog), beta, s2, u)

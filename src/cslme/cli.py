@@ -578,9 +578,12 @@ def cmd_contour(args) -> int:
     return 0
 
 
-def _relative_variances(parameters: dict, method: str, k: int, path) -> np.ndarray:
+def _relative_variances(parameters: dict, params: Parameters, method: str, path) -> np.ndarray:
     """An ML/REML fit document's `parameters.relative_variances`: k finite
-    values v >= 0, from which its deviations were formed."""
+    values v >= 0, from which its deviations were formed, that agree with
+    its varsigma and sigma: (varsigma / sigma)^2 is v to 1e-12 relative,
+    and varsigma is exactly 0 where v is 0."""
+    k = params.varsigma.size
     try:
         v = np.asarray(parameters["relative_variances"], dtype=float)
     except KeyError:
@@ -591,6 +594,11 @@ def _relative_variances(parameters: dict, method: str, k: int, path) -> np.ndarr
     if v.shape != (k,) or not (np.isfinite(v) & (v >= 0.0)).all():
         raise SchemaError(f"fit document {path}: parameters.relative_variances must be "
                           f"{k} finite values >= 0, got {parameters['relative_variances']!r}")
+    with np.errstate(over="ignore", under="ignore"):
+        implied = (params.varsigma / params.sigma) ** 2
+    if not np.where(v == 0.0, params.varsigma == 0.0, np.abs(implied - v) <= 1e-12 * v).all():
+        raise SchemaError(f"fit document {path}: (varsigma / sigma)^2 = {implied.tolist()} does "
+                          f"not match parameters.relative_variances = {v.tolist()}")
     return v
 
 
@@ -622,7 +630,7 @@ def cmd_ranef(args) -> int:
         )
     params = Parameters(beta=beta, varsigma=varsigma, sigma=sigma)
     if method in NORMAL_METHODS:  # the fit's shrinkage estimate, never at a bound
-        gamma = shrinkage_gamma(_relative_variances(parameters, method, spec.k, args.params),
+        gamma = shrinkage_gamma(_relative_variances(parameters, params, method, args.params),
                                 dataset, spec, beta).gamma
         effects = RandomEffects(gamma, at_bound=np.zeros_like(gamma, dtype=bool))
     else:

@@ -28,11 +28,9 @@ read-back varsigma (about 2.8e7 |beta_alpha|) is a finite stand-in.
 Each optimizer call returns the objective, its exact gradient and its
 exact Hessian in (beta, q, log sigma) at every start's trial point from one
 batched factorization of V (`objective_gradient_hessian`, the one PLS/PRLS
-objective). The value, its partial in the random-effect variances d and the
-Hessian in (beta, d, log sigma) come from `BlockSolve.criterion_hessian`,
-the partial in beta from X^T V^{-1} r (`BlockSolve.xt_vinv_resid`), and the
-partial in log sigma follows from them, as V is homogeneous of degree 1 in
-(d, sigma^2). d = beta_alpha^2 q is one array operation, with dd/dq =
+objective). One call, `BlockSolve.criterion_hessian`, gives the value, the
+gradient and the Hessian in (beta, d, log sigma); this module only chains
+them to q. d = beta_alpha^2 q is one array operation, with dd/dq =
 beta_alpha^2 and dd/dbeta_alpha = 2 beta_alpha q, so the chain to q needs
 no derivative of the variance factor.
 """
@@ -44,12 +42,10 @@ import numpy as np
 
 from .model import (
     BlockDesign,
-    BlockSolve,
     Dataset,
     ModelSpec,
     Parameters,
     RandomEffects,
-    SingularDesignError,
     at_uniform_limit,
     re_variances,
     share_bounds,
@@ -107,27 +103,24 @@ def objective_gradient_hessian(design: BlockDesign, spec: ModelSpec, x: np.ndarr
     (R, m, m) at R points x = (beta, q, log sigma), from one batched
     `BlockSolve`.
 
-    The value is `BlockSolve.criterion` at d = beta_alpha^2 q, bit for bit,
-    and a point's values do not depend on the batch.
-    `BlockSolve.criterion_hessian` gives the Hessian H in y = (beta, d,
-    log sigma); with J = dy/dx it is J^T H J plus each partial in d times
-    its second derivatives, d^2 d_i / dbeta_{alpha_i}^2 = 2 q_i and d^2 d_i /
-    dbeta_{alpha_i} dq_i = 2 beta_{alpha_i}, made exactly symmetric.
+    `BlockSolve.criterion_hessian` gives the value, `BlockSolve.criterion`
+    at d = beta_alpha^2 q bit for bit, and the gradient g and Hessian H in
+    y = (beta, d, log sigma); a point's values do not depend on the batch.
+    With J = dy/dx the gradient is J^T g and the Hessian J^T H J plus each
+    partial in d times its second derivatives, d^2 d_i / dbeta_{alpha_i}^2 =
+    2 q_i and d^2 d_i / dbeta_{alpha_i} dq_i = 2 beta_{alpha_i}, made exactly
+    symmetric.
     """
     p, k = design.p, spec.k
     alpha = np.array(spec.alpha)
-    beta, q, b = x[:, :p], x[:, p:p + k], x[:, alpha]
+    q, b = x[:, p:p + k], x[:, alpha]
     dd_dq, dd_db = b * b, 2.0 * b * q  # d = beta_alpha^2 q
-    d = dd_dq * q
-    sol = design.solve(d, per_entry(math.exp)(x[:, -1]))
-    quad, logdet, dq, dlog, H = sol.criterion_hessian(beta, restricted)
-    dd = dq + dlog
-    grad = np.empty(x.shape)
-    grad[:, :p] = -2.0 * sol.xt_vinv_resid(beta)
+    sol = design.solve(dd_dq * q, per_entry(math.exp)(x[:, -1]))
+    f, g, H = sol.criterion_hessian(x[:, :p], restricted)
+    dd = g[:, p:-1]
+    grad = g.copy()
     grad[:, alpha] += dd * dd_db
-    grad[:, p:p + k] = dd * dd_dq
-    # V is homogeneous of degree 1 in (d, sigma^2)
-    grad[:, -1] = 2.0 * (design.n - quad - p * restricted - (d * dd).sum(axis=1))
+    grad[:, p:-1] = dd * dd_dq
     # J: rows (beta, d, log sigma), columns (beta, q, log sigma); row d_i = column q_i
     i = np.arange(p, p + k)
     J = np.empty((len(x), p + k + 1, p + k + 1))
@@ -140,7 +133,7 @@ def objective_gradient_hessian(design: BlockDesign, spec: ModelSpec, x: np.ndarr
     hess[:, alpha, alpha] += w * q
     hess[:, alpha, i] += wb
     hess[:, i, alpha] += wb
-    return quad + logdet, grad, 0.5 * (hess + hess.swapaxes(-1, -2))
+    return f, grad, 0.5 * (hess + hess.swapaxes(-1, -2))
 
 
 def _objective(params: Parameters, dataset: Dataset, spec: ModelSpec, restricted: bool) -> float:
@@ -163,20 +156,6 @@ def prls_objective(params: Parameters, dataset, spec: ModelSpec) -> float:
 def approx_loglik(params: Parameters, dataset, spec: ModelSpec) -> float:
     """Normal-approximation log-likelihood -(n/2) ln 2pi - (PLS value)/2."""
     return -0.5 * dataset.n * LOG_2PI - 0.5 * pls_objective(params, dataset, spec)
-
-
-def _check_full_rank(design: BlockDesign):
-    """Raise SingularDesignError naming the first column of X collinear with
-    those before it, by `BlockSolve._pivots_ok`'s rule on X^T X."""
-    F = design.XtA[:, :-1]
-    for j in range(1, design.p + 1):
-        try:
-            ok = BlockSolve._pivots_ok(F[:j, :j], np.linalg.cholesky(F[:j, :j]))
-        except np.linalg.LinAlgError:
-            ok = False
-        if not ok:
-            raise SingularDesignError(
-                f"design column {j - 1} (0-based) is collinear with the columns before it")
 
 
 def least_squares(design: BlockDesign):
@@ -257,7 +236,7 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
     design = BlockDesign(dataset, spec)
     if spec.k < 1:
         raise ValueError("at least one random-effect column is required")
-    _check_full_rank(design)
+    design.check_full_rank()
     restricted = config.method == "PRLS"
 
     def objective(x):

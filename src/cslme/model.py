@@ -21,12 +21,12 @@ estimator: r^T V^{-1} r + ln|V|, plus ln|X^T V^{-1} X| when restricted.
 PLS/PRLS evaluate it at the sign-constrained beta, ML/REML at the GLS
 beta (`BlockSolve.gls_beta`), which reads the same Cholesky factor of
 X^T V^{-1} X. `BlockSolve.criterion_parts` gives the quadratic form and
-the log-determinants apart, with their partials in d, for O(g k^2 (k + p)
-+ g k p^2 + p^3) more: the ML/REML search that profiles sigma out weighs
-the parts apart, and the PLS/PRLS gradient adds them.
-`BlockSolve.criterion_hessian` gives the parts with the criterion's
-Hessian in (beta, d, log sigma), for O(g k^2 p + k^2 p^3) more, which the
-PLS/PRLS Newton search takes.
+the log-determinants apart, with their partials in d and the rows u_l =
+Z_l^T V_l^{-1} r_l, for O(g k^2 (k + p) + g k p^2 + p^3) more: the ML/REML
+search that profiles sigma out weighs the parts apart.
+`BlockSolve.criterion_hessian` is the whole of a PLS/PRLS evaluation: (f,
+g, H), the criterion, its gradient and its Hessian in (beta, d, log
+sigma), for O(g k^2 p + k^2 p^3) more.
 
 A `BlockSolve` holds R points (d, sigma) along a leading points axis, as
 a contour grid, one lockstep round of a fit's starts or one
@@ -328,6 +328,14 @@ class BlockDesign:
         """Lower bound on log sigma shared by every fit: log max(1e-6 sd(y), 1e-12)."""
         return math.log(max(1e-6 * float(np.std(self.y)), 1e-12))
 
+    def check_full_rank(self):
+        """Raise SingularDesignError naming the first column of X collinear with
+        those before it, by `_full_rank_chol`'s rule on X^T X."""
+        F = self.XtA[:, :-1]
+        for j in range(1, self.p + 1):
+            _full_rank_chol(F[:j, :j], f"design column {j - 1} (0-based) is collinear "
+                                       "with the columns before it")
+
     def solve(self, re_var: np.ndarray, sigma: np.ndarray) -> "BlockSolve":
         """The `BlockSolve` at R points: re_var (R, k) and sigma (R,)."""
         return BlockSolve(self, np.array(re_var, dtype=float), np.asarray(sigma, dtype=float))
@@ -509,6 +517,24 @@ def _tril_inv(L: np.ndarray) -> np.ndarray:
     return X
 
 
+def _full_rank_chol(F: np.ndarray, message: str) -> np.ndarray:
+    """The Cholesky factor L of F = L L^T, at every point of a stack; raises
+    SingularDesignError(message) where F does not factor or a pivot is at
+    most 1e-7 of its column norm.
+
+    A collinear column can pass the factorization with a rounding-level
+    pivot, about sqrt(eps) of its norm; 1e-7 is the usual QR collinearity
+    tolerance.
+    """
+    try:
+        L = np.linalg.cholesky(F)
+    except np.linalg.LinAlgError as exc:
+        raise SingularDesignError(message) from exc
+    if not (L.diagonal(0, -2, -1) ** 2 > 1e-14 * F.diagonal(0, -2, -1)).all():
+        raise SingularDesignError(message)
+    return L
+
+
 def _logdet_chol(L: np.ndarray) -> np.ndarray:
     """ln|L L^T| at each point of a stack of Cholesky factors L (R, ..., m, m),
     summed over all of a point's factors."""
@@ -568,16 +594,6 @@ class BlockSolve:
         self.logdet_v = design.n * per_entry(math.log)(self.sigma2) + _logdet_chol(L)
         self._B = _tril_inv(L) * s[:, None, None, :]
 
-    @staticmethod
-    def _pivots_ok(F: np.ndarray, L: np.ndarray) -> bool:
-        """Whether every pivot of F = L L^T, at every point, exceeds 1e-7 of its column norm.
-
-        A collinear column can pass the factorization with a rounding-level
-        pivot, about sqrt(eps) of its norm; 1e-7 is the usual QR collinearity
-        tolerance.
-        """
-        return bool((L.diagonal(0, -2, -1) ** 2 > 1e-14 * F.diagonal(0, -2, -1)).all())
-
     @cached_property
     def _Q(self) -> np.ndarray:
         """Q_l = B_l Z_l^T [Z_l X_l y_l], (R, g, k, k + p + 1): the one product
@@ -619,19 +635,10 @@ class BlockSolve:
 
     @cached_property
     def _f_chol(self):
-        """(F, L): F = X^T V^{-1} X = L L^T, the one factorization of F.
-
-        Raises SingularDesignError where F does not factor or has a
-        rounding-level pivot, at any point of a batch.
-        """
+        """(F, L): F = X^T V^{-1} X = L L^T, the one factorization of F
+        (`_full_rank_chol`, which raises if any point of a batch is singular)."""
         F = self.xt_vinv_x()
-        try:
-            L = np.linalg.cholesky(F)
-        except np.linalg.LinAlgError as exc:
-            raise SingularDesignError("X^T V^{-1} X is singular") from exc
-        if not self._pivots_ok(F, L):
-            raise SingularDesignError("X^T V^{-1} X is singular")
-        return F, L
+        return F, _full_rank_chol(F, "X^T V^{-1} X is singular")
 
     def _logdet(self, restricted: bool):
         """ln|V|, plus ln|X^T V^{-1} X| if `restricted`."""
@@ -654,58 +661,64 @@ class BlockSolve:
         """`criterion`'s quadratic form and log-determinants apart, with their
         derivatives in d at fixed beta and sigma, from this one factorization.
 
-        Returns (q, logdet, dq, dlog): q = r^T V^{-1} r, logdet = ln|V|, plus
-        ln|F| if `restricted`, F = X^T V^{-1} X; dq[i] = -sum_l u_li^2 with
-        u_l = Z_l^T V_l^{-1} r_l, and dlog[i] = sum_l (Z_l^T V_l^{-1} Z_l)_ii,
-        less sum_l (W_l F^{-1} W_l^T)_ii with W_l = Z_l^T V_l^{-1} X_l if
-        `restricted`. The two parts scale differently with sigma, which the
-        ML/REML search profiles out (`baseline.criterion_and_gradient`);
-        PLS/PRLS add them (`estimate.objective_gradient_hessian`). Each is read
-        off Z_l^T V_l^{-1} [Z_l X_l y_l]: O(g k^2 (k + p) + g k p^2 + p^3).
-        dq and dlog gain the points axis first.
+        Returns (q, logdet, dq, dlog, u): q = r^T V^{-1} r, logdet = ln|V|,
+        plus ln|F| if `restricted`, F = X^T V^{-1} X; u (R, g, k) holds the
+        rows u_l = Z_l^T V_l^{-1} r_l (`zt_vinv_resid`), dq[i] = -sum_l
+        u_li^2, and dlog[i] = sum_l (Z_l^T V_l^{-1} Z_l)_ii, less sum_l (W_l
+        F^{-1} W_l^T)_ii with W_l = Z_l^T V_l^{-1} X_l if `restricted`. The
+        two parts scale differently with sigma, which the ML/REML search
+        profiles out (`baseline.criterion_and_gradient`); the PLS/PRLS
+        gradient adds them (`criterion_hessian`). Each is read off Z_l^T
+        V_l^{-1} [Z_l X_l y_l]: O(g k^2 (k + p) + g k p^2 + p^3). dq and
+        dlog gain the points axis first.
         """
-        return self._parts(beta, restricted)[:4]
+        k = self.design.k
+        u = self.zt_vinv_resid(beta)
+        dlog = self._ZVA[..., :k].diagonal(0, -2, -1).sum(axis=-2)
+        if restricted:
+            dlog = dlog - (self._A * self._f_inv[..., None, :, :]).sum(axis=(-2, -1))
+        return (self.quad_form_resid(beta), self._logdet(restricted), -(u * u).sum(axis=-2),
+                dlog, u)
 
     @cached_property
     def _f_inv(self) -> np.ndarray:
         """F^{-1}, (R, p, p), shared by the partials and the Hessian."""
         return np.linalg.inv(self._f_chol[0])
 
-    def _parts(self, beta: np.ndarray, restricted: bool):
-        """`criterion_parts`' four arrays, then u (R, g, k) and, if
-        `restricted`, A_i = sum_l w_li w_li^T (R, k, p, p), w_li the i-th
-        row of W_l; else None."""
-        k = self.design.k
-        q = self.quad_form_resid(beta)
-        u = self.zt_vinv_resid(beta)
-        dlog = self._ZVA[..., :k].diagonal(0, -2, -1).sum(axis=-2)
-        A = None
-        if restricted:
-            Wt = self._ZVA[..., k:-1].swapaxes(-3, -2)           # (R, k, g, p)
-            A = Wt.swapaxes(-1, -2) @ Wt
-            dlog = dlog - (A * self._f_inv[..., None, :, :]).sum(axis=(-2, -1))
-        return q, self._logdet(restricted), -(u * u).sum(axis=-2), dlog, u, A
+    @cached_property
+    def _A(self) -> np.ndarray:
+        """A_i = sum_l w_li w_li^T, (R, k, p, p), w_li the i-th row of W_l."""
+        Wt = self._ZVA[..., self.design.k:-1].swapaxes(-3, -2)    # (R, k, g, p)
+        return Wt.swapaxes(-1, -2) @ Wt
 
     def criterion_hessian(self, beta: np.ndarray, restricted: bool):
-        """`criterion_parts`' four arrays and the Hessian of `criterion` in
-        (beta, d, log sigma), (R, p + k + 1, p + k + 1), from this one
-        factorization.
+        """(f, g, H): `criterion`, its gradient (R, p + k + 1) and its Hessian
+        (R, p + k + 1, p + k + 1) in (beta, d, log sigma), from this one
+        factorization; f is `criterion`'s value bit for bit.
 
-        With M_l = Z_l^T V_l^{-1} Z_l, u_l and W_l as in `criterion_parts`:
-        the d-d block is sum_l (2 u_li u_lj - M_lij) M_lij, plus, if
-        `restricted`, 2 sum_l M_lij w_li^T F^{-1} w_lj - tr(F^{-1} A_i F^{-1}
-        A_j) with A_i = sum_l w_li w_li^T; the beta-d block is 2 sum_l u_li
-        w_li and the beta-beta block 2F. The log sigma row follows from the
-        others, as V is homogeneous of degree 1 in theta = (d, sigma^2):
-        with f = `criterion`, q its quadratic form and subscripts for
-        partials, sum_j theta_j f_ji = -f_i - q_i for i in theta and -q_i
-        for i in beta. So no V^{-2} term is formed: the row's entry i is 2
-        h_i with h_i = sigma^2 f_{sigma^2 i}, and its diagonal 4 (q + d^T dq
-        - d^T h_d). The row is finite where sigma^2 overflows. Symmetric to
-        rounding: O(g k^2 p + k^2 p^3) on top of `criterion_parts`.
+        With u_l, W_l, F and the parts as in `criterion_parts`, the gradient
+        is -2 X^T V^{-1} r in beta and dq + dlog in d. With M_l = Z_l^T
+        V_l^{-1} Z_l, the d-d block of H is sum_l (2 u_li u_lj - M_lij)
+        M_lij, plus, if `restricted`, 2 sum_l M_lij w_li^T F^{-1} w_lj -
+        tr(F^{-1} A_i F^{-1} A_j) with A_i = sum_l w_li w_li^T; the beta-d
+        block is 2 sum_l u_li w_li and the beta-beta block 2F. The log sigma
+        entries follow from the others, as V is homogeneous of degree 1 in
+        theta = (d, sigma^2): the gradient's is 2 (n - q - p [restricted] -
+        d^T (dq + dlog)), and with subscripts for partials, sum_j theta_j
+        f_ji = -f_i - q_i for i in theta and -q_i for i in beta. So no
+        V^{-2} term is formed: H's log sigma row has entry i 2 h_i with h_i
+        = sigma^2 f_{sigma^2 i}, and diagonal 4 (q + d^T dq - d^T h_d). The
+        row is finite where sigma^2 overflows. Symmetric to rounding: O(g
+        k^2 p + k^2 p^3) on top of `criterion_parts`.
         """
-        q, logdet, dq, dlog, u, A = self._parts(beta, restricted)
-        p, k, d = self.design.p, self.design.k, self.d
+        q, logdet, dq, dlog, u = self.criterion_parts(beta, restricted)
+        des, d = self.design, self.d
+        p, k = des.p, des.k
+        dd = dq + dlog
+        g = np.empty((self.R, p + k + 1))
+        g[:, :p] = -2.0 * self.xt_vinv_resid(beta)
+        g[:, p:-1] = dd
+        g[:, -1] = 2.0 * (des.n - q - p * restricted - (d * dd).sum(axis=1))
         M, W = self._ZVA[..., :k], self._ZVA[..., k:-1]
         H = np.empty((self.R, p + k + 1, p + k + 1))
         H[:, :p, :p] = 2.0 * self._XVA[..., :-1]
@@ -715,15 +728,15 @@ class BlockSolve:
         hdd[...] = ((2.0 * u[..., :, None] * u[..., None, :] - M) * M).sum(axis=1)
         if restricted:
             Finv = self._f_inv[:, None]
-            C = Finv @ A                                          # F^{-1} A_i
+            C = Finv @ self._A                                    # F^{-1} A_i
             hdd += (2.0 * (M * (W @ Finv @ W.swapaxes(-1, -2))).sum(axis=1)
                     - (C[:, :, None] * C.swapaxes(-1, -2)[:, None]).sum(axis=(-2, -1)))
         # h_i = sigma^2 f_{sigma^2 i} = -sum_j d_j f_ji - q_i (- f_i for i in d)
-        rhs = np.concatenate([2.0 * self.xt_vinv_resid(beta), -2.0 * dq - dlog], axis=1)
+        rhs = np.concatenate([-g[:, :p], -2.0 * dq - dlog], axis=1)
         h = rhs - _mv(H[:, p:-1, :-1].swapaxes(-1, -2), d)
         H[:, -1, :-1] = H[:, :-1, -1] = 2.0 * h
         H[:, -1, -1] = 4.0 * (q + _dot(d, dq - h[:, p:]))
-        return q, logdet, dq, dlog, H
+        return q + logdet, g, H
 
     def zt_vinv_resid(self, beta: np.ndarray) -> np.ndarray:
         """Z_l^T V_l^{-1} (y_l - X_l beta) for every group, as rows of an (R, g, k) array."""

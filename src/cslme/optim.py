@@ -333,9 +333,10 @@ def minimize_newton(fun, starts, bounds, tol_grad=TOL_GRAD, max_iter=MAX_ITER) -
     f(x) + ARMIJO min(0, g^T (x(a) - x)) holds (Bertsekas, SIAM J. Control
     Optim. 20(2), 1982); a rejected trial cuts a by the minimizer of the
     quadratic through f(x), that slope and f(x(a)), kept within BACKTRACK.
-    A round computes the steps of every start that needs one in one
-    batched `eigh` and evaluates every live start's trial point in one call
-    of `fun`. A start stops
+    A round computes every live start's step from its current point in one
+    batched `eigh`, so a rejected trial carries nothing to the next round
+    but its shorter a, and evaluates every live start's trial point in one
+    call of `fun`. A start stops
     - converged, when the projected gradient's infinity norm at x is at
       most tol_grad; `converged` means exactly that;
     - when the decrease a trial predicts, |g^T (x(a) - x)|, is below
@@ -348,10 +349,9 @@ def minimize_newton(fun, starts, bounds, tol_grad=TOL_GRAD, max_iter=MAX_ITER) -
     A trial point that raises one of NUMERICAL_FAILURES, or whose values are
     not all finite, is a rejected step.
 
-    A stop is recorded in one place, and there are no fast paths: each live
-    start carries a stop code, 0 while it runs, the top of a round turns the
-    coded starts into BoxResults and drops them from the live arrays, and
-    every round takes the same masked steps.
+    A stop is recorded in one place: each live start carries a stop code, 0
+    while it runs, and the top of a round turns the coded starts into
+    BoxResults and drops them from the live arrays.
 
     Returns one entry per start, as `minimize_starts` does: its BoxResult,
     or the member of NUMERICAL_FAILURES its first point raised. Every step
@@ -370,15 +370,13 @@ def minimize_newton(fun, starts, bounds, tol_grad=TOL_GRAD, max_iter=MAX_ITER) -
     pg = projected_gradient(X, G, lo, hi)
     traces = [[f] for f in F.tolist()]
     # the live starts, one row each: start index, point, values, iterations,
-    # evaluations, the step and its length, whether a new step is due and the
-    # stop code, an index into `messages`
+    # evaluations, the step length and the stop code, an index into `messages`
     ids = np.flatnonzero([exc is None for exc in results])
     X, F, G, H, pg = X[ids], F[ids], G[ids], H[ids], pg[ids]
     nit, nfev = np.zeros(len(ids), dtype=int), np.ones(len(ids), dtype=int)
-    code = np.where(_finite(F, G, H), 0, 4)
-    S, a, fresh = np.zeros(X.shape), np.ones(len(ids)), code == 0
+    a, code = np.ones(len(ids)), np.where(_finite(F, G, H), 0, 4)
     while True:
-        code = np.where(fresh, np.where(pg <= tol_grad, 1, np.where(nit >= max_iter, 2, 0)),
+        code = np.where(code == 0, np.where(pg <= tol_grad, 1, np.where(nit >= max_iter, 2, 0)),
                         code)
         if code.any():
             for r in np.flatnonzero(code).tolist():
@@ -388,12 +386,11 @@ def minimize_newton(fun, starts, bounds, tol_grad=TOL_GRAD, max_iter=MAX_ITER) -
                     converged=c == 1, n_iter=int(nit[r]), message=messages[c],
                     nfev=int(nfev[r]), pg_norm=float(pg[r]))
             live = code == 0
-            ids, X, F, G, H, pg, nit, nfev, S, a, fresh, code = (
-                v[live] for v in (ids, X, F, G, H, pg, nit, nfev, S, a, fresh, code))
+            ids, X, F, G, H, pg, nit, nfev, a, code = (
+                v[live] for v in (ids, X, F, G, H, pg, nit, nfev, a, code))
         if not ids.size:
             return results
-        S[fresh], a[fresh] = _newton_steps(X[fresh], G[fresh], H[fresh], pg[fresh], lo, hi), 1.0
-        T = _clip(X + a[:, None] * S, lo, hi)
+        T = _clip(X + a[:, None] * _newton_steps(X, G, H, pg, lo, hi), lo, hi)
         Ft, Gt, Ht, _ = _evaluate(fun, T, 3)
         nfev += 1
         slope = ((T - X) * G).sum(axis=1)
@@ -404,12 +401,11 @@ def minimize_newton(fun, starts, bounds, tol_grad=TOL_GRAD, max_iter=MAX_ITER) -
         ok = np.where(tiny, finite & (Ft <= F + noise) & (pgt < pg),
                       finite & (Ft <= F + ARMIJO * np.minimum(slope, 0.0)))
         nit += ok
-        fresh = ok
         for i, f in zip(ids[ok].tolist(), Ft[ok].tolist()):
             traces[i].append(f)
+        curve = 2.0 * (Ft - F - slope)  # > 0 at a finite rejected trial
+        cut = _clip(np.divide(-slope, curve, out=np.zeros(len(a)), where=curve > 0), *BACKTRACK)
+        a = np.where(ok, 1.0, a * cut)
         X, F, pg = np.where(ok[:, None], T, X), np.where(ok, Ft, F), np.where(ok, pgt, pg)
         G, H = np.where(ok[:, None], Gt, G), np.where(ok[:, None, None], Ht, H)
-        curve = 2.0 * (Ft - F - slope)  # > 0 at a finite rejected trial
-        a *= _clip(np.divide(-slope, curve, out=np.zeros(len(a)), where=curve > 0.0),
-                   *BACKTRACK)
         code = np.where(~ok & tiny, 3, 0)

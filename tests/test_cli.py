@@ -259,6 +259,35 @@ class TestRanefRoundTrip:
         assert "parameters.relative_variances" in capsys.readouterr().err
         assert not ranef_out.exists()
 
+    @pytest.mark.parametrize("method", ["ML", "REML"])
+    @pytest.mark.parametrize("edit", [
+        {"varsigma": [1.0, 1.0], "sigma": 1000.0},  # v no longer (varsigma / sigma)^2
+        {"relative_variances": None},  # v_1 = 0 with varsigma_1 > 0
+    ], ids=["scales", "zero_v"])
+    def test_normal_fit_scales_must_match_relative_variances(self, tmp_path, capsys, method,
+                                                             edit):
+        fit_out = tmp_path / "fit.json"
+        main(["fit", str(sleepstudy_path()), *SLEEP_SCHEMA_ARGS,
+              "--method", method, "--seed", "0", "--out", str(fit_out)])
+        doc = json.loads(fit_out.read_text())
+        ranef_args = ["ranef", str(sleepstudy_path()), *SLEEP_SCHEMA_ARGS, "--params",
+                      str(fit_out), "--out"]
+        # the unedited document gives its CSV: the fit's own deviations
+        assert main([*ranef_args, str(tmp_path / "ranef.csv")]) == 0
+        lines = (tmp_path / "ranef.csv").read_text().splitlines()
+        assert [[float(c) for c in line.split(",")[1::3]] for line in lines[1:]] == (
+            doc["random_effects"]["gamma"])
+        parameters = doc["parameters"]
+        parameters.update(edit)
+        if parameters["relative_variances"] is None:
+            parameters["relative_variances"] = [parameters["varsigma"][0] ** 2
+                                                / parameters["sigma"] ** 2, 0.0]
+        fit_out.write_text(json.dumps(doc))
+        edited_out = tmp_path / "edited.csv"
+        assert main([*ranef_args, str(edited_out)]) == 1
+        assert "does not match parameters.relative_variances" in capsys.readouterr().err
+        assert not edited_out.exists()
+
     def test_mismatched_document_rejected(self, tmp_path, capsys):
         fit_out = tmp_path / "fit.json"
         main(["fit", str(sleepstudy_path()), *SLEEP_SCHEMA_ARGS,

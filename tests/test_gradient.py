@@ -1,5 +1,5 @@
-"""Exact (f, grad f) of PLS, PRLS, ML and REML, and the exact PLS/PRLS
-Hessian, against the Richardson oracle.
+"""Exact (f, grad f) of the covariance core, PLS, PRLS, ML and REML, and
+the exact PLS/PRLS Hessian, against the Richardson oracle.
 
 The oracle is the Richardson-extrapolated central difference of criterion
 10, applied to value-only objectives; the exact gradients must agree with
@@ -179,6 +179,51 @@ def profiled_cases(draw):
     v = rng.gamma(2.0, 0.3, size=k)
     v[draw(st.lists(st.booleans(), min_size=k, max_size=k))] = 0.0
     return data, spec, v, at_floor
+
+
+@st.composite
+def core_points(draw):
+    """Ragged and one-row groups, k in {1, 2, 3}, and a point y = (beta, d,
+    log sigma) of the covariance core, with some variances d_i = 0.
+
+    Returns (data, spec, y)."""
+    k = draw(st.integers(1, 3))
+    p = draw(st.integers(k, 4))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    sizes[0] += max(0, p + 2 - sum(sizes))  # X^T V^-1 X stays nonsingular
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    data = make_dataset(rng, g=len(sizes), sizes=sizes, p=p)
+    spec = ModelSpec(alpha=tuple(sorted(rng.choice(p, size=k, replace=False))))
+    d = rng.gamma(2.0, 0.3, size=k)
+    d[draw(st.lists(st.booleans(), min_size=k, max_size=k))] = 0.0
+    return data, spec, np.concatenate([rng.normal(size=p), d, [rng.normal(0.0, 0.5)]])
+
+
+class TestCoreGradient:
+    @settings(max_examples=60, deadline=None)
+    @given(case=core_points(), restricted=st.booleans())
+    def test_criterion_hessian_gradient_matches_richardson(self, case, restricted):
+        # `criterion_hessian`'s (f, g) in y = (beta, d, log sigma): f is
+        # `criterion` bit for bit, g its Richardson differences, forward ones
+        # in d near d = 0, as the core rejects d < 0
+        data, spec, y = case
+        design = BlockDesign(data, spec)
+        p = data.p
+
+        def solve(z):
+            return design.solve(z[None, p:-1], [math.exp(z[-1])])
+
+        def criterion(z):
+            return solve(z).criterion(z[None, :p], restricted)[0]
+
+        (f,), (g,), _ = solve(y).criterion_hessian(y[None, :p], restricted)
+        assert f == criterion(y)
+        h0 = 1e-3 * np.maximum(np.abs(y), 1.0)
+        forward = np.zeros(y.size, dtype=bool)
+        forward[p:-1] = y[p:-1] < h0[p:-1]
+        h0[forward] = 1e-6
+        oracle = richardson_partials(criterion, y, h0, forward)
+        assert np.linalg.norm(g - oracle) <= 1e-6 * np.linalg.norm(oracle)
 
 
 class TestExactGradient:

@@ -476,7 +476,8 @@ class TestBlockSolveAgainstDense:
         Zs = [Z[:, i::spec.k] for i in range(spec.k)]
         VinvD = [Vinv @ Zi @ Zi.T for Zi in Zs]
         for restricted in (False, True) if np.linalg.cond(F) < 1e6 else (False,):
-            quad, logdet, dq, dlog = sol.criterion_parts(beta, restricted)
+            quad, logdet, dq, dlog, u = sol.criterion_parts(beta, restricted)
+            np.testing.assert_array_equal(u, sol.zt_vinv_resid(beta))
             assert quad[0] + logdet[0] == pytest.approx(
                 sol.criterion(beta, restricted)[0], abs=1e-9, rel=1e-12)
             dense = [np.trace(VD) - r @ VD @ Vinv @ r for VD in VinvD]
@@ -529,6 +530,7 @@ class TestBlockSolveAgainstDense:
         for restricted in (False, True):
             same(lambda sol, b: sol.criterion(b, restricted), beta)
             same(lambda sol, b: sol.criterion_parts(b, restricted), beta)
+            same(lambda sol, b: sol.criterion_hessian(b, restricted), beta)
 
     def test_batch_raises_where_a_point_raises(self, rng):
         data = make_dataset(rng, g=4, p=2)
