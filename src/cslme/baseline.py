@@ -250,8 +250,6 @@ def fit_unconstrained(dataset: Dataset, spec: ModelSpec, criterion: str = "REML"
     if criterion not in ("ML", "REML"):
         raise ValueError(f"criterion must be ML or REML, got {criterion!r}")
     design = BlockDesign(dataset, spec)
-    if design.k < 1:
-        raise ValueError("at least one random-effect column is required")
     restricted = criterion == "REML"
     fits = {}  # per evaluated point (a tuple, so -0.0 keys 0.0): its fit rows
 

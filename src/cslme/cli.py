@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,7 +36,8 @@ from . import __version__
 from .baseline import shrinkage_gamma
 from .estimate import METHODS
 from .metrics import r_squared
-from .model import NUMERICAL_FAILURES, Dataset, GroupData, ModelSpec, Parameters, RandomEffects
+from .model import (NUMERICAL_FAILURES, Dataset, GroupData, ModelSpec, Parameters,
+                    RandomEffects, check_sizes)
 from .optim import ConvergenceError
 from .ranef import solve_all
 from .sim import (
@@ -112,7 +114,8 @@ def ingest(path, schema: InputSchema):
     """Parse a long-format CSV into (Dataset, ModelSpec).
 
     Groups are ordered by first appearance; rows keep file order. Raises
-    SchemaError with the offending row/column on any malformed cell.
+    SchemaError with the offending row/column on any malformed cell, and
+    `ModelSpec`'s ValueError for a schema without a random-effect column.
     """
     try:
         return _ingest(path, schema)
@@ -380,8 +383,8 @@ def _fit_document(method, schema, spec, dataset, params, gamma, at_limit, diagno
 
 def _write_document(doc: dict, out, fmt: str):
     if fmt == "json":
-        text = json.dumps(doc, indent=2)
-        _write_text(out, text + "\n")
+        with _output(out) as fh:
+            fh.write(json.dumps(doc, indent=2) + "\n")
         return
     rows = [("section", "key", "value")]
 
@@ -399,23 +402,21 @@ def _write_document(doc: dict, out, fmt: str):
     write_csv(out, rows)
 
 
-def _write_text(out, text):
+@contextmanager
+def _output(out):
+    """The file `out`, opened for writing, or stdout when `out` is None or "-"."""
     if out in (None, "-"):
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(out, "w", newline="", encoding="utf-8") as fh:
+            yield fh
 
 
 def write_csv(out, rows):
     """Write `rows` as CSV, lines ending in a bare newline, to the file `out`
     or to stdout when `out` is None or "-"."""
-    if out in (None, "-"):
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerows(rows)
-    else:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
+    with _output(out) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +439,6 @@ def _schema_from_args(args) -> InputSchema:
 def cmd_fit(args) -> int:
     schema = _schema_from_args(args)
     dataset, spec = ingest(args.data, schema)
-    if spec.k < 1:
-        raise SchemaError("at least one random-effect column is required")
     method = args.method.upper()
     run_config = {
         "method": method, "seed": args.seed, "starts": args.starts,
@@ -619,16 +618,11 @@ def cmd_ranef(args) -> int:
     if method not in ALL_METHODS:
         raise SchemaError(f"fit document {args.params}: unknown method {method!r}, "
                           f"expected one of {', '.join(ALL_METHODS)}")
-    if doc_alpha != spec.alpha or beta.size != dataset.p:
-        raise SchemaError(
-            f"fit document (alpha={doc_alpha}, p={beta.size}) does not match the "
-            f"requested model (alpha={spec.alpha}, p={dataset.p})"
-        )
-    if varsigma.size != spec.k:
-        raise SchemaError(
-            f"fit document has {varsigma.size} random-effect scales, model needs {spec.k}"
-        )
+    if doc_alpha != spec.alpha:
+        raise SchemaError(f"fit document alpha={doc_alpha} does not match the requested "
+                          f"model's alpha={spec.alpha}")
     params = Parameters(beta=beta, varsigma=varsigma, sigma=sigma)
+    check_sizes(params, dataset.p, spec.k, f"fit document {args.params}")
     if method in NORMAL_METHODS:  # the fit's shrinkage estimate, never at a bound
         gamma = shrinkage_gamma(_relative_variances(parameters, params, method, args.params),
                                 dataset, spec, beta).gamma
@@ -719,7 +713,7 @@ def main(argv=None) -> int:
         detail = getattr(exc, "diagnostics", "")  # ConvergenceError's per-start list
         print(f"numerical failure: {exc} {detail}".rstrip(), file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError, PermissionError) as exc:  # SchemaError is a ValueError
+    except (ValueError, OSError) as exc:  # SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -47,6 +47,7 @@ from .model import (
     Parameters,
     RandomEffects,
     at_uniform_limit,
+    check_sizes,
     re_variances,
     share_bounds,
     to_shares,
@@ -138,6 +139,7 @@ def objective_gradient_hessian(design: BlockDesign, spec: ModelSpec, x: np.ndarr
 
 def _objective(params: Parameters, dataset: Dataset, spec: ModelSpec, restricted: bool) -> float:
     design = BlockDesign(dataset, spec)
+    check_sizes(params, design.p, design.k, "params")
     d = re_variances(params.beta, params.varsigma, spec.alpha)
     sol = design.solve(d[None], [params.sigma])
     return float(sol.criterion(params.beta[None], restricted)[0])
@@ -234,8 +236,6 @@ def fit(dataset: Dataset, spec: ModelSpec, config: FitConfig | None = None) -> F
     if config is None:
         config = FitConfig()
     design = BlockDesign(dataset, spec)
-    if spec.k < 1:
-        raise ValueError("at least one random-effect column is required")
     design.check_full_rank()
     restricted = config.method == "PRLS"
 

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .model import Dataset, ModelSpec, Parameters, sdtn_variances
+from .model import Dataset, ModelSpec, Parameters, check_sizes, sdtn_variances
 
 
 def rmse(estimates, truth, subset=None) -> float:
@@ -49,6 +49,7 @@ def r_squared(params: Parameters, dataset: Dataset, spec: ModelSpec,
     1.0), whatever finite stand-in params.varsigma holds.
     """
     spec.validate_against(dataset)
+    check_sizes(params, dataset.p, spec.k, "params")
     y_hat = np.concatenate([gd.X @ params.beta for gd in dataset.groups])
     var_fixed = float(np.mean((y_hat - np.mean(y_hat)) ** 2))
     if effective:

@@ -174,10 +174,11 @@ class ModelSpec:
     """Model structure: random-effect columns and constraint mode.
 
     alpha holds 0-based, strictly increasing column indices that receive
-    random effects. When `constrained` is set, every fixed effect is kept
-    nonnegative except columns listed in `unconstrained_columns`. Both
-    hold nonnegative integers, none twice; `validate_against` checks them
-    against the column count p.
+    random effects, at least one: each SDTN deviation is tied to its
+    column's coefficient. When `constrained` is set, every fixed effect is
+    kept nonnegative except columns listed in `unconstrained_columns`. Both
+    hold nonnegative integers, none twice (ValueError here); `check_columns`
+    checks them against the column count p.
     """
 
     alpha: tuple
@@ -186,6 +187,8 @@ class ModelSpec:
 
     def __post_init__(self):
         alpha = _indices("alpha", self.alpha)
+        if not alpha:
+            raise ValueError("at least one random-effect column is required")
         if any(b <= a for a, b in zip(alpha, alpha[1:])):
             raise ValueError(f"alpha must be strictly increasing, got {alpha}")
         object.__setattr__(self, "alpha", alpha)
@@ -198,13 +201,18 @@ class ModelSpec:
 
     def validate_against(self, dataset: Dataset):
         """Raise TypeError unless `dataset` is a Dataset, and ValueError for
-        a column index out of range; every entry point calls it first."""
+        a column index out of range (`check_columns`); every entry point
+        calls it first, and those given a point then call `check_sizes`."""
         if not isinstance(dataset, Dataset):
             raise TypeError(f"expected a Dataset, got {type(dataset).__name__}")
+        self.check_columns(dataset.p)
+
+    def check_columns(self, p: int):
+        """Raise ValueError for a column index at or above the column count p."""
         for name, cols in (("alpha", self.alpha),
                            ("unconstrained_columns", self.unconstrained_columns)):
-            if cols and max(cols) >= dataset.p:
-                raise ValueError(f"{name} {cols} out of range for p={dataset.p} columns")
+            if cols and max(cols) >= p:
+                raise ValueError(f"{name} {cols} out of range for p={p} columns")
 
 
 def check_point(varsigma: np.ndarray, sigma, beta: np.ndarray | None = None):
@@ -242,7 +250,9 @@ class Parameters:
 
 
 def check_sizes(point: Parameters, p: int, k: int, name: str):
-    """Reject a point whose beta or varsigma length does not match the model."""
+    """Raise ValueError naming `name` and both sizes unless the point has p
+    beta and k varsigma entries: the one size rule, which every entry point
+    given a point calls after `ModelSpec.validate_against`."""
     if point.beta.shape != (p,) or point.varsigma.shape != (k,):
         raise ValueError(f"{name} has {point.beta.size} beta and {point.varsigma.size} "
                          f"varsigma entries, the model has p={p} and k={k}")
@@ -318,10 +328,6 @@ class BlockDesign:
                                    axis=0)
         self.XtA = self.X.T @ A[:, self.k:]
         self.eye = np.eye(self.k)
-
-    @property
-    def g(self) -> int:
-        return len(self.group_ids)
 
     @cached_property
     def log_sigma_floor(self) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, ModelSpec, Parameters, RandomEffects
+from .model import Dataset, ModelSpec, Parameters, RandomEffects, check_sizes
 from .optim import ConvergenceError
 
 
@@ -139,6 +139,7 @@ def kkt_residual(qp: GroupQp, gamma: np.ndarray) -> float:
 def group_qps(dataset: Dataset, params: Parameters, spec: ModelSpec) -> list:
     """Build each group's QP from fitted parameters."""
     spec.validate_against(dataset)
+    check_sizes(params, dataset.p, spec.k, "params")
     cols = list(spec.alpha)
     bounds = np.abs(params.beta[cols])
     qps = []

@@ -65,15 +65,10 @@ class Scenario:
             raise ValueError("need n >= g and at least two groups")
         if self.replications < 1:
             raise ValueError("replications must be positive")
-        # strictly increasing and nonnegative, as ModelSpec checks, and below p
-        alpha = ModelSpec(alpha=self.alpha).alpha
-        if alpha and alpha[-1] >= self.p:
-            raise ValueError(f"alpha {alpha} out of range for p={self.p} columns")
-        object.__setattr__(self, "alpha", alpha)
-        if self.truth.beta.shape != (self.p,):
-            raise ValueError("truth.beta length must equal p")
-        if self.truth.varsigma.shape != (len(self.alpha),):
-            raise ValueError("truth.varsigma length must equal |alpha|")
+        spec = ModelSpec(alpha=self.alpha)
+        spec.check_columns(self.p)
+        check_sizes(self.truth, self.p, spec.k, "truth")
+        object.__setattr__(self, "alpha", spec.alpha)
 
     def model_spec(self) -> ModelSpec:
         return ModelSpec(alpha=self.alpha)

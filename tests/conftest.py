@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,14 @@ def make_dataset(rng, g=3, sizes=None, p=3, intercept=True):
         y = rng.normal(size=n_ell)
         groups.append(GroupData(group_id=f"g{ell}", y=y, X=X))
     return Dataset(tuple(groups))
+
+
+def assert_rejects(call, kind, fragment, *args):
+    """`call(*args)` raises exactly `kind`, with `fragment` in its message: one
+    row of a module's table of boundary rejections."""
+    with pytest.raises(kind, match=re.escape(fragment)) as info:
+        call(*args)
+    assert type(info.value) is kind
 
 
 def random_params(rng, p, alpha, nonneg=True):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from conftest import make_dataset
+from conftest import assert_rejects, make_dataset
 from dense import assemble, central_diff_grad, joint_system_solve
 from exact import sdtn_group_loglik
 from cslme import baseline, estimate
@@ -635,3 +635,21 @@ class TestGlsOptimality:
             direction /= np.linalg.norm(direction)
             assert quad(beta_hat + 1e-3 * direction) >= base
             assert quad(beta_hat + 0.5 * direction) > base
+
+
+# Each row: what raises, given a small k = 1 dataset and spec, the
+# exception's exact type and a fragment of its message that names the field.
+BASELINE_REJECTIONS = {
+    "criterion": (lambda data, spec: fit_unconstrained(data, spec, criterion="PIT"),
+                  ValueError, "criterion must be ML or REML, got 'PIT'"),
+    "pit-two-columns": (lambda data, spec: fit_pit(data, ModelSpec(alpha=(0, 1))), ValueError,
+                        "the quadrature baseline supports exactly one random-effect column, "
+                        "got k=2"),
+    "quadrature-order": (lambda data, spec: fit_pit(data, spec, q=3), ValueError,
+                         "quadrature order must be one of [2, 4], got 3"),
+}
+
+
+@pytest.mark.parametrize("name", BASELINE_REJECTIONS)
+def test_baseline_boundary_rejections(rng, name):
+    assert_rejects(*BASELINE_REJECTIONS[name], make_dataset(rng, g=3, p=2), ModelSpec(alpha=(0,)))

@@ -1,12 +1,15 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from conftest import assert_rejects
 from cslme import sim
-from cslme.cli import InputSchema, SchemaError, ingest, main, read_config
+from cslme.cli import InputSchema, SchemaError, build_parser, ingest, main, read_config
 from cslme.datasets import sleepstudy_path
-from cslme.model import SingularDesignError
+from cslme.model import Parameters, SingularDesignError
 
 SLEEP_SCHEMA_ARGS = [
     "--group-col", "Subject", "--response-col", "Reaction",
@@ -605,3 +608,161 @@ class TestDiscountSalesAnalog:
         assert doc["parameters"]["varsigma"][0] > 1e7
         assert (doc["metrics"]["r2_marginal"], doc["metrics"]["r2_conditional"]) == (0.0, 1.0)
         assert "uniform limit (varsigma -> inf): intercept\n" in capsys.readouterr().out
+
+
+TINY_SCHEMA_ARGS = ["--group-col", "g", "--response-col", "y", "--features", "x",
+                    "--random-effects", "intercept"]
+CONTOUR_CFG = ("objective = PLS\nvary = beta1, beta2\nrange1 = 0, 2, 3\nrange2 = 0, 2, 3\n"
+               "scenario = intercept-p3-n300\n"
+               "beta = 0.072, 1.0, 1.0\nvarsigma = 0.058\nsigma = 1.0\n")
+
+
+def _fit_on(text, schema_args=TINY_SCHEMA_ARGS):
+    def argv(tmp_path):
+        return ["fit", write_csv(tmp_path / "data.csv", text), *schema_args]
+    return argv
+
+
+def _contour_with(old, new):
+    def argv(tmp_path):
+        cfg = tmp_path / "contour.cfg"
+        cfg.write_text(CONTOUR_CFG.replace(old, new))
+        return ["contour", str(cfg)]
+    return argv
+
+
+def _ranef_with(method="ML", **parameters):
+    """`cslme ranef` on the sleep study, reading a fit document of `method`
+    whose parameters are a valid (p, k) = (2, 2) point updated by `parameters`
+    (`alpha` goes to its spec); `text=...` is the whole document instead."""
+    def argv(tmp_path):
+        params = {"beta": [250.0, 10.0], "varsigma": [25.0, 5.0], "sigma": 25.0,
+                  "relative_variances": [1.0, 0.04], **parameters}
+        text = params.pop("text", None)
+        doc = {"spec": {"method": method, "alpha": params.pop("alpha", [0, 1])},
+               "parameters": params}
+        path = tmp_path / "fit.json"
+        path.write_text(text or json.dumps(doc))
+        return ["ranef", str(sleepstudy_path()), *SLEEP_SCHEMA_ARGS, "--params", str(path)]
+    return argv
+
+
+# Each row: the command line, the exception its command raises (exact type)
+# and a fragment of the message that names the row, key or field; `main`
+# prints it as "error: ..." and exits 1.
+CLI_REJECTIONS = {
+    "row-cell-count": (_fit_on("y,x,g\n1,2,a\n3,4\n"), SchemaError,
+                       "row 3 has 2 cells, header has 3"),
+    "empty-group-label": (_fit_on("y,x,g\n1,2,a\n3,4, \n"), SchemaError,
+                          "row 3: empty group label"),
+    "no-data-rows": (_fit_on("y,x,g\n"), SchemaError, "no data rows"),
+    # rows 3 and 4 are blank: skipped, and still counted
+    "blank-rows-skipped": (_fit_on("y,x,g\n1,2,a\n\n , , \n3,4\n"), SchemaError,
+                           "row 5 has 2 cells, header has 3"),
+    "no-random-effect": (_fit_on("y,x,g\n1,2,a\n3,4,b\n", TINY_SCHEMA_ARGS[:-2]), ValueError,
+                         "at least one random-effect column is required"),
+    "missing-config-key": (_contour_with("objective = PLS\n", ""), SchemaError,
+                           "missing key 'objective'"),
+    "invalid-config-point": (_contour_with("sigma = 1.0", "sigma = 0"), SchemaError,
+                             "sigma must be finite and positive, got 0.0"),
+    "range-not-lo-hi-steps": (_contour_with("range1 = 0, 2, 3", "range1 = 0, 2"), SchemaError,
+                              "range1 = '0, 2' is not 'lo, hi, steps'"),
+    "relative-variances-not-numbers": (_ranef_with(relative_variances="abc"), SchemaError,
+                                       "parameters.relative_variances: could not convert"),
+    "relative-variances-length": (_ranef_with(relative_variances=[1.0]), SchemaError,
+                                  "parameters.relative_variances must be 2 finite values >= 0"),
+    "unreadable-fit-document": (_ranef_with(text="{not json"), SchemaError,
+                                "cannot read fit document"),
+    "fit-document-alpha": (_ranef_with(alpha=[1]), SchemaError,
+                           "fit document alpha=(1,) does not match the requested model's "
+                           "alpha=(0, 1)"),
+    "fit-document-sizes": (_ranef_with("PLS", beta=[250.0, 10.0, 1.0]), ValueError,
+                           "has 3 beta and 2 varsigma entries, the model has p=2 and k=2"),
+}
+
+
+@pytest.mark.parametrize("name", CLI_REJECTIONS)
+def test_cli_boundary_rejections(tmp_path, capsys, name):
+    make_argv, kind, fragment = CLI_REJECTIONS[name]
+    argv = make_argv(tmp_path)
+    args = build_parser().parse_args(argv)
+    assert_rejects(args.func, kind, fragment, args)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err and "Traceback" not in err
+
+
+def test_directory_path_is_an_error_line(tmp_path, capsys):
+    # IsADirectoryError, like a missing or unreadable file, is an input error
+    assert main(["fit", str(tmp_path), *SLEEP_SCHEMA_ARGS]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err and "Traceback" not in err
+
+
+class TestStdoutOrFile:
+    def argv(self, tmp_path, command):
+        sleep = [str(sleepstudy_path()), *SLEEP_SCHEMA_ARGS]
+        if command == "fit":
+            return ["fit", *sleep, "--method", "ML"]
+        if command == "simulate":
+            cfg = tmp_path / "sim.cfg"
+            cfg.write_text("scenario = intercept-p3-n300\nreplications = 2\nmethods = ML\n")
+            return ["simulate", str(cfg)]
+        if command == "contour":
+            return _contour_with("", "")(tmp_path)
+        doc = tmp_path / "fit.json"
+        assert main(["fit", *sleep, "--method", "PLS", "--out", str(doc)]) == 0
+        return ["ranef", *sleep, "--params", str(doc)]
+
+    @pytest.mark.parametrize("command", ["fit", "simulate", "contour", "ranef"])
+    def test_stdout_gets_the_bytes_of_out(self, tmp_path, capsys, command):
+        argv = self.argv(tmp_path, command)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 0
+        beside = capsys.readouterr().out  # fit's summary, simulate's resolved config
+        for to_stdout in ([], ["--out", "-"]):
+            assert main([*argv, *to_stdout]) == 0
+            printed = capsys.readouterr().out.encode()
+            if command == "simulate":  # the resolved config is printed either way
+                assert printed == beside.encode() + out.read_bytes()
+            else:
+                assert printed == out.read_bytes()
+
+
+class TestContourData:
+    schema = ["--group-col", "Subject", "--response-col", "Reaction", "--features", "Days"]
+    cfg_text = ("objective = PRLS\nvary = beta1, varsigma0\nrange1 = 5, 15, 4\n"
+                "range2 = 10, 40, 3\nbeta = 251.4, 10.5\nvarsigma = 24.7, 5.9\nsigma = 25.6\n")
+
+    def run(self, tmp_path, *args):
+        cfg = tmp_path / "contour.cfg"
+        cfg.write_text(self.cfg_text)
+        return main(["contour", str(cfg), "--data", str(sleepstudy_path()), *args])
+
+    def test_csv_is_the_grid_on_the_ingested_data(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        assert self.run(tmp_path, *self.schema, "--random-effects", "intercept,Days",
+                        "--out", str(out)) == 0
+        data, spec = ingest(sleepstudy_path(), InputSchema("Subject", "Reaction", ("Days",),
+                                                           ("intercept", "Days")))
+        request = sim.ContourRequest(
+            objective="PRLS", vary=("beta1", "varsigma0"), ranges=((5, 15, 4), (10, 40, 3)),
+            fixed=Parameters(np.array([251.4, 10.5]), np.array([24.7, 5.9]), 25.6))
+        rows = sim.contour_rows(sim.contour_grid(request, data, spec), request.vary)
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(rows)
+        assert out.read_bytes() == expected.getvalue().encode()
+        assert len(rows) == 1 + 4 * 3
+
+    def test_missing_group_column_is_an_error_line(self, tmp_path, capsys):
+        assert self.run(tmp_path, *self.schema[2:], "--random-effects", "intercept") == 1
+        assert capsys.readouterr().err == (
+            "error: --data requires --group-col, --response-col and --features\n")
+
+    def test_no_random_effect_is_an_error_line(self, tmp_path, capsys):
+        # k = 0 used to reach the covariance core and end in an IndexError traceback
+        out = tmp_path / "grid.csv"
+        assert self.run(tmp_path, *self.schema, "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: at least one random-effect column is required\n"
+        assert not out.exists()

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_dataset, random_params
+from conftest import assert_rejects, make_dataset, random_params
 from dense import assemble, central_diff_grad, joint_objective, marginal_cov
 from cslme import estimate
 from cslme.estimate import (
@@ -493,3 +493,17 @@ class TestConstraintOverrides:
         assert res_free.params.beta[1] < -0.5
         assert res_free.params.beta[0] >= 0.0
         assert res_free.objective < res_all.objective
+
+
+# Each row: what raises, the exception's exact type and a fragment of its
+# message that names the field.
+ESTIMATE_REJECTIONS = {
+    "unknown-method": (lambda: FitConfig(method="OLS"), ValueError,
+                       "method must be one of ('PLS', 'PRLS'), got 'OLS'"),
+    "no-starts": (lambda: FitConfig(n_starts=0), ValueError, "n_starts must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", ESTIMATE_REJECTIONS)
+def test_estimate_boundary_rejections(name):
+    assert_rejects(*ESTIMATE_REJECTIONS[name])

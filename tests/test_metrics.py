@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import assert_rejects, make_dataset
 from cslme.metrics import r_squared, rmse
 from cslme.model import ModelSpec, Parameters, sdtn_variances
 from cslme.sim import builtin_scenarios, fit_method, replication_data
@@ -134,3 +134,30 @@ class TestRSquaredAtTheUniformLimit:
         assert (m, c) == r_squared(res.params, data, spec, effective=True,
                                    at_limit=res.at_limit)
         assert 0.5 < m < c < 1.0
+
+
+def _intercept_replication():
+    """Replication 0 of `intercept-p3-n300` (p = 3, k = 1) and its spec."""
+    scenario = builtin_scenarios()["intercept-p3-n300"]
+    return replication_data(scenario, 0)[0], scenario.model_spec()
+
+
+# Each row: what raises, the exception's exact type and a fragment of its
+# message that names the subset or the point's sizes.
+METRICS_REJECTIONS = {
+    "rmse-empty-subset": (lambda: rmse({"a": 1.0}, {"a": 1.0}, subset=[]), ValueError,
+                          "empty parameter subset"),
+    "r_squared-extra-varsigma": (
+        lambda: r_squared(Parameters(np.ones(3), np.full(2, 0.5), 1.0),
+                          *_intercept_replication()),
+        ValueError, "params has 3 beta and 2 varsigma entries, the model has p=3 and k=1"),
+    "r_squared-short-beta": (
+        lambda: r_squared(Parameters(np.ones(2), np.full(1, 0.5), 1.0),
+                          *_intercept_replication()),
+        ValueError, "params has 2 beta and 1 varsigma entries, the model has p=3 and k=1"),
+}
+
+
+@pytest.mark.parametrize("name", METRICS_REJECTIONS)
+def test_metrics_boundary_rejections(name):
+    assert_rejects(*METRICS_REJECTIONS[name])

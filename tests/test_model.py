@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import make_dataset, random_params
+from conftest import assert_rejects, make_dataset, random_params
 from dense import assemble, lambda_diag, marginal_cov
 from cslme.baseline import Theta, reml_loglik
-from cslme.estimate import fit, pls_objective, prls_objective
+from cslme.estimate import approx_loglik, fit, pls_objective, prls_objective
+from cslme.metrics import r_squared
 from cslme.model import (
     NUMERICAL_FAILURES,
     BlockDesign,
@@ -25,6 +26,7 @@ from cslme.model import (
     Q_MAX,
     _tril_inv,
     at_uniform_limit,
+    check_sizes,
     parameter_labels,
     re_variances,
     sdtn_variances,
@@ -36,6 +38,7 @@ from cslme.model import (
     unpack_shares,
     variance_share,
 )
+from cslme.ranef import solve_all
 from cslme.sdtn import SMALL_RHO, SdtnParams, sdtn_pdf, variance_factor
 from cslme.sim import Scenario, gen_design, gen_response
 
@@ -693,3 +696,67 @@ def test_duplicated_design_column_is_singular(rng, name):
                             for gd in data.groups))
         with pytest.raises(SingularDesignError):
             RESTRICTED_CRITERIA[name](dup, spec, params)
+
+
+def _one_column_design(rng):
+    return BlockDesign(make_dataset(rng, g=3, p=2), ModelSpec(alpha=(0,)))
+
+
+# Each row: what raises, the exception's exact type and a fragment of its
+# message that names the field, the group or the sizes.
+MODEL_REJECTIONS = {
+    "design-not-2d": (lambda rng: GroupData("a", np.zeros(3), np.ones(3)),
+                      DimensionMismatchError, "group a: design must be a nonempty 2-d array"),
+    "no-groups": (lambda rng: Dataset(()), DimensionMismatchError,
+                  "dataset needs at least one group"),
+    "alpha-not-a-number": (lambda rng: ModelSpec(alpha=("a",)), ValueError,
+                           "alpha indices must be nonnegative integers, got ('a',)"),
+    "alpha-none": (lambda rng: ModelSpec(alpha=(None,)), ValueError,
+                   "alpha indices must be nonnegative integers, got (None,)"),
+    "no-random-column": (lambda rng: ModelSpec(alpha=()), ValueError,
+                         "at least one random-effect column is required"),
+    "alpha-at-p": (lambda rng: ModelSpec(alpha=(0, 3)).check_columns(3), ValueError,
+                   "alpha (0, 3) out of range for p=3 columns"),
+    "point-sizes": (lambda rng: check_sizes(Parameters(np.ones(3), np.ones(1), 1.0), 2, 1,
+                                            "start"),
+                    ValueError, "start has 3 beta and 1 varsigma entries, the model has p=2 "
+                                "and k=1"),
+    "re-variances-shape": (lambda rng: re_variances(np.ones(3), np.ones(2), (0,)),
+                           DimensionMismatchError, "varsigma has shape (2,), alpha picks "
+                                                   "beta entries of shape (1,)"),
+    "solve-shape": (lambda rng: _one_column_design(rng).solve(np.ones((1, 2)), np.ones(1)),
+                    DimensionMismatchError, "expected 1 random-effect variances per point, "
+                                            "got (1, 2)"),
+    "solve-negative-d": (lambda rng: _one_column_design(rng).solve(-np.ones((1, 1)),
+                                                                   np.ones(1)),
+                         ValueError, "random-effect variances must be nonnegative"),
+    "solve-sigma": (lambda rng: _one_column_design(rng).solve(np.ones((1, 1)), np.zeros(1)),
+                    ValueError, "sigma must be positive, got [0.]"),
+}
+
+
+@pytest.mark.parametrize("name", MODEL_REJECTIONS)
+def test_model_boundary_rejections(rng, name):
+    assert_rejects(*MODEL_REJECTIONS[name], rng)
+
+
+POINT_ENTRY_POINTS = {
+    "pls_objective": lambda data, spec, params: pls_objective(params, data, spec),
+    "prls_objective": lambda data, spec, params: prls_objective(params, data, spec),
+    "approx_loglik": lambda data, spec, params: approx_loglik(params, data, spec),
+    "solve_all": lambda data, spec, params: solve_all(data, params, spec),
+    "r_squared": lambda data, spec, params: r_squared(params, data, spec),
+}
+
+
+@pytest.mark.parametrize("name", POINT_ENTRY_POINTS)
+@pytest.mark.parametrize("n_beta, n_varsigma", [(3, 2), (1, 2), (2, 3), (2, 1)],
+                         ids=["long-beta", "short-beta", "long-varsigma", "short-varsigma"])
+def test_entry_points_check_the_point_sizes(rng, name, n_beta, n_varsigma):
+    # a point that does not match (p, k) = (2, 2) is named with both sizes,
+    # never computed on (a numpy matmul error, or numbers)
+    data, spec = make_dataset(rng, g=3, p=2), ModelSpec(alpha=(0, 1))
+    params = Parameters(np.full(n_beta, 0.5), np.full(n_varsigma, 0.3), 1.0)
+    message = (f"params has {n_beta} beta and {n_varsigma} varsigma entries, "
+               "the model has p=2 and k=2")
+    assert_rejects(POINT_ENTRY_POINTS[name], ValueError, message, data, spec, params)

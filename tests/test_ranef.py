@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, random_params
+from conftest import assert_rejects, make_dataset, random_params
 from dense import joint_objective
 from cslme.model import Dataset, GroupData, ModelSpec, Parameters
 from cslme.ranef import (
@@ -165,3 +165,37 @@ class TestSolveAll:
         effects = solve_all(data, params, spec)
         assert effects.at_bound[0, 0]
         assert effects.gamma[0, 0] == 0.5  # exactly at +beta
+
+
+def _qp(**fields):
+    """A one-column GroupQp over four rows, with `fields` replaced."""
+    base = dict(Ztilde=np.ones((4, 1)), ytilde=np.ones(4), sigma_hat=1.0,
+                Sigma_hat_diag=np.ones(1), bounds=np.ones(1))
+    return GroupQp(**{**base, **fields})
+
+
+# Each row: what raises, the exception's exact type and a fragment of its
+# message that names the field.
+RANEF_REJECTIONS = {
+    "sigma-zero": (lambda: _qp(sigma_hat=0.0), ValueError, "sigma_hat must be positive"),
+    "negative-variance": (lambda: _qp(Sigma_hat_diag=[-1.0]), ValueError,
+                          "variances and bounds must be nonnegative"),
+    "negative-bound": (lambda: _qp(bounds=[-0.5]), ValueError,
+                       "variances and bounds must be nonnegative"),
+    "design-columns": (lambda: _qp(Ztilde=np.ones((4, 2))), ValueError,
+                       "inconsistent QP dimensions"),
+    "variance-count": (lambda: _qp(Sigma_hat_diag=np.ones(2)), ValueError,
+                       "inconsistent QP dimensions"),
+}
+
+
+@pytest.mark.parametrize("name", RANEF_REJECTIONS)
+def test_ranef_boundary_rejections(name):
+    assert_rejects(*RANEF_REJECTIONS[name])
+
+
+def test_kkt_residual_is_zero_without_a_live_coordinate():
+    # a zero variance or a zero bound fixes the coordinate at 0: nothing to violate
+    for qp in (_qp(Sigma_hat_diag=[0.0]), _qp(bounds=[0.0])):
+        assert kkt_residual(qp, np.array([0.0])) == 0.0
+        assert kkt_residual(qp, solve_group(qp)) == 0.0

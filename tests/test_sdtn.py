@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from conftest import assert_rejects
 from cslme.model import re_variances
 from cslme.sim import deviation_sd
 from cslme.sdtn import (
@@ -302,3 +303,29 @@ class TestStandardizedSum:
         z = standardized_sum(laws, draws, weights=weights)
         ks = stats.kstest(z, "norm")
         assert ks.pvalue > 0.01
+
+
+# Each row: what raises, the exception's exact type and a fragment of its
+# message that names the field or the count.
+SDTN_REJECTIONS = {
+    "rho-zero": (lambda: SdtnParams(0.0, 1.0, 0.0), ValueError,
+                 "truncation ratio rho must be positive, got 0.0"),
+    "rho-negative": (lambda: SdtnParams(0.0, 1.0, -2.0), ValueError,
+                     "truncation ratio rho must be positive, got -2.0"),
+    "sample-count-zero": (lambda: sdtn_sample(SdtnParams(0.0, 1.0, 1.0), 0, seed=1), ValueError,
+                          "count must be positive, got 0"),
+    "sample-count-negative": (lambda: sdtn_sample(SdtnParams(0.0, 1.0, 1.0), -3, seed=1),
+                              ValueError, "count must be positive, got -3"),
+    "sum-weight-shape": (lambda: standardized_sum([SdtnParams(0.0, 1.0, 1.0)] * 2,
+                                                  np.zeros((4, 2)), weights=[1.0, 2.0, 3.0]),
+                         ValueError, "one weight per law required"),
+    # eta^2 underflows to 0, so every law has zero variance
+    "sum-degenerate-laws": (lambda: standardized_sum([SdtnParams(0.0, 1e-200, 1.0)] * 2,
+                                                     np.zeros((4, 2))),
+                            ValueError, "all laws are degenerate: zero total variance"),
+}
+
+
+@pytest.mark.parametrize("name", SDTN_REJECTIONS)
+def test_sdtn_boundary_rejections(name):
+    assert_rejects(*SDTN_REJECTIONS[name])

@@ -10,6 +10,7 @@ from scipy import stats
 
 from dataclasses import replace
 
+from conftest import assert_rejects
 from cslme import baseline, estimate, ranef, sim
 from cslme.baseline import fit_pit, fit_unconstrained
 from cslme.metrics import r_squared
@@ -713,3 +714,47 @@ class TestNoIntercept:
         col0 = np.concatenate([X[:, 0] for X in designs])
         assert not np.allclose(col0, 1.0)
         assert np.all(col0 > 0)
+
+
+def _request(**fields):
+    """A PLS ContourRequest over beta1 and beta2 of `scenario()`'s truth, with
+    `fields` replaced."""
+    base = dict(objective="PLS", vary=("beta1", "beta2"), ranges=((0, 2, 3), (0, 2, 3)),
+                fixed=scenario().truth)
+    return ContourRequest(**{**base, **fields})
+
+
+def _with_threads(monkeypatch, raw):
+    monkeypatch.setenv("CSLME_THREADS", raw)
+    return sim.worker_count()
+
+
+# Each row: what raises, the exception's exact type and a fragment of its
+# message that names the field, the label or the variable.
+SIM_REJECTIONS = {
+    "fewer-rows-than-groups": (lambda mp: scenario(n=1), ValueError,
+                               "need n >= g and at least two groups"),
+    "truth-beta-length": (lambda mp: scenario(beta=(0.072, 1.0)), ValueError,
+                          "truth has 2 beta and 1 varsigma entries, the model has p=3 and k=1"),
+    "truth-varsigma-length": (lambda mp: scenario(vs=(0.058, 0.1)), ValueError,
+                              "truth has 3 beta and 2 varsigma entries, the model has p=3 "
+                              "and k=1"),
+    "no-random-column": (lambda mp: Scenario(n=30, p=3, g=2, alpha=(), truth=Parameters(
+        np.ones(3), np.zeros(0), 1.0)), ValueError, "at least one random-effect column is "
+                                                    "required"),
+    "one-varied-label": (lambda mp: _request(vary=("beta1",)), ValueError,
+                         "exactly two varied parameters are required"),
+    "threads-not-an-integer": (lambda mp: _with_threads(mp, "two"), ValueError,
+                               "CSLME_THREADS must be an integer, got 'two'"),
+    "no-methods": (lambda mp: run_scenario(scenario(), methods=()), ValueError,
+                   "at least one method is required"),
+    "unknown-objective": (lambda mp: contour_grid(_request(objective="ML"),
+                                                  *replication_data(scenario(), 0)[:1],
+                                                  scenario().model_spec()),
+                          ValueError, "unknown method 'ML'; choose from ('PLS', 'PRLS')"),
+}
+
+
+@pytest.mark.parametrize("name", SIM_REJECTIONS)
+def test_sim_boundary_rejections(monkeypatch, name):
+    assert_rejects(*SIM_REJECTIONS[name], monkeypatch)
