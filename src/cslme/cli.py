@@ -552,6 +552,9 @@ def cmd_contour(args) -> int:
     fixed = cfg.parameters()
     levels = cfg.get("levels", _FLOATS)
     level_tol = cfg.get("level_tol", _FLOAT, 0.01)
+    if levels is not None and args.out in (None, "-"):
+        raise SchemaError(f"{cfg.path}: key 'levels' writes a second table to "
+                          "<out>.levels.csv; it needs --out FILE, not stdout")
 
     if args.data:
         if not (args.group_col and args.response_col and args.features):
@@ -560,6 +563,13 @@ def cmd_contour(args) -> int:
         schema = _schema_from_args(args)
         dataset, spec = ingest(args.data, schema)
     else:
+        for flag, given in (("--group-col", args.group_col),
+                            ("--response-col", args.response_col),
+                            ("--features", args.features),
+                            ("--random-effects", args.random_effects),
+                            ("--no-intercept", not args.intercept)):
+            if given:
+                raise SchemaError(f"{flag} is not used by contour without --data")
         scenario = _scenario_from_config(cfg)
         spec = scenario.model_spec()
         dataset, _, _ = replication_data(scenario, cfg.get("data_rep", _INT, 0))
@@ -569,11 +579,7 @@ def cmd_contour(args) -> int:
     write_csv(args.out, contour_rows(grid, vary))
 
     if levels is not None:
-        side_rows = level_rows(grid, vary, levels, level_tol)
-        side_out = None
-        if args.out not in (None, "-"):
-            side_out = str(args.out) + ".levels.csv"
-        write_csv(side_out, side_rows)
+        write_csv(str(args.out) + ".levels.csv", level_rows(grid, vary, levels, level_tol))
     return 0
 
 

@@ -8,13 +8,15 @@ deviations; the per-group random-effect design is Z_l = X_l[:, alpha].
 The marginal covariance of the stacked response is V = Z Lambda Z^T +
 sigma^2 I with Lambda diagonal, so V is block diagonal by group. All
 determinant/solve work goes through the g small k x k capacitance matrices
-(Woodbury / Sylvester), never the full n x n matrix. BlockDesign forms two
-cross-products once, in O(n (p + k)^2): Z_l^T [Z_l X_l y_l] per group and
-X^T [X y]. Each (d, sigma) evaluation is then one batched Cholesky
-factorization of the capacitance matrices, one batched forward
-substitution that inverts the factors (`_tril_inv`; no LU per block), one
-batched product of the inverses with Z_l^T [Z_l X_l y_l] and contractions
-of it, O(g k^3 + g k p), plus one O(n p) mat-vec for a residual.
+(Woodbury / Sylvester), never the full n x n matrix. BlockDesign forms
+three products once, in O(n (p + k)^2): Z_l^T [Z_l X_l y_l] per group,
+X^T [X y] and R_A, the triangular factor of a Householder QR of [X y].
+Each (d, sigma) evaluation then reads those alone, no array of length n:
+one batched Cholesky factorization of the capacitance matrices by columns
+(`_chol`; no LAPACK call per block), one batched forward substitution that
+inverts the factors (`_tril_inv`; no LU per block), one batched product of
+the inverses with Z_l^T [Z_l X_l y_l] and contractions of it, O(g k^3 + g
+k p). The residual's r^T r is |R_A (-beta, 1)|^2, O(p^2) per point.
 
 `BlockSolve.criterion` is the one Gaussian criterion behind every
 estimator: r^T V^{-1} r + ln|V|, plus ln|X^T V^{-1} X| when restricted.
@@ -35,10 +37,10 @@ capacitance matrices, and every value, X^T V^{-1} X and its factor
 included, per point. Every point gets the same products, so a point's
 values do not depend on the batch; one point is a batch of one. A batch
 raises if any of its points cannot be evaluated. A point whose capacitance
-matrix has NaN or inf entries is not such a point: `np.linalg.cholesky`
-factors the matrix into NaN entries or inf pivots instead of raising,
-`_tril_inv` carries them on as IEEE arithmetic does, and ln|V| there is
-NaN or +inf.
+matrix has NaN or inf entries is not such a point: `_chol` factors the
+matrix into NaN entries or inf pivots instead of raising, as
+`np.linalg.cholesky` does, `_tril_inv` carries them on as IEEE arithmetic
+does, and ln|V| there is NaN or +inf.
 
 Two search-point layouts live here, each once. PIT, contour grids and
 labeled searches use x = (beta, varsigma, log sigma): `parameter_labels`
@@ -305,12 +307,15 @@ class BlockDesign:
 
     Set-up forms, once per dataset, the stacked X and y, the g + 1 row
     boundaries `offsets` of the groups (group l is rows offsets[l] to
-    offsets[l + 1]) and two cross-products of A = [Z X y]: ZtA, Z_l^T A_l
-    per group (g, k, k + p + 1), and XtA, X^T [X y] (p, p + 1): O(n (p +
-    k)^2). Each (d, sigma) evaluation then factorizes the g capacitance
-    matrices M_l = I + S Z_l^T Z_l S / sigma^2, S = diag(sqrt(d)), in one
-    batched call and works from the cross-products alone: O(g k^3 + g k p),
-    plus one O(n p) mat-vec for a residual quadratic form.
+    offsets[l + 1]), two cross-products of A = [Z X y], ZtA, Z_l^T A_l per
+    group (g, k, k + p + 1), and XtA, X^T [X y] (p, p + 1), and R_A, the
+    triangular factor of a Householder QR of [X y] (p + 1, p + 1 at n >= p
+    + 1): O(n (p + k)^2). ZtXy holds the rows Z_l^T [X_l y_l] of ZtA stacked
+    over groups, (g k, p + 1). Each (d, sigma) evaluation then factorizes
+    the g capacitance matrices M_l = I + S Z_l^T Z_l S / sigma^2, S =
+    diag(sqrt(d)), in one batched call and works from these products alone:
+    O(g k^3 + g k p). X and y stay for PIT, the least-squares starts and
+    `log_sigma_floor`; no evaluation reads them.
     """
 
     def __init__(self, dataset: Dataset, spec: ModelSpec):
@@ -327,6 +332,8 @@ class BlockDesign:
         self.ZtA = np.add.reduceat(A[:, :self.k, None] * A[:, None, :], self.offsets[:-1],
                                    axis=0)
         self.XtA = self.X.T @ A[:, self.k:]
+        self.ZtXy = self.ZtA[..., self.k:].reshape(-1, self.p + 1)
+        self.R_A = np.linalg.qr(A[:, self.k:], mode="r")
         self.eye = np.eye(self.k)
 
     @cached_property
@@ -483,8 +490,9 @@ def at_uniform_limit(x: np.ndarray, spec: ModelSpec) -> tuple:
     return tuple(bool(x[p + i] >= Q_MAX and x[col] != 0.0) for i, col in enumerate(spec.alpha))
 
 
-# The helpers below make the same BLAS or LAPACK call at every point of a
-# stack, so a point's value does not depend on the batch.
+# The helpers below make the same BLAS or LAPACK call, or the same
+# elementwise steps, at every point of a stack, so a point's value does not
+# depend on the batch.
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b at every leading index of stacks of vectors (..., m)."""
@@ -496,9 +504,66 @@ def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (A @ v[..., None])[..., 0]
 
 
+def _small_mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A @ v for stacks of small blocks A (..., m, n) and vectors v (..., n),
+    both broadcasting, as a sum over the n columns in order: one product per
+    column for the whole stack, where a stacked `_mv` makes one BLAS call per
+    block."""
+    out = A[..., 0] * v[..., 0, None]
+    for j in range(1, A.shape[-1]):
+        out = out + A[..., j] * v[..., j, None]
+    return out
+
+
 def _solve(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """A^{-1} v for stacks of vectors v (..., m) and of A."""
     return np.linalg.solve(A, v[..., None])[..., 0]
+
+
+def _chol(A: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor L of A = L L^T for every matrix of a stack A
+    (..., m, m), read from its lower triangle, by columns over the whole
+    stack at once.
+
+    Column j is l_jj = sqrt(a_jj - sum_t l_jt^2), then the column below,
+    a_ij - sum_t l_it l_jt, times the reciprocal 1 / l_jj; LAPACK's unblocked
+    factorization takes the same steps, and it scales by a zero reciprocal
+    (an inf pivot) by filling zeros, as here. At m <= 2 the result is
+    `np.linalg.cholesky`'s bit for bit, NaN and inf entries included; at m
+    >= 3 LAPACK may fuse the sums' products, so entries differ at rounding
+    level. Raises LinAlgError where a radicand is <= 0. A NaN radicand
+    gives a NaN pivot instead, and non-finite entries propagate with no
+    warning.
+    """
+    m = A.shape[-1]
+    L = np.zeros(A.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(m):
+            r = A[..., j, j]
+            if j:
+                s = L[..., j, 0] * L[..., j, 0]
+                for t in range(1, j):
+                    s = s + L[..., j, t] * L[..., j, t]
+                r = r - s
+            pivot = np.sqrt(r, out=L[..., j, j])
+            inv = 1.0 / pivot
+            # pivot * inv is 1 at a pivot > 0 and NaN at one that is 0, inf
+            # or NaN, so one sum tells whether any pivot needs a closer look
+            irregular = not math.isfinite(np.vdot(pivot, inv))
+            if irregular and np.count_nonzero(r <= 0.0):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            if j + 1 == m:
+                break
+            col = A[..., j + 1:, j]
+            if j:
+                s = L[..., j + 1:, 0] * L[..., j, 0, None]
+                for t in range(1, j):
+                    s = s + L[..., j + 1:, t] * L[..., j, t, None]
+                col = col - s
+            np.multiply(col, inv[..., None], out=L[..., j + 1:, j])
+            if irregular:
+                L[..., j + 1:, j][inv == 0.0] = 0.0
+    return L
 
 
 def _tril_inv(L: np.ndarray) -> np.ndarray:
@@ -555,18 +620,19 @@ class BlockSolve:
     Every value gains the points axis first: (R,) values, (R, p) vectors
     (beta is (R, p)). With M_l = L_l L_l^T and B_l = L_l^{-1} S, the
     Woodbury identity gives V_l^{-1} = (I - Z_l B_l^T B_l Z_l^T / sigma^2)
-    / sigma^2. So every value is read off one batched product, Q_l = B_l
-    Z_l^T [Z_l X_l y_l], formed once: Z_l^T V_l^{-1} [Z_l X_l y_l], X^T
-    V^{-1} [X y] and the quadratic form's B_l Z_l^T r_l are contractions
-    of Q with the design's cross-products.
+    / sigma^2. So the values are read off one batched product, Q_l = B_l
+    Z_l^T [Z_l X_l y_l], formed once: Z_l^T V_l^{-1} [Z_l X_l y_l] and X^T
+    V^{-1} [X y] are contractions of Q with the design's cross-products.
+    The residual r = y - X beta enters as Z_l^T r_l, read off ZtA, and r^T
+    r = |R_A (-beta, 1)|^2; no value reads X, y or any array of length n.
 
     A batch raises if any of its points has sigma^2 underflowing to 0
     (ValueError), a finite capacitance matrix that does not factor
     (LinAlgError) or, for a value that needs it, a singular X^T V^{-1} X
     (SingularDesignError). A point whose capacitance matrix has NaN or inf
     entries (d NaN, or d or d / sigma^2 overflowing), or whose sigma^2 overflows to
-    inf, raises nothing. `np.linalg.cholesky` factors such a matrix into NaN
-    entries or inf pivots instead of raising, and `_tril_inv` inverts the
+    inf, raises nothing. `_chol` factors such a matrix into NaN entries or
+    inf pivots instead of raising, and `_tril_inv` inverts the
     factors by IEEE arithmetic: an inf pivot gives 0 where it enters, a
     zero pivot inf, and a NaN spreads to the rows below. ln|V| there is
     NaN or +inf, so the criterion is non-finite and an optimizer's line
@@ -581,9 +647,9 @@ class BlockSolve:
                 f"expected {design.k} random-effect variances per point, got {d.shape} "
                 f"with sigma of shape {sigma.shape}"
             )
-        if (d < 0.0).any():
+        if np.count_nonzero(d < 0.0):
             raise ValueError("random-effect variances must be nonnegative")
-        if not np.all(sigma > 0):
+        if np.count_nonzero(sigma > 0) < sigma.size:
             raise ValueError(f"sigma must be positive, got {sigma}")
         self.design = design
         self.d = d
@@ -594,9 +660,8 @@ class BlockSolve:
             self.sigma2 = sigma * sigma
         self._s2 = [self.sigma2.reshape((self.R,) + (1,) * i) for i in range(4)]
         s = np.sqrt(d)
-        L = np.linalg.cholesky(
-            design.eye + design.ZtA[..., :design.k] * (s[:, None, :, None]
-                                                        * s[:, None, None, :] / self._s2[3]))
+        L = _chol(design.eye + design.ZtA[..., :design.k] * (s[:, None, :, None]
+                                                             * s[:, None, None, :] / self._s2[3]))
         self.logdet_v = design.n * per_entry(math.log)(self.sigma2) + _logdet_chol(L)
         self._B = _tril_inv(L) * s[:, None, None, :]
 
@@ -621,13 +686,25 @@ class BlockSolve:
         T = self._Q[..., des.k:].reshape(self.R, -1, des.p + 1)
         return (des.XtA - T[..., :des.p].swapaxes(-1, -2) @ T / s2) / s2
 
-    def quad_form_resid(self, beta: np.ndarray):
-        """(y - X beta)^T V^{-1} (y - X beta); r^T r from the stacked residual."""
+    def _zt_resid(self, beta: np.ndarray):
+        """(w, B w), (R, g, k) each: w_l = Z_l^T r_l, r_l = y_l - X_l beta, read
+        off ZtA, and its product with B_l. w does not depend on (d, sigma), so
+        the cancellation in y - X beta is not repeated in the products with
+        the factors."""
         des = self.design
-        r = des.y - _mv(des.X, beta)
-        Q = self._Q
-        u = (Q[..., -1] - _mv(Q[..., des.k:-1], beta[:, None, :])).reshape(self.R, -1)
-        return (_dot(r, r) - _dot(u, u) / self.sigma2) / self.sigma2
+        w = (des.ZtXy[:, -1] - _mv(des.ZtXy[:, :-1], beta)).reshape(self.R, -1, des.k)
+        return w, _small_mv(self._B, w)
+
+    def _quad_form(self, beta: np.ndarray, Bw: np.ndarray):
+        des = self.design
+        t = des.R_A[:, -1] - _mv(des.R_A[:, :-1], beta)
+        u = Bw.reshape(self.R, -1)
+        return (_dot(t, t) - _dot(u, u) / self.sigma2) / self.sigma2
+
+    def quad_form_resid(self, beta: np.ndarray):
+        """r^T V^{-1} r = (t^T t - |B w|^2 / sigma^2) / sigma^2, r = y - X beta,
+        with r^T r = t^T t, t = R_A (-beta, 1), and B w as in `_zt_resid`."""
+        return self._quad_form(beta, self._zt_resid(beta)[1])
 
     def xt_vinv_x(self) -> np.ndarray:
         return self._XVA[..., :-1].copy()
@@ -679,11 +756,12 @@ class BlockSolve:
         dlog gain the points axis first.
         """
         k = self.design.k
-        u = self.zt_vinv_resid(beta)
+        w, Bw = self._zt_resid(beta)
+        u = self._zt_vinv(w, Bw)
         dlog = self._ZVA[..., :k].diagonal(0, -2, -1).sum(axis=-2)
         if restricted:
             dlog = dlog - (self._A * self._f_inv[..., None, :, :]).sum(axis=(-2, -1))
-        return (self.quad_form_resid(beta), self._logdet(restricted), -(u * u).sum(axis=-2),
+        return (self._quad_form(beta, Bw), self._logdet(restricted), -(u * u).sum(axis=-2),
                 dlog, u)
 
     @cached_property
@@ -744,7 +822,11 @@ class BlockSolve:
         H[:, -1, -1] = 4.0 * (q + _dot(d, dq - h[:, p:]))
         return q + logdet, g, H
 
+    def _zt_vinv(self, w: np.ndarray, Bw: np.ndarray) -> np.ndarray:
+        s2 = self._s2[2]
+        return (w - _small_mv(self._Q[..., :self.design.k].swapaxes(-1, -2), Bw) / s2) / s2
+
     def zt_vinv_resid(self, beta: np.ndarray) -> np.ndarray:
-        """Z_l^T V_l^{-1} (y_l - X_l beta) for every group, as rows of an (R, g, k) array."""
-        ZVA, k = self._ZVA, self.design.k
-        return ZVA[..., -1] - _mv(ZVA[..., k:-1], beta[:, None, :])
+        """Z_l^T V_l^{-1} (y_l - X_l beta) = (w_l - Q_l[:, :k]^T B_l w_l / sigma^2) /
+        sigma^2 for every group (`_zt_resid`), as rows of an (R, g, k) array."""
+        return self._zt_vinv(*self._zt_resid(beta))

@@ -366,8 +366,9 @@ def _labeled_point(fixed: Parameters, labels, spec: ModelSpec, p: int):
     return point, [valid.index(label) for label in labels]
 
 
-# Cells per batched evaluation are CONTOUR_CHUNK // n, so the (cells, n)
-# residuals of one evaluation stay near 2^16 doubles (512 kB) on any grid.
+# Cells per batched evaluation are CONTOUR_CHUNK // (g k (k + p + 1)), so the
+# largest per-cell arrays of one evaluation, the (cells, g, k, k + p + 1)
+# products with the capacitance factors, stay near 2^16 doubles (512 kB).
 CONTOUR_CHUNK = 1 << 16
 
 
@@ -380,7 +381,8 @@ def contour_grid(request: ContourRequest, dataset: Dataset, spec: ModelSpec) -> 
     (k) lengths; a bad request raises ValueError before any cell is
     evaluated. The grid is then held as (cells, p) beta, (cells, k)
     varsigma and (cells,) sigma arrays and evaluated in chunks of
-    CONTOUR_CHUNK // n cells, one batched `BlockSolve` each; the (cells, k)
+    CONTOUR_CHUNK // (g k (k + p + 1)) cells, one batched `BlockSolve` each,
+    so a chunk's size does not depend on n; the (cells, k)
     random-effect variances come from one `re_variances` call over the grid.
     A chunk that raises is evaluated again one cell at a time. A cell is NaN
     exactly where the per-point `pls_objective`/`prls_objective` is NaN or
@@ -401,7 +403,7 @@ def contour_grid(request: ContourRequest, dataset: Dataset, spec: ModelSpec) -> 
         points[:, i] = values.ravel()
     beta, varsigma, sigma = points[:, :p], points[:, p:p + k], points[:, -1]
     out = np.full(cells, np.nan)
-    chunk = max(1, CONTOUR_CHUNK // design.n)
+    chunk = max(1, CONTOUR_CHUNK // design.ZtA.size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d = re_variances(beta, varsigma, spec.alpha)  # a NaN variance gives a NaN cell
         live = np.flatnonzero((sigma > 0) & (sigma * sigma > 0)

@@ -385,6 +385,20 @@ class TestContourCommand:
         assert lines[0] == "level,beta1,beta2,objective"
         assert len(lines) == 1 + 20  # huge tolerance keeps every cell
 
+    def test_levels_need_a_file(self, tmp_path, capsys):
+        # on stdout the two tables would run together: exit 1, nothing written;
+        # with --out the grid and its sidecar are two files, as before
+        cfg = self.contour_cfg(tmp_path, extra="levels = 0\nlevel_tol = 1e9\n")
+        capsys.readouterr()
+        for to_stdout in ([], ["--out", "-"]):
+            assert main(["contour", str(cfg), *to_stdout]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+        out = tmp_path / "g.csv"
+        assert main(["contour", str(cfg), "--out", str(out)]) == 0
+        assert sorted(p.name for p in tmp_path.glob("g.csv*")) == ["g.csv", "g.csv.levels.csv"]
+        assert capsys.readouterr().out == ""
+
     def test_unknown_parameter_rejected(self, tmp_path, capsys):
         cfg = self.contour_cfg(tmp_path)
         cfg.write_text(cfg.read_text().replace("vary = beta1, beta2",
@@ -623,11 +637,11 @@ def _fit_on(text, schema_args=TINY_SCHEMA_ARGS):
     return argv
 
 
-def _contour_with(old, new):
+def _contour_with(old, new, *flags):
     def argv(tmp_path):
         cfg = tmp_path / "contour.cfg"
         cfg.write_text(CONTOUR_CFG.replace(old, new))
-        return ["contour", str(cfg)]
+        return ["contour", str(cfg), *flags]
     return argv
 
 
@@ -667,6 +681,20 @@ CLI_REJECTIONS = {
                              "sigma must be finite and positive, got 0.0"),
     "range-not-lo-hi-steps": (_contour_with("range1 = 0, 2, 3", "range1 = 0, 2"), SchemaError,
                               "range1 = '0, 2' is not 'lo, hi, steps'"),
+    # a levels table would follow the grid's in one stream
+    "levels-on-stdout": (_contour_with("sigma = 1.0\n", "sigma = 1.0\nlevels = 10\n"),
+                         SchemaError, "key 'levels' writes a second table to <out>.levels.csv"),
+    "levels-on-stdout-dash": (_contour_with("sigma = 1.0\n", "sigma = 1.0\nlevels = 10\n",
+                                            "--out", "-"),
+                              SchemaError, "it needs --out FILE, not stdout"),
+    # the data flags describe a --data file, and there is none
+    **{f"{flag[2:]}-without-data": (_contour_with("", "", *argv), SchemaError,
+                                    f"{flag} is not used by contour without --data")
+       for flag, argv in (("--group-col", ["--group-col", "Subject"]),
+                          ("--response-col", ["--response-col", "Reaction"]),
+                          ("--features", ["--features", "Days"]),
+                          ("--random-effects", ["--random-effects", "intercept"]),
+                          ("--no-intercept", ["--no-intercept"]))},
     "relative-variances-not-numbers": (_ranef_with(relative_variances="abc"), SchemaError,
                                        "parameters.relative_variances: could not convert"),
     "relative-variances-length": (_ranef_with(relative_variances=[1.0]), SchemaError,

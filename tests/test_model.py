@@ -24,6 +24,7 @@ from cslme.model import (
     Parameters,
     SingularDesignError,
     Q_MAX,
+    _chol,
     _tril_inv,
     at_uniform_limit,
     check_sizes,
@@ -559,8 +560,8 @@ class TestBlockSolveAgainstDense:
                 value()
 
     def test_non_finite_capacitance_gives_a_non_finite_value(self):
-        # np.linalg.cholesky factors a matrix with NaN or inf entries into
-        # non-finite factors instead of raising, so at varsigma = 1e200 (d is
+        # `_chol`, as np.linalg.cholesky, factors a matrix with NaN or inf entries
+        # into non-finite factors instead of raising, so at varsigma = 1e200 (d is
         # inf * 0 = NaN) the PLS value is NaN, at one point and in a batch, and
         # only the restricted value raises, on the pivots of X^T V^-1 X
         truth = Parameters(beta=np.array([0.072, 1.0, 1.0]), varsigma=np.array([0.058]),
@@ -594,6 +595,62 @@ class TestBlockSolveAgainstDense:
             np.testing.assert_array_equal(sol.xt_vinv_y(), fresh.xt_vinv_y())
             np.testing.assert_array_equal(sol.xt_vinv_resid(beta), fresh.xt_vinv_resid(beta))
             np.testing.assert_array_equal(sol.zt_vinv_resid(beta), fresh.zt_vinv_resid(beta))
+
+    def test_quad_form_matches_dense_near_the_column_space_of_x(self, rng):
+        # r^T V^-1 r to 1e-12 relative, on the data's own y and on a y within
+        # 1e-8 |y| of X's column space at |X (beta - b)| from 1e-2 to 1 of |y|.
+        # There y'y - 2 beta'X'y + beta'X'X beta cancels and misses r^T r by
+        # more than 1e-12; r^T r off R_A does not. d is small against sigma^2,
+        # so that the Woodbury correction does not cancel much either.
+        spec = ModelSpec(alpha=(0, 2))
+        scales = np.logspace(-2.0, 0.0, 5)
+        normal_eq_miss = []
+        for _ in range(10):
+            data = make_dataset(rng, g=4, p=3)
+            X, Z, y, offsets = assemble(data, spec)
+            b, e = rng.normal(size=3), rng.normal(size=y.size)
+            near = X @ b + 1e-8 * np.linalg.norm(X @ b) / np.linalg.norm(e) * e
+            sigma = rng.gamma(2.0, 0.5, size=scales.size) + 0.2
+            d = sigma[:, None] ** 2 * rng.uniform(0.05, 0.2, size=(scales.size, 2))
+            u = rng.normal(size=(scales.size, 3))
+            for y_case in (y, near):
+                groups = tuple(GroupData(gd.group_id, y_case[lo:hi], gd.X) for gd, lo, hi
+                               in zip(data.groups, offsets[:-1], offsets[1:]))
+                beta = b + (scales * np.linalg.norm(y_case) / np.linalg.norm(u @ X.T, axis=1)
+                            )[:, None] * u
+                got = BlockDesign(Dataset(groups), spec).solve(d, sigma).quad_form_resid(beta)
+                for i in range(scales.size):
+                    r = y_case - X @ beta[i]
+                    V = sigma[i] ** 2 * np.eye(y.size) + (Z * np.tile(d[i], data.g)) @ Z.T
+                    assert got[i] == pytest.approx(r @ np.linalg.solve(V, r), rel=1e-12)
+                    if y_case is near:
+                        normal_eq = (near @ near - 2.0 * beta[i] @ (X.T @ near)
+                                     + beta[i] @ (X.T @ X) @ beta[i])
+                        normal_eq_miss.append(abs(normal_eq - r @ r) / (r @ r))
+        assert max(normal_eq_miss) > 1e-12
+
+    def test_evaluation_reads_no_array_of_length_n(self, rng):
+        # after set-up every value comes off ZtA, XtA and R_A: with the
+        # design's X and y overwritten by NaN, each stays bit for bit
+        data = make_dataset(rng, g=4, p=3)
+        design = BlockDesign(data, ModelSpec(alpha=(0, 2)))
+        d, sigma = rng.gamma(2.0, 0.5, size=(5, 2)), rng.gamma(2.0, 0.5, size=5) + 0.2
+        beta = rng.normal(size=(5, 3))
+
+        def values():
+            sol = design.solve(d, sigma)
+            out = [sol.gls_beta()]
+            for restricted in (False, True):
+                out += [sol.criterion(beta, restricted), *sol.criterion_parts(beta, restricted),
+                        *sol.criterion_hessian(beta, restricted)]
+            return out
+
+        before = values()
+        design.X[...] = np.nan
+        design.y[...] = np.nan
+        after = values()
+        assert all(np.isfinite(v).all() for v in before)
+        assert [v.tobytes() for v in after] == [v.tobytes() for v in before]
 
 
 def spd_factors(rng, n, m, cond=None):
@@ -673,6 +730,87 @@ class TestTrilInv:
                 for ref in (big, lu) if np.isfinite(lu).all() else (big,):
                     assert np.abs(X - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
         assert counts["nan"] > 100 and counts["inf"] > 100
+
+
+class TestChol:
+    """`_chol`, the column Cholesky that factors `BlockSolve`'s capacitance
+    matrices, against LAPACK's, np.linalg.cholesky."""
+
+    @staticmethod
+    def spd(rng, n, m):
+        """n random SPD matrices (n, m, m), I + A A^T scaled over 12 decades."""
+        A = rng.normal(size=(n, m, m + 2))
+        return (np.eye(m) + A @ A.swapaxes(-1, -2)) * 10.0 ** rng.uniform(-6, 6, (n, 1, 1))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_bit_equal_to_lapack(self, rng, m):
+        M = self.spd(rng, 5000, m)
+        assert _chol(M).tobytes() == np.linalg.cholesky(M).tobytes()
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_larger_blocks_within_rounding_of_lapack(self, rng, m):
+        # LAPACK may fuse the products of its sums; the upper triangle is 0
+        M = self.spd(rng, 5000, m)
+        L, ref = _chol(M), np.linalg.cholesky(M)
+        scale = np.abs(ref).max(axis=(1, 2))
+        assert (np.abs(L - ref).max(axis=(1, 2)) <= 1e-14 * scale).all()
+        assert (L[:, np.triu(np.ones((m, m), dtype=bool), 1)] == 0.0).all()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_non_finite_entries_as_lapack(self, rng, m):
+        # NaN, inf and overflowing entries: the same raise, or the same
+        # entries with their signs, NaN where LAPACK has NaN, with no warning.
+        # An inf pivot scales the column below by 0 as LAPACK does, filling
+        # +0 even where the entry is inf or NaN.
+        counts = {"raise": 0, "nan": 0, "inf": 0}
+        for _ in range(2000):
+            A = rng.normal(size=(m, m + 2))
+            M = np.eye(m) + A @ A.T
+            for i, j in rng.integers(0, m, (int(rng.integers(1, 3)), 2)):
+                M[i, j] = M[j, i] = rng.choice([np.nan, np.inf, -np.inf, 1e300, -1e300, -0.0])
+            try:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    ref = np.linalg.cholesky(M[None])
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    _chol(M[None])
+                counts["raise"] += 1
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                L = _chol(M[None])
+            np.testing.assert_array_equal(L, ref)
+            np.testing.assert_array_equal(np.signbit(L), np.signbit(ref))
+            if np.isnan(ref).any():
+                counts["nan"] += 1
+            elif np.isinf(ref).any():
+                counts["inf"] += 1
+        assert counts["raise"] > 100 and counts["nan"] > 50 and counts["inf"] > 50
+
+    def test_nan_radicand_does_not_raise(self):
+        M = np.array([[[np.nan, 1.0], [1.0, 2.0]], [[4.0, np.nan], [np.nan, 1.0]]])
+        with np.errstate(invalid="ignore"):
+            ref = np.linalg.cholesky(M)
+        np.testing.assert_array_equal(_chol(M), ref)
+        assert np.isnan(_chol(M)[:, 1, 1]).all()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_one_matrix_not_positive_definite_raises(self, rng, m):
+        # one finite matrix among positive definite ones, with a zero or a
+        # negative radicand in its last column
+        for radicand in (0.0, -0.5):
+            M = self.spd(rng, 50, m)
+            M[17] = np.eye(m)
+            M[17, -1, -1] = radicand
+            for factor in (np.linalg.cholesky, _chol):
+                with pytest.raises(np.linalg.LinAlgError):
+                    factor(M)
+
+    def test_rows_do_not_depend_on_the_batch(self, rng):
+        # a 24 x 24 sleep-study contour grid: 576 points of 18 groups, k = 2
+        M = self.spd(rng, 576 * 18, 2).reshape(576, 18, 2, 2)
+        rows = np.concatenate([_chol(M[i:i + 1]) for i in range(len(M))])
+        assert _chol(M).tobytes() == rows.tobytes()
 
 
 RESTRICTED_CRITERIA = {

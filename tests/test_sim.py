@@ -13,6 +13,8 @@ from dataclasses import replace
 from conftest import assert_rejects
 from cslme import baseline, estimate, ranef, sim
 from cslme.baseline import fit_pit, fit_unconstrained
+from cslme.cli import InputSchema, ingest
+from cslme.datasets import sleepstudy_path
 from cslme.metrics import r_squared
 from cslme.model import (
     NUMERICAL_FAILURES,
@@ -492,8 +494,33 @@ class TestContour:
             ref = self.per_point(req, data, spec)
             assert np.isnan(ref).any() and not np.isnan(ref).all()
             for cells in (1, 2, 4, 5):
-                monkeypatch.setattr(sim, "CONTOUR_CHUNK", cells * data.n)
+                monkeypatch.setattr(sim, "CONTOUR_CHUNK",
+                                    cells * data.g * spec.k * (spec.k + data.p + 1))
                 np.testing.assert_array_equal(contour_grid(req, data, spec)[:, 2], ref)
+
+    def test_chunks_follow_the_per_cell_arrays_not_n(self, monkeypatch):
+        # CONTOUR_CHUNK // (g k (k + p + 1)) cells per BlockSolve, whatever n:
+        # 364 on the sleep study (g = 18, k = 2, p = 2), and one chunk for a
+        # 10 x 10 grid at n = 4000 (g = 2, k = 1, p = 7)
+        sizes, real_solve = [], BlockDesign.solve
+
+        def counted_solve(design, d, sigma):
+            sizes.append(len(sigma))
+            return real_solve(design, d, sigma)
+
+        monkeypatch.setattr(BlockDesign, "solve", counted_solve)
+        data, spec = ingest(sleepstudy_path(), InputSchema(
+            "Subject", "Reaction", ("Days",), ("intercept", "Days")))
+        fixed = Parameters(np.array([251.4, 10.5]), np.array([24.7, 5.9]), 25.6)
+        contour_grid(ContourRequest("PRLS", ("beta1", "varsigma1"),
+                                    ((5.0, 15.0, 20), (1.0, 11.0, 20)), fixed), data, spec)
+        assert sizes == [364, 36]
+        sc = builtin_scenarios()["intercept-p7-n4000"]
+        data, _, _ = replication_data(sc, 0)
+        sizes.clear()
+        contour_grid(ContourRequest("PRLS", ("beta1", "beta2"), ((0.5, 1.5, 10), (0.5, 1.5, 10)),
+                                    sc.truth), data, sc.model_spec())
+        assert sizes == [100]
 
     def test_duplicated_design_column(self):
         # X^T V^-1 X is singular at every cell: no PRLS value, every PLS value
