@@ -35,6 +35,7 @@ raised instead of silently clamping.
 """
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -291,6 +292,14 @@ def gh_nodes(q: int):
     return math.sqrt(2.0) * z, eta / math.sqrt(math.pi)
 
 
+@functools.cache
+def _node_levels(q: int):
+    """(Phi(d), w) of `gh_nodes(q)`: the levels of PIT's deviation quantiles
+    and their weights, formed once per order."""
+    d, w = gh_nodes(q)
+    return std_normal_cdf(d), w
+
+
 PIT_UNDERFLOW_PENALTY = 1e30
 _LOG_NORM = -0.5 * math.log(2.0 * math.pi)
 
@@ -312,18 +321,28 @@ def pit_objective(x: np.ndarray, design: BlockDesign, spec: ModelSpec, q: int,
     is raised, otherwise that row's value is a large finite penalty, so a
     line search can back away (mirroring -log(0) = inf). A batch raises
     what its first failing row raises alone.
+
+    The rows are read rows first. One (n, Q R) array holds every row's
+    deviation, then its log-density, at each node and point, the points
+    innermost, so each array operation is one pass over all n rows; only
+    the residuals y_l - X_l beta are formed per group, by one batched
+    product each. Group l's log-product at each node and point is the sum
+    of its rows offsets[l]:offsets[l + 1] in row order, one row after
+    another (a sum over the leading axis of its slice). `np.add.reduceat`
+    is not used: it adds a group's rows in another order, which moves the
+    values in their last bits.
     """
     X = np.asarray(x, dtype=float).reshape(-1, np.shape(x)[-1])
     p = design.p
     B = X[:, :p]
-    d, w = gh_nodes(q)
+    levels, w = _node_levels(q)
     varsigma = np.abs(X[:, p])
     col = spec.alpha[0]
     b = np.abs(B[:, col])
     with np.errstate(over="ignore"):  # as in float division, b / tiny varsigma is inf
         rho = np.divide(b, varsigma, out=np.zeros_like(b), where=varsigma > 0.0)
-    # rho = 0 puts every quantile at exactly 0
-    gammas = sdtn_quantile(std_normal_cdf(d), 0.0, varsigma[:, None], rho[:, None])
+    # rho = 0 puts every quantile at exactly 0; (Q, R)
+    gammas = sdtn_quantile(levels[:, None], 0.0, varsigma, rho)
     try:  # sigma and the log normal constant -log(sqrt(2 pi) sigma), by scalar math
         sigma = per_entry(math.exp)(X[:, p + 1])
         log_norm = _LOG_NORM - per_entry(math.log)(sigma)
@@ -333,30 +352,35 @@ def pit_objective(x: np.ndarray, design: BlockDesign, spec: ModelSpec, q: int,
         # the rows alone, in order: the first failing row raises its own error
         return np.array([pit_objective(row, design, spec, q, strict)
                          for row in X]).reshape(np.shape(x)[:-1])
-    sigma, log_norm = sigma[:, None, None], log_norm[:, None, None]
 
-    log_max, sums = [], []  # per group, (R,): the best node and the scaled node sum
-    for lo, hi in zip(design.offsets[:-1], design.offsets[1:]):
-        X_l = design.X[lo:hi]
-        resid = design.y[lo:hi] - (X_l @ B[..., None])[..., 0]
-        # log-product over rows for each point and node: (R, n_l, Q) summed over rows
-        dev = resid[:, :, None] - X_l[:, col:col + 1] * gammas[:, None, :]
-        log_prod = np.sum(log_norm - 0.5 * (dev / sigma) ** 2, axis=1)
-        top = np.max(log_prod, axis=1)
-        log_max.append(top)
-        shift = np.maximum(top, LOG_DOUBLE_MIN)  # top, except where the group underflows
-        sums.append(np.sum(w * np.exp(log_prod - shift[:, None]), axis=1))
+    n, points = design.n, len(X)
+    bounds = list(zip(design.offsets[:-1].tolist(), design.offsets[1:].tolist()))
+    # each row's deviation y - X beta - z gamma at each node and point, (n, Q R)
+    # with the points innermost, then its log-density, in place
+    dev = np.empty((n, q, points))
+    for lo, hi in bounds:
+        dev[lo:hi] = (design.y[lo:hi] - (design.X[lo:hi] @ B[..., None])[..., 0]).T[:, None]
+    dev = dev.reshape(n, -1)
+    dev -= np.multiply.outer(design.X[:, col], gammas.ravel())
+    dev /= np.concatenate([sigma] * q)
+    np.square(dev, out=dev)
+    dev *= 0.5
+    np.subtract(np.concatenate([log_norm] * q), dev, out=dev)
+    # (g, Q, R): each group's rows added in row order
+    log_prod = np.stack([dev[lo:hi].sum(axis=0) for lo, hi in bounds]).reshape(-1, q, points)
+    log_max = log_prod.max(axis=1)  # (g, R): the best node
+    shift = np.maximum(log_max, LOG_DOUBLE_MIN)  # log_max, except where a group underflows
+    sums = np.sum(w[:, None] * np.exp(log_prod - shift[:, None]), axis=1)  # scaled node sum
 
-    log_max, sums = np.transpose(log_max), np.transpose(sums)  # (R, g)
     under = log_max < LOG_DOUBLE_MIN
     if strict and under.any():  # the first underflowing group of the first such row
-        r, ell = np.argwhere(under)[0]
-        raise QuadratureUnderflowError(design.group_ids[ell], float(log_max[r, ell]))
+        r, ell = np.argwhere(under.T)[0]
+        raise QuadratureUnderflowError(design.group_ids[ell], float(log_max[ell, r]))
     terms = -(log_max + per_entry(math.log)(np.where(under, 1.0, sums)))
     values = np.zeros(len(X))
-    for term in terms.T:  # group by group, as a row's terms add up in order
+    for term in terms:  # group by group, as a row's terms add up in order
         values += term
-    values[under.any(axis=1)] = PIT_UNDERFLOW_PENALTY
+    values[under.any(axis=0)] = PIT_UNDERFLOW_PENALTY
     return values.reshape(np.shape(x)[:-1])[()]
 
 

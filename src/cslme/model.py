@@ -655,10 +655,10 @@ class BlockSolve:
         self.d = d
         self.R = len(sigma)
         # sigma^2, overflowing to inf silently as a Python float does, and
-        # shaped to divide arrays with 0, 1, 2 or 3 core axes
+        # shaped to divide arrays with 2 or 3 core axes
         with np.errstate(over="ignore"):
             self.sigma2 = sigma * sigma
-        self._s2 = [self.sigma2.reshape((self.R,) + (1,) * i) for i in range(4)]
+        self._s2 = {i: self.sigma2.reshape((self.R,) + (1,) * i) for i in (2, 3)}
         s = np.sqrt(d)
         L = _chol(design.eye + design.ZtA[..., :design.k] * (s[:, None, :, None]
                                                              * s[:, None, None, :] / self._s2[3]))

@@ -350,8 +350,10 @@ def minimize_newton(fun, starts, bounds, tol_grad=TOL_GRAD, max_iter=MAX_ITER) -
     not all finite, is a rejected step.
 
     A stop is recorded in one place: each live start carries a stop code, 0
-    while it runs, and the top of a round turns the coded starts into
-    BoxResults and drops them from the live arrays.
+    while it runs. The end of a round sets every start's code, and moves its
+    accepted starts to their trial points, from one mask of the trials that
+    are finite and pass their decrease test; the top of the next round turns
+    the coded starts into BoxResults and drops them from the live arrays.
 
     Returns one entry per start, as `minimize_starts` does: its BoxResult,
     or the member of NUMERICAL_FAILURES its first point raised. Every step
@@ -373,11 +375,13 @@ def minimize_newton(fun, starts, bounds, tol_grad=TOL_GRAD, max_iter=MAX_ITER) -
     # evaluations, the step length and the stop code, an index into `messages`
     ids = np.flatnonzero([exc is None for exc in results])
     X, F, G, H, pg = X[ids], F[ids], G[ids], H[ids], pg[ids]
-    nit, nfev = np.zeros(len(ids), dtype=int), np.ones(len(ids), dtype=int)
-    a, code = np.ones(len(ids)), np.where(_finite(F, G, H), 0, 4)
+    nit, nfev, a = np.zeros(len(ids), dtype=int), np.ones(len(ids), dtype=int), np.ones(len(ids))
+
+    def stop(pg, nit):  # the code of a start at a new point: converged, out of iterations or 0
+        return np.where(pg <= tol_grad, 1, np.where(nit >= max_iter, 2, 0))
+
+    code = np.where(_finite(F, G, H), stop(pg, nit), 4)
     while True:
-        code = np.where(code == 0, np.where(pg <= tol_grad, 1, np.where(nit >= max_iter, 2, 0)),
-                        code)
         if code.any():
             for r in np.flatnonzero(code).tolist():
                 i, c = int(ids[r]), int(code[r])
@@ -386,8 +390,8 @@ def minimize_newton(fun, starts, bounds, tol_grad=TOL_GRAD, max_iter=MAX_ITER) -
                     converged=c == 1, n_iter=int(nit[r]), message=messages[c],
                     nfev=int(nfev[r]), pg_norm=float(pg[r]))
             live = code == 0
-            ids, X, F, G, H, pg, nit, nfev, a, code = (
-                v[live] for v in (ids, X, F, G, H, pg, nit, nfev, a, code))
+            ids, X, F, G, H, pg, nit, nfev, a = (
+                v[live] for v in (ids, X, F, G, H, pg, nit, nfev, a))
         if not ids.size:
             return results
         T = _clip(X + a[:, None] * _newton_steps(X, G, H, pg, lo, hi), lo, hi)
@@ -397,15 +401,18 @@ def minimize_newton(fun, starts, bounds, tol_grad=TOL_GRAD, max_iter=MAX_ITER) -
         pgt = projected_gradient(T, Gt, lo, hi)
         noise = ROUNDING * np.maximum(np.abs(F), 1.0)
         tiny = np.abs(slope) <= noise
-        finite = _finite(Ft, Gt, Ht)
-        ok = np.where(tiny, finite & (Ft <= F + noise) & (pgt < pg),
-                      finite & (Ft <= F + ARMIJO * np.minimum(slope, 0.0)))
-        nit += ok
-        for i, f in zip(ids[ok].tolist(), Ft[ok].tolist()):
-            traces[i].append(f)
+        ok = _finite(Ft, Gt, Ht) & np.where(tiny, (Ft <= F + noise) & (pgt < pg),
+                                             Ft <= F + ARMIJO * np.minimum(slope, 0.0))
         curve = 2.0 * (Ft - F - slope)  # > 0 at a finite rejected trial
         cut = _clip(np.divide(-slope, curve, out=np.zeros(len(a)), where=curve > 0), *BACKTRACK)
         a = np.where(ok, 1.0, a * cut)
-        X, F, pg = np.where(ok[:, None], T, X), np.where(ok, Ft, F), np.where(ok, pgt, pg)
-        G, H = np.where(ok[:, None], Gt, G), np.where(ok[:, None, None], Ht, H)
-        code = np.where(~ok & tiny, 3, 0)
+        nit += ok
+        for i, f in zip(ids[ok].tolist(), Ft[ok].tolist()):
+            traces[i].append(f)
+        rows, mats = ok[:, None], ok[:, None, None]  # the accepted starts move, in place
+        np.copyto(X, T, where=rows)
+        np.copyto(F, Ft, where=ok)
+        np.copyto(G, Gt, where=rows)
+        np.copyto(H, Ht, where=mats)
+        np.copyto(pg, pgt, where=ok)
+        code = np.where(ok, stop(pg, nit), np.where(tiny, 3, 0))

@@ -1,20 +1,28 @@
 """Dense test oracles: the stacked model, n x n covariance, the joint
 (beta, gamma) normal equations, the stacked random-effect QP objective,
-a one-point central-difference gradient and a synthetic discounted-sales
-panel.
+a one-point central-difference gradient, the PIT objective in its
+per-group layout and a synthetic discounted-sales panel.
 
 The package never forms an n x n matrix; these slow, direct forms are what
 its block-diagonal core is checked against.
 """
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
 
-from cslme.baseline import Theta
+from cslme.baseline import (
+    LOG_DOUBLE_MIN,
+    PIT_UNDERFLOW_PENALTY,
+    QuadratureUnderflowError,
+    Theta,
+    gh_nodes,
+)
 from cslme.optim import central_diff_probes
 from cslme.ranef import group_qps
+from cslme.sdtn import per_entry, sdtn_quantile, std_normal_cdf
 from cslme.model import (
     Dataset,
     ModelSpec,
@@ -122,6 +130,54 @@ def central_diff_grad(fun, x: np.ndarray, h: np.ndarray | None = None) -> np.nda
     probes, h = central_diff_probes(x, h)
     values = np.array([fun(probe) for probe in probes[1:]], dtype=float)
     return (values[0::2] - values[1::2]) / (2.0 * h)
+
+
+def pit_objective(x: np.ndarray, design, spec: ModelSpec, q: int, strict: bool = True):
+    """`baseline.pit_objective` in its historical layout: one pass per group
+    over (R, n_l, Q) arrays, the Q nodes on the contiguous axis, each
+    group's log-products summed over its rows along axis 1."""
+    X = np.asarray(x, dtype=float).reshape(-1, np.shape(x)[-1])
+    p = design.p
+    B = X[:, :p]
+    d, w = gh_nodes(q)
+    varsigma = np.abs(X[:, p])
+    col = spec.alpha[0]
+    b = np.abs(B[:, col])
+    with np.errstate(over="ignore"):
+        rho = np.divide(b, varsigma, out=np.zeros_like(b), where=varsigma > 0.0)
+    gammas = sdtn_quantile(std_normal_cdf(d), 0.0, varsigma[:, None], rho[:, None])
+    try:
+        sigma = per_entry(math.exp)(X[:, p + 1])
+        log_norm = -0.5 * math.log(2.0 * math.pi) - per_entry(math.log)(sigma)
+    except (OverflowError, ValueError):
+        if len(X) == 1:
+            raise
+        return np.array([pit_objective(row, design, spec, q, strict)
+                         for row in X]).reshape(np.shape(x)[:-1])
+    sigma, log_norm = sigma[:, None, None], log_norm[:, None, None]
+
+    log_max, sums = [], []
+    for lo, hi in zip(design.offsets[:-1], design.offsets[1:]):
+        X_l = design.X[lo:hi]
+        resid = design.y[lo:hi] - (X_l @ B[..., None])[..., 0]
+        dev = resid[:, :, None] - X_l[:, col:col + 1] * gammas[:, None, :]
+        log_prod = np.sum(log_norm - 0.5 * (dev / sigma) ** 2, axis=1)
+        top = np.max(log_prod, axis=1)
+        log_max.append(top)
+        shift = np.maximum(top, LOG_DOUBLE_MIN)
+        sums.append(np.sum(w * np.exp(log_prod - shift[:, None]), axis=1))
+
+    log_max, sums = np.transpose(log_max), np.transpose(sums)
+    under = log_max < LOG_DOUBLE_MIN
+    if strict and under.any():
+        r, ell = np.argwhere(under)[0]
+        raise QuadratureUnderflowError(design.group_ids[ell], float(log_max[r, ell]))
+    terms = -(log_max + per_entry(math.log)(np.where(under, 1.0, sums)))
+    values = np.zeros(len(X))
+    for term in terms.T:
+        values += term
+    values[under.any(axis=1)] = PIT_UNDERFLOW_PENALTY
+    return values.reshape(np.shape(x)[:-1])[()]
 
 
 def synthetic_discount_sales(seed: int = 20170301, clusters: int = 6,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from conftest import assert_rejects, make_dataset
+import dense
 from dense import assemble, central_diff_grad, joint_system_solve
 from exact import sdtn_group_loglik
 from cslme import baseline, estimate
@@ -33,7 +34,7 @@ from cslme.model import (
     ModelSpec,
     Parameters,
 )
-from cslme.optim import ConvergenceError, with_central_diff
+from cslme.optim import ConvergenceError, central_diff_probes, with_central_diff
 from cslme.sdtn import SdtnParams, sdtn_pdf
 from cslme.sim import (
     Scenario,
@@ -581,6 +582,71 @@ class TestPitBatch:
             (f,), (grad,) = fun(X[i:i + 1])
             assert F[i].hex() == f.hex()
             assert [v.hex() for v in G[i].tolist()] == [v.hex() for v in grad.tolist()]
+
+
+@functools.cache
+def ragged_pit_problem():
+    """Four groups of 1, 7, 40 and 250 rows (p = 2, a random intercept of
+    variance 0.36, unit noise) and its design."""
+    rng = np.random.default_rng(29)
+    groups = []
+    for ell, size in enumerate((1, 7, 40, 250)):
+        X = np.column_stack([np.ones(size), rng.uniform(0.0, 2.0, size)])
+        y = X @ [1.0, 0.5] + rng.normal(0.0, 0.6) + rng.normal(0.0, 1.0, size)
+        groups.append(GroupData(f"g{ell}", y, X))
+    spec = ModelSpec(alpha=(0,))
+    return BlockDesign(Dataset(tuple(groups)), spec), spec
+
+
+# (beta_alpha, beta_1, varsigma, log sigma) on `ragged_pit_problem`
+RAGGED_POINTS = {
+    "valid": (1.0, 0.5, 0.6, 0.0),
+    "varsigma-0": (1.0, 0.5, 0.0, 0.0),
+    "beta-alpha-0": (0.0, 0.5, 0.6, 0.0),
+    "largest-group-underflows": (1.0, 0.5, 0.6, -1.1),
+    "sigma-overflows": (1.0, 0.5, 0.6, 800.0),
+}
+
+
+class TestPitAgainstHistoricalLayout:
+    """pit_objective gives the values and raises the errors of
+    `dense.pit_objective`, its per-group (R, n_l, Q) loop, bit for bit."""
+
+    @staticmethod
+    def assert_same(X, q, strict):
+        design, spec = ragged_pit_problem()
+        got = outcome(lambda: pit_objective(X, design, spec, q, strict))
+        want = outcome(lambda: dense.pit_objective(X, design, spec, q, strict))
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            if isinstance(want, QuadratureUnderflowError):
+                assert (got.group_id, got.log_max) == (want.group_id, want.log_max)
+        else:
+            assert np.shape(got) == np.shape(want)
+            assert [v.hex() for v in np.ravel(got).tolist()] == \
+                [v.hex() for v in np.ravel(want).tolist()]
+        return want
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("R", [1, 11])
+    @pytest.mark.parametrize("q", [2, 4])
+    @pytest.mark.parametrize("point", list(RAGGED_POINTS))
+    def test_points_and_their_central_difference_probes(self, point, q, R, strict):
+        x = np.array(RAGGED_POINTS[point])
+        want = self.assert_same(x if R == 1 else central_diff_probes(x)[0], q, strict)
+        if point == "largest-group-underflows":
+            assert (isinstance(want, QuadratureUnderflowError) and want.group_id == "g3"
+                    if strict else np.all(want == PIT_UNDERFLOW_PENALTY))
+        elif point == "sigma-overflows":
+            assert isinstance(want, OverflowError)
+        else:
+            assert np.isfinite(want).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(PIT_ROWS, min_size=1, max_size=11), q=st.sampled_from([2, 4]),
+           strict=st.booleans())
+    def test_mixed_batches(self, rows, q, strict):
+        self.assert_same(np.array(rows), q, strict)
 
 
 class TestExactSdtnLikelihood:

@@ -1,6 +1,8 @@
 """Smoke tests for the experiment scripts under scripts/, and byte-identity
 of their CSV outputs with the `cslme` command that writes the same report."""
 
+import importlib.util
+import json
 import math
 import os
 from pathlib import Path
@@ -153,3 +155,60 @@ def test_fingerprint_diff_lists_sections_and_non_float_changes(tmp_path):
         "+ grid.PLS.x-y[0] nan",
         f"+ grid.PLS.x-y[1] {one}",
     ]
+
+
+def test_bench_pairs_summary_judges_claimed_and_bounded_metrics():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)  # its main does not run on import
+    end_to_end = [
+        {"name": "claimed", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "narrow_claim", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "eight_wins", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "rate", "unit": "reps/s", "better": "higher", "bound": 0.25},
+        {"name": "slower", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "noisy", "unit": "s", "better": "lower", "bound": 0.1},
+        {"name": "steady", "unit": "s", "better": "lower", "bound": 0.25},
+    ]
+    parent = {
+        "claimed": [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.01],
+        "narrow_claim": [1.0, 1.6, 0.95, 1.5, 0.96, 1.0, 1.4, 0.97, 1.0, 1.3],
+        "eight_wins": [1.0] * 10,
+        "rate": [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1],
+        "slower": [1.0] * 10,
+        "noisy": [1.0, 1.5, 0.6, 1.4, 0.7, 1.0, 1.3, 0.8, 1.0, 1.2],
+        "steady": [1.0] * 10,
+    }
+    change = {
+        "claimed": [0.9] * 9 + [1.1],           # 9 wins, median gap 0.1 > IQR 0.0175
+        "narrow_claim": [0.9] * 10,             # 10 wins, but gap 0.1 < IQR 0.3975
+        "eight_wins": [0.5] * 8 + [1.0, 1.2],   # one tie and one loss
+        "rate": [11.0] * 10,                    # higher is better: 10 wins, every run better
+        "slower": [1.3] * 10,                   # 30 % worse, bound 25 %
+        "noisy": [1.05] * 10,                   # parent IQR 0.425 > bound 0.1
+        "steady": [1.1] * 10,
+    }
+
+    def lines(values):
+        return [json.dumps({"correct": True, "attempted": 5, "failed": 0, "metrics": {
+            name: {"value": v[i], "unit": "s"} for name, v in values.items()}})
+            for i in range(10)]
+
+    rows = bench_pairs.summarize(lines(parent), lines(change), end_to_end, claim="claimed")
+    assert [(r["name"], r["wins"], r["verdict"]) for r in rows] == [
+        ("claimed", 9, "gain"),
+        ("narrow_claim", 10, "better in every run"),
+        ("eight_wins", 8, "within bound"),
+        ("rate", 10, "better in every run"),
+        ("slower", 0, "worse beyond bound"),
+        ("noisy", 4, "unresolved: parent spread above bound"),
+        ("steady", 0, "within bound"),
+    ]
+    assert rows[0]["parent"][1] == 1.0 and rows[0]["change"][1] == 0.9
+    for claim, verdict in (("narrow_claim", "gain not shown"), ("eight_wins", "gain not shown")):
+        (row,) = [r for r in bench_pairs.summarize(lines(parent), lines(change), end_to_end,
+                                                   claim=claim) if r["name"] == claim]
+        assert row["verdict"] == verdict
+    assert len(bench_pairs.format_rows(rows)) == 1 + len(rows)
+    with pytest.raises(ValueError, match="equal"):
+        bench_pairs.summarize(lines(parent), lines(change)[:9], end_to_end)
